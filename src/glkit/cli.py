@@ -357,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("-o", "--output", required=True)
     sim.add_argument("--graph-out")
     sim.add_argument("--exo-out")
-    sim.add_argument("--config")
-    sim.add_argument("--jobs", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
     lrn = sub.add_parser("learn", help="fit a graph to observed signals")
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--emit-every", type=int, default=1)
     lrn.add_argument("--denoised-out")
     lrn.add_argument("--trajectory-out")
-    lrn.add_argument("--seed", type=int, default=0)
     lrn.add_argument("--config")
     lrn.add_argument("--jobs", type=int, default=1)
     lrn.set_defaults(func=cmd_learn)
@@ -415,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True)
     ev.add_argument("--threshold", type=float, default=None)
     ev.add_argument("-o", "--output")
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--config")
-    ev.add_argument("--jobs", type=int, default=1)
     ev.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("spectrum", help="GFT / PSD / TV utilities")
@@ -429,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--order", choices=["magnitude", "freq"],
                     default="magnitude")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_spectrum)
     return ap
 

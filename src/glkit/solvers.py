@@ -3,9 +3,9 @@
 Contains the coordinate-descent lasso used by every regression-style
 learner, the negative-log-determinant proximal step shared by the
 precision estimators, Dykstra alternating projections onto shift
-constraint sets, the ADMM engine for l1 spectral fitting, and a
-primal-dual (forward-backward-forward) solver for the edge-weight
-problems with degree terms.
+constraint sets, the exact linear program and the ADMM engine for
+spectral-template fitting, and a primal-dual (forward-backward-forward)
+solver for the edge-weight problems with degree terms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInput, BadParameter, Infeasible
+from .errors import BadInput, BadParameter, Infeasible, SolverError
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 
@@ -28,7 +28,9 @@ class SolverConfig:
     ``step_scale`` the safety factor on primal-dual step sizes. Residual
     balancing for ADMM (factor 2 when primal/dual residuals diverge by
     more than ``adapt_ratio``) is off by default to keep traces
-    reproducible.
+    reproducible. Exact solves ignore the iterative knobs: the eps = 0
+    spectral-template LP with the l1 or sup-norm objective is solved
+    by HiGHS to optimality.
     """
 
     max_iters: int = 5000
@@ -40,7 +42,6 @@ class SolverConfig:
     adapt_rho: bool = False
     adapt_factor: float = 2.0
     adapt_ratio: float = 10.0
-    polish: bool = True
     check_every: int = 10
     seed: int = 0
 
@@ -382,42 +383,22 @@ def dykstra_project(S0, constraint_set: ShiftConstraintSet,
 
 
 class SpectralCoupling:
-    """Projection onto {V diag(lam) V' + E : ||E||_F <= eps}.
-
-    With eps = 0 this is the subspace of matrices diagonalized by V;
-    a partial basis (K < N columns) leaves the orthogonal-complement
-    block of the matrix free.
-    """
+    """Projection onto {V diag(lam) V' + E : ||E||_F <= eps} for a full
+    orthonormal basis V; with eps = 0 this is the subspace of matrices
+    diagonalized by V."""
 
     def __init__(self, V: np.ndarray, eps: float = 0.0):
-        V = np.asarray(V, float)
-        self.V = V
+        self.V = np.asarray(V, float)
         self.eps = float(eps)
-        self.n, self.k = V.shape
-        if self.k < self.n:
-            # orthonormal completion of the known columns
-            q, _ = np.linalg.qr(np.eye(self.n) - V @ V.T)
-            # pick n-k independent directions
-            proj = np.eye(self.n) - V @ V.T
-            u, s, _ = np.linalg.svd(proj)
-            self.Vc = u[:, : self.n - self.k]
-        else:
-            self.Vc = np.zeros((self.n, 0))
-        self.full = np.hstack([self.V, self.Vc])
 
     def project(self, M):
         """Returns (projected matrix, lam, offdiag norm before shrink)."""
-        Mt = self.full.T @ _sym(M) @ self.full
-        k = self.k
-        lam = np.diag(Mt)[:k].copy()
-        keep = np.zeros_like(Mt)
-        keep[np.arange(k), np.arange(k)] = lam
-        if k < self.n:
-            keep[k:, k:] = Mt[k:, k:]  # free complement block
-        off = Mt - keep
+        Mt = self.V.T @ _sym(M) @ self.V
+        lam = np.diag(Mt).copy()
+        off = Mt - np.diag(lam)
         dist = float(np.linalg.norm(off))
         shrink = 0.0 if self.eps <= 0 or dist == 0 else min(1.0, self.eps / dist)
-        T = self.full @ (keep + shrink * off) @ self.full.T
+        T = self.V @ (np.diag(lam) + shrink * off) @ self.V.T
         return _sym(T), lam, dist
 
 
@@ -481,135 +462,122 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
     return gap
 
 
-def _spectrally_coupled_basis(coupling: SpectralCoupling) -> np.ndarray:
-    """Entrywise basis (n^2 x d) of the eps = 0 coupling set: one rank-one
-    eigen-matrix per known eigenvector plus the free complement block."""
-    V, Vc = coupling.V, coupling.Vc
-    n, k = coupling.n, coupling.k
-    cols = [np.outer(V[:, i], V[:, i]).ravel() for i in range(k)]
-    for a in range(Vc.shape[1]):
-        for b in range(a, Vc.shape[1]):
-            M = np.outer(Vc[:, a], Vc[:, b])
-            cols.append((0.5 * (M + M.T)).ravel())
-    return np.column_stack(cols) if cols else np.zeros((n * n, 0))
+def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
+    """Exact eps = 0 solve: min ||S||_1 (or ||S||_inf) over the members
+    S of the set that equal V diag(lam) V' + Vc Z Vc', with Z a free
+    symmetric block on an orthonormal complement Vc of a partial N x K
+    basis (empty for a full one).
 
-
-def _exact_coupling_feasible(coupling: SpectralCoupling,
-                             cset: ShiftConstraintSet) -> bool:
-    """Linear-programming feasibility of {S in cset, S exactly coupled}."""
+    With U = [V Vc], LP variable m scales (u_p u_q' + u_q u_p') / 2 for
+    the column pair (p_m, q_m): (k, k) for each eigenvalue, (a, b) with
+    a <= b for each entry of Z. The sign of each entry is fixed on the
+    set, so both norms are linear there (sup-norm via one epigraph
+    variable). The HiGHS vertex is projected onto the set so that its
+    structural constraints hold exactly. Returns (S, lam, trace) with
+    the distance to the coupling set and the duality gap as residuals;
+    raises Infeasible when no member of the set fits the basis.
+    """
     from scipy.optimize import linprog
 
-    n = coupling.n
-    P = _spectrally_coupled_basis(coupling)
-
-    def entry(i, j):
-        return P[i * n + j]
-
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    n, k = V.shape
+    U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
+    za, zb = np.triu_indices(n - k)
+    p = np.concatenate([np.arange(k), k + za])
+    q = np.concatenate([np.arange(k), k + zb])
     iu, ju = np.triu_indices(n, 1)
+    # entry coefficients of S, one row per upper-triangular entry and
+    # per diagonal entry
+    off = 0.5 * (U[iu][:, p] * U[ju][:, q] + U[iu][:, q] * U[ju][:, p])
+    diag = U[:, p] * U[:, q]
+    G = cset.l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
+    g_off, g_diag = G[iu, ju], np.diag(G)
+    hp = cset.pieces(n)[-1]  # the scale equality <hp.A, S> = hp.b
+    scale_row = (hp.A[iu, ju] + hp.A[ju, iu]) @ off + np.diag(hp.A) @ diag
     if cset.kind == "adjacency":
-        for i in range(n):
-            a_eq.append(entry(i, i)); b_eq.append(0.0)
-        for i, j in zip(iu, ju):
-            a_ub.append(-entry(i, j)); b_ub.append(0.0)  # S_ij >= 0
-        if cset.scale == "first_node":
-            a_eq.append(sum(entry(j, 0) for j in range(n))); b_eq.append(1.0)
-        else:
-            a_eq.append(P.sum(axis=0)); b_eq.append(float(n))
+        zero_rows = diag
+    else:  # row sums: each row of U summed against the all-ones vector
+        ones_u = U.sum(axis=0)
+        zero_rows = 0.5 * (U[:, p] * ones_u[q] + U[:, q] * ones_u[p])
+    a_eq = np.vstack([zero_rows, scale_row])
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[-1] = hp.b
+    a_ub = -g_off[:, None] * off
+    if objective == "l1":
+        c = 2.0 * g_off @ off + g_diag @ diag
+        bounds = (None, None)
     else:
-        for i, j in zip(iu, ju):
-            a_ub.append(entry(i, j)); b_ub.append(0.0)  # S_ij <= 0
-        for i in range(n):
-            a_eq.append(sum(entry(i, j) for j in range(n))); b_eq.append(0.0)
-        a_eq.append(sum(entry(i, i) for i in range(n))); b_eq.append(float(n))
-    res = linprog(np.zeros(P.shape[1]),
-                  A_ub=np.vstack(a_ub) if a_ub else None,
-                  b_ub=np.asarray(b_ub) if b_ub else None,
-                  A_eq=np.vstack(a_eq) if a_eq else None,
-                  b_eq=np.asarray(b_eq) if b_eq else None,
-                  bounds=(None, None), method="highs")
-    return res.status == 0
-
-
-def _polish_spectral(S, cset: ShiftConstraintSet, V: np.ndarray, obj: str):
-    """Support-restricted least-squares refinement for eps = 0 runs.
-
-    Solves for eigenvalues lam from the linear system {entries outside
-    the detected support are zero + the set's equalities}, then accepts
-    the refit only if it is feasible and does not worsen the objective.
-    """
-    n = V.shape[0]
-    thresh = 1e-5 * max(np.abs(S).max(initial=0.0), 1e-30)
-    rows, rhs = [], []
-    # basis of the spectral subspace, entrywise: P[:, k] = vec(v_k v_k')
-    P = np.einsum("ik,jk->ijk", V, V).reshape(n * n, n)
-
-    def entry_row(i, j):
-        return P[i * n + j]
-
-    for i in range(n):
-        for j in range(i, n):
-            on_support = abs(S[i, j]) > thresh and i != j
-            if cset.kind == "adjacency":
-                if i == j:
-                    rows.append(entry_row(i, j)); rhs.append(0.0)
-                elif not on_support:
-                    rows.append(entry_row(i, j)); rhs.append(0.0)
-            else:
-                if i != j and not on_support:
-                    rows.append(entry_row(i, j)); rhs.append(0.0)
-    if cset.kind == "adjacency":
-        if cset.scale == "first_node":
-            rows.append(sum(entry_row(j, 0) for j in range(n))); rhs.append(1.0)
-        else:
-            rows.append(P.sum(axis=0)); rhs.append(float(n))
-    else:
-        for i in range(n):
-            rows.append(sum(entry_row(i, j) for j in range(n))); rhs.append(0.0)
-        rows.append(sum(entry_row(i, i) for i in range(n))); rhs.append(float(n))
-    A = np.vstack(rows)
-    lam, *_ = np.linalg.lstsq(A, np.asarray(rhs), rcond=None)
-    S_ref = _sym((V * lam) @ V.T)
-    scale = max(1.0, np.abs(S_ref).max(initial=0.0))
-    feasible = cset.violation(S_ref) <= 1e-8 * scale
-    if cset.kind == "adjacency":
-        feasible = feasible and S_ref.min(initial=0.0) >= -1e-8 * scale
-    improved = _objective_value(S_ref, obj) <= _objective_value(S, obj) + 1e-6 * scale
-    if feasible and improved:
-        return S_ref, lam, True
-    return S, None, False
+        abs_rows = np.vstack([g_off[:, None] * off, g_diag[:, None] * diag])
+        a_ub = np.block([[a_ub, np.zeros((a_ub.shape[0], 1))],
+                         [abs_rows, -np.ones((abs_rows.shape[0], 1))]])
+        a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+        c = np.zeros(p.size + 1)
+        c[-1] = 1.0
+        bounds = [(None, None)] * p.size + [(0.0, None)]
+    # HiGHS presolve only slows these dense LPs (fourfold at N = 50)
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                  b_eq=b_eq, bounds=bounds, method="highs",
+                  options={"presolve": False})
+    if res.status == 2:
+        raise Infeasible("no member of the constraint set is exactly "
+                         "diagonalized by the given basis")
+    if res.x is None:
+        raise SolverError(f"spectral LP failed: {res.message}")
+    C = np.zeros((n, n))
+    C[p, q] = res.x[: p.size]
+    S = cset.project(U @ _sym(C) @ U.T)
+    Mt = U.T @ S @ U
+    Mt[np.arange(k), np.arange(k)] = 0.0
+    Mt[k:, k:] = 0.0
+    trace = SolveTrace()
+    trace.log(_objective_value(S, objective), float(np.linalg.norm(Mt)),
+              abs(res.fun - float(b_eq @ res.eqlin.marginals)))
+    trace.converged = res.status == 0
+    trace.iters_used = int(res.nit)
+    trace.notes["constraint_violation"] = float(cset.violation(S))
+    return S, res.x[:k].copy(), trace
 
 
 def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
                      config: SolverConfig | None = None, objective: str = "l1"):
     """min f(S) s.t. S in the constraint set, ||S - V diag(lam) V'||_F <= eps.
 
-    Two-block ADMM: the S block is the prox of the objective plus the
-    set indicator (a projection of a tilted point for l1/Frobenius, a
-    Dykstra-style inner loop for sup-norm); the (lam, E) block projects
-    onto the spectral coupling set in the V coordinates, with the
-    off-diagonal residual shrunk to the eps-ball. Supports a partial
-    basis (N x K matrix V), in which case the orthogonal-complement
-    block of S is unconstrained spectrally.
+    With eps = 0 and the l1 or sup-norm objective the problem is a
+    linear program, solved exactly by :func:`_spectral_lp`; that path
+    also takes a partial basis (N x K matrix V), whose orthogonal
+    complement block of S is unconstrained spectrally, and ignores the
+    iterative knobs of ``config``.
 
-    Returns (S, lam, trace). Raises Infeasible when the iteration stalls
-    at a positive gap between the two sets.
+    Every other case (eps > 0, or the Frobenius objective) needs a full
+    basis and runs two-block ADMM: the S block is the prox of the
+    objective plus the set indicator (a projection of a tilted point for
+    l1/Frobenius, a Dykstra-style inner loop for sup-norm); the
+    (lam, E) block projects onto the spectral coupling set in the V
+    coordinates, with the off-diagonal residual shrunk to the eps-ball.
+
+    Returns (S, lam, trace). Raises Infeasible when no member of the set
+    is exactly diagonalized by V (eps = 0).
     """
     config = config or SolverConfig()
     V = np.asarray(V, dtype=float)
     if eps < 0:
         raise BadParameter("eps must be nonnegative")
+    if objective not in ("l1", "linf", "frobenius"):
+        raise BadParameter(f"unknown objective {objective!r}")
     n = V.shape[0]
     gram = V.T @ V
     if np.abs(gram - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
         raise BadInput("basis columns must be orthonormal")
+    if eps == 0 and objective != "frobenius":
+        return _spectral_lp(V, constraint_set, objective)
+    if V.shape[1] != n:
+        raise BadParameter("a partial basis needs eps = 0 and the l1 or linf "
+                           "objective")
+    if eps == 0:
+        _spectral_lp(V, constraint_set, "l1")  # raises Infeasible
     coupling = SpectralCoupling(V, eps)
     rho = config.rho
     S = constraint_set.project(np.zeros((n, n)))
     scale = max(1.0, float(np.abs(S).max()))
-    if eps == 0 and not _exact_coupling_feasible(coupling, constraint_set):
-        raise Infeasible("no member of the constraint set is exactly "
-                         "diagonalized by the given basis")
     T, lam, _ = coupling.project(S)
     U = np.zeros((n, n))
     trace = SolveTrace()
@@ -637,11 +605,6 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
             if r <= config.feas_tol * scale and rel <= config.tol:
                 trace.converged = True
                 break
-    if config.polish and eps == 0 and V.shape[1] == n and objective != "linf":
-        S_pol, lam_pol, ok = _polish_spectral(S, constraint_set, V, objective)
-        if ok:
-            S, lam = S_pol, lam_pol
-            trace.notes["polished"] = True
     trace.notes["constraint_violation"] = float(constraint_set.violation(S))
     return S, np.asarray(lam, float), trace
 

@@ -98,9 +98,11 @@ def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None,
     """Shift recovery from an incomplete eigenbasis.
 
     The known columns constrain their spectral block to be diagonal;
-    the orthogonal complement carries a free symmetric block. K = N
-    reduces to :func:`infer_shift` with eps = 0, K = 0 to the sparsest
-    member of the constraint set.
+    the orthogonal complement carries a free symmetric block. The
+    l1-minimal such member of the set is one exact linear program, so
+    the iterative knobs of ``config`` go unused. K = N reduces to
+    :func:`infer_shift` with eps = 0, K = 0 to the sparsest member of
+    the constraint set.
     """
     V_K = np.asarray(V_K, dtype=float)
     if V_K.ndim != 2:

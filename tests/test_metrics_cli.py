@@ -180,6 +180,26 @@ class TestCli:
             capture_output=True)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "-i", "a.json", "--truth", "b.json", "--jobs", "2"],
+        ["spectrum", "--op", "tv", "--graph", "g.json", "-i", "x.csv",
+         "--seed", "1"],
+        ["simulate", "er", "-o", "x.csv", "--config", "c.json"],
+        ["learn", "corr", "-o", "x.json", "--seed", "3"]])
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv)
+        assert exc.value.code == 2
+
+    def test_polish_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"polish": False}))
+        sig = tmp_path / "sig.csv"
+        ser.write_matrix_csv(sig, np.eye(4))
+        assert self.run("learn", "spectral", "-i", str(sig), "--config",
+                        str(cfg), "-o", str(tmp_path / "x.json")) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert self.run("eval", "-i", str(tmp_path / "no.json"),
                         "--truth", str(tmp_path / "no2.json")) == 3

@@ -3,8 +3,10 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 import glkit.graphcore as gc
+import glkit.simulate as sim
 import glkit.solvers as sv
 from glkit.errors import BadInput, Infeasible
+from glkit.metrics import scale_aligned_error
 
 
 def make_config(**kw):
@@ -283,6 +285,51 @@ class TestAdmmSpectral:
                                           objective="frobenius")
         cset = sv.ShiftConstraintSet()
         assert cset.violation(S) <= 1e-6
+
+
+def diffusion_basis(n, seed):
+    G = sim.gen_er_graph(n, 0.3, rng=seed, require_connected=True)
+    return G, gc.eigendecompose(sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
+
+
+class TestSpectralLP:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_recovery_n50_default_config(self, seed):
+        G, basis = diffusion_basis(50, seed)
+        S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
+                                          sv.ShiftConstraintSet())
+        assert trace.converged
+        assert scale_aligned_error(S, G.data) <= 1e-8
+
+    def test_matches_tight_admm_cross_check(self):
+        # independent of the LP formulation: ADMM at a negligible eps
+        tight = sv.SolverConfig(max_iters=40000, tol=1e-12, feas_tol=1e-11)
+        cset = sv.ShiftConstraintSet()
+        for seed in range(10):
+            _, basis = diffusion_basis(10, seed)
+            S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset)
+            S_admm, _, trace_admm = sv.admm_l1_spectral(basis.vecs, 1e-12,
+                                                        cset, tight)
+            assert trace.converged and trace_admm.converged
+            assert np.abs(S - S_admm).max() <= 1e-8
+
+    @pytest.mark.parametrize("cset", [
+        sv.ShiftConstraintSet(), sv.ShiftConstraintSet(scale="total"),
+        sv.ShiftConstraintSet(kind="laplacian")])
+    def test_linf_objective_exact(self, cset):
+        for seed in range(5):
+            G, _ = diffusion_basis(10, 40 + seed)
+            shift = G.data if cset.kind == "adjacency" else \
+                gc.laplacian_from_weights(G.data)
+            basis = gc.eigendecompose(sim.diffusion_covariance(shift, [1.0, 0.5]))
+            V = basis.vecs
+            S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="linf")
+            S_l1, _, _ = sv.admm_l1_spectral(V, 0.0, cset)
+            assert trace.converged
+            assert cset.violation(S) <= 1e-9
+            off = V.T @ S @ V
+            assert np.abs(off - np.diag(np.diag(off))).max() <= 1e-9
+            assert np.abs(S).max() <= np.abs(S_l1).max() + 1e-9
 
 
 class TestPrimalDualGraph:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import glkit.graphcore as gc
 import glkit.simulate as sim
@@ -79,6 +81,23 @@ class TestInferShift:
         off = off - np.diag(np.diag(off))
         assert np.abs(off).max() <= 1e-6
         assert np.trace(S) == pytest.approx(7.0, abs=1e-6)
+
+
+@given(n=st.integers(3, 12), p_edge=st.floats(0.3, 0.9),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(["first_node", "total"]))
+def test_exact_infer_shift_properties(n, p_edge, seed, scale):
+    G = sim.gen_er_graph(n, p_edge, rng=seed, require_connected=True)
+    V = diffused_basis(G).vecs
+    cset = ShiftConstraintSet(scale=scale)
+    S, _, trace = sid.infer_shift(V, cset)
+    assert trace.converged
+    assert np.array_equal(S, S.T)
+    assert S.min() >= 0.0 and not np.diag(S).any()
+    total = S[:, 0].sum() if scale == "first_node" else S.sum() / n
+    assert total == pytest.approx(1.0, abs=1e-12)
+    off = V.T @ S @ V
+    off_max = np.abs(off - np.diag(np.diag(off))).max()
+    assert off_max <= 1e-9 * max(1.0, np.abs(S).max())
 
 
 class TestInferShiftPartial:
