@@ -239,6 +239,15 @@ def build_shift(edges, n: int, kind: ShiftKind = ShiftKind.ADJACENCY,
     return ShiftOperator(M, kind, directed)
 
 
+def weights_from_edge_vector(w, n: int) -> np.ndarray:
+    """Symmetric zero-diagonal N x N weight matrix whose upper triangle,
+    read in ``np.triu_indices(n, 1)`` order, is the edge vector w."""
+    iu, ju = np.triu_indices(n, 1)
+    W = np.zeros((n, n))
+    W[iu, ju] = W[ju, iu] = w
+    return W
+
+
 def laplacian_from_weights(W) -> ShiftOperator:
     """L = diag(W 1) - W for a symmetric nonnegative weight matrix."""
     W = as_matrix(W)

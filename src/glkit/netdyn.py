@@ -168,6 +168,8 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
     """
     if rule not in ("or", "and"):
         raise BadParameter(f"unknown combination rule {rule!r}")
+    if n_lags < 1:
+        raise BadParameter("the lag order must be at least 1")
     X = np.asarray(X, dtype=float)
     n, t = X.shape
     if t <= n_lags + 1:
@@ -219,6 +221,8 @@ def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
         raise BadParameter("forgetting factor must lie in (0, 1]")
     if alpha < 0:
         raise BadParameter("alpha must be nonnegative")
+    if emit_every < 1:
+        raise BadParameter("emit_every must be at least 1")
     config = config or SolverConfig()
     n = data.n
     G = np.zeros((2 * n, 2 * n))

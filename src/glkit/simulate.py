@@ -29,6 +29,7 @@ from .graphcore import (
     as_matrix,
     eigendecompose,
     filter_matrix,
+    weights_from_edge_vector,
 )
 
 
@@ -90,13 +91,11 @@ def gen_er_graph(n: int, p_edge: float, weight_dist: WeightDist | None = None,
         raise BadParameter("edge probability must lie in [0, 1]")
     rng = make_rng(rng)
     weight_dist = weight_dist or WeightDist()
-    iu, ju = np.triu_indices(n, 1)
+    m = n * (n - 1) // 2
     for _ in range(max_tries):
-        mask = rng.random(iu.size) < p_edge
-        w = np.where(mask, weight_dist.draw(iu.size, rng), 0.0)
-        W = np.zeros((n, n))
-        W[iu, ju] = w
-        W[ju, iu] = w
+        mask = rng.random(m) < p_edge
+        w = np.where(mask, weight_dist.draw(m, rng), 0.0)
+        W = weights_from_edge_vector(w, n)
         if not require_connected or is_connected(W):
             return ShiftOperator(W, ShiftKind.ADJACENCY)
     raise CannotConnect(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import BadInput, BadK, BadParameter
-from .graphcore import ShiftKind, ShiftOperator, as_signal_matrix
+from .graphcore import ShiftKind, as_signal_matrix, build_shift, laplacian_from_weights
 from .solvers import DegreeTerm, SolveTrace, SolverConfig, primal_dual_graph
 
 
@@ -164,10 +164,9 @@ def dong_learn(X, alpha: float, beta: float,
     n = X.shape[0]
     config = config or SolverConfig()
     Y = X.copy()
-    W = np.zeros((n, n))
     trace = SolveTrace()
     best = np.inf
-    L = np.zeros((n, n))
+    L = laplacian_from_weights(np.zeros((n, n)))
     for outer in range(outer_iters):
         # L step on the current denoised signals; the engine sees
         # unit-mean distances (scale equivariance, cf. kalofolias_learn)
@@ -182,28 +181,23 @@ def dong_learn(X, alpha: float, beta: float,
         total = W_new.sum()
         if total > 0:
             W_new = W_new * (n / total)  # trace(L) = sum(W) = N exactly
-        L_new = np.diag(W_new.sum(axis=1)) - W_new
+        L_new = laplacian_from_weights(W_new)
         # Y step: closed-form smoother
-        Y_new = np.linalg.solve(np.eye(n) + alpha * L_new, X)
+        Y_new = np.linalg.solve(np.eye(n) + alpha * L_new.data, X)
         obj = _dong_objective(X, Y_new, W_new, distance_matrix(Y_new).Z,
                               alpha, beta)
         trace.iters_used = outer + 1
         if np.isfinite(best) and obj > best + outer_tol * max(1.0, abs(best)):
             trace.notes["rolled_back"] = True
             break
-        W, L, Y = W_new, L_new, Y_new
+        L, Y = L_new, Y_new
         trace.log(obj)
         if np.isfinite(best) and best - obj <= outer_tol * max(1.0, abs(best)):
             trace.converged = True
             best = obj
             break
         best = obj
-    return ShiftOperator(L, ShiftKind.LAPLACIAN), Y, trace
-
-
-def _pair_order(n: int):
-    iu, ju = np.triu_indices(n, 1)
-    return iu, ju
+    return L, Y, trace
 
 
 def edge_select(X, K: int):
@@ -221,22 +215,12 @@ def edge_select(X, K: int):
     if not (1 <= K <= m):
         raise BadK(f"K={K} outside 1..{m}")
     Z = distance_matrix(X).Z
-    iu, ju = _pair_order(n)
+    iu, ju = np.triu_indices(n, 1)
     scores = Z[iu, ju]
     order = np.lexsort((ju, iu, scores))  # score first, then (i, j)
     chosen = order[:K]
     edges = sorted((int(iu[m_]), int(ju[m_])) for m_ in chosen)
     return edges, Z
-
-
-def _laplacian_from_edges(edges, n: int) -> np.ndarray:
-    L = np.zeros((n, n))
-    for i, j in edges:
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
-    return L
 
 
 def edge_select_noisy(X, K: int, alpha: float,
@@ -257,7 +241,8 @@ def edge_select_noisy(X, K: int, alpha: float,
     trace = SolveTrace()
     Y = X
     for outer in range(outer_iters):
-        L = _laplacian_from_edges(edges, n)
+        L = build_shift([(i, j, 1.0) for i, j in edges], n,
+                        ShiftKind.LAPLACIAN).data
         Y = np.linalg.solve(np.eye(n) + alpha * L, X)
         obj = float(np.linalg.norm(X - Y) ** 2) + alpha * float(
             np.trace(Y.T @ L @ Y))

@@ -5,7 +5,8 @@ learner, the negative-log-determinant proximal step shared by the
 precision estimators, Dykstra alternating projections onto shift
 constraint sets, the exact linear program and the ADMM engine for
 spectral-template fitting, and a primal-dual (forward-backward-forward)
-solver for the edge-weight problems with degree terms.
+solver for the edge-weight problems with degree terms, which applies the
+weight-to-degree map by index arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput, BadParameter, Infeasible, SolverError
+from .graphcore import weights_from_edge_vector
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 
@@ -24,11 +26,13 @@ WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 class SolverConfig:
     """Knobs shared across the iterative solvers.
 
-    ``tol`` is a relative-change threshold, ``rho`` the ADMM penalty,
-    ``step_scale`` the safety factor on primal-dual step sizes. Residual
-    balancing for ADMM (factor 2 when primal/dual residuals diverge by
-    more than ``adapt_ratio``) is off by default to keep traces
-    reproducible. Exact solves ignore the iterative knobs: the eps = 0
+    ``tol`` is a relative-change threshold (a scale-free KKT-residual
+    threshold for the Laplacian GMRF, which reads only ``tol`` and
+    ``max_iters``), ``rho`` the ADMM penalty, ``step_scale`` the safety
+    factor on primal-dual step sizes. Residual balancing for ADMM
+    (factor 2 when primal/dual residuals diverge by more than
+    ``adapt_ratio``) is off by default to keep traces reproducible.
+    Exact solves ignore the iterative knobs: the eps = 0
     spectral-template LP with the l1 or sup-norm objective is solved
     by HiGHS to optimality.
     """
@@ -37,13 +41,11 @@ class SolverConfig:
     tol: float = 1e-7
     rho: float = 1.0
     step_scale: float = 0.9
-    power_iters: int = 50
     feas_tol: float = 1e-6
     adapt_rho: bool = False
     adapt_factor: float = 2.0
     adapt_ratio: float = 10.0
     check_every: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iters < 1 or self.rho <= 0:
@@ -643,30 +645,6 @@ class DegreeTerm:
         return self.coef * d
 
 
-def _degree_map(n: int) -> np.ndarray:
-    """Dense N x M map from upper-triangular weights to nodal degrees."""
-    iu, ju = np.triu_indices(n, 1)
-    m = iu.size
-    B = np.zeros((n, m))
-    B[iu, np.arange(m)] = 1.0
-    B[ju, np.arange(m)] = 1.0
-    return B
-
-
-def operator_norm(B: np.ndarray, iters: int = 50, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral norm."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(B.shape[1])
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
-        y = B.T @ (B @ x)
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        x = y / nrm
-    return float(np.sqrt(x @ (B.T @ (B @ x))))
-
-
 def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
                       config: SolverConfig | None = None,
                       scale_sum: float | None = None):
@@ -677,11 +655,12 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
 
         min  2 z'w + g(Bw) + beta ||w||^2   [+ indicator sum(w) = scale_sum]
 
-    where B maps weights to degrees and g is the degree term (log
-    barrier or quadratic). This is a monotone+Lipschitz forward-
-    backward-forward primal-dual iteration; step size is the configured
-    safety factor over the Lipschitz constant plus a power-iteration
-    estimate of ||B||. Returns (W, trace).
+    where B maps weights to degrees ((Bw)_i sums the weights of the
+    edges at vertex i; applied by index arithmetic, never stored) and g
+    is the degree term (log barrier or quadratic). This is a
+    monotone+Lipschitz forward-backward-forward primal-dual iteration;
+    step size is the configured safety factor over the Lipschitz
+    constant plus ||B|| = sqrt(2 (N - 1)). Returns (W, trace).
     """
     config = config or SolverConfig()
     Z = np.asarray(Z, dtype=float)
@@ -693,8 +672,15 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
         raise BadInput("Z must be symmetric and nonnegative")
     iu, ju = np.triu_indices(n, 1)
     z = Z[iu, ju]
-    B = _degree_map(n)
-    norm_b = operator_norm(B, config.power_iters, config.seed)
+
+    def degrees(wv):  # B w
+        return np.bincount(iu, wv, n) + np.bincount(ju, wv, n)
+
+    def spread(v):  # B' v
+        return v[iu] + v[ju]
+
+    # B B' = (N - 2) I + 11', so ||B|| = sqrt(2 (N - 1))
+    norm_b = np.sqrt(2.0 * max(n - 1, 0))
     lips = 2.0 * beta
     step = config.step_scale / (1.0 + lips + norm_b)
 
@@ -719,16 +705,16 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     trace = SolveTrace()
 
     def objective(wv):
-        return 2.0 * float(z @ wv) + g_spec.value(B @ wv) + beta * float(wv @ wv)
+        return 2.0 * float(z @ wv) + g_spec.value(degrees(wv)) + beta * float(wv @ wv)
 
     trace.log(objective(w))
     for it in range(config.max_iters):
-        y1 = w - step * (2.0 * beta * w + B.T @ v)
-        y2 = v + step * (B @ w)
+        y1 = w - step * (2.0 * beta * w + spread(v))
+        y2 = v + step * degrees(w)
         p1 = prox_f1(y1, step)
         p2 = prox_g_conj(y2, step)
-        q1 = p1 - step * (2.0 * beta * p1 + B.T @ p2)
-        q2 = p2 + step * (B @ p1)
+        q1 = p1 - step * (2.0 * beta * p1 + spread(p2))
+        q2 = p2 + step * degrees(p1)
         w_new = w - y1 + q1
         v = v - y2 + q2
         delta = np.abs(w_new - w).max(initial=0.0)
@@ -745,7 +731,7 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
                       stacklevel=2)
         trace.notes["weight_cap"] = True
     # projected-gradient KKT residual
-    grad = 2.0 * z + B.T @ g_spec.grad(np.maximum(B @ w, 1e-300)) + 2.0 * beta * w
+    grad = 2.0 * z + spread(g_spec.grad(np.maximum(degrees(w), 1e-300))) + 2.0 * beta * w
     if scale_sum is not None:
         step_pt = project_simplex(w - grad, scale_sum)
     else:
@@ -753,7 +739,4 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     trace.notes["kkt_residual"] = float(np.abs(w - step_pt).max(initial=0.0))
     trace.notes["kkt_scale"] = max(1.0, float(np.abs(2.0 * z).max(initial=0.0)))
     trace.log(objective(w))
-    W = np.zeros((n, n))
-    W[iu, ju] = w
-    W[ju, iu] = w
-    return W, trace
+    return weights_from_edge_vector(w, n), trace

@@ -1,8 +1,8 @@
 """Statistical topology inference.
 
 Correlation and partial-correlation networks with Fisher tests and
-Benjamini-Hochberg FDR control, the graphical lasso, the Laplacian-
-constrained GMRF estimator, and neighborhood-based lasso selection.
+Benjamini-Hochberg FDR control, the graphical lasso (ADMM), the Laplacian-
+constrained GMRF (projected gradient), and neighborhood lasso selection.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import erfc
 
 from .errors import (
@@ -19,7 +20,13 @@ from .errors import (
     SingularCovariance,
     TooFewSamples,
 )
-from .graphcore import ShiftKind, ShiftOperator, as_signal_matrix
+from .graphcore import (
+    ShiftKind,
+    ShiftOperator,
+    as_signal_matrix,
+    laplacian_from_weights,
+    weights_from_edge_vector,
+)
 from .solvers import (
     SolveTrace,
     SolverConfig,
@@ -108,10 +115,7 @@ def _build_table(rho, null_var, q, method, n):
     flags = {"saturated_pairs": [(int(i), int(j))
                                  for i, j, s in zip(iu, ju, sat) if s]}
     table = TestTable(pairs, method, q, flags)
-    W = np.zeros((n, n))
-    w = np.where(reject, np.abs(rho[iu, ju]), 0.0)
-    W[iu, ju] = w
-    W[ju, iu] = w
+    W = weights_from_edge_vector(np.where(reject, np.abs(rho[iu, ju]), 0.0), n)
     return table, ShiftOperator(W, ShiftKind.ADJACENCY)
 
 
@@ -233,73 +237,88 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
     return T, trace
 
 
-class _LaplacianLoaded:
-    """Set {L + gamma I : L a combinatorial Laplacian, gamma >= 0},
-    i.e. symmetric, nonpositive off-diagonals, equal nonnegative row sums."""
-
-    @staticmethod
-    def project(M, iters: int = 4000, tol: float = 1e-13):
-        x = 0.5 * (M + M.T)
-        p1 = np.zeros_like(x)
-        p2 = np.zeros_like(x)
-        n = x.shape[0]
-        prev = x.copy()
-        for _ in range(iters):
-            v = x + p1
-            d = np.diag(v).copy()
-            y = np.minimum(0.5 * (v + v.T), 0.0)
-            np.fill_diagonal(y, d)
-            p1 = v - y
-            v = y + p2
-            t = max(0.0, float(v.sum()) / n)
-            x = v - np.outer(v.sum(axis=1) - t, np.ones(n)) / n
-            p2 = v - x
-            if np.abs(x - prev).max(initial=0.0) <= tol * max(1.0, np.abs(x).max()):
-                break
-            prev = x.copy()
-        return x
-
-
 def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
-    """Precision estimation constrained to Theta = L + gamma I.
+    """Precision estimation constrained to Theta = L(w) + gamma I.
 
-    Same ADMM skeleton as the graphical lasso, but the sparse block is
-    projected onto the diagonally-loaded Laplacian set; on that set the
-    l1 norm is linear, so the penalty enters as a fixed tilt before the
-    projection. Returns (L as a Laplacian shift, gamma, trace).
+    Minimizes -logdet(Theta) + trace(S Theta) + lam ||Theta||_1 over the
+    edge weights w >= 0 of the Laplacian L(w) and the load gamma >= 0,
+    where ||Theta||_1 = 4 sum(w) + N gamma is linear. Projected gradient
+    with Barzilai-Borwein steps and Armijo backtracking (one Cholesky
+    factor per trial point; a failed one rejects the point) starts from
+    w = 0, gamma = N / (trace(S) + N lam) and stops after
+    ``config.max_iters`` iterations or when the KKT residual
+    ||x - max(x - s^2 grad, 0)||_inf / s of x = (w, gamma), s = max(x),
+    is at most ``config.tol``; it is scale free, as x scales as 1/c and
+    grad as c under (S, lam) -> (c S, c lam). Returns (L as a Laplacian
+    shift, gamma, trace); ``trace.notes["kkt_residual"]`` holds the
+    residual.
     """
     if lam < 0:
         raise BadParameter("lam must be nonnegative")
     config = config or SolverConfig()
     S = _as_covariance(data)
     n = S.shape[0]
-    tilt = -np.ones((n, n))
-    np.fill_diagonal(tilt, 1.0)  # <tilt, Z> = ||Z||_1 on the constraint set
-    rho = config.rho
-    Z = np.eye(n)
-    U = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, 1)
+    # f(x) = -logdet(Theta) + lin'x with x = (w, gamma): trace(S L(w)) and
+    # the penalty are both linear in x
+    lin = np.append(S[iu, iu] + S[ju, ju] - 2.0 * S[iu, ju] + 4.0 * lam,
+                    np.trace(S) + n * lam)
+    if lin[-1] <= 0:
+        raise NoMLE("zero covariance with lam = 0: the MLE does not exist")
+
+    def value(x):
+        """(f(x), Cholesky factor of Theta), or (inf, None) off the domain."""
+        W = weights_from_edge_vector(x[:-1], n)
+        theta = np.diag(W.sum(axis=1) + x[-1]) - W
+        try:
+            factor = cho_factor(theta, lower=True, check_finite=False)
+        except LinAlgError:
+            return np.inf, None
+        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor[0])).sum()), factor
+
+    def gradient(factor):
+        C = cho_solve(factor, np.eye(n), check_finite=False)
+        d = np.diag(C)
+        return lin - np.append(d[iu] + d[ju] - 2.0 * C[iu, ju], d.sum())
+
+    def kkt(x, g):
+        s = x.max()  # gamma > 0 on the domain
+        return float(np.abs(np.minimum(x / s, s * g)).max())
+
+    x = np.zeros(iu.size + 1)
+    x[-1] = n / lin[-1]
+    f, factor = value(x)
+    g = gradient(factor)
+    step = x[-1] ** 2 / n  # inverse curvature in gamma at the start
+    residual = kkt(x, g)
     trace = SolveTrace()
-    for it in range(config.max_iters):
-        T = prox_neg_logdet(Z - U, S, rho)
-        Z_prev = Z
-        Z = _LaplacianLoaded.project(T + U - (lam / rho) * tilt)
-        U = U + T - Z
-        r = float(np.linalg.norm(T - Z))
-        s = float(rho * np.linalg.norm(Z - Z_prev))
-        sign, logdet = np.linalg.slogdet(T)
-        obj = -logdet + float((S * T).sum()) + lam * float(np.abs(T).sum())
-        trace.log(obj, r, s)
-        trace.iters_used = it + 1
-        scale = max(1.0, float(np.linalg.norm(T)))
-        if r <= 1e-9 * scale * n and s <= 1e-9 * scale * n:
-            trace.converged = True
-            break
-    gamma = max(0.0, float(Z.sum()) / n)
-    W = np.maximum(-(Z - np.diag(np.diag(Z))), 0.0)
-    W = 0.5 * (W + W.T)
-    L = np.diag(W.sum(axis=1)) - W
-    trace.notes["theta"] = L + gamma * np.eye(n)
-    return ShiftOperator(L, ShiftKind.LAPLACIAN), gamma, trace
+    trace.log(f)
+    while residual > config.tol and trace.iters_used < config.max_iters:
+        # Armijo test with slack for rounding in f: near the optimum the
+        # decrease falls below it and the BB step is taken as it stands
+        slack = 1e-12 * max(1.0, abs(f))
+        for _ in range(60):
+            x_new = np.maximum(x - step * g, 0.0)
+            f_new, factor = value(x_new)
+            if f_new <= f + 1e-4 * float(g @ (x_new - x)) + slack:
+                break
+            step *= 0.5
+        else:
+            break  # no acceptable point after 60 halvings
+        g_new = gradient(factor)
+        s, y = x_new - x, g_new - g
+        if s @ y > 0:
+            step = float(s @ s) / float(s @ y)
+        x, f, g = x_new, f_new, g_new
+        residual = kkt(x, g)
+        trace.iters_used += 1
+        trace.log(f)
+    trace.converged = residual <= config.tol
+    gamma = float(x[-1])
+    L = laplacian_from_weights(weights_from_edge_vector(x[:-1], n))
+    trace.notes["theta"] = L.data + gamma * np.eye(n)
+    trace.notes["kkt_residual"] = residual
+    return L, gamma, trace
 
 
 def neighborhood_lasso(X, lam: float, rule: str = "or",

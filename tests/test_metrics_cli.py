@@ -192,13 +192,31 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_polish_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"polish": False}))
+        # removed SolverConfig fields: polish, power_iters, seed
         sig = tmp_path / "sig.csv"
         ser.write_matrix_csv(sig, np.eye(4))
-        assert self.run("learn", "spectral", "-i", str(sig), "--config",
-                        str(cfg), "-o", str(tmp_path / "x.json")) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        for payload in ({"polish": False}, {"power_iters": 50}, {"seed": 0}):
+            cfg.write_text(json.dumps(payload))
+            assert self.run("learn", "spectral", "-i", str(sig), "--config",
+                            str(cfg), "-o", str(tmp_path / "x.json")) == 2
+            assert "unknown config keys" in capsys.readouterr().err
+
+    def test_dsem_emit_every_zero_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        x, u = tmp_path / "x.csv", tmp_path / "u.csv"
+        ser.write_matrix_csv(x, rng.standard_normal((4, 30)))
+        ser.write_matrix_csv(u, rng.standard_normal((4, 30)))
+        assert self.run("learn", "dsem", "-i", str(x), "--exo", str(u),
+                        "--emit-every", "0", "-o", str(tmp_path / "w.json")) == 2
+        assert "emit_every" in capsys.readouterr().err
+
+    def test_svarm_zero_lags_is_usage_error(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        ser.write_matrix_csv(x, np.random.default_rng(8).standard_normal((4, 30)))
+        assert self.run("learn", "svarm", "-i", str(x), "--lags", "0",
+                        "--lambda", "30", "-o", str(tmp_path / "sv.json")) == 2
+        assert "lag order" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert self.run("eval", "-i", str(tmp_path / "no.json"),

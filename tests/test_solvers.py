@@ -380,11 +380,16 @@ class TestPrimalDualGraph:
         assert W.sum() / 2.0 == pytest.approx(3.0, abs=1e-8)
 
 
-def test_operator_norm_estimate():
-    rng = np.random.default_rng(18)
-    B = rng.standard_normal((12, 30))
-    est = sv.operator_norm(B, iters=50, seed=0)
-    assert est == pytest.approx(np.linalg.norm(B, 2), rel=1e-6)
+def test_degree_map_norm_closed_form():
+    # primal_dual_graph steps with ||B|| = sqrt(2 (N - 1)) for the dense
+    # N x N(N-1)/2 map B from upper-triangular weights to degrees
+    for n in range(2, 31):
+        iu, ju = np.triu_indices(n, 1)
+        B = np.zeros((n, iu.size))
+        B[iu, np.arange(iu.size)] = 1.0
+        B[ju, np.arange(iu.size)] = 1.0
+        assert np.sqrt(2.0 * (n - 1)) == pytest.approx(np.linalg.norm(B, 2),
+                                                       rel=1e-12)
 
 
 def test_simplex_projection_properties():

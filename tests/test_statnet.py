@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
+from scipy.optimize import minimize
 
+import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.statnet as st
 from glkit.errors import NoMLE, SingularCovariance, TooFewSamples
+from glkit.solvers import SolverConfig
 
 
 def chain_precision(n, rho=0.4):
@@ -11,6 +16,40 @@ def chain_precision(n, rho=0.4):
     for i in range(n - 1):
         T[i, i + 1] = T[i + 1, i] = -rho
     return T
+
+
+def _lgmrf_objective(S, lam, theta):
+    sign, logdet = np.linalg.slogdet(theta)
+    return np.inf if sign <= 0 else \
+        -logdet + float((S * theta).sum()) + lam * float(np.abs(theta).sum())
+
+
+def _lgmrf_reference(S, lam):
+    """Independent L-BFGS-B solve of the Laplacian GMRF objective over
+    (w, gamma), gradient from a dense inverse."""
+    n = S.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+
+    def theta(x):
+        W = np.zeros((n, n))
+        W[iu, ju] = W[ju, iu] = x[:-1]
+        return np.diag(W.sum(axis=1) + x[-1]) - W
+
+    def fun(x):
+        T = theta(x)
+        f = _lgmrf_objective(S, lam, T)
+        if not np.isfinite(f):
+            return 1e300, np.zeros_like(x)
+        M = S - np.linalg.inv(T)
+        d = np.diag(M)
+        return f, np.append(d[iu] + d[ju] - 2.0 * M[iu, ju] + 4.0 * lam,
+                            d.sum() + n * lam)
+
+    x0 = np.append(np.zeros(iu.size), n / np.trace(S))
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * iu.size + [(1e-12, None)],
+                   options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-12})
+    return float(res.fun)
 
 
 class TestSampleCovariance:
@@ -232,8 +271,78 @@ class TestLaplacianGmrf:
 
     def test_large_penalty_kills_edges(self):
         X = sim.sample_gmrf(chain_precision(5), 2000, rng=16)
-        L, gamma, _ = st.laplacian_gmrf(X, 50.0)
+        L, gamma, trace = st.laplacian_gmrf(X, 50.0)
         assert np.abs(L.data).max() <= 1e-6
+        assert trace.converged
+        # with no edges the load solves -N/gamma + trace(S) + N lam = 0
+        S = st.sample_covariance(X)
+        assert gamma == pytest.approx(5 / (np.trace(S) + 50.0 * 5), rel=1e-8)
+
+    def test_converges_on_er50_with_default_config(self):
+        G = sim.gen_er_graph(50, 0.06, rng=30)
+        theta = gc.laplacian_from_weights(G.weights()).data + 0.5 * np.eye(50)
+        X = sim.sample_gmrf(theta, 2000, rng=31)
+        lam = st.auto_lambda(50, 2000)
+        config = SolverConfig()
+        L, gamma, trace = st.laplacian_gmrf(X, lam, config)
+        assert trace.converged
+        # KKT residual recomputed from the returned estimate
+        S = st.sample_covariance(X)
+        iu, ju = np.triu_indices(50, 1)
+        M = S - np.linalg.inv(L.data + gamma * np.eye(50))
+        d = np.diag(M)
+        x = np.append(-L.data[iu, ju], gamma)
+        g = np.append(d[iu] + d[ju] - 2.0 * M[iu, ju] + 4.0 * lam,
+                      d.sum() + 50 * lam)
+        s = x.max()
+        kkt = np.abs(x - np.maximum(x - s * s * g, 0.0)).max() / s
+        assert trace.notes["kkt_residual"] <= config.tol
+        assert kkt <= 2.0 * config.tol
+
+    def test_small_variance_solves_to_the_mle(self):
+        # at variance 1e-4 the start (w = 0) has a gradient of order 1e-4
+        # in data units; the scale-free residual must still reject it
+        S = 1e-4 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        L, gamma, trace = st.laplacian_gmrf(S, 0.0)
+        assert trace.converged
+        # Theta = inv(S): gamma = 1 / 1.5e-4, gamma + 2 w = 1 / 0.5e-4
+        assert gamma == pytest.approx(2e4 / 3, rel=1e-6)
+        assert -L.data[0, 1] == pytest.approx(2e4 / 3, rel=1e-6)
+
+    def test_matches_lbfgsb_reference(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            n = int(rng.integers(3, 21))
+            G = sim.gen_er_graph(n, 0.3, rng=rng)
+            theta = gc.laplacian_from_weights(G.weights()).data + 0.5 * np.eye(n)
+            S = st.sample_covariance(sim.sample_gmrf(theta, 500, rng))
+            lam = st.auto_lambda(n, 500) * rng.uniform(0.2, 2.0)
+            L, gamma, _ = st.laplacian_gmrf(S, lam)
+            ref = _lgmrf_reference(S, lam)
+            mine = _lgmrf_objective(S, lam, L.data + gamma * np.eye(n))
+            assert mine <= ref + 1e-9 * max(1.0, abs(ref))
+
+    @given(n=hst.integers(2, 10), extra=hst.integers(2, 40),
+           lam_factor=hst.floats(0.1, 2.0), log_c=hst.floats(-4.0, 4.0),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_properties_and_scale_equivariance(self, n, extra, lam_factor, log_c, seed):
+        p = n + extra
+        S = st.sample_covariance(np.random.default_rng(seed).standard_normal((n, p)))
+        lam = lam_factor * st.auto_lambda(n, p)
+        c = 10.0 ** log_c
+        config = SolverConfig()
+        L, gamma, trace = st.laplacian_gmrf(S, lam, config)
+        assert trace.converged
+        M = L.data
+        scale = max(1.0, np.abs(M).max())
+        assert np.abs(M - M.T).max() <= 1e-12 * scale
+        assert np.abs(M.sum(axis=1)).max() <= 1e-9 * scale
+        assert (M - np.diag(np.diag(M))).max() <= 0.0
+        assert gamma > 0
+        Lc, gamma_c, trace_c = st.laplacian_gmrf(c * S, c * lam, config)
+        assert trace_c.converged
+        assert np.abs(c * Lc.data - M).max() <= 1e-5 * max(np.abs(M).max(), gamma)
+        assert c * gamma_c == pytest.approx(gamma, rel=1e-5)
 
     def test_beats_oracle_grid_on_small_instances(self):
         rng = np.random.default_rng(17)
