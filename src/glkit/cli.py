@@ -250,7 +250,14 @@ def cmd_learn(args) -> int:
         return 0
     if method == "svarm":
         X = _signals(args)
-        edges, Ws = netdyn.svarm_fit(X, args.lags, float(args.lam), args.rule,
+        samples = X.shape[1] - args.lags  # svarm_fit's objective sums over these
+        if args.lam != "auto":
+            lam = float(args.lam)
+        elif args.lags >= 1 and samples >= 2:  # svarm_fit rejects the rest
+            lam = samples * statnet.auto_lambda(X.shape[0] * args.lags, samples)
+        else:
+            lam = 0.0
+        edges, Ws = netdyn.svarm_fit(X, args.lags, lam, args.rule,
                                      config, n_jobs=args.jobs)
         _emit_graph(args.output,
                     ShiftOperator(edges.astype(float), ShiftKind.GENERIC,

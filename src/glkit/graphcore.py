@@ -23,7 +23,7 @@ from .errors import (
 )
 
 SYM_TOL = 1e-10          # absolute symmetry tolerance for undirected shifts
-ROWSUM_TOL = 1e-9        # |row sum| bound for combinatorial Laplacians
+ROWSUM_TOL = 1e-9        # Laplacian |row sum| bound, times max(1, max |entry|)
 DEGENERACY_TOL = 1e-8    # eigenvalue gap below which modes form one block
 
 
@@ -79,7 +79,8 @@ class ShiftOperator:
             if M.min(initial=0.0) < -SYM_TOL:
                 raise InvalidWeight("adjacency weights must be nonnegative")
         elif self.kind is ShiftKind.LAPLACIAN:
-            if np.max(np.abs(M.sum(axis=1)), initial=0.0) > ROWSUM_TOL:
+            bound = ROWSUM_TOL * max(1.0, np.abs(M).max(initial=0.0))
+            if np.max(np.abs(M.sum(axis=1)), initial=0.0) > bound:
                 raise InvalidWeight("Laplacian rows must sum to zero")
             off = M - np.diag(np.diag(M))
             if off.max(initial=0.0) > SYM_TOL:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadDimension,
@@ -73,9 +72,16 @@ class WeightDist:
 
 
 def is_connected(W) -> bool:
-    ncomp, _ = connected_components((np.asarray(W) != 0).astype(np.int8),
-                                    directed=False)
-    return ncomp == 1
+    """One connected component, with every nonzero W_ij or W_ji an edge."""
+    A = np.asarray(W) != 0
+    A = A | A.T
+    reached = np.zeros(A.shape[0], dtype=bool)
+    reached[:1] = True
+    frontier = reached.copy()
+    while frontier.any():  # grow the component of vertex 0 by one hop
+        frontier = A[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return A.shape[0] > 0 and bool(reached.all())
 
 
 def gen_er_graph(n: int, p_edge: float, weight_dist: WeightDist | None = None,

@@ -2,7 +2,10 @@
 
 Covers the alternating factor-analysis learner (joint denoising +
 Laplacian fit), the log-degree-barrier weight learner and its
-generalizations, and exact cardinality-constrained edge selection.
+generalizations, and exact cardinality-constrained edge selection. The
+first two solve their weight problems with the edge-weight engine
+:func:`glkit.solvers.primal_dual_graph` (Newton on the N-variable dual),
+one engine call per solve and per outer iteration.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import BadInput, BadK, BadParameter
 from .graphcore import ShiftKind, as_signal_matrix, build_shift, laplacian_from_weights
@@ -50,9 +52,17 @@ def distance_matrix(X) -> DistanceMatrix:
 
     Ties smoothness to sparsity: for any weight matrix W with Laplacian
     L, the summed Dirichlet energy trace(X' L X) equals 0.5 ||W o Z||_1.
+    Each entry sums squared differences, not the Gram identity, so
+    identical rows are exactly zero apart and ties rank exactly.
     """
     X = as_signal_matrix(X)
-    return DistanceMatrix(squareform(pdist(X, metric="sqeuclidean")))
+    n = X.shape[0]
+    Z = np.zeros((n, n))
+    diff = np.empty_like(X)
+    for i in range(n - 1):  # row i against the rows after it
+        d = np.subtract(X[i + 1:], X[i], out=diff[i + 1:])
+        Z[i, i + 1:] = np.einsum("ij,ij->i", d, d)
+    return DistanceMatrix(Z + Z.T)
 
 
 def as_distance(Z) -> DistanceMatrix:
@@ -152,9 +162,9 @@ def dong_learn(X, alpha: float, beta: float,
     subject to L being a combinatorial Laplacian with trace N. The
     Y step is the closed-form low-pass smoother (I + alpha L)^-1 X (one
     dense factorization reused across columns); the L step runs the
-    primal-dual weight engine on the distances of Y with a quadratic
-    degree term and the weight simplex enforcing the trace, then
-    rescales exactly. The outer objective is non-increasing; an
+    edge-weight engine on the distances of Y with a quadratic degree
+    term and the weight simplex enforcing the trace, then rescales
+    exactly. The outer objective is non-increasing; an
     iteration that fails to improve it is rolled back and the loop
     stops. Returns (L, Y, trace).
     """

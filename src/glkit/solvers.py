@@ -4,9 +4,10 @@ Contains the coordinate-descent lasso used by every regression-style
 learner, the negative-log-determinant proximal step shared by the
 precision estimators, Dykstra alternating projections onto shift
 constraint sets, the exact linear program and the ADMM engine for
-spectral-template fitting, and a primal-dual (forward-backward-forward)
-solver for the edge-weight problems with degree terms, which applies the
-weight-to-degree map by index arithmetic.
+spectral-template fitting, and the edge-weight engine for problems with
+degree terms: semismooth Newton on their N-variable Lagrange dual (a
+proximal-point loop over it when the ridge weight is zero), with the
+weight-to-degree map and the Newton matrix built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ class SolverConfig:
     """Knobs shared across the iterative solvers.
 
     ``tol`` is a relative-change threshold (a scale-free KKT-residual
-    threshold for the Laplacian GMRF, which reads only ``tol`` and
-    ``max_iters``), ``rho`` the ADMM penalty, ``step_scale`` the safety
-    factor on primal-dual step sizes. Residual balancing for ADMM
+    threshold for the Laplacian GMRF, and a relative degree-residual
+    threshold for the edge-weight engine; both read only ``tol`` and
+    ``max_iters``, the engine counting Newton steps), ``rho`` the ADMM
+    penalty. Residual balancing for ADMM
     (factor 2 when primal/dual residuals diverge by more than
     ``adapt_ratio``) is off by default to keep traces reproducible.
     Exact solves ignore the iterative knobs: the eps = 0
@@ -40,7 +42,6 @@ class SolverConfig:
     max_iters: int = 5000
     tol: float = 1e-7
     rho: float = 1.0
-    step_scale: float = 0.9
     feas_tol: float = 1e-6
     adapt_rho: bool = False
     adapt_factor: float = 2.0
@@ -612,12 +613,12 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
 
 
 # ---------------------------------------------------------------------------
-# primal-dual solver for edge weights with degree terms
+# dual Newton solver for edge weights with degree terms
 
 
 @dataclass(frozen=True)
 class DegreeTerm:
-    """Spec of the convex function applied to the degree vector d = W 1.
+    """Spec of the convex function g applied to the degree vector d = W 1.
 
     ``log_barrier``: -alpha * sum log(d); ``quadratic``: coef/2 * ||d||^2.
     """
@@ -626,10 +627,9 @@ class DegreeTerm:
     alpha: float = 1.0
     coef: float = 0.0
 
-    def prox(self, d, gamma):
-        if self.kind == "log_barrier":
-            return 0.5 * (d + np.sqrt(d * d + 4.0 * self.alpha * gamma))
-        return d / (1.0 + self.coef * gamma)
+    @property
+    def vanishes(self) -> bool:
+        return (self.alpha if self.kind == "log_barrier" else self.coef) == 0
 
     def value(self, d):
         if self.kind == "log_barrier":
@@ -644,6 +644,26 @@ class DegreeTerm:
             return -self.alpha / np.maximum(d, 1e-300)
         return self.coef * d
 
+    def conjugate(self, v):
+        """Value, gradient (the minimiser d(v) of g(d) - v'd) and Hessian
+        diagonal of the conjugate g* at v; the log barrier's needs v < 0."""
+        if self.kind == "log_barrier":
+            a = self.alpha
+            return a * float((np.log(a / -v) - 1.0).sum()), -a / v, a / (v * v)
+        return 0.5 * float(v @ v) / self.coef, v / self.coef, \
+            np.full(v.size, 1.0 / self.coef)
+
+
+def _signless_laplacian(n: int, iu, ju, a, h) -> np.ndarray:
+    """B diag(a) B' + diag(h) for the degree map B of the edges
+    (iu, ju): a_e at (i, j) and (j, i), the a-weighted degrees plus h on
+    the diagonal."""
+    H = np.zeros((n, n))
+    H[iu, ju] = a
+    H[ju, iu] = a
+    H[np.arange(n), np.arange(n)] = np.bincount(iu, a, n) + np.bincount(ju, a, n) + h
+    return H
+
 
 def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
                       config: SolverConfig | None = None,
@@ -657,86 +677,145 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
 
     where B maps weights to degrees ((Bw)_i sums the weights of the
     edges at vertex i; applied by index arithmetic, never stored) and g
-    is the degree term (log barrier or quadratic). This is a
-    monotone+Lipschitz forward-backward-forward primal-dual iteration;
-    step size is the configured safety factor over the Lipschitz
-    constant plus ||B|| = sqrt(2 (N - 1)). Returns (W, trace).
+    is the degree term (log barrier or quadratic).
+
+    For beta > 0: semismooth Newton on the Lagrange dual of the split
+    d = Bw, in its N multipliers v, with closed-form inner minimisers
+    w(v) = max(0, -(2z + B'v)) / (2 beta) (with ``scale_sum``, the
+    projection of -(2z + B'v) / (2 beta) onto the weight simplex, which
+    eliminates the sum's multiplier exactly) and d(v) = grad g*(v). The
+    dual gradient is d(v) - B w(v); the Newton matrix is the signless
+    Laplacian of the active edges, weighted 1 / (2 beta) (less its
+    rank-one part along the sum), plus diag g*''(v). Armijo steps keep
+    v in the domain of g*. Stops when ||Bw - d||_inf <= tol * max(1,
+    ||Bw||_inf); ``max_iters`` caps the Newton steps.
+
+    For beta = 0: a proximal-point loop over that solve. Round k solves
+    the beta = rho problem with z replaced by z - rho w_k; rho starts at
+    mean(z)^2 and shrinks tenfold per round. Stops when the
+    projected-gradient KKT residual of the beta = 0 problem is at most
+    ``tol`` times ``trace.notes["kkt_scale"]``; ``converged`` stays false
+    when the Newton steps of all rounds reach ``max_iters`` or a weight
+    reaches ``WEIGHT_CAP`` (zero distances make the log-barrier problem
+    unbounded).
+
+    Returns (W, trace); ``trace.iters_used`` counts Newton steps and
+    ``trace.notes`` holds the KKT residual and its scale.
     """
     config = config or SolverConfig()
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
     if beta < 0:
         raise BadParameter("beta must be nonnegative")
+    if scale_sum is not None and scale_sum <= 0:
+        raise BadParameter("scale_sum must be positive")
     if np.abs(Z - Z.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(Z).max()) or \
             Z.min(initial=0.0) < -1e-12:
         raise BadInput("Z must be symmetric and nonnegative")
+    if n < 2:  # no vertex pairs, nothing to learn
+        return np.zeros((n, n)), SolveTrace(converged=True)
     iu, ju = np.triu_indices(n, 1)
     z = Z[iu, ju]
+    barrier = g_spec.kind == "log_barrier"
+
+    if barrier and g_spec.alpha == 0 and beta == 0:
+        warnings.warn("alpha = beta = 0 gives the degenerate all-zero graph",
+                      stacklevel=2)
 
     def degrees(wv):  # B w
         return np.bincount(iu, wv, n) + np.bincount(ju, wv, n)
 
-    def spread(v):  # B' v
-        return v[iu] + v[ju]
-
-    # B B' = (N - 2) I + 11', so ||B|| = sqrt(2 (N - 1))
-    norm_b = np.sqrt(2.0 * max(n - 1, 0))
-    lips = 2.0 * beta
-    step = config.step_scale / (1.0 + lips + norm_b)
-
-    if g_spec.kind == "log_barrier" and g_spec.alpha == 0 and beta == 0:
-        warnings.warn("alpha = beta = 0 gives the degenerate all-zero graph",
-                      stacklevel=2)
-
-    def prox_f1(w, gamma):
-        v = w - 2.0 * gamma * z
-        if scale_sum is not None:
-            out = project_simplex(v, scale_sum)
-        else:
-            out = np.maximum(v, 0.0)
-        return np.minimum(out, WEIGHT_CAP)
-
-    def prox_g_conj(v, sigma):
-        # Moreau: prox of sigma * g* at v
-        return v - sigma * g_spec.prox(v / sigma, 1.0 / sigma)
-
-    w = np.zeros(iu.size)
-    v = np.zeros(n)
-    trace = SolveTrace()
-
     def objective(wv):
         return 2.0 * float(z @ wv) + g_spec.value(degrees(wv)) + beta * float(wv @ wv)
 
-    trace.log(objective(w))
-    for it in range(config.max_iters):
-        y1 = w - step * (2.0 * beta * w + spread(v))
-        y2 = v + step * degrees(w)
-        p1 = prox_f1(y1, step)
-        p2 = prox_g_conj(y2, step)
-        q1 = p1 - step * (2.0 * beta * p1 + spread(p2))
-        q2 = p2 + step * degrees(p1)
-        w_new = w - y1 + q1
-        v = v - y2 + q2
-        delta = np.abs(w_new - w).max(initial=0.0)
-        w = w_new
-        trace.iters_used = it + 1
-        if (it + 1) % config.check_every == 0:
-            trace.log(objective(w))
-            if delta <= config.tol * max(1.0, np.abs(w).max(initial=0.0)):
+    def inner(v, zz, b):
+        """w(v), the negated dual objective of the beta = b problem at v,
+        and grad / Hessian diagonal of g* at v."""
+        c = 2.0 * zz + v[iu] + v[ju]
+        if scale_sum is None:
+            wv = np.maximum(-c, 0.0) / (2.0 * b)
+        else:
+            wv = project_simplex(-c / (2.0 * b), scale_sum)
+        if g_spec.vanishes:  # g* is the indicator of v = 0
+            return wv, 0.0, None, None
+        g_val, d_v, curv = g_spec.conjugate(v)
+        return wv, g_val - float(c @ wv) - b * float(wv @ wv), d_v, curv
+
+    trace = SolveTrace()
+
+    def newton(v, zz, b, budget):
+        """Returns (v, w(v), Newton steps taken, stopping rule met)."""
+        wv, phi, d_v, curv = inner(v, zz, b)
+        if g_spec.vanishes:
+            return v, wv, 0, True
+        for k in range(budget + 1):
+            bw = degrees(wv)
+            grad = d_v - bw
+            res = float(np.abs(grad).max())
+            if res <= config.tol * max(1.0, float(bw.max())):
+                return v, wv, k, True
+            if k == budget:
+                break
+            a = (wv > 0) / (2.0 * b)
+            H = _signless_laplacian(n, iu, ju, a, curv)
+            if scale_sum is not None:
+                da = degrees(a)
+                H -= np.outer(da, da) / a.sum()
+            step = np.linalg.solve(H, -grad)
+            slope = float(grad @ step)
+            t = 1.0
+            up = step > 0
+            if barrier and up.any():  # stay inside v < 0
+                t = min(1.0, 0.99 * float(np.min(-v[up] / step[up])))
+            while True:
+                trial = inner(v + t * step, zz, b)
+                if trial[1] <= phi + 1e-4 * t * slope + 1e-12 * max(1.0, abs(phi)):
+                    break
+                t *= 0.5
+                if t < 1e-12:  # no descent left above rounding
+                    return v, wv, k, False
+            v = v + t * step
+            wv, phi, d_v, curv = trial
+            trace.log(objective(wv), res)
+        return v, wv, budget, False
+
+    def kkt_residual(wv):  # projected-gradient residual of the true problem
+        gd = g_spec.grad(np.maximum(degrees(wv), 1e-300))
+        grad = 2.0 * z + gd[iu] + gd[ju] + 2.0 * beta * wv
+        if scale_sum is not None:
+            step_pt = project_simplex(wv - grad, scale_sum)
+        else:
+            step_pt = np.maximum(wv - grad, 0.0)
+        return float(np.abs(wv - step_pt).max(initial=0.0))
+
+    kkt_scale = max(1.0, float(np.abs(2.0 * z).max()))
+    rho = beta if beta > 0 else (float(z.mean()) if z.mean() > 0 else 1.0) ** 2
+    v = np.zeros(n)
+    if barrier and not g_spec.vanishes:
+        # every vertex starts with the edge to its nearest neighbour active
+        nearest = (Z + np.diag(np.full(n, np.inf))).min(axis=1)
+        v = -(2.0 * nearest + np.sqrt(g_spec.alpha * rho))
+    if beta > 0:
+        v, w, trace.iters_used, trace.converged = newton(v, z, beta, config.max_iters)
+    else:
+        w = np.zeros(iu.size)
+        while trace.iters_used < config.max_iters:
+            v, w, steps, _ = newton(v, z - rho * w, rho,
+                                    config.max_iters - trace.iters_used)
+            trace.iters_used += max(steps, 1)
+            if kkt_residual(w) <= config.tol * kkt_scale:
                 trace.converged = True
                 break
-    w = prox_f1(w, 0.0)  # final feasibility (nonnegativity / scale)
-    if np.any(w >= WEIGHT_CAP * (1 - 1e-9)):
+            if w.max() >= WEIGHT_CAP:
+                break
+            rho /= 10.0
+    if np.any(w >= WEIGHT_CAP):
         warnings.warn("edge weights hit the safety cap; problem is near-degenerate",
                       stacklevel=2)
+        w = np.minimum(w, WEIGHT_CAP)
+        trace.converged = False
         trace.notes["weight_cap"] = True
-    # projected-gradient KKT residual
-    grad = 2.0 * z + spread(g_spec.grad(np.maximum(degrees(w), 1e-300))) + 2.0 * beta * w
-    if scale_sum is not None:
-        step_pt = project_simplex(w - grad, scale_sum)
-    else:
-        step_pt = np.maximum(w - grad, 0.0)
-    trace.notes["kkt_residual"] = float(np.abs(w - step_pt).max(initial=0.0))
-    trace.notes["kkt_scale"] = max(1.0, float(np.abs(2.0 * z).max(initial=0.0)))
+    trace.notes["kkt_residual"] = kkt_residual(w)
+    trace.notes["kkt_scale"] = kkt_scale
     trace.log(objective(w))
     return weights_from_edge_vector(w, n), trace

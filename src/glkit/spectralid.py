@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BadInput,
@@ -354,6 +353,8 @@ def sym_filter_select(Sigma_x_list, Sigma_w_list,
         return tot
 
     # exact best pair for the first two processes, nearest-neighbor search
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(cands[0])
     dists, nearest = tree.query(cands[1], k=1)
     j1 = int(np.argmin(dists))

@@ -11,8 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import erfc
 
 from .errors import (
     BadParameter,
@@ -97,6 +95,8 @@ def bh_select(p_values, q: float) -> np.ndarray:
 def _fisher_pvalues(rho, null_var: float):
     """Two-sided p-values of atanh(rho) under Normal(0, null_var);
     saturated coefficients (|rho| = 1) get p = 0."""
+    from scipy.special import erfc
+
     rho = np.asarray(rho, dtype=float)
     sat = np.abs(rho) >= 1.0 - 1e-12
     z = np.arctanh(np.clip(rho, -1.0 + 1e-12, 1.0 - 1e-12))
@@ -271,13 +271,14 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
         W = weights_from_edge_vector(x[:-1], n)
         theta = np.diag(W.sum(axis=1) + x[-1]) - W
         try:
-            factor = cho_factor(theta, lower=True, check_finite=False)
-        except LinAlgError:
+            factor = np.linalg.cholesky(theta)
+        except np.linalg.LinAlgError:
             return np.inf, None
-        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor[0])).sum()), factor
+        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor)).sum()), factor
 
     def gradient(factor):
-        C = cho_solve(factor, np.eye(n), check_finite=False)
+        inv_factor = np.linalg.inv(factor)
+        C = inv_factor.T @ inv_factor  # Theta^-1
         d = np.diag(C)
         return lin - np.append(d[iu] + d[ju] - 2.0 * C[iu, ju], d.sum())
 

@@ -192,11 +192,12 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_polish_config_key_rejected(self, tmp_path, capsys):
-        # removed SolverConfig fields: polish, power_iters, seed
+        # removed SolverConfig fields: polish, power_iters, seed, step_scale
         sig = tmp_path / "sig.csv"
         ser.write_matrix_csv(sig, np.eye(4))
         cfg = tmp_path / "cfg.json"
-        for payload in ({"polish": False}, {"power_iters": 50}, {"seed": 0}):
+        for payload in ({"polish": False}, {"power_iters": 50}, {"seed": 0},
+                        {"step_scale": 0.9}):
             cfg.write_text(json.dumps(payload))
             assert self.run("learn", "spectral", "-i", str(sig), "--config",
                             str(cfg), "-o", str(tmp_path / "x.json")) == 2
@@ -217,6 +218,19 @@ class TestCli:
         assert self.run("learn", "svarm", "-i", str(x), "--lags", "0",
                         "--lambda", "30", "-o", str(tmp_path / "sv.json")) == 2
         assert "lag order" in capsys.readouterr().err
+
+    def test_svarm_default_lambda_recovers_var1_support(self, tmp_path):
+        # --lambda defaults to "auto": (T - L) auto_lambda(N L, T - L)
+        rng = np.random.default_rng(8)
+        A = np.zeros((5, 5))
+        A[1, 0] = A[2, 1] = A[4, 3] = 0.6
+        X = np.zeros((5, 400))
+        for t in range(1, 400):
+            X[:, t] = A @ X[:, t - 1] + rng.standard_normal(5)
+        x, out = tmp_path / "x.csv", tmp_path / "sv.json"
+        ser.write_matrix_csv(x, X)
+        assert self.run("learn", "svarm", "-i", str(x), "-o", str(out)) == 0
+        np.testing.assert_array_equal(ser.read_shift_any(out).data, A != 0)
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert self.run("eval", "-i", str(tmp_path / "no.json"),
@@ -292,3 +306,13 @@ class TestCli:
                         "-o", str(out)) == 0
         Hback = ser.read_matrix_csv(out)
         assert min(np.abs(Hback - H).max(), np.abs(Hback + H).max()) <= 1e-6
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only inside the functions that need it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, glkit; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

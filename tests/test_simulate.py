@@ -34,6 +34,16 @@ class TestErGraph:
             sim.gen_er_graph(8, 0.01, rng=1, require_connected=True,
                              max_tries=5)
 
+    def test_is_connected_matches_csgraph(self):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            W = (rng.random((n, n)) < rng.uniform(0.0, 0.4)) * rng.random((n, n))
+            ncomp, _ = connected_components(W != 0, directed=False)
+            assert sim.is_connected(W) == (ncomp == 1)
+
     def test_weights_in_distribution_range(self):
         G = sim.gen_er_graph(12, 0.5, rng=2)
         w = G.data[G.data > 0]

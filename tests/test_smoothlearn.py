@@ -32,6 +32,18 @@ class TestDistanceMatrix:
         assert Z[0, 2] == pytest.approx(50.0)
         assert Z[1, 2] == pytest.approx(32.0)
 
+    def test_matches_pdist(self):
+        from scipy.spatial.distance import pdist, squareform
+
+        rng = np.random.default_rng(2)
+        for n, p in ((1, 3), (2, 1), (7, 40), (60, 300)):
+            X = 10.0 * rng.standard_normal((n, p))
+            X[n // 2] = X[0]  # an exact tie
+            Z = sl.distance_matrix(X).Z
+            ref = squareform(pdist(X, metric="sqeuclidean"))
+            np.testing.assert_allclose(Z, ref, rtol=1e-12, atol=0.0)
+            assert np.array_equal(Z, Z.T) and Z[0, n // 2] == 0.0
+
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, 7))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize
+from hypothesis import given
+from hypothesis import strategies as hst
+from scipy.optimize import brentq, linprog, minimize
 
 import glkit.graphcore as gc
 import glkit.simulate as sim
@@ -380,16 +382,146 @@ class TestPrimalDualGraph:
         assert W.sum() / 2.0 == pytest.approx(3.0, abs=1e-8)
 
 
-def test_degree_map_norm_closed_form():
-    # primal_dual_graph steps with ||B|| = sqrt(2 (N - 1)) for the dense
-    # N x N(N-1)/2 map B from upper-triangular weights to degrees
+def _degree_map(n):
+    """Dense N x N(N-1)/2 map B from upper-triangular weights to degrees."""
+    iu, ju = np.triu_indices(n, 1)
+    B = np.zeros((n, iu.size))
+    B[iu, np.arange(iu.size)] = 1.0
+    B[ju, np.arange(iu.size)] = 1.0
+    return B
+
+
+def _sq_distances(X):
+    D = X[:, None, :] - X[None, :, :]
+    return np.sum(D * D, axis=2)
+
+
+def _engine_reference(Z, kind, weight, beta, scale_sum=None):
+    """Independent L-BFGS-B solve of min 2 z'w + g(Bw) + beta ||w||^2
+    over w >= 0 with a dense B; g is -weight * sum log (kind "log") or
+    weight / 2 ||.||^2 (kind "quad"). Below degree 1e-4 the logarithm is
+    continued by its second-order Taylor polynomial, so the objective
+    is finite everywhere; the solution must lie above that degree. The
+    sum constraint is met by a bracketed root search on its multiplier,
+    then exactly by rescaling, so the returned objective is that of a
+    feasible point."""
+    n = Z.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    z, B = Z[iu, ju], _degree_map(n)
+    low = 1e-4
+
+    def objective(w, mu=0.0):
+        d = B @ w
+        if kind == "log":
+            e = np.maximum(d, low)
+            t = np.minimum(d - low, 0.0) / low  # Taylor part below `low`
+            g_val = -weight * (np.log(e) + t - 0.5 * t * t).sum()
+            g_grad = -weight * (1.0 / e - t / low)
+        else:
+            g_val, g_grad = 0.5 * weight * d @ d, weight * d
+        f = 2 * z @ w + g_val + beta * w @ w + mu * w.sum()
+        return f, 2 * z + B.T @ g_grad + 2 * beta * w + mu
+
+    def solve(mu=0.0):
+        w0 = np.full(iu.size, 1.0 / max(z.mean(), 1e-12))
+        res = minimize(objective, w0, args=(mu,), jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, None)] * iu.size,
+                       options={"maxiter": 20000, "ftol": 1e-15, "gtol": 1e-12})
+        return res.x
+
+    if scale_sum is None:
+        w = solve()
+        assert kind != "log" or (B @ w).min() > low
+        return objective(w)[0]
+    # sum(w(mu)) falls from above scale_sum at mu_lo to 0 at mu = 0
+    mu_lo = -1.0
+    while solve(mu_lo).sum() < scale_sum:
+        mu_lo *= 2.0
+    mu = brentq(lambda m: solve(m).sum() - scale_sum, mu_lo, 0.0, xtol=1e-14)
+    w = solve(mu)
+    return objective(w * (scale_sum / w.sum()))[0]
+
+
+def _engine_objective(Z, kind, weight, beta, W):
+    iu, ju = np.triu_indices(Z.shape[0], 1)
+    w, d = W[iu, ju], W.sum(axis=1)
+    g_val = -weight * np.log(d).sum() if kind == "log" else 0.5 * weight * d @ d
+    return 2 * Z[iu, ju] @ w + g_val + beta * w @ w
+
+
+class TestEdgeWeightEngine:
+    @pytest.mark.parametrize("kind,weight,beta,scale", [
+        ("log", 1.0, 0.5, False),   # log barrier, beta > 0
+        ("log", 1.5, 0.0, False),   # log barrier, beta = 0: proximal loop
+        ("quad", 0.7, 0.4, True),   # quadratic degree term plus the sum
+    ])
+    def test_matches_lbfgsb_reference(self, kind, weight, beta, scale):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            n = int(rng.integers(3, 8))
+            Z = _sq_distances(rng.standard_normal((n, 6)))
+            Z /= Z[np.triu_indices(n, 1)].mean()
+            g_spec = sv.DegreeTerm("log_barrier", alpha=weight) if kind == "log" \
+                else sv.DegreeTerm("quadratic", coef=weight)
+            s = n / 2.0 if scale else None
+            W, trace = sv.primal_dual_graph(Z, g_spec, beta, scale_sum=s)
+            assert trace.converged
+            ref = _engine_reference(Z, kind, weight, beta, s)
+            mine = _engine_objective(Z, kind, weight, beta, W)
+            assert mine <= ref + 1e-9 * max(1.0, abs(ref))
+
+    @given(n=hst.integers(2, 9), p=hst.integers(1, 10),
+           case=hst.sampled_from(["log", "log_beta0", "quad"]),
+           beta=hst.floats(0.05, 5.0), log_c=hst.floats(-3.0, 3.0),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_properties_and_scale_equivariance(self, n, p, case, beta, log_c, seed):
+        # (Z, beta) -> (c Z, c^2 beta) gives W / c: substitute w = w' / c
+        # (the quadratic degree weight scales like beta, the sum as 1 / c)
+        Z = _sq_distances(np.random.default_rng(seed).standard_normal((n, p)))
+        c = 10.0 ** log_c
+        beta = 0.0 if case == "log_beta0" else beta
+        s = n / 2.0 if case == "quad" else None
+
+        def solve(scale):
+            g_spec = sv.DegreeTerm("quadratic", coef=scale ** 2) if case == "quad" \
+                else sv.DegreeTerm("log_barrier", alpha=1.0)
+            return sv.primal_dual_graph(scale * Z, g_spec, scale ** 2 * beta,
+                                        scale_sum=None if s is None else s / scale)
+
+        W, trace = solve(1.0)
+        assert trace.converged
+        assert np.array_equal(W, W.T)
+        assert W.min() >= 0.0 and np.all(np.diag(W) == 0.0)
+        if s is not None:
+            assert W.sum() / 2.0 == pytest.approx(s, rel=1e-12)
+        Wc, trace_c = solve(c)
+        assert trace_c.converged
+        assert np.abs(c * Wc - W).max() <= 1e-5 * W.max()
+
+    def test_converges_on_smooth_signals_n100_default_config(self):
+        rng = np.random.default_rng(3)
+        G = sim.gen_er_graph(100, 0.05, rng=rng, require_connected=True)
+        X = sim.gen_smooth(gc.laplacian_from_weights(G.weights()), 1000, 0.01, rng)
+        Z = _sq_distances(X.data)
+        Z /= Z[np.triu_indices(100, 1)].mean()
+        for beta in (0.5, 1e-6, 0.0):
+            _, trace = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier"), beta)
+            assert trace.converged and trace.iters_used <= 500
+            assert trace.notes["kkt_residual"] <= 1e-6 * trace.notes["kkt_scale"]
+
+
+def test_signless_laplacian_matches_dense_degree_map():
+    # the engine's Newton matrix B diag(a) B' + diag(h), built by index
+    # arithmetic, against the dense degree map
+    rng = np.random.default_rng(23)
     for n in range(2, 31):
         iu, ju = np.triu_indices(n, 1)
-        B = np.zeros((n, iu.size))
-        B[iu, np.arange(iu.size)] = 1.0
-        B[ju, np.arange(iu.size)] = 1.0
-        assert np.sqrt(2.0 * (n - 1)) == pytest.approx(np.linalg.norm(B, 2),
-                                                       rel=1e-12)
+        B = _degree_map(n)
+        a = np.where(rng.random(iu.size) < 0.5, rng.uniform(0.0, 3.0, iu.size), 0.0)
+        h = rng.uniform(0.0, 2.0, n)
+        np.testing.assert_allclose(sv._signless_laplacian(n, iu, ju, a, h),
+                                   B @ np.diag(a) @ B.T + np.diag(h),
+                                   rtol=1e-14, atol=1e-14)
 
 
 def test_simplex_projection_properties():

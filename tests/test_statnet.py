@@ -309,6 +309,18 @@ class TestLaplacianGmrf:
         assert gamma == pytest.approx(2e4 / 3, rel=1e-6)
         assert -L.data[0, 1] == pytest.approx(2e4 / 3, rel=1e-6)
 
+    def test_tiny_variance_returns_a_valid_laplacian(self):
+        # precision near 1e10: the returned L's row sums round to about
+        # 1e-6 in absolute terms, within the bound relative to its entries
+        rng = np.random.default_rng(33)
+        theta = gc.laplacian_from_weights(
+            sim.gen_er_graph(8, 0.5, rng=rng).weights()).data + 0.5 * np.eye(8)
+        X = 1e-5 * sim.sample_gmrf(theta, 500, rng).data
+        L, gamma, trace = st.laplacian_gmrf(X, 0.0)
+        assert trace.converged
+        assert np.abs(L.data).max() > 1e9
+        assert gamma > 0
+
     def test_matches_lbfgsb_reference(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
