@@ -184,8 +184,8 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
 
     def fit(i):
         r = A.T @ Y[i]
-        from .solvers import lasso_cd_gram as cd
-        beta, tr = cd(G, r, lam, config, const_term=0.5 * float(Y[i] @ Y[i]))
+        beta, _ = lasso_cd_gram(G, r, lam, config,
+                                const_term=0.5 * float(Y[i] @ Y[i]))
         return i, beta
 
     if n_jobs > 1:
@@ -238,14 +238,3 @@ def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
             traj.append(t, W, obj)
     return traj
 
-
-def batch_grams(data: CascadeData, gamma: float):
-    """Weighted Gram recomputed from scratch (test oracle for the
-    recursive update)."""
-    n = data.n
-    G = np.zeros((2 * n, 2 * n))
-    T = data.t
-    for t in range(T):
-        At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
-        G += gamma ** (T - 1 - t) * (At @ At.T)
-    return G

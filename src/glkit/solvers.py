@@ -2,12 +2,14 @@
 
 Contains the coordinate-descent lasso used by every regression-style
 learner, the negative-log-determinant proximal step shared by the
-precision estimators, Dykstra alternating projections onto shift
-constraint sets, the exact linear program and the ADMM engine for
-spectral-template fitting, and the edge-weight engine for problems with
-degree terms: semismooth Newton on their N-variable Lagrange dual (a
-proximal-point loop over it when the ridge weight is zero), with the
-weight-to-degree map and the Newton matrix built by index arithmetic.
+precision estimators, the one residual-balanced two-block ADMM kernel
+(the graphical lasso and robust spectral templates run on it), Dykstra
+alternating projections onto shift constraint sets, the exact linear
+program for noise-free spectral templates, and the edge-weight engine
+for problems with degree terms: semismooth Newton on their N-variable
+Lagrange dual (a proximal-point loop over it when the ridge weight is
+zero), with the weight-to-degree map and the Newton matrix built by
+index arithmetic.
 """
 
 from __future__ import annotations
@@ -25,32 +27,24 @@ WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared across the iterative solvers.
+    """The two knobs shared by the iterative solvers: an iteration cap
+    and a stopping tolerance.
 
-    ``tol`` is a relative-change threshold (a scale-free KKT-residual
-    threshold for the Laplacian GMRF, and a relative degree-residual
-    threshold for the edge-weight engine; both read only ``tol`` and
-    ``max_iters``, the engine counting Newton steps), ``rho`` the ADMM
-    penalty. Residual balancing for ADMM
-    (factor 2 when primal/dual residuals diverge by more than
-    ``adapt_ratio``) is off by default to keep traces reproducible.
-    Exact solves ignore the iterative knobs: the eps = 0
-    spectral-template LP with the l1 or sup-norm objective is solved
-    by HiGHS to optimality.
+    Each solver reads ``tol`` against its own residual: relative change
+    for the lasso, the scaled primal and dual residuals for
+    :func:`admm`, a scale-free KKT residual for the Laplacian GMRF and a
+    relative degree residual for the edge-weight engine (whose
+    ``max_iters`` counts Newton steps). Exact solves ignore both: the
+    eps = 0 spectral-template LP with the l1 or sup-norm objective is
+    solved by HiGHS to optimality.
     """
 
     max_iters: int = 5000
     tol: float = 1e-7
-    rho: float = 1.0
-    feas_tol: float = 1e-6
-    adapt_rho: bool = False
-    adapt_factor: float = 2.0
-    adapt_ratio: float = 10.0
-    check_every: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.rho <= 0:
-            raise BadParameter("need tol > 0, max_iters >= 1, rho > 0")
+        if self.tol <= 0 or self.max_iters < 1:
+            raise BadParameter("need tol > 0 and max_iters >= 1")
 
 
 @dataclass
@@ -201,6 +195,49 @@ def prox_neg_logdet(A, Sigma_hat, rho: float) -> np.ndarray:
     theta = (g + np.sqrt(g * g + 4.0 * rho)) / (2.0 * rho)
     out = (Q * theta) @ Q.T
     return 0.5 * (out + out.T)
+
+
+# ---------------------------------------------------------------------------
+# two-block ADMM
+
+
+def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
+    """Scaled two-block ADMM for min f(x) + g(z) s.t. x = z over N x N
+    matrices.
+
+    From z = z0, u = 0 and rho = 1 it iterates x = prox_x(z - u, rho),
+    z = prox_z(x + u, rho), u += x - z, where prox_x(m, rho) minimises
+    f(x) + rho/2 ||x - m||_F^2 (likewise prox_z for g). Every 50
+    iterations the residuals are balanced (Boyd et al., "Distributed
+    optimization and statistical learning via ADMM", 2011, 3.4.1): rho
+    doubles and u halves when the primal residual r = ||x - z||_F exceeds
+    ten times the dual residual s = rho ||z - z_prev||_F, and the reverse
+    when s exceeds ten times r. Stops when r and s are both at most
+    ``tol * N * max(1, ||x||_F)`` or after ``max_iters`` iterations.
+    Logs objective(x), r and s every iteration. Returns (x, z, trace).
+    """
+    z = z0
+    u = np.zeros_like(z0)
+    rho = 1.0
+    trace = SolveTrace()
+    for it in range(config.max_iters):
+        x = prox_x(z - u, rho)
+        z_prev = z
+        z = prox_z(x + u, rho)
+        u = u + x - z
+        r = float(np.linalg.norm(x - z))
+        s = rho * float(np.linalg.norm(z - z_prev))
+        trace.log(objective(x), r, s)
+        trace.iters_used = it + 1
+        if max(r, s) <= config.tol * x.shape[0] * max(1.0, float(np.linalg.norm(x))):
+            trace.converged = True
+            break
+        if (it + 1) % 50 == 0:
+            if r > 10.0 * s:
+                rho, u = 2.0 * rho, u / 2.0
+            elif s > 10.0 * r:
+                rho, u = rho / 2.0, 2.0 * u
+    return x, z, trace
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +419,7 @@ def dykstra_project(S0, constraint_set: ShiftConstraintSet,
 
 
 # ---------------------------------------------------------------------------
-# ADMM for l1-minimal shifts with prescribed (partial) eigenbasis
+# spectral templates: l1-minimal shifts with a prescribed (partial) eigenbasis
 
 
 class SpectralCoupling:
@@ -395,14 +432,13 @@ class SpectralCoupling:
         self.eps = float(eps)
 
     def project(self, M):
-        """Returns (projected matrix, lam, offdiag norm before shrink)."""
         Mt = self.V.T @ _sym(M) @ self.V
         lam = np.diag(Mt).copy()
         off = Mt - np.diag(lam)
         dist = float(np.linalg.norm(off))
         shrink = 0.0 if self.eps <= 0 or dist == 0 else min(1.0, self.eps / dist)
         T = self.V @ (np.diag(lam) + shrink * off) @ self.V.T
-        return _sym(T), lam, dist
+        return _sym(T)
 
 
 def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str):
@@ -456,7 +492,7 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
     prev = np.inf
     gap = 0.0
     for _ in range(max_iters):
-        T, _, _ = coupling.project(S)
+        T = coupling.project(S)
         S = constraint_set.project(T)
         gap = float(np.linalg.norm(S - T))
         if prev - gap <= tol * max(gap, 1e-12):
@@ -547,18 +583,21 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     With eps = 0 and the l1 or sup-norm objective the problem is a
     linear program, solved exactly by :func:`_spectral_lp`; that path
     also takes a partial basis (N x K matrix V), whose orthogonal
-    complement block of S is unconstrained spectrally, and ignores the
-    iterative knobs of ``config``.
+    complement block of S is unconstrained spectrally, and ignores
+    ``config``.
 
     Every other case (eps > 0, or the Frobenius objective) needs a full
-    basis and runs two-block ADMM: the S block is the prox of the
-    objective plus the set indicator (a projection of a tilted point for
+    basis and runs :func:`admm` (residual balancing, stopping rule and
+    ``config`` as documented there) from the coupling projection of the
+    set's point nearest zero: the S block is the prox of the objective
+    plus the set indicator (a projection of a tilted point for
     l1/Frobenius, a Dykstra-style inner loop for sup-norm); the
     (lam, E) block projects onto the spectral coupling set in the V
     coordinates, with the off-diagonal residual shrunk to the eps-ball.
 
-    Returns (S, lam, trace). Raises Infeasible when no member of the set
-    is exactly diagonalized by V (eps = 0).
+    Returns (S, lam, trace), lam read off the coupling block. Raises
+    Infeasible when no member of the set is exactly diagonalized by V
+    (eps = 0).
     """
     config = config or SolverConfig()
     V = np.asarray(V, dtype=float)
@@ -578,38 +617,13 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     if eps == 0:
         _spectral_lp(V, constraint_set, "l1")  # raises Infeasible
     coupling = SpectralCoupling(V, eps)
-    rho = config.rho
-    S = constraint_set.project(np.zeros((n, n)))
-    scale = max(1.0, float(np.abs(S).max()))
-    T, lam, _ = coupling.project(S)
-    U = np.zeros((n, n))
-    trace = SolveTrace()
-
-    for it in range(config.max_iters):
-        S = _prox_objective(constraint_set, T - U, 1.0 / rho, objective)
-        T_prev = T
-        T, lam, _ = coupling.project(S + U)
-        U = U + S - T
-        r = float(np.linalg.norm(S - T))
-        s = float(rho * np.linalg.norm(T - T_prev))
-        trace.log(_objective_value(S, objective), r, s)
-        trace.iters_used = it + 1
-        if config.adapt_rho and (it + 1) % 50 == 0:
-            if r > config.adapt_ratio * s:
-                rho *= config.adapt_factor
-                U /= config.adapt_factor
-            elif s > config.adapt_ratio * r:
-                rho /= config.adapt_factor
-                U *= config.adapt_factor
-        if (it + 1) % config.check_every == 0 or it == config.max_iters - 1:
-            obj_prev = trace.objective[-1 - config.check_every] \
-                if len(trace.objective) > config.check_every else np.inf
-            rel = abs(trace.objective[-1] - obj_prev) / max(1.0, abs(obj_prev))
-            if r <= config.feas_tol * scale and rel <= config.tol:
-                trace.converged = True
-                break
+    T0 = coupling.project(constraint_set.project(np.zeros((n, n))))
+    S, T, trace = admm(
+        lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
+        lambda M, rho: coupling.project(M),
+        T0, config, lambda S: _objective_value(S, objective))
     trace.notes["constraint_violation"] = float(constraint_set.violation(S))
-    return S, np.asarray(lam, float), trace
+    return S, np.diag(V.T @ T @ V).copy(), trace
 
 
 # ---------------------------------------------------------------------------

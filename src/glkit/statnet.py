@@ -1,7 +1,8 @@
 """Statistical topology inference.
 
 Correlation and partial-correlation networks with Fisher tests and
-Benjamini-Hochberg FDR control, the graphical lasso (ADMM), the Laplacian-
+Benjamini-Hochberg FDR control, the graphical lasso (on the shared
+residual-balanced ADMM kernel of :mod:`glkit.solvers`), the Laplacian-
 constrained GMRF (projected gradient), and neighborhood lasso selection.
 """
 
@@ -28,6 +29,7 @@ from .graphcore import (
 from .solvers import (
     SolveTrace,
     SolverConfig,
+    admm,
     lasso_cd,
     prox_neg_logdet,
     soft_threshold,
@@ -191,11 +193,14 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
                     config: SolverConfig | None = None):
     """l1-penalized Gaussian maximum-likelihood precision estimation.
 
-    Maximizes logdet(T) - trace(S T) - lam ||T||_1 by ADMM, alternating
-    the log-det prox with elementwise soft thresholding. ``data`` may be
-    a SignalSet (covariance taken with divisor P) or a covariance
-    matrix. Returns (Theta, trace); Theta is positive definite by
-    construction.
+    Maximizes logdet(T) - trace(S T) - lam ||T||_1 with :func:`admm`
+    from Z = I, alternating the log-det prox (the T block) with
+    elementwise soft thresholding (the Z block); it stops when the
+    primal and dual residuals are at most ``tol * N * max(1, ||T||_F)``
+    (default ``tol`` 1e-10). ``data`` may be a SignalSet (covariance
+    taken with divisor P) or a covariance matrix. Returns (Theta,
+    trace); Theta is positive definite by construction and
+    ``trace.notes["support"]`` is the sparsity pattern of Z.
     """
     if lam < 0:
         raise BadParameter("lam must be nonnegative")
@@ -204,35 +209,17 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
     n = S.shape[0]
     if lam == 0 and np.linalg.eigvalsh(S).min() <= 1e-12 * max(1.0, np.abs(S).max()):
         raise NoMLE("singular covariance with lam = 0: the MLE does not exist")
-    mask = np.ones((n, n))
+    weights = np.full((n, n), float(lam))
     if not penalize_diagonal:
-        np.fill_diagonal(mask, 0.0)
-    rho = config.rho
-    Z = np.eye(n)
-    U = np.zeros((n, n))
-    trace = SolveTrace()
-    for it in range(config.max_iters):
-        T = prox_neg_logdet(Z - U, S, rho)
-        Z_prev = Z
-        Z = soft_threshold(T + U, lam * mask / rho)
-        U = U + T - Z
-        r = float(np.linalg.norm(T - Z))
-        s = float(rho * np.linalg.norm(Z - Z_prev))
-        sign, logdet = np.linalg.slogdet(T)
-        obj = -logdet + float((S * T).sum()) + lam * float(np.abs(mask * T).sum())
-        trace.log(obj, r, s)
-        trace.iters_used = it + 1
-        scale = max(1.0, float(np.linalg.norm(T)))
-        if r <= 1e-9 * scale * n and s <= 1e-9 * scale * n:
-            trace.converged = True
-            break
-        if config.adapt_rho and (it + 1) % 50 == 0:
-            if r > config.adapt_ratio * s:
-                rho *= config.adapt_factor
-                U /= config.adapt_factor
-            elif s > config.adapt_ratio * r:
-                rho /= config.adapt_factor
-                U *= config.adapt_factor
+        np.fill_diagonal(weights, 0.0)
+
+    def objective(T):
+        return -np.linalg.slogdet(T)[1] + float((S * T).sum()) + \
+            float((weights * np.abs(T)).sum())
+
+    T, Z, trace = admm(lambda M, rho: prox_neg_logdet(M, S, rho),
+                       lambda M, rho: soft_threshold(M, weights / rho),
+                       np.eye(n), config, objective)
     trace.notes["support"] = Z != 0
     return T, trace
 

@@ -29,7 +29,7 @@ def scale_aligned_maxabs(S_hat, S_true) -> float:
 
 
 DIFFUSION_TAPS = [1.0, 0.5, 0.2]
-TIGHT = SolverConfig(max_iters=40000, tol=1e-10, feas_tol=1e-9)
+TIGHT = SolverConfig(max_iters=40000, tol=1e-10)
 
 
 def lp_reference_shift(V):

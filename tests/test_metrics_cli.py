@@ -192,12 +192,14 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_polish_config_key_rejected(self, tmp_path, capsys):
-        # removed SolverConfig fields: polish, power_iters, seed, step_scale
+        # removed SolverConfig fields
         sig = tmp_path / "sig.csv"
         ser.write_matrix_csv(sig, np.eye(4))
         cfg = tmp_path / "cfg.json"
         for payload in ({"polish": False}, {"power_iters": 50}, {"seed": 0},
-                        {"step_scale": 0.9}):
+                        {"step_scale": 0.9}, {"rho": 1.0}, {"feas_tol": 1e-6},
+                        {"adapt_rho": True}, {"adapt_factor": 2.0},
+                        {"adapt_ratio": 10.0}, {"check_every": 10}):
             cfg.write_text(json.dumps(payload))
             assert self.run("learn", "spectral", "-i", str(sig), "--config",
                             str(cfg), "-o", str(tmp_path / "x.json")) == 2

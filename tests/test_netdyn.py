@@ -19,6 +19,17 @@ def sem_dataset(W, T, rng, noise=0.0, C=1):
     return nd.CascadeData(X, U)
 
 
+def batch_grams(data, gamma):
+    """Weighted Gram recomputed from scratch (oracle for the recursive
+    update)."""
+    n, T = data.n, data.t
+    G = np.zeros((2 * n, 2 * n))
+    for t in range(T):
+        At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
+        G += gamma ** (T - 1 - t) * (At @ At.T)
+    return G
+
+
 class TestCascadeData:
     def test_two_dim_promotes(self):
         d = nd.CascadeData(np.ones((3, 5)), np.ones((3, 5)))
@@ -131,7 +142,7 @@ class TestDynamicSem:
         for t in range(data.t):
             At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
             G = gamma * G + At @ At.T
-            ref = nd.batch_grams(
+            ref = batch_grams(
                 nd.CascadeData(data.X[:, : t + 1, :], data.U[:, : t + 1, :]),
                 gamma)
             assert np.abs(G - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())

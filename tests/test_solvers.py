@@ -210,6 +210,24 @@ def lp_oracle_shift(V, cset):
     return (V * lam) @ V.T
 
 
+class TestAdmmKernel:
+    def test_balancing_solves_a_badly_scaled_pair(self):
+        # min c/2 ||x - a||^2 s.t. x = z >= 0: with rho held at 1 the
+        # scaled dual needs about c iterations to reach its optimum
+        c, n = 1e6, 6
+        a = np.random.default_rng(16).standard_normal((n, n))
+        config = sv.SolverConfig()
+        x, z, trace = sv.admm(lambda m, rho: (c * a + rho * m) / (c + rho),
+                              lambda m, rho: np.maximum(m, 0.0),
+                              np.zeros((n, n)), config,
+                              lambda x: 0.5 * c * float(((x - a) ** 2).sum()))
+        bound = config.tol * n * max(1.0, np.linalg.norm(x))
+        assert trace.converged
+        assert trace.primal_residuals[-1] <= bound
+        assert trace.dual_residuals[-1] <= bound
+        assert np.abs(z - np.maximum(a, 0.0)).max() <= 1e-5
+
+
 class TestAdmmSpectral:
     def test_two_cycle_recovery(self):
         basis = gc.eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -305,7 +323,7 @@ class TestSpectralLP:
 
     def test_matches_tight_admm_cross_check(self):
         # independent of the LP formulation: ADMM at a negligible eps
-        tight = sv.SolverConfig(max_iters=40000, tol=1e-12, feas_tol=1e-11)
+        tight = sv.SolverConfig(max_iters=40000, tol=1e-12)
         cset = sv.ShiftConstraintSet()
         for seed in range(10):
             _, basis = diffusion_basis(10, seed)

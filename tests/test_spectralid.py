@@ -295,6 +295,15 @@ class TestAutoEps:
         S, lam, trace = sid.infer_shift(basis, eps=2.0 * gap)
         assert trace.converged
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_signals_converge_at_default_config(self, seed):
+        G = sim.gen_er_graph(30, 0.3, rng=seed, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=seed + 100)
+        S, trace, meta = sid.infer_shift_from_signals(X)
+        assert meta["eps"] > 0
+        assert trace.converged
+        assert ShiftConstraintSet().violation(S) <= 1e-9
+
     def test_grid_search_returns_feasible_eps(self):
         G = sim.gen_er_graph(6, 0.5, rng=19, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.4], 200, rng=20)

@@ -225,6 +225,28 @@ class TestGraphicalLasso:
             resid = grad[live] - lam * np.sign(theta[live])
             assert np.abs(resid).max() <= 1e-5 * scale
 
+    def test_tight_tol_unpenalized_matches_inverse(self):
+        X = sim.sample_gmrf(chain_precision(50), 2000, rng=21)
+        S = st.sample_covariance(X)
+        theta, trace = st.graphical_lasso(S, 0.0, config=SolverConfig(tol=1e-12))
+        inv = np.linalg.inv(S)
+        assert trace.converged
+        assert np.abs(theta - inv).max() <= 1e-8 * max(1.0, np.abs(inv).max())
+
+    def test_honours_tol(self):
+        n = 30
+        X = sim.sample_gmrf(chain_precision(n), 1000, rng=22)
+        lam = st.auto_lambda(n, 1000)
+        iters = []
+        for tol in (1e-10, 1e-7):
+            theta, trace = st.graphical_lasso(X, lam, config=SolverConfig(tol=tol))
+            bound = tol * n * max(1.0, np.linalg.norm(theta))
+            assert trace.converged
+            assert trace.primal_residuals[-1] <= bound
+            assert trace.dual_residuals[-1] <= bound
+            iters.append(trace.iters_used)
+        assert iters[1] < iters[0]
+
     def test_singular_unpenalized_has_no_mle(self):
         X = np.ones((4, 2))
         with pytest.raises(NoMLE):
