@@ -172,8 +172,7 @@ def cmd_learn(args) -> int:
             lam = X.shape[1] * statnet.auto_lambda(*X.shape)
         else:
             lam = float(args.lam)
-        W, _ = statnet.neighborhood_lasso(X, lam, args.rule, config,
-                                          n_jobs=args.jobs)
+        W, _ = statnet.neighborhood_lasso(X, lam, args.rule, config)
         _emit_graph(args.output, W)
         return 0
     if method == "dong":
@@ -243,8 +242,7 @@ def cmd_learn(args) -> int:
         X = _signals(args)
         U = serialize.read_matrix_csv(args.exo)
         data = netdyn.CascadeData(X, U)
-        W, omega, trace = netdyn.sem_fit(data, args.alpha, config,
-                                         n_jobs=args.jobs)
+        W, omega, trace = netdyn.sem_fit(data, args.alpha, config)
         _emit_graph(args.output, W)
         print(json.dumps({"omega": list(omega)}))
         return 0
@@ -257,8 +255,7 @@ def cmd_learn(args) -> int:
             lam = samples * statnet.auto_lambda(X.shape[0] * args.lags, samples)
         else:
             lam = 0.0
-        edges, Ws = netdyn.svarm_fit(X, args.lags, lam, args.rule,
-                                     config, n_jobs=args.jobs)
+        edges, Ws = netdyn.svarm_fit(X, args.lags, lam, args.rule, config)
         _emit_graph(args.output,
                     ShiftOperator(edges.astype(float), ShiftKind.GENERIC,
                                   directed=True))
@@ -268,8 +265,7 @@ def cmd_learn(args) -> int:
         U = serialize.read_matrix_csv(args.exo)
         data = netdyn.CascadeData(X, U)
         traj = netdyn.dynamic_sem_track(data, args.gamma, args.alpha, config,
-                                        emit_every=args.emit_every,
-                                        n_jobs=args.jobs)
+                                        emit_every=args.emit_every)
         _emit_graph(args.output,
                     ShiftOperator(traj.weights[-1], ShiftKind.GENERIC,
                                   directed=True))
@@ -411,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--denoised-out")
     lrn.add_argument("--trajectory-out")
     lrn.add_argument("--config")
-    lrn.add_argument("--jobs", type=int, default=1)
     lrn.set_defaults(func=cmd_learn)
 
     ev = sub.add_parser("eval", help="score an estimate against a truth")

@@ -2,12 +2,13 @@
 
 Static structural-equation fitting, per-lag sparse vector
 autoregression with OR/AND edge rules, and exponentially-weighted
-tracking of time-varying structural equation models.
+tracking of time-varying structural equation models. Each fit (each
+epoch, for the tracker) solves its N node regressions as one
+shared-Gram :func:`glkit.solvers.lasso_cd_gram` call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,12 +85,6 @@ class GraphTrajectory:
         self.objectives.append(float(objective))
 
 
-def _node_indices(n: int, i: int):
-    """Regressor layout for node i: all other signals, then its input."""
-    others = np.delete(np.arange(n), i)
-    return others, np.concatenate([others, [n + i]])
-
-
 def _sem_grams(data: CascadeData):
     """Joint Gram of stacked [x; u] samples plus per-sample count."""
     n = data.n
@@ -98,73 +93,57 @@ def _sem_grams(data: CascadeData):
     return flat @ flat.T, flat.shape[1]
 
 
-def _sem_solve_nodes(G, n, lam, config, beta0=None, n_jobs: int = 1):
-    """Per-node penalized regressions off a joint [x; u] Gram matrix.
+def _sem_solve_nodes(G, n, lam, config, beta0=None):
+    """All N node regressions off a joint [x; u] Gram matrix, as one
+    :func:`lasso_cd_gram` call.
 
-    Node i regresses its own signal on the other N-1 signals plus its
-    private exogenous input; the l1 penalty applies to the signal block
-    only. Returns (W, omega, per-node traces)."""
-    penalties = np.ones(n)
-    W = np.zeros((n, n))
-    omega = np.zeros(n)
-
-    def fit(i):
-        others, idx = _node_indices(n, i)
-        Gi = G[np.ix_(idx, idx)]
-        ri = G[idx, i]
-        pw = np.concatenate([np.ones(n - 1), [0.0]])
-        b0 = None if beta0 is None else beta0[i]
-        beta, tr = lasso_cd_gram(Gi, ri, lam, config, penalty_weights=pw,
-                                 beta0=b0, const_term=0.5 * G[i, i])
-        return i, others, beta, tr
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(fit, range(n)))
-    else:
-        results = [fit(i) for i in range(n)]
-    traces = [None] * n
-    betas = [None] * n
-    for i, others, beta, tr in results:
-        W[i, others] = beta[:-1]
-        omega[i] = beta[-1]
-        traces[i] = tr
-        betas[i] = beta
-    return W, omega, traces, betas
+    Row i regresses x_i on the other N-1 signals plus its own exogenous
+    input u_i: its own signal and the other inputs are masked off, and
+    the l1 penalty applies to the signal block only. Returns (W, omega,
+    N x 2N coefficient table, trace)."""
+    eye = np.eye(n, dtype=bool)
+    B, trace = lasso_cd_gram(G, G[:n], lam, config,
+                             penalty_weights=np.repeat([1.0, 0.0], n), beta0=beta0,
+                             const_term=0.5 * np.diag(G)[:n],
+                             mask=np.hstack([~eye, eye]))
+    return B[:, :n].copy(), np.diag(B[:, n:]).copy(), B, trace
 
 
 def sem_fit(data: CascadeData, alpha: float,
-            config: SolverConfig | None = None, n_jobs: int = 1):
+            config: SolverConfig | None = None):
     """Sparse structural-equation fit by row-decoupled penalized LS.
 
     Estimates W and the exogenous loadings from
     sum_t ||x_t - W x_t - Omega u_t||^2 + alpha ||W||_1 with W_ii = 0
     enforced exactly (node i never sees its own signal as a regressor)
-    and the loadings unpenalized. Returns (W shift, omega, trace).
+    and the loadings unpenalized; the N row regressions are one
+    :func:`lasso_cd_gram` call on the joint [x; u] Gram. Returns
+    (W shift, omega, trace); the trace is converged when every row is,
+    counts the most sweeps any row took and logs the summed final
+    objective.
     """
     if alpha < 0:
         raise BadParameter("alpha must be nonnegative")
-    config = config or SolverConfig()
     G, _ = _sem_grams(data)
     # the squared-loss criterion carries no 1/2, so the coordinate
     # descent (which minimizes 0.5 LS + lam l1) gets lam = alpha / 2
-    W, omega, traces, _ = _sem_solve_nodes(G, data.n, alpha / 2.0, config,
-                                           n_jobs=n_jobs)
-    trace = SolveTrace(converged=all(t.converged for t in traces),
-                       iters_used=max(t.iters_used for t in traces))
-    trace.log(sum(t.objective[-1] for t in traces))
+    W, omega, _, rows = _sem_solve_nodes(G, data.n, alpha / 2.0, config)
+    trace = SolveTrace(converged=rows.converged,
+                       iters_used=max(rows.notes["sweeps"]))
+    trace.log(sum(rows.notes["objectives"]))
     return ShiftOperator(W, ShiftKind.GENERIC, directed=True), omega, trace
 
 
 def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
-              config: SolverConfig | None = None, n_jobs: int = 1):
+              config: SolverConfig | None = None):
     """Sparse vector autoregression with per-lag lasso penalties.
 
     Per node, regresses x_i[t] on the stacked lagged signals of all
-    nodes; a directed edge j -> i is declared when the lag coefficients
-    w_ij^(l) are nonzero for at least one lag (OR) or for every lag
-    (AND). Returns (edge matrix E with E[i, j] = j influences i, list
-    of per-lag weight matrices).
+    nodes; the N regressions share the lagged Gram and run as one
+    :func:`lasso_cd_gram` call. A directed edge j -> i is declared when
+    the lag coefficients w_ij^(l) are nonzero for at least one lag (OR)
+    or for every lag (AND). Returns (edge matrix E with E[i, j] = j
+    influences i, list of per-lag weight matrices).
     """
     if rule not in ("or", "and"):
         raise BadParameter(f"unknown combination rule {rule!r}")
@@ -174,29 +153,14 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
     n, t = X.shape
     if t <= n_lags + 1:
         raise TooFewSamples("series too short for the requested lag order")
-    config = config or SolverConfig()
     rows = []
     for lag in range(1, n_lags + 1):
         rows.append(X[:, n_lags - lag: t - lag])
     A = np.concatenate(rows, axis=0).T          # (T - L) x (N L)
     Y = X[:, n_lags:]                           # targets
-    G = A.T @ A
-
-    def fit(i):
-        r = A.T @ Y[i]
-        beta, _ = lasso_cd_gram(G, r, lam, config,
-                                const_term=0.5 * float(Y[i] @ Y[i]))
-        return i, beta
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(fit, range(n)))
-    else:
-        results = [fit(i) for i in range(n)]
-    Ws = [np.zeros((n, n)) for _ in range(n_lags)]
-    for i, beta in results:
-        for lag in range(n_lags):
-            Ws[lag][i, :] = beta[lag * n:(lag + 1) * n]
+    B, _ = lasso_cd_gram(A.T @ A, Y @ A, lam, config,
+                         const_term=0.5 * (Y * Y).sum(axis=1))
+    Ws = [B[:, lag * n:(lag + 1) * n] for lag in range(n_lags)]
     nz = [W != 0 for W in Ws]
     edges = nz[0]
     for mask in nz[1:]:
@@ -208,14 +172,14 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
 
 def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
                       config: SolverConfig | None = None,
-                      emit_every: int = 1, n_jobs: int = 1) -> GraphTrajectory:
+                      emit_every: int = 1) -> GraphTrajectory:
     """Online tracking of a time-varying SEM by exponentially-weighted LS.
 
     At every epoch the weighted Gram and cross moments are updated
-    recursively (old information discounted by ``gamma``) and the
-    per-node coordinate descents restart from the previous estimate.
-    With gamma = 1 the final epoch reproduces the batch fit on all the
-    data.
+    recursively (old information discounted by ``gamma``) and the N
+    row regressions restart from the previous estimate, one
+    :func:`lasso_cd_gram` call per epoch. With gamma = 1 the final epoch
+    reproduces the batch fit on all the data.
     """
     if not (0.0 < gamma <= 1.0):
         raise BadParameter("forgetting factor must lie in (0, 1]")
@@ -223,18 +187,14 @@ def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
         raise BadParameter("alpha must be nonnegative")
     if emit_every < 1:
         raise BadParameter("emit_every must be at least 1")
-    config = config or SolverConfig()
     n = data.n
     G = np.zeros((2 * n, 2 * n))
     traj = GraphTrajectory()
-    betas = None
+    B = None
     for t in range(data.t):
         At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
         G = gamma * G + At @ At.T
-        W, omega, traces, betas = _sem_solve_nodes(
-            G, n, alpha / 2.0, config, beta0=betas, n_jobs=n_jobs)
+        W, _, B, trace = _sem_solve_nodes(G, n, alpha / 2.0, config, beta0=B)
         if (t + 1) % emit_every == 0 or t == data.t - 1:
-            obj = sum(2.0 * tr.objective[-1] for tr in traces)
-            traj.append(t, W, obj)
+            traj.append(t, W, 2.0 * sum(trace.notes["objectives"]))
     return traj
-

@@ -1,15 +1,16 @@
 """Reusable optimization kernels.
 
 Contains the coordinate-descent lasso used by every regression-style
-learner, the negative-log-determinant proximal step shared by the
-precision estimators, the one residual-balanced two-block ADMM kernel
-(the graphical lasso and robust spectral templates run on it), Dykstra
-alternating projections onto shift constraint sets, the exact linear
-program for noise-free spectral templates, and the edge-weight engine
-for problems with degree terms: semismooth Newton on their N-variable
-Lagrange dual (a proximal-point loop over it when the ridge weight is
-zero), with the weight-to-degree map and the Newton matrix built by
-index arithmetic.
+learner (one Gram matrix shared by many right-hand sides, each with its
+own mask of usable coordinates), the negative-log-determinant proximal
+step shared by the precision estimators, the one residual-balanced
+two-block ADMM kernel (the graphical lasso and robust spectral
+templates run on it), Dykstra alternating projections onto shift
+constraint sets, the exact linear program for noise-free spectral
+templates, and the edge-weight engine for problems with degree terms:
+semismooth Newton on their N-variable Lagrange dual (a proximal-point
+loop over it when the ridge weight is zero), with the weight-to-degree
+map and the Newton matrix built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -95,65 +96,92 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 # lasso coordinate descent
 
 
-def lasso_cd_gram(G, r, lam, config: SolverConfig | None = None,
-                  penalty_weights=None, beta0=None, const_term: float = 0.0):
-    """Coordinate descent on 0.5 b'Gb - r'b + lam * sum w_j |b_j|.
+def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
+                  penalty_weights=None, beta0=None, const_term=0.0, mask=None):
+    """Coordinate descent on 0.5 b'Gb - r'b + lam * sum w_j |b_j| for one
+    or many right-hand sides r sharing the symmetric Gram matrix G.
 
-    Gram-matrix form of the lasso (G = A'A, r = A'b): used directly by
-    the recursive exponentially-weighted estimators and wrapped by
-    :func:`lasso_cd`. ``penalty_weights`` lets callers exempt coordinates
-    (weight 0) from the l1 penalty. ``const_term`` only shifts the logged
-    objective (0.5 ||b||^2 for the regression form).
+    Gram-matrix form of the lasso (G = A'A, r = A'b) and the one
+    coordinate loop behind every regression learner. ``R`` is a k-vector
+    (one problem) or an m x k matrix with one problem per row. The
+    problems are solved one after another, each sweeping its coordinates
+    in index order and stopping on its own relative-change rule, so a
+    row gives the same result alone or in a batch. ``mask`` (k or m x k,
+    boolean) names the coordinates each problem may use; the rest stay
+    exactly 0, even from a nonzero warm start. ``penalty_weights`` (k or
+    m x k) exempts coordinates (weight 0) from the l1 penalty. ``beta0``
+    (shaped like ``R``) warm-starts the solves. ``const_term`` (scalar or
+    one per problem) only shifts the logged objective (0.5 ||b||^2 for
+    the regression form).
+
+    Returns (B shaped like ``R``, one trace). ``trace.converged`` holds
+    when every problem met its stopping rule, ``iters_used`` sums their
+    sweeps and ``objective`` holds each problem's sweep path in turn.
+    ``notes["sweeps"]`` and ``notes["objectives"]`` list the per-problem
+    sweep counts and final objectives; ``notes["kkt_residual"]`` is the
+    worst projected-subgradient residual over the usable coordinates and
+    ``notes["kkt_scale"]`` the largest max(1, |r|_inf) over them.
     """
     config = config or SolverConfig()
     G = np.asarray(G, dtype=float)
-    r = np.asarray(r, dtype=float)
-    k = r.size
-    w = np.ones(k) if penalty_weights is None else np.asarray(penalty_weights, float)
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(r))):
+    R = np.asarray(R, dtype=float)
+    R2 = np.atleast_2d(R)
+    m, k = R2.shape
+    if R.ndim > 2 or G.shape != (k, k):
+        raise BadInput("lasso needs a k x k Gram and k or m x k right-hand sides")
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(R))):
         raise BadInput("non-finite lasso inputs")
     if lam < 0:
         raise BadParameter("l1 penalty must be nonnegative")
-    beta = np.zeros(k) if beta0 is None else np.array(beta0, dtype=float)
+    weights = np.broadcast_to(np.ones(k) if penalty_weights is None
+                              else np.asarray(penalty_weights, float), (m, k))
+    allowed = np.broadcast_to(True if mask is None else np.asarray(mask, bool), (m, k))
+    consts = np.broadcast_to(np.asarray(const_term, float), (m,))
     diag = np.diag(G).copy()
-    active = diag > 0
-    beta[~active] = 0.0
+    usable = allowed & (diag > 0)
+    B = np.zeros((m, k)) if beta0 is None else np.array(beta0, float).reshape(m, k)
+    B[~usable] = 0.0
 
-    trace = SolveTrace()
-    g = G @ beta  # maintained = G beta
+    def objective(beta, g, r, w, c):
+        return 0.5 * beta @ g - r @ beta + lam * np.abs(w * beta).sum() + c
 
-    def objective():
-        return 0.5 * beta @ g - r @ beta + lam * np.abs(w * beta).sum() + const_term
-
-    trace.log(objective())
-    scale = max(1.0, np.abs(r).max(initial=0.0))
-    for sweep in range(config.max_iters):
-        max_delta = 0.0
-        for j in range(k):
-            if not active[j]:
-                continue
-            old = beta[j]
-            rho_j = r[j] - g[j] + diag[j] * old
-            new = soft_threshold(rho_j, lam * w[j]) / diag[j]
-            if new != old:
-                g += (new - old) * G[:, j]
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        trace.log(objective())
-        trace.iters_used = sweep + 1
-        if max_delta <= config.tol * max(1.0, np.abs(beta).max(initial=0.0)):
-            trace.converged = True
-            break
-    # projected (sub)gradient residual for the KKT report
-    grad = g - r
-    kkt = np.where(
-        beta == 0.0,
-        np.maximum(np.abs(grad) - lam * w, 0.0),
-        np.abs(grad + lam * w * np.sign(beta)),
-    )
-    trace.notes["kkt_residual"] = float(kkt.max(initial=0.0))
-    trace.notes["kkt_scale"] = scale
-    return beta, trace
+    trace = SolveTrace(converged=True)
+    sweeps, finals, kkt, scale = [], [], 0.0, 1.0
+    for i in range(m):
+        beta, r, w, c = B[i], R2[i], weights[i], consts[i]
+        thresh = lam * w
+        coords = np.flatnonzero(usable[i]).tolist()
+        g = G @ beta  # maintained = G beta
+        trace.log(objective(beta, g, r, w, c))
+        done, sweep = False, 0
+        while not done and sweep < config.max_iters:
+            max_delta = 0.0
+            for j in coords:
+                old = beta[j]
+                rho_j = r[j] - g[j] + diag[j] * old
+                new = soft_threshold(rho_j, thresh[j]) / diag[j]
+                if new != old:
+                    g += (new - old) * G[:, j]
+                    beta[j] = new
+                    max_delta = max(max_delta, abs(new - old))
+            trace.log(objective(beta, g, r, w, c))
+            sweep += 1
+            done = bool(max_delta
+                        <= config.tol * max(1.0, np.abs(beta).max(initial=0.0)))
+        sweeps.append(sweep)
+        finals.append(trace.objective[-1])
+        trace.converged &= done
+        # projected (sub)gradient residual for the KKT report
+        on = allowed[i]
+        grad = (g - r)[on]
+        res = np.where(beta[on] == 0.0, np.maximum(np.abs(grad) - thresh[on], 0.0),
+                       np.abs(grad + thresh[on] * np.sign(beta[on])))
+        kkt = max(kkt, float(res.max(initial=0.0)))
+        scale = max(scale, float(np.abs(r[on]).max(initial=0.0)))
+    trace.iters_used = sum(sweeps)
+    trace.notes.update(sweeps=sweeps, objectives=finals, kkt_residual=kkt,
+                       kkt_scale=scale)
+    return (B if R.ndim == 2 else B[0]), trace
 
 
 def lasso_cd(A, b, lam, config: SolverConfig | None = None, penalty_weights=None):

@@ -36,7 +36,7 @@ from .solvers import (
     admm_l1_spectral,
     spectral_gap,
 )
-from .statnet import sample_covariance
+from .statnet import _as_covariance, _is_covariance, sample_covariance
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,7 @@ def estimate_eigenbasis(data, degeneracy_tol: float = 1e-8):
     eigenvalue clusters whose eigenvectors are only defined up to
     rotation.
     """
-    M = as_signal_matrix(data)
-    if M.ndim == 2 and M.shape[0] == M.shape[1] and \
-            np.abs(M - M.T).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(M).max()):
-        cov = M
-    else:
-        cov = sample_covariance(M)
-    basis = eigendecompose(cov)
+    basis = eigendecompose(_as_covariance(data))
     flags = np.zeros(basis.n, dtype=bool)
     for block in eigenvalue_blocks(basis.vals, degeneracy_tol):
         if len(block) > 1:
@@ -186,8 +180,7 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
         S, trace = infer_shift_partial(keep, constraint_set, config)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
     if eps == "auto":
-        X = as_signal_matrix(data)
-        if X.shape[0] == X.shape[1] and np.allclose(X, X.T, atol=1e-10):
+        if _is_covariance(as_signal_matrix(data)):
             eps_val = 0.0  # exact covariance supplied
         else:
             eps_val = eps_margin * spectral_feasibility_gap(basis, constraint_set)

@@ -3,12 +3,13 @@
 Correlation and partial-correlation networks with Fisher tests and
 Benjamini-Hochberg FDR control, the graphical lasso (on the shared
 residual-balanced ADMM kernel of :mod:`glkit.solvers`), the Laplacian-
-constrained GMRF (projected gradient), and neighborhood lasso selection.
+constrained GMRF (projected gradient), and neighborhood lasso selection
+(the N node regressions as one shared-Gram
+:func:`glkit.solvers.lasso_cd_gram` call).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .solvers import (
     SolveTrace,
     SolverConfig,
     admm,
-    lasso_cd,
+    lasso_cd_gram,
     prox_neg_logdet,
     soft_threshold,
 )
@@ -179,14 +180,18 @@ def auto_lambda(n: int, p: int) -> float:
     return 2.0 * np.sqrt(np.log(n) / p)
 
 
+def _is_covariance(M) -> bool:
+    """The one "exact covariance" rule: a square array symmetric to
+    1e-10 of its largest entry is a covariance, anything else signals."""
+    return M.ndim == 2 and M.shape[0] == M.shape[1] and \
+        np.abs(M - M.T).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(M).max())
+
+
 def _as_covariance(data) -> np.ndarray:
     """Signals (SignalSet or N x P array) -> sample covariance;
     a symmetric square array passes through as the covariance itself."""
     M = as_signal_matrix(data)
-    if M.ndim == 2 and M.shape[0] == M.shape[1] and \
-            np.abs(M - M.T).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(M).max()):
-        return M
-    return sample_covariance(M)
+    return M if _is_covariance(M) else sample_covariance(M)
 
 
 def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
@@ -310,13 +315,15 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
 
 
 def neighborhood_lasso(X, lam: float, rule: str = "or",
-                       config: SolverConfig | None = None, n_jobs: int = 1):
+                       config: SolverConfig | None = None):
     """Per-node lasso regressions combined into an edge set.
 
     Node i's signal is regressed on all other rows; the support of the
     coefficient vector proposes i's neighborhood, and the OR (either
     direction) or AND (both directions) rule symmetrizes the proposals.
-    Returns an unweighted adjacency plus the full coefficient table
+    The N regressions share the Gram matrix X X' and run as one
+    :func:`lasso_cd_gram` call with the diagonal masked off. Returns an
+    unweighted adjacency plus the full coefficient table
     B[i, j] = weight of x_j in the regression of x_i.
     """
     if rule not in ("or", "and"):
@@ -325,21 +332,9 @@ def neighborhood_lasso(X, lam: float, rule: str = "or",
     n, p = X.shape
     if p < 2:
         raise TooFewSamples("neighborhood regression needs P >= 2")
-    config = config or SolverConfig()
-
-    def fit(i):
-        others = np.delete(np.arange(n), i)
-        beta, _ = lasso_cd(X[others].T, X[i], lam, config)
-        return i, others, beta
-
-    B = np.zeros((n, n))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(fit, range(n)))
-    else:
-        results = [fit(i) for i in range(n)]
-    for i, others, beta in results:
-        B[i, others] = beta
+    G = X @ X.T
+    B, _ = lasso_cd_gram(G, G, lam, config, const_term=0.5 * np.diag(G),
+                         mask=~np.eye(n, dtype=bool))
     nz = B != 0
     edges = (nz | nz.T) if rule == "or" else (nz & nz.T)
     W = edges.astype(float)

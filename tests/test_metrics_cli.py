@@ -185,7 +185,8 @@ class TestCli:
         ["spectrum", "--op", "tv", "--graph", "g.json", "-i", "x.csv",
          "--seed", "1"],
         ["simulate", "er", "-o", "x.csv", "--config", "c.json"],
-        ["learn", "corr", "-o", "x.json", "--seed", "3"]])
+        ["learn", "corr", "-o", "x.json", "--seed", "3"],
+        ["learn", "nlasso", "-o", "x.json", "--jobs", "2"]])
     def test_removed_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             self.run(*argv)
@@ -318,3 +319,12 @@ def test_import_leaves_scipy_unloaded():
          "if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_thread_pools_unloaded():
+    # the regression learners run one coordinate loop and start no pools
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, glkit; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -280,6 +280,18 @@ class TestAutoEps:
         assert meta["eps"] == 0.0
         assert scale_aligned_error(S, G.data) <= 1e-6
 
+    def test_nearly_symmetric_square_input_is_signals(self):
+        # 1e-8 asymmetry is far above the exact-covariance rule's 1e-10, so
+        # the basis and the eps choice must both treat the input as signals
+        G = sim.gen_er_graph(10, 0.5, rng=16, require_connected=True)
+        Sigma = sim.diffusion_covariance(G, [1.0, 0.5, 0.2])  # no zero entry
+        M = Sigma + 1e-8 * np.random.default_rng(3).standard_normal((10, 10))
+        basis, _ = sid.estimate_eigenbasis(M)
+        np.testing.assert_allclose(basis.vals,
+                                   np.linalg.eigvalsh(M @ M.T / 10), atol=1e-12)
+        _, _, meta = sid.infer_shift_from_signals(M)
+        assert meta["eps"] > 0.0
+
     def test_degenerate_covariance_routes_to_partial(self):
         # white covariance: every mode ambiguous, so no spectral
         # constraint remains and the sparsest member comes back

@@ -5,7 +5,9 @@ from hypothesis import strategies as hst
 from scipy.optimize import minimize
 
 import glkit.graphcore as gc
+import glkit.netdyn as nd
 import glkit.simulate as sim
+import glkit.solvers as sv
 import glkit.statnet as st
 from glkit.errors import NoMLE, SingularCovariance, TooFewSamples
 from glkit.solvers import SolverConfig
@@ -432,12 +434,61 @@ class TestNeighborhoodLasso:
         assert np.all((W_and.data > 0) <= (W_or.data > 0))
 
     def test_parallel_matches_serial(self):
+        # the shared-Gram learners against per-node lasso_cd solves on the
+        # old per-node submatrix layout (others, then the node's own input)
+        def check(B, ref):
+            np.testing.assert_array_equal(B != 0, ref != 0)
+            assert np.all(np.abs(B - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+        cfg = SolverConfig()
         X = sim.sample_gmrf(chain_precision(6), 300, rng=32).data
-        lam = 30.0
-        W1, B1 = st.neighborhood_lasso(X, lam, "or", n_jobs=1)
-        W2, B2 = st.neighborhood_lasso(X, lam, "or", n_jobs=4)
-        np.testing.assert_array_equal(W1.data, W2.data)
-        np.testing.assert_array_equal(B1, B2)
+        _, B = st.neighborhood_lasso(X, 30.0, "or", cfg)
+        ref = np.zeros((6, 6))
+        for i in range(6):
+            others = np.delete(np.arange(6), i)
+            ref[i, others] = sv.lasso_cd(X[others].T, X[i], 30.0, cfg)[0]
+        check(B, ref)
+
+        rng = np.random.default_rng(32)
+        n, T = 8, 120
+        Wt = sim.gen_er_digraph(n, 0.3, radius=0.5, rng=rng).data
+        U = rng.standard_normal((n, T))
+        Xs = sim.gen_sem(Wt, np.ones(n), U, 0.01, rng).data
+        data = nd.CascadeData(Xs, U)
+        W, omega, _ = nd.sem_fit(data, 20.0, cfg)
+        ref = np.zeros((n, n + 1))
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            beta, _ = sv.lasso_cd(np.vstack([Xs[others], U[i]]).T, Xs[i], 10.0, cfg,
+                                  penalty_weights=np.r_[np.ones(n - 1), 0.0])
+            ref[i, others], ref[i, n] = beta[:-1], beta[-1]
+        check(np.column_stack([W.data, omega]), ref)
+
+        lags, lam = 2, 40.0
+        _, Ws = nd.svarm_fit(Xs, lags, lam, "or", cfg)
+        A = np.vstack([Xs[:, lags - lag: T - lag] for lag in range(1, lags + 1)]).T
+        ref = np.array([sv.lasso_cd(A, Xs[i, lags:], lam, cfg)[0] for i in range(n)])
+        check(np.hstack(Ws), ref)
+
+        # the tracker warm-starts every epoch from the previous one, so its
+        # reference chains per-node Gram solves over the same epochs
+        cascades = nd.CascadeData(rng.standard_normal((n, 10, 6)),
+                                  rng.standard_normal((n, 6)))
+        traj = nd.dynamic_sem_track(cascades, 0.9, 8.0, cfg)
+        G = np.zeros((2 * n, 2 * n))
+        betas = [None] * n
+        for t in range(cascades.t):
+            At = np.vstack([cascades.X[:, t], cascades.U[:, t]])
+            G = 0.9 * G + At @ At.T
+            ref = np.zeros((n, n))
+            for i in range(n):
+                others = np.delete(np.arange(n), i)
+                idx = np.r_[others, n + i]
+                betas[i], _ = sv.lasso_cd_gram(
+                    G[np.ix_(idx, idx)], G[idx, i], 4.0, cfg,
+                    penalty_weights=np.r_[np.ones(n - 1), 0.0], beta0=betas[i])
+                ref[i, others] = betas[i][:-1]
+        check(traj.weights[-1], ref)
 
     def test_agreement_with_glasso_on_chain(self):
         X = sim.sample_gmrf(chain_precision(10), 5000, rng=33).data
