@@ -67,7 +67,6 @@ from .solvers import (
     SolveTrace,
     SolverConfig,
     admm_l1_spectral,
-    dykstra_project,
     lasso_cd,
     primal_dual_graph,
     prox_neg_logdet,

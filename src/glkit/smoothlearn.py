@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, BadK, BadParameter
+from .errors import BadInput, BadK, BadParameter, Infeasible
 from .graphcore import ShiftKind, as_signal_matrix, build_shift, laplacian_from_weights
 from .solvers import DegreeTerm, SolveTrace, SolverConfig, primal_dual_graph
 
@@ -149,7 +149,7 @@ def _dong_objective(X, Y, W, Z_y, alpha, beta):
     fit = float(np.linalg.norm(X - Y) ** 2)
     smooth = 0.5 * float((W * Z_y).sum())
     deg = W.sum(axis=1)
-    frob = 0.5 * float(deg @ deg + (W * W).sum())  # ||L||_F^2 / 2... see below
+    frob = 0.5 * float(deg @ deg + (W * W).sum())  # ||L||_F^2 / 2 for L = diag(deg) - W
     return fit + alpha * smooth + beta * frob
 
 
@@ -166,12 +166,15 @@ def dong_learn(X, alpha: float, beta: float,
     term and the weight simplex enforcing the trace, then rescales
     exactly. The outer objective is non-increasing; an
     iteration that fails to improve it is rolled back and the loop
-    stops. Returns (L, Y, trace).
+    stops. Returns (L, Y, trace). Raises Infeasible for N < 2: no
+    Laplacian with trace N exists on one vertex.
     """
     if alpha <= 0 or beta <= 0:
         raise BadParameter("alpha and beta must be positive")
     X = as_signal_matrix(X)
     n = X.shape[0]
+    if n < 2:
+        raise Infeasible("a trace-N Laplacian needs at least two vertices")
     config = config or SolverConfig()
     Y = X.copy()
     trace = SolveTrace()

@@ -5,8 +5,9 @@ learner (one Gram matrix shared by many right-hand sides, each with its
 own mask of usable coordinates), the negative-log-determinant proximal
 step shared by the precision estimators, the one residual-balanced
 two-block ADMM kernel (the graphical lasso and robust spectral
-templates run on it), Dykstra alternating projections onto shift
-constraint sets, the exact linear program for noise-free spectral
+templates run on it), exact projections onto the shift constraint sets
+(closed form for adjacencies, one edge-weight engine solve for
+Laplacians), the exact linear program for noise-free spectral
 templates, and the edge-weight engine for problems with degree terms:
 semismooth Newton on their N-variable Lagrange dual (a proximal-point
 loop over it when the ridge weight is zero), with the weight-to-degree
@@ -269,65 +270,11 @@ def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
 
 
 # ---------------------------------------------------------------------------
-# shift constraint sets and Dykstra projection
+# shift constraint sets
 
 
 def _sym(M):
     return 0.5 * (M + M.T)
-
-
-class _SymmetricBounds:
-    """{symmetric, zero diagonal, off-diagonal >= 0 (adjacency) or <= 0
-    (Laplacian, free diagonal)} - exact closed-form projection."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-
-    def project(self, M):
-        S = _sym(M)
-        if self.kind == "adjacency":
-            S = np.maximum(S, 0.0)
-            np.fill_diagonal(S, 0.0)
-        else:
-            d = np.diag(S).copy()
-            S = np.minimum(S, 0.0)
-            np.fill_diagonal(S, d)
-        return S
-
-    def violation(self, M):
-        v = np.abs(M - M.T).max(initial=0.0)
-        if self.kind == "adjacency":
-            v = max(v, -min(M.min(initial=0.0), 0.0), np.abs(np.diag(M)).max(initial=0.0))
-        else:
-            off = M - np.diag(np.diag(M))
-            v = max(v, off.max(initial=0.0))
-        return v
-
-
-class _ScaleHyperplane:
-    """{<A, S> = b} for a fixed coefficient matrix A."""
-
-    def __init__(self, A, b):
-        self.A = np.asarray(A, float)
-        self.b = float(b)
-        self.nrm2 = float((self.A * self.A).sum())
-
-    def project(self, M):
-        return M - ((self.A * M).sum() - self.b) / self.nrm2 * self.A
-
-    def violation(self, M):
-        return abs((self.A * M).sum() - self.b)
-
-
-class _ZeroRowSums:
-    """Subspace {S 1 = 0} (rows decouple)."""
-
-    def project(self, M):
-        n = M.shape[0]
-        return M - np.outer(M.sum(axis=1) / n, np.ones(n))
-
-    def violation(self, M):
-        return np.abs(M.sum(axis=1)).max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -357,23 +304,27 @@ class ShiftConstraintSet:
         if self.scale not in ("first_node", "total"):
             raise BadParameter(f"unknown scale rule {self.scale!r}")
 
-    def pieces(self, n: int):
-        if self.kind == "adjacency":
-            if self.scale == "first_node":
-                A = np.zeros((n, n))
-                A[:, 0] = 1.0
-                hp = _ScaleHyperplane(A, 1.0)
-            else:
-                hp = _ScaleHyperplane(np.ones((n, n)), float(n))
-            return [_SymmetricBounds("adjacency"), hp]
-        return [
-            _SymmetricBounds("laplacian"),
-            _ZeroRowSums(),
-            _ScaleHyperplane(np.eye(n), float(n)),
-        ]
+    def scale_equality(self, n: int):
+        """(A, b) of the set's scale-fixing equality <A, S> = b."""
+        if self.kind == "laplacian":
+            return np.eye(n), float(n)
+        if self.scale == "total":
+            return np.ones((n, n)), float(n)
+        A = np.zeros((n, n))
+        A[:, 0] = 1.0
+        return A, 1.0
 
     def violation(self, M) -> float:
-        return max(p.violation(M) for p in self.pieces(M.shape[0]))
+        """Largest violation of the set's conditions by M."""
+        M = np.asarray(M, float)
+        A, b = self.scale_equality(M.shape[0])
+        off = M - np.diag(np.diag(M))
+        v = [np.abs(M - M.T).max(initial=0.0), abs(float((A * M).sum()) - b)]
+        if self.kind == "adjacency":
+            v += [-off.min(initial=0.0), np.abs(np.diag(M)).max(initial=0.0)]
+        else:
+            v += [off.max(initial=0.0), np.abs(M.sum(axis=1)).max(initial=0.0)]
+        return float(max(v))
 
     def l1_tilt(self, n: int) -> np.ndarray:
         """Matrix G with <G, S> = ||S||_1 for every S in the set."""
@@ -386,64 +337,50 @@ class ShiftConstraintSet:
         return G
 
     def project(self, M) -> np.ndarray:
-        """Euclidean projection onto the set.
+        """Exact Euclidean projection onto the set.
 
-        The adjacency sets have an exact closed form: after
-        symmetrization the problem decouples into entrywise clipping
-        plus one simplex projection over the entries tied by the scale
-        equality. The Laplacian set falls back to Dykstra cycles.
+        After symmetrization both kinds reduce to a problem over the
+        upper-triangular edge vector w >= 0. The adjacency sets have a
+        closed form: entrywise clipping plus one simplex projection over
+        the entries tied by the scale equality. The Laplacian set is
+        {L(w) : w >= 0, sum(w) = N/2}; with S = sym(M) and d = diag(S),
+        ||S - L(w)||_F^2 = 2 z'w + ||Bw||^2 + 2 ||w||^2 + const with
+        z_ij = 2 S_ij - d_i - d_j, which :func:`primal_dual_graph` solves
+        exactly (quadratic degree term, beta = 2, weight sum N/2). Raises
+        Infeasible for N < 2, where no edge can meet the scale equality.
         """
         M = np.asarray(M, float)
         n = M.shape[0]
-        if self.kind == "adjacency":
-            S = _sym(M)
-            out = np.zeros_like(S)
-            iu, ju = np.triu_indices(n, 1)
-            vals = S[iu, ju]
-            if self.scale == "first_node":
-                tied = iu == 0
-                free = np.maximum(vals[~tied], 0.0)
-                w = np.empty_like(vals)
-                w[~tied] = free
-                w[tied] = project_simplex(vals[tied], 1.0)
-            else:
-                w = project_simplex(vals, float(n) / 2.0)
-            out[iu, ju] = w
-            out[ju, iu] = w
-            return out
-        return dykstra_project(M, self, SolverConfig(max_iters=20000, tol=1e-13))
-
-
-def dykstra_project(S0, constraint_set: ShiftConstraintSet,
-                    config: SolverConfig | None = None) -> np.ndarray:
-    """Dykstra alternating projections onto a shift constraint set.
-
-    Generic engine over the set's primitive pieces (each with an exact
-    projection); converges to the Euclidean projection of ``S0`` onto the
-    intersection. Raises Infeasible when the cycle stalls away from
-    feasibility.
-    """
-    config = config or SolverConfig(max_iters=20000, tol=1e-13)
-    x = np.asarray(S0, dtype=float).copy()
-    pieces = constraint_set.pieces(x.shape[0])
-    corrections = [np.zeros_like(x) for _ in pieces]
-    prev = x.copy()
-    for sweep in range(config.max_iters):
-        for i, piece in enumerate(pieces):
-            y = piece.project(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
-        delta = np.abs(x - prev).max(initial=0.0)
-        prev = x.copy()
-        scale = max(1.0, float(np.abs(x).max()))
-        if delta <= config.tol * scale and \
-                max(p.violation(x) for p in pieces) <= 1e-9 * scale:
-            break
-    scale = max(1.0, float(np.abs(x).max()))
-    viol = max(p.violation(x) for p in pieces)
-    if viol > 1e-6 * scale:
-        raise Infeasible(f"constraint pieces do not intersect (violation {viol:.2e})")
-    return x
+        if n < 2:
+            raise Infeasible("the shift constraint sets are empty for N < 2")
+        S = _sym(M)
+        iu, ju = np.triu_indices(n, 1)
+        if self.kind == "laplacian":
+            d = np.diag(S)
+            z = 2.0 * S[iu, ju] - d[iu] - d[ju]
+            # on the weight simplex a constant shift of z changes the
+            # objective by a constant; the engine needs z >= 0
+            W, trace = primal_dual_graph(
+                weights_from_edge_vector(z - z.min(), n),
+                DegreeTerm("quadratic", coef=2.0), 2.0,
+                SolverConfig(tol=1e-12), scale_sum=n / 2.0)
+            if not trace.converged:
+                warnings.warn("Laplacian projection stopped before the "
+                              "engine's tolerance", stacklevel=2)
+            return np.diag(W.sum(axis=1)) - W
+        out = np.zeros_like(S)
+        vals = S[iu, ju]
+        if self.scale == "first_node":
+            tied = iu == 0
+            free = np.maximum(vals[~tied], 0.0)
+            w = np.empty_like(vals)
+            w[~tied] = free
+            w[tied] = project_simplex(vals[tied], 1.0)
+        else:
+            w = project_simplex(vals, float(n) / 2.0)
+        out[iu, ju] = w
+        out[ju, iu] = w
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +416,7 @@ def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str)
     if objective == "frobenius":
         return cset.project(M / (1.0 + inv_rho))
     if objective == "linf":
-        # Dykstra-style alternating prox for the nonseparable pair
+        # alternating prox steps with correction terms for the nonseparable pair
         x = M.copy()
         p = np.zeros_like(M)
         q = np.zeros_like(M)
@@ -558,8 +495,8 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     diag = U[:, p] * U[:, q]
     G = cset.l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
     g_off, g_diag = G[iu, ju], np.diag(G)
-    hp = cset.pieces(n)[-1]  # the scale equality <hp.A, S> = hp.b
-    scale_row = (hp.A[iu, ju] + hp.A[ju, iu]) @ off + np.diag(hp.A) @ diag
+    A, b = cset.scale_equality(n)  # <A, S> = b
+    scale_row = (A[iu, ju] + A[ju, iu]) @ off + np.diag(A) @ diag
     if cset.kind == "adjacency":
         zero_rows = diag
     else:  # row sums: each row of U summed against the all-ones vector
@@ -567,7 +504,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         zero_rows = 0.5 * (U[:, p] * ones_u[q] + U[:, q] * ones_u[p])
     a_eq = np.vstack([zero_rows, scale_row])
     b_eq = np.zeros(a_eq.shape[0])
-    b_eq[-1] = hp.b
+    b_eq[-1] = b
     a_ub = -g_off[:, None] * off
     if objective == "l1":
         c = 2.0 * g_off @ off + g_diag @ diag
@@ -619,9 +556,10 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     ``config`` as documented there) from the coupling projection of the
     set's point nearest zero: the S block is the prox of the objective
     plus the set indicator (a projection of a tilted point for
-    l1/Frobenius, a Dykstra-style inner loop for sup-norm); the
-    (lam, E) block projects onto the spectral coupling set in the V
-    coordinates, with the off-diagonal residual shrunk to the eps-ball.
+    l1/Frobenius, an inner loop of alternating proxes with correction
+    terms for sup-norm); the (lam, E) block projects onto the spectral
+    coupling set in the V coordinates, with the off-diagonal residual
+    shrunk to the eps-ball.
 
     Returns (S, lam, trace), lam read off the coupling block. Raises
     Infeasible when no member of the set is exactly diagonalized by V

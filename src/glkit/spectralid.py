@@ -36,7 +36,7 @@ from .solvers import (
     admm_l1_spectral,
     spectral_gap,
 )
-from .statnet import _as_covariance, _is_covariance, sample_covariance
+from .statnet import _as_covariance, _is_covariance
 
 
 @dataclass(frozen=True)
@@ -103,24 +103,6 @@ def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None,
     constraint_set = constraint_set or ShiftConstraintSet()
     S, lam, trace = admm_l1_spectral(V_K, 0.0, constraint_set, config, "l1")
     return S, trace
-
-
-def eigenbasis_mismatch(data, c: float = 1.0) -> float:
-    """Split-half heuristic for the eps tolerance of noisy runs.
-
-    Reconstructs the full-sample covariance in the eigenbasis of the
-    first half of the samples; the relative energy that reconstruction
-    misses measures the instability of the estimated eigenvectors.
-    """
-    X = as_signal_matrix(data)
-    if X.shape[1] < 4:
-        raise BadInput("mismatch heuristic needs at least 4 samples")
-    cov = sample_covariance(X)
-    half = sample_covariance(X[:, : X.shape[1] // 2])
-    _, vecs = np.linalg.eigh(half)
-    proj = (vecs * np.diag(vecs.T @ cov @ vecs)) @ vecs.T
-    denom = max(np.linalg.norm(cov), 1e-30)
-    return c * float(np.linalg.norm(cov - proj) / denom)
 
 
 def spectral_feasibility_gap(basis, constraint_set: ShiftConstraintSet | None = None,

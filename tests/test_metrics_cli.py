@@ -245,6 +245,14 @@ class TestCli:
         assert self.run("learn", "deconv", "-i", str(ident),
                         "-o", str(tmp_path / "x.json")) == 4
 
+    @pytest.mark.parametrize("cset", ["adjacency", "laplacian"])
+    def test_single_vertex_spectral_is_solver_error(self, tmp_path, cset, capsys):
+        one = tmp_path / "one.csv"
+        ser.write_matrix_csv(one, np.array([[0.5, 0.1, 0.3]]))
+        assert self.run("learn", "spectral", "-i", str(one), "--cset", cset,
+                        "-o", str(tmp_path / "x.json")) == 4
+        assert "solver error" in capsys.readouterr().err
+
     def test_reproducible_outputs(self, tmp_path):
         a1, a2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
         for out in (a1, a2):

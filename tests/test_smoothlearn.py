@@ -6,7 +6,7 @@ import pytest
 import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.smoothlearn as sl
-from glkit.errors import BadK, BadParameter
+from glkit.errors import BadK, BadParameter, Infeasible
 
 
 def edge_fscore(est_edges, true_edges):
@@ -159,6 +159,11 @@ class TestDongLearn:
         X = rng.standard_normal((6, 20))
         L, Y, _ = sl.dong_learn(X, 1e-8, 1.0)
         assert np.abs(Y - X).max() <= 1e-5
+
+    def test_single_vertex_infeasible(self):
+        # no Laplacian with trace N exists on one vertex
+        with pytest.raises(Infeasible):
+            sl.dong_learn(np.ones((1, 10)), 0.5, 1.0)
 
     def test_constant_columns_pass_through(self):
         X = np.ones((5, 8)) * np.arange(1, 9)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -140,7 +142,9 @@ class TestProxNegLogdet:
 
 
 def qp_oracle_projection(S0, cset):
-    """Projection onto the constraint set by direct NLP (small n only)."""
+    """Projection onto the constraint set by direct NLP over the edge
+    vector w (small n only): W(w) for the adjacency sets, L(w) with
+    sum(w) = N/2 for the Laplacian set."""
     n = S0.shape[0]
     iu, ju = np.triu_indices(n, 1)
 
@@ -148,60 +152,79 @@ def qp_oracle_projection(S0, cset):
         M = np.zeros((n, n))
         M[iu, ju] = w
         M[ju, iu] = w
+        if cset.kind == "laplacian":
+            M = np.diag(M.sum(axis=1)) - M
         return M
 
     def obj(w):
         return np.sum((unpack(w) - S0) ** 2)
 
-    cons = []
-    if cset.scale == "first_node":
-        cons.append({"type": "eq",
-                     "fun": lambda w: unpack(w)[:, 0].sum() - 1.0})
+    def grad(w):
+        R = unpack(w) - S0
+        g = R[iu, ju] + R[ju, iu]
+        if cset.kind == "laplacian":
+            g = np.diag(R)[iu] + np.diag(R)[ju] - g
+        return 2.0 * g
+
+    # the scale equality as a'w = b
+    if cset.kind == "laplacian":
+        a, b = np.ones(iu.size), n / 2.0
+    elif cset.scale == "first_node":
+        a, b = (iu == 0).astype(float), 1.0
     else:
-        cons.append({"type": "eq",
-                     "fun": lambda w: unpack(w).sum() - n})
-    res = minimize(obj, np.full(iu.size, 0.2), bounds=[(0, None)] * iu.size,
-                   constraints=cons, method="SLSQP",
-                   options={"maxiter": 500, "ftol": 1e-14})
+        a, b = np.full(iu.size, 2.0), float(n)
+    res = minimize(obj, a * (b / (a @ a)), jac=grad, bounds=[(0, None)] * iu.size,
+                   constraints=[{"type": "eq", "fun": lambda w: a @ w - b,
+                                 "jac": lambda w: a}], method="SLSQP",
+                   options={"maxiter": 500, "ftol": 1e-12})
     assert res.success
     return unpack(res.x)
 
 
-class TestDykstraProjection:
+SHIFT_SETS = {"first_node": sv.ShiftConstraintSet(),
+              "total": sv.ShiftConstraintSet(scale="total"),
+              "laplacian": sv.ShiftConstraintSet(kind="laplacian")}
+
+
+def feasible_point(cset, n, rng):
+    """A random member of the set with about half its edges present."""
+    W = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+    W[0, 1] = 1.0  # keeps the first vertex's degree positive
+    W = W + W.T
+    if cset.kind == "adjacency" and cset.scale == "first_node":
+        return W / W[:, 0].sum()
+    W = W * (n / W.sum())
+    return W if cset.kind == "adjacency" else np.diag(W.sum(axis=1)) - W
+
+
+class TestShiftProjection:
     def test_idempotent_on_feasible_point(self):
         cset = sv.ShiftConstraintSet()
         S0 = np.zeros((3, 3))
         S0[0, 1] = S0[1, 0] = 0.6
         S0[0, 2] = S0[2, 0] = 0.4
-        out = sv.dykstra_project(S0, cset)
+        out = cset.project(S0)
         np.testing.assert_allclose(out, S0, atol=1e-10)
 
     def test_negative_identity_lands_in_set(self):
         cset = sv.ShiftConstraintSet()
-        out = sv.dykstra_project(-np.eye(4), cset)
+        out = cset.project(-np.eye(4))
         assert np.abs(np.diag(out)).max() <= 1e-8
         assert out.min() >= -1e-8
         assert out[:, 0].sum() == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("scale", ["first_node", "total"])
-    def test_matches_qp_oracle(self, scale):
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    def test_matches_qp_oracle(self, name, n):
         rng = np.random.default_rng(9)
-        cset = sv.ShiftConstraintSet(scale=scale)
+        cset = SHIFT_SETS[name]
         for _ in range(5):
-            S0 = rng.standard_normal((3, 3))
-            ours = sv.dykstra_project(S0, cset)
+            S0 = rng.standard_normal((n, n))
+            ours = cset.project(S0)
             oracle = qp_oracle_projection(S0, cset)
             assert np.abs(ours - oracle).max() <= 1e-6
-
-    def test_closed_form_matches_dykstra(self):
-        rng = np.random.default_rng(10)
-        for scale in ("first_node", "total"):
-            cset = sv.ShiftConstraintSet(scale=scale)
-            for _ in range(10):
-                S0 = rng.standard_normal((6, 6))
-                np.testing.assert_allclose(cset.project(S0),
-                                           sv.dykstra_project(S0, cset),
-                                           atol=1e-8)
+            # never farther from S0 than the oracle's point
+            assert np.linalg.norm(ours - S0) <= np.linalg.norm(oracle - S0) + 1e-12
 
     def test_laplacian_set_constraints(self):
         rng = np.random.default_rng(11)
@@ -213,6 +236,31 @@ class TestDykstraProjection:
             assert off.max() <= 1e-8
             assert np.abs(out.sum(axis=1)).max() <= 1e-8
             assert np.trace(out) == pytest.approx(5.0, abs=1e-8)
+
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    def test_fewer_than_two_vertices_infeasible(self, name):
+        for n in (0, 1):
+            with pytest.raises(Infeasible):
+                SHIFT_SETS[name].project(np.ones((n, n)))
+
+    @given(hst.sampled_from(list(SHIFT_SETS)), hst.integers(2, 9),
+           hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
+    def test_variational_inequality(self, name, n, u, seed):
+        # P(M) is the projection iff <M - P(M), Y - P(M)> <= 0 for every
+        # member Y of the (convex) set
+        rng = np.random.default_rng(seed)
+        cset = SHIFT_SETS[name]
+        M = 10.0 ** u * rng.standard_normal((n, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a capped engine solve fails
+            P = cset.project(M)
+            assert cset.violation(P) <= 1e-9 * max(1.0, np.abs(M).max())
+            for _ in range(3):
+                Y = feasible_point(cset, n, rng)
+                scale = max(1.0, np.linalg.norm(M)) * max(1.0, np.linalg.norm(Y - P))
+                assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
+                np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
+                                           atol=1e-9 * max(1.0, np.abs(Y).max()))
 
 
 def lp_oracle_shift(V, cset):
@@ -585,5 +633,5 @@ def test_simplex_projection_properties():
                        bounds=[(0, None)] * v.size,
                        constraints=[{"type": "eq",
                                      "fun": lambda u: u.sum() - s}],
-                       method="SLSQP", options={"ftol": 1e-14})
+                       method="SLSQP", options={"ftol": 1e-12})
         assert np.abs(p - res.x).max() <= 1e-5
