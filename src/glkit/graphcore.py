@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,10 +241,35 @@ def build_shift(edges, n: int, kind: ShiftKind = ShiftKind.ADJACENCY,
     return ShiftOperator(M, kind, directed)
 
 
+@lru_cache(maxsize=8)
+def edge_index(n: int):
+    """(iu, ju): the vertex pairs i < j of an N-vertex graph in
+    ``np.triu_indices(n, 1)`` order, the one edge order used throughout.
+
+    Read-only and cached for the eight most recent N (2 x 8 bytes per
+    pair, 32 MB at N = 2000).
+    """
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+@lru_cache(maxsize=8)
+def edge_positions(n: int):
+    """(up, lo): the flat positions i N + j and j N + i of the pairs of
+    :func:`edge_index` in a C-ordered N x N matrix, read-only and cached
+    like it. Gathers and scatters through them skip 2-D fancy indexing.
+    """
+    iu, ju = edge_index(n)
+    up, lo = iu * n + ju, ju * n + iu
+    up.flags.writeable = lo.flags.writeable = False
+    return up, lo
+
+
 def weights_from_edge_vector(w, n: int) -> np.ndarray:
     """Symmetric zero-diagonal N x N weight matrix whose upper triangle,
-    read in ``np.triu_indices(n, 1)`` order, is the edge vector w."""
-    iu, ju = np.triu_indices(n, 1)
+    read in :func:`edge_index` order, is the edge vector w."""
+    iu, ju = edge_index(n)
     W = np.zeros((n, n))
     W[iu, ju] = W[ju, iu] = w
     return W

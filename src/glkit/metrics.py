@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimension, BadParameter
-from .graphcore import as_matrix
+from .graphcore import as_matrix, edge_index
 
 DEFAULT_SUPPORT_THRESHOLD = 1e-6  # times the largest |entry|
 
@@ -34,7 +34,7 @@ class EvalReport:
 
 
 def _support(M: np.ndarray, threshold: float) -> np.ndarray:
-    iu, ju = np.triu_indices(M.shape[0], 1)
+    iu, ju = edge_index(M.shape[0])
     return np.abs(M[iu, ju]) > threshold
 
 
@@ -79,7 +79,7 @@ def topk_recovery_curve(S_hat, S_true, ks, threshold: float = 0.0):
     if any(k2 < k1 for k1, k2 in zip(ks, ks[1:])):
         raise BadParameter("ks must be ascending")
     n = A.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     weights = np.abs(A[iu, ju])
     order = np.lexsort((ju, iu, -weights))
     true = np.abs(B[iu, ju]) > threshold

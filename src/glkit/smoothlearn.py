@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInput, BadK, BadParameter, Infeasible
-from .graphcore import ShiftKind, as_signal_matrix, build_shift, laplacian_from_weights
+from .graphcore import (
+    ShiftKind,
+    as_signal_matrix,
+    build_shift,
+    edge_index,
+    laplacian_from_weights,
+)
 from .solvers import DegreeTerm, SolveTrace, SolverConfig, primal_dual_graph
 
 
@@ -69,13 +75,6 @@ def as_distance(Z) -> DistanceMatrix:
     return Z if isinstance(Z, DistanceMatrix) else DistanceMatrix(np.asarray(Z, float))
 
 
-def smoothness_total(X, W) -> float:
-    """0.5 ||W o Z||_1, the summed total variation of the columns of X
-    on the graph with weights W."""
-    Z = distance_matrix(X).Z
-    return 0.5 * float(np.abs(np.asarray(W) * Z).sum())
-
-
 @dataclass(frozen=True)
 class SmoothPrior:
     """Degree/weight regularizer selector for general_smooth_learn."""
@@ -100,7 +99,7 @@ def kalofolias_learn(Z, alpha: float, beta: float,
     if beta < 0:
         raise BadParameter("beta must be nonnegative")
     Z = as_distance(Z).Z
-    iu, ju = np.triu_indices(Z.shape[0], 1)
+    iu, ju = edge_index(Z.shape[0])
     if beta == 0 and Z[iu, ju].min(initial=np.inf) <= 0:
         # a free zero-distance edge plus the barrier pulls weights to
         # infinity; the engine caps them, but the output is degenerate
@@ -185,7 +184,7 @@ def dong_learn(X, alpha: float, beta: float,
         # unit-mean distances (scale equivariance, cf. kalofolias_learn)
         Z_y = distance_matrix(Y).Z
         z_eng = Z_y * (alpha / 2.0)
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = edge_index(n)
         c = max(float(z_eng[iu, ju].mean()), 1.0)
         W_new, _ = primal_dual_graph(
             z_eng / c, DegreeTerm("quadratic", coef=beta / c ** 2),
@@ -228,7 +227,7 @@ def edge_select(X, K: int):
     if not (1 <= K <= m):
         raise BadK(f"K={K} outside 1..{m}")
     Z = distance_matrix(X).Z
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     scores = Z[iu, ju]
     order = np.lexsort((ju, iu, scores))  # score first, then (i, j)
     chosen = order[:K]

@@ -12,17 +12,24 @@ templates, and the edge-weight engine for problems with degree terms:
 semismooth Newton on their N-variable Lagrange dual (a proximal-point
 loop over it when the ridge weight is zero), with the weight-to-degree
 map and the Newton matrix built by index arithmetic.
+
+Edge vectors follow the order of :func:`graphcore.edge_index`. The
+kernels share its per-N cache, and that of the flat positions of
+:func:`graphcore.edge_positions`, instead of rebuilding an index on each
+call: a robust spectral-template solve calls the two shift projections
+thousands of times.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadInput, BadParameter, Infeasible, SolverError
-from .graphcore import weights_from_edge_vector
+from .graphcore import edge_index, edge_positions, weights_from_edge_vector
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 
@@ -277,6 +284,14 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+@lru_cache(maxsize=8)
+def _l1_tilt(kind: str, n: int) -> np.ndarray:
+    G = np.ones((n, n)) if kind == "adjacency" else -np.ones((n, n))
+    np.fill_diagonal(G, 0.0 if kind == "adjacency" else 1.0)
+    G.flags.writeable = False
+    return G
+
+
 @dataclass(frozen=True)
 class ShiftConstraintSet:
     """Feasible set for recovered shift operators.
@@ -327,22 +342,21 @@ class ShiftConstraintSet:
         return float(max(v))
 
     def l1_tilt(self, n: int) -> np.ndarray:
-        """Matrix G with <G, S> = ||S||_1 for every S in the set."""
-        if self.kind == "adjacency":
-            G = np.ones((n, n))
-            np.fill_diagonal(G, 0.0)
-        else:
-            G = -np.ones((n, n))
-            np.fill_diagonal(G, 1.0)
-        return G
+        """Matrix G with <G, S> = ||S||_1 for every S in the set
+        (read-only, cached per kind and N)."""
+        return _l1_tilt(self.kind, n)
 
     def project(self, M) -> np.ndarray:
         """Exact Euclidean projection onto the set.
 
         After symmetrization both kinds reduce to a problem over the
-        upper-triangular edge vector w >= 0. The adjacency sets have a
-        closed form: entrywise clipping plus one simplex projection over
-        the entries tied by the scale equality. The Laplacian set is
+        edge vector w >= 0 (the upper triangle in :func:`edge_index`
+        order). The adjacency sets have a closed form: entrywise clipping
+        plus one simplex projection over the entries tied by the scale
+        equality (for ``first_node`` the pairs (0, j), the first N - 1 in
+        edge order). It gathers sym(M)'s upper triangle and scatters w
+        through the cached flat positions of :func:`edge_positions`,
+        without forming sym(M). The Laplacian set is
         {L(w) : w >= 0, sum(w) = N/2}; with S = sym(M) and d = diag(S),
         ||S - L(w)||_F^2 = 2 z'w + ||Bw||^2 + 2 ||w||^2 + const with
         z_ij = 2 S_ij - d_i - d_j, which :func:`primal_dual_graph` solves
@@ -351,11 +365,13 @@ class ShiftConstraintSet:
         """
         M = np.asarray(M, float)
         n = M.shape[0]
+        if M.shape != (n, n):
+            raise BadInput("projection needs a square matrix")
         if n < 2:
             raise Infeasible("the shift constraint sets are empty for N < 2")
-        S = _sym(M)
-        iu, ju = np.triu_indices(n, 1)
         if self.kind == "laplacian":
+            S = _sym(M)
+            iu, ju = edge_index(n)
             d = np.diag(S)
             z = 2.0 * S[iu, ju] - d[iu] - d[ju]
             # on the weight simplex a constant shift of z changes the
@@ -368,19 +384,18 @@ class ShiftConstraintSet:
                 warnings.warn("Laplacian projection stopped before the "
                               "engine's tolerance", stacklevel=2)
             return np.diag(W.sum(axis=1)) - W
-        out = np.zeros_like(S)
-        vals = S[iu, ju]
+        up, lo = edge_positions(n)
+        flat = M.ravel()
+        vals = 0.5 * (flat[up] + flat[lo])  # sym(M) at the pairs
         if self.scale == "first_node":
-            tied = iu == 0
-            free = np.maximum(vals[~tied], 0.0)
-            w = np.empty_like(vals)
-            w[~tied] = free
-            w[tied] = project_simplex(vals[tied], 1.0)
+            w = np.maximum(vals, 0.0)
+            w[:n - 1] = project_simplex(vals[:n - 1], 1.0)
         else:
             w = project_simplex(vals, float(n) / 2.0)
-        out[iu, ju] = w
-        out[ju, iu] = w
-        return out
+        out = np.zeros(n * n)
+        out[up] = w
+        out[lo] = w
+        return out.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +413,13 @@ class SpectralCoupling:
 
     def project(self, M):
         Mt = self.V.T @ _sym(M) @ self.V
-        lam = np.diag(Mt).copy()
-        off = Mt - np.diag(lam)
-        dist = float(np.linalg.norm(off))
+        lam = np.diagonal(Mt).copy()
+        np.fill_diagonal(Mt, 0.0)  # Mt holds the off-diagonal residual
+        dist = float(np.linalg.norm(Mt))
         shrink = 0.0 if self.eps <= 0 or dist == 0 else min(1.0, self.eps / dist)
-        T = self.V @ (np.diag(lam) + shrink * off) @ self.V.T
-        return _sym(T)
+        Mt *= shrink
+        np.fill_diagonal(Mt, lam)
+        return _sym(self.V @ Mt @ self.V.T)
 
 
 def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str):
@@ -449,7 +465,9 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
 
     The distance sequence is non-increasing and converges to the gap,
     so any finite stop overestimates it slightly. A candidate eps at or
-    above the returned value is guaranteed feasible.
+    above the returned value is guaranteed feasible. Stops once the
+    distance falls by at most ``tol`` relative per iteration; warns when
+    ``max_iters`` runs out first.
     """
     V = np.asarray(V, dtype=float)
     coupling = SpectralCoupling(V, 0.0)
@@ -463,6 +481,9 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
         if prev - gap <= tol * max(gap, 1e-12):
             break
         prev = gap
+    else:
+        warnings.warn(f"spectral_gap stopped at its {max_iters}-iteration cap "
+                      "before its tol rule held", stacklevel=2)
     return gap
 
 
@@ -488,7 +509,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     za, zb = np.triu_indices(n - k)
     p = np.concatenate([np.arange(k), k + za])
     q = np.concatenate([np.arange(k), k + zb])
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     # entry coefficients of S, one row per upper-triangular entry and
     # per diagonal entry
     off = 0.5 * (U[iu][:, p] * U[ju][:, q] + U[iu][:, q] * U[ju][:, p])
@@ -694,7 +715,7 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
         raise BadInput("Z must be symmetric and nonnegative")
     if n < 2:  # no vertex pairs, nothing to learn
         return np.zeros((n, n)), SolveTrace(converged=True)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     z = Z[iu, ju]
     barrier = g_spec.kind == "log_barrier"
 

@@ -109,7 +109,8 @@ def spectral_feasibility_gap(basis, constraint_set: ShiftConstraintSet | None = 
                              tol: float = 1e-6, max_iters: int = 3000) -> float:
     """Smallest eps for which the noisy-basis recovery is feasible: the
     alternating-projection distance between the constraint set and the
-    span of the basis's rank-one eigen-matrices."""
+    span of the basis's rank-one eigen-matrices. Warns when ``max_iters``
+    runs out before the ``tol`` rule holds."""
     V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
     return spectral_gap(V, constraint_set or ShiftConstraintSet(),
                         tol=tol, max_iters=max_iters)

@@ -24,6 +24,7 @@ from .graphcore import (
     ShiftKind,
     ShiftOperator,
     as_signal_matrix,
+    edge_index,
     laplacian_from_weights,
     weights_from_edge_vector,
 )
@@ -110,7 +111,7 @@ def _fisher_pvalues(rho, null_var: float):
 
 
 def _build_table(rho, null_var, q, method, n):
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     z, pvals, sat = _fisher_pvalues(rho[iu, ju], null_var)
     reject = bh_select(pvals, q)
     pairs = [PairTest(int(i), int(j), float(zz), float(pv), bool(rj))
@@ -250,7 +251,7 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
     config = config or SolverConfig()
     S = _as_covariance(data)
     n = S.shape[0]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = edge_index(n)
     # f(x) = -logdet(Theta) + lin'x with x = (w, gamma): trace(S L(w)) and
     # the penalty are both linear in x
     lin = np.append(S[iu, iu] + S[ju, ju] - 2.0 * S[iu, ju] + 4.0 * lam,

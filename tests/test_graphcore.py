@@ -314,6 +314,25 @@ class TestBandlimit:
             gc.bandlimit_reconstruct([1.0, 0.0], basis, 3)
 
 
+class TestEdgeIndex:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 31])
+    def test_matches_triu_order(self, n):
+        iu, ju = gc.edge_index(n)
+        ref_i, ref_j = np.triu_indices(n, 1)
+        assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+        up, lo = gc.edge_positions(n)
+        M = np.arange(n * n).reshape(n, n)
+        assert np.array_equal(M.ravel()[up], M[iu, ju])
+        assert np.array_equal(M.ravel()[lo], M[ju, iu])
+
+    def test_cached_and_read_only(self):
+        assert gc.edge_index(6)[0] is gc.edge_index(6)[0]
+        assert gc.edge_positions(6)[1] is gc.edge_positions(6)[1]
+        for arr in (*gc.edge_index(6), *gc.edge_positions(6)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 def test_random_laplacians_are_psd():
     rng = np.random.default_rng(19)
     worst = np.inf

@@ -243,6 +243,11 @@ class TestShiftProjection:
             with pytest.raises(Infeasible):
                 SHIFT_SETS[name].project(np.ones((n, n)))
 
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    def test_non_square_input_rejected(self, name):
+        with pytest.raises(BadInput):
+            SHIFT_SETS[name].project(np.ones((3, 4)))
+
     @given(hst.sampled_from(list(SHIFT_SETS)), hst.integers(2, 9),
            hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
     def test_variational_inequality(self, name, n, u, seed):
@@ -261,6 +266,146 @@ class TestShiftProjection:
                 assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
                 np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
                                            atol=1e-9 * max(1.0, np.abs(Y).max()))
+
+
+def _reference_project(cset, M):
+    """The adjacency projection as written before the cached edge index:
+    symmetrize, gather by 2-D indexing, mask the tied entries, scatter."""
+    M = np.asarray(M, float)
+    n = M.shape[0]
+    S = 0.5 * (M + M.T)
+    iu, ju = np.triu_indices(n, 1)
+    out = np.zeros_like(S)
+    vals = S[iu, ju]
+    if cset.scale == "first_node":
+        tied = iu == 0
+        w = np.empty_like(vals)
+        w[~tied] = np.maximum(vals[~tied], 0.0)
+        w[tied] = sv.project_simplex(vals[tied], 1.0)
+    else:
+        w = sv.project_simplex(vals, float(n) / 2.0)
+    out[iu, ju] = w
+    out[ju, iu] = w
+    return out
+
+
+def _reference_coupling(coupling, M):
+    """SpectralCoupling.project as written before it worked in place."""
+    V = coupling.V
+    Mt = V.T @ (0.5 * (M + M.T)) @ V
+    lam = np.diag(Mt).copy()
+    off = Mt - np.diag(lam)
+    dist = float(np.linalg.norm(off))
+    shrink = 0.0 if coupling.eps <= 0 or dist == 0 else min(1.0, coupling.eps / dist)
+    T = V @ (np.diag(lam) + shrink * off) @ V.T
+    return 0.5 * (T + T.T)
+
+
+def _off_norm(V, M):
+    Mt = V.T @ (0.5 * (M + M.T)) @ V
+    return float(np.linalg.norm(Mt - np.diag(np.diag(Mt))))
+
+
+def sampled_basis(n, seed, p=2000):
+    """Eigenbasis of the sample covariance of diffusion signals."""
+    G = sim.gen_er_graph(n, 0.3, rng=seed, require_connected=True)
+    X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], p, rng=seed).data
+    return gc.eigendecompose(np.cov(X)).vecs
+
+
+class TestCachedIndexParity:
+    """The projections on the cached edge index give the same numbers
+    as the reference formulas above."""
+
+    @given(hst.sampled_from(["first_node", "total"]), hst.integers(2, 60),
+           hst.floats(-3.0, 3.0), hst.booleans(), hst.integers(0, 2 ** 32 - 1))
+    def test_adjacency_projection_matches_reference(self, scale, n, u, transposed,
+                                                    seed):
+        cset = sv.ShiftConstraintSet(scale=scale)
+        M = 10.0 ** u * np.random.default_rng(seed).standard_normal((n, n))
+        if transposed:  # a non-contiguous input
+            M = M.T
+        before = M.copy()
+        assert np.array_equal(cset.project(M), _reference_project(cset, M))
+        assert np.array_equal(M, before)
+
+    @given(hst.integers(2, 60), hst.floats(-3.0, 3.0), hst.floats(-13.0, 1.0),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_coupling_matches_reference(self, n, u, v, seed):
+        rng = np.random.default_rng(seed)
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = 10.0 ** u * rng.standard_normal((n, n))
+        before = M.copy()
+        for eps in (0.0, 10.0 ** v * _off_norm(V, M)):
+            coupling = sv.SpectralCoupling(V, eps)
+            assert np.array_equal(coupling.project(M), _reference_coupling(coupling, M))
+        assert np.array_equal(M, before)
+
+    @pytest.mark.parametrize("case", ["zero", "tiny", "ball", "diagonal"])
+    def test_coupling_cases(self, case):
+        rng = np.random.default_rng(31)
+        n = 8
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M = rng.standard_normal((n, n))
+        dist = _off_norm(V, M)
+        eps = {"zero": 0.0, "tiny": 1e-12 * dist, "ball": 2.0 * dist,
+               "diagonal": 0.5}[case]
+        if case == "diagonal":  # exact arithmetic: dist is exactly 0
+            V = np.eye(n)[rng.permutation(n)]
+            M = np.diag(rng.standard_normal(n))
+            assert _off_norm(V, M) == 0.0
+        coupling = sv.SpectralCoupling(V, eps)
+        out = coupling.project(M)
+        assert np.array_equal(out, _reference_coupling(coupling, M))
+        if case == "ball":  # already inside the ball: sym(M) comes back
+            np.testing.assert_allclose(out, 0.5 * (M + M.T), rtol=0, atol=1e-12)
+        elif case == "diagonal":
+            assert np.array_equal(out, M)
+        else:  # the off-diagonal residual shrinks onto the eps-ball
+            assert _off_norm(V, out) <= max(eps, 1e-12 * np.abs(M).max())
+
+    def test_l1_tilt_cached_and_read_only(self):
+        for cset, diag_value, off_value in ((SHIFT_SETS["first_node"], 0.0, 1.0),
+                                            (SHIFT_SETS["laplacian"], 1.0, -1.0)):
+            G = cset.l1_tilt(5)
+            expected = np.full((5, 5), off_value)
+            np.fill_diagonal(expected, diag_value)
+            assert np.array_equal(G, expected)
+            assert G is cset.l1_tilt(5)
+            with pytest.raises(ValueError):
+                G[0, 1] = 2.0
+
+    @pytest.mark.parametrize("scale", ["first_node", "total"])
+    def test_admm_path_matches_reference(self, scale, monkeypatch):
+        V = sampled_basis(12, 5)
+        cset = sv.ShiftConstraintSet(scale=scale)
+
+        def solve():
+            eps = 2.0 * sv.spectral_gap(V, cset)
+            return eps, sv.admm_l1_spectral(V, eps, cset)
+
+        eps, (S, _, trace) = solve()
+        monkeypatch.setattr(sv.ShiftConstraintSet, "project", _reference_project)
+        monkeypatch.setattr(sv.SpectralCoupling, "project", _reference_coupling)
+        eps_ref, (S_ref, _, trace_ref) = solve()
+        assert eps > 0 and eps == eps_ref
+        assert trace.converged
+        assert np.array_equal(S, S_ref)
+        assert trace.iters_used == trace_ref.iters_used
+
+
+class TestSpectralGap:
+    def test_warns_when_capped(self):
+        V = sampled_basis(12, 5)
+        cset = sv.ShiftConstraintSet()
+        with pytest.warns(UserWarning, match="cap"):
+            capped = sv.spectral_gap(V, cset, max_iters=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = sv.spectral_gap(V, cset)
+        assert type(capped) is float and type(gap) is float
+        # the distance sequence is non-increasing
+        assert capped >= gap > 0
 
 
 def lp_oracle_shift(V, cset):
