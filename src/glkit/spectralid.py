@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     BadInput,
-    Infeasible,
     NotSymmetric,
     SingularInputCovariance,
     TooLarge,
@@ -107,38 +106,16 @@ def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None,
 
 def spectral_feasibility_gap(basis, constraint_set: ShiftConstraintSet | None = None,
                              tol: float = 1e-6, max_iters: int = 3000) -> float:
-    """Smallest eps for which the noisy-basis recovery is feasible: the
-    alternating-projection distance between the constraint set and the
-    span of the basis's rank-one eigen-matrices. Warns when ``max_iters``
-    runs out before the ``tol`` rule holds."""
+    """An eps for which the noisy-basis recovery is feasible: the
+    smallest distance between a member of the constraint set and a
+    member of the span of the basis's rank-one eigen-matrices that
+    :func:`solvers.spectral_gap` meets (accelerated alternating
+    projections). It bounds the gap from above, so every eps at or
+    above it is feasible. Warns when ``max_iters`` runs out before the
+    ``tol`` rule holds."""
     V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
     return spectral_gap(V, constraint_set or ShiftConstraintSet(),
                         tol=tol, max_iters=max_iters)
-
-
-def infer_shift_grid(basis, constraint_set: ShiftConstraintSet | None = None,
-                     eps0: float = 1e-3, factor: float = 2.0,
-                     max_steps: int = 20, objective: str = "l1",
-                     config: SolverConfig | None = None):
-    """Grid search over eps: smallest tolerance the solver finds feasible.
-
-    Walks eps0, eps0*factor, ... until the ADMM converges feasibly and
-    returns (S, lam, trace, eps_used).
-    """
-    constraint_set = constraint_set or ShiftConstraintSet()
-    eps = eps0
-    last_exc = None
-    for _ in range(max_steps):
-        try:
-            S, lam, trace = infer_shift(basis, constraint_set, eps, objective, config)
-        except Infeasible as exc:
-            last_exc = exc
-            eps *= factor
-            continue
-        if trace.converged:
-            return S, lam, trace, eps
-        eps *= factor
-    raise Infeasible(f"no feasible eps up to {eps / factor:.3g}") from last_exc
 
 
 def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = None,

@@ -9,6 +9,7 @@ from scipy.optimize import brentq, linprog, minimize
 import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.solvers as sv
+import glkit.spectralid as sid
 from glkit.errors import BadInput, Infeasible
 from glkit.metrics import scale_aligned_error
 
@@ -394,6 +395,22 @@ class TestCachedIndexParity:
         assert trace.iters_used == trace_ref.iters_used
 
 
+def alternating_gap(V, cset, tol, max_iters):
+    """The gap by plain alternating projections: the distance sequence
+    falls monotonically; stops once it falls by at most tol relative."""
+    coupling = sv.SpectralCoupling(V, 0.0)
+    S = cset.project(np.ones((V.shape[0], V.shape[0])))
+    prev = np.inf
+    for _ in range(max_iters):
+        T = coupling.project(S)
+        S = cset.project(T)
+        gap = float(np.linalg.norm(S - T))
+        if prev - gap <= tol * max(gap, 1e-12):
+            return gap
+        prev = gap
+    raise AssertionError("reference gap did not converge")
+
+
 class TestSpectralGap:
     def test_warns_when_capped(self):
         V = sampled_basis(12, 5)
@@ -404,33 +421,82 @@ class TestSpectralGap:
             warnings.simplefilter("error")
             gap = sv.spectral_gap(V, cset)
         assert type(capped) is float and type(gap) is float
-        # the distance sequence is non-increasing
+        # the smallest distance seen can only fall with more iterations
         assert capped >= gap > 0
 
+    @given(hst.sampled_from(["first_node", "total"]), hst.integers(4, 12),
+           hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
+    def test_upper_bound_close_to_tight_reference(self, name, n, u, seed):
+        cset = SHIFT_SETS[name]
+        G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
+        X = 10.0 ** u * sim.gen_diffusion(G, [1.0, 0.5, 0.2], 200, rng=seed).data
+        V = gc.eigendecompose(np.cov(X)).vecs
+        gap = sv.spectral_gap(V, cset)
+        ref = alternating_gap(V, cset, 1e-13, 200000)
+        # a feasible-pair distance never undercuts the gap, which the
+        # tight reference overestimates only by its last steps
+        assert ref * (1.0 - 1e-9) <= gap <= ref * (1.0 + 1e-3)
 
-def lp_oracle_shift(V, cset):
-    """Exact l1-minimal shift with eigenbasis V, via linear programming
-    over the eigenvalues (adjacency sets only)."""
-    n = V.shape[0]
-    P = np.einsum("ik,jk->ijk", V, V).reshape(n * n, n)
-    iu, ju = np.triu_indices(n, 1)
-    c = P.reshape(n, n, n)[iu, ju].sum(axis=0) * 2.0
-    a_eq = [P[i * n + i] for i in range(n)]
-    b_eq = [0.0] * n
-    if cset.scale == "first_node":
-        a_eq.append(sum(P[j * n + 0] for j in range(n)))
-        b_eq.append(1.0)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_projection_calls_on_diffusion_signals(self, seed, monkeypatch):
+        G = sim.gen_er_graph(30, 0.3, rng=seed, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=seed + 100).data
+        V = gc.eigendecompose(np.cov(X)).vecs
+        calls = []
+        for cls in (sv.ShiftConstraintSet, sv.SpectralCoupling):
+            def counted(self, M, _project=cls.project):
+                calls.append(1)
+                return _project(self, M)
+            monkeypatch.setattr(cls, "project", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv.spectral_gap(V, sv.ShiftConstraintSet())
+        assert len(calls) <= 400
+
+
+def dense_lp_oracle(V, cset, objective):
+    """The eps = 0 spectral-template LP in one HiGHS call over the entries
+    S_ij, i <= j, with every row present: the set's rows, (U'SU)_ab = 0
+    for each a < b with a among the K given columns (U = [V Vc]), and
+    the l1 objective <G, S> or a sup-norm epigraph. Returns the linprog
+    result and the assembled S (None when not solved)."""
+    n, k = V.shape
+    ti, tj = np.triu_indices(n)
+
+    def lin(M):  # coefficients of <M, S> over the entries
+        return (M + M.T - np.diag(np.diag(M)))[ti, tj]
+
+    U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
+    G = cset.l1_tilt(n)
+    off = ti != tj
+    a_eq = [lin(np.outer(U[:, a], U[:, b]))
+            for a in range(k) for b in range(a + 1, n)]
+    if cset.kind == "adjacency":
+        a_eq += [lin(np.diag(np.eye(n)[i])) for i in range(n)]
     else:
-        a_eq.append(P.sum(axis=0))
-        b_eq.append(float(n))
-    a_ub = [-P[i * n + j] for i, j in zip(iu, ju)]
-    res = linprog(c, A_ub=np.vstack(a_ub), b_ub=np.zeros(len(a_ub)),
-                  A_eq=np.vstack(a_eq), b_eq=np.asarray(b_eq),
-                  bounds=(None, None), method="highs")
+        a_eq += [lin(np.outer(np.eye(n)[i], np.ones(n))) for i in range(n)]
+    A, b = cset.scale_equality(n)
+    a_eq.append(lin(A))
+    b_eq = np.zeros(len(a_eq))
+    b_eq[-1] = b
+    signs = -G[ti, tj][off, None] * np.eye(ti.size)[off]
+    if objective == "l1":
+        c, a_ub, bounds = lin(G), signs, (None, None)
+    else:
+        absolute = G[ti, tj][:, None] * np.eye(ti.size)
+        a_ub = np.block([[signs, np.zeros((signs.shape[0], 1))],
+                         [absolute, -np.ones((ti.size, 1))]])
+        a_eq = [np.append(row, 0.0) for row in a_eq]
+        c = np.append(np.zeros(ti.size), 1.0)
+        bounds = [(None, None)] * ti.size + [(0.0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=np.vstack(a_eq),
+                  b_eq=b_eq, bounds=bounds, method="highs")
     if res.status != 0:
-        return None
-    lam = res.x
-    return (V * lam) @ V.T
+        return res, None
+    S = np.zeros((n, n))
+    S[ti, tj] = res.x[:ti.size]
+    S[tj, ti] = res.x[:ti.size]
+    return res, S
 
 
 class TestAdmmKernel:
@@ -476,7 +542,7 @@ class TestAdmmSpectral:
             W[ju, iu] = w
             H = np.eye(4) + 0.5 * W + 0.2 * W @ W
             basis = gc.eigendecompose(H @ H)
-            oracle = lp_oracle_shift(basis.vecs, sv.ShiftConstraintSet())
+            _, oracle = dense_lp_oracle(basis.vecs, sv.ShiftConstraintSet(), "l1")
             if oracle is None:
                 continue
             S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
@@ -573,6 +639,78 @@ class TestSpectralLP:
             off = V.T @ S @ V
             assert np.abs(off - np.diag(np.diag(off))).max() <= 1e-9
             assert np.abs(S).max() <= np.abs(S_l1).max() + 1e-9
+
+
+class TestRowGeneration:
+    """The row-generation LP against the dense one-call oracle."""
+
+    @given(hst.sampled_from(list(SHIFT_SETS)), hst.sampled_from(["l1", "linf"]),
+           hst.sampled_from(["full", "half", "none", "random"]), hst.integers(4, 12),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_oracle(self, name, objective, basis, n, seed):
+        cset = SHIFT_SETS[name]
+        G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
+        shift = G.data if cset.kind == "adjacency" else gc.laplacian_from_weights(G.data)
+        V = gc.eigendecompose(sim.diffusion_covariance(shift, [1.0, 0.5, 0.2])).vecs
+        if basis == "random":  # almost never fits the set: Infeasible
+            V = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+        V = V[:, :{"full": n, "half": n // 2, "none": 0, "random": n}[basis]]
+        res, S_ref = dense_lp_oracle(V, cset, objective)
+        assert res.status in (0, 2)
+        if res.status == 2:
+            with pytest.raises(Infeasible):
+                sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
+            return
+        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
+        assert trace.converged
+        assert cset.violation(S) <= 1e-9
+        assert abs(trace.objective[-1] - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+        pairs = n * (n - 1) // 2
+        full = pairs if objective == "l1" else 2 * pairs + n
+        assert trace.notes["lp_rows_full"] == full
+        # the l1 solves also hold the implied row <G, S> >= 0
+        assert trace.notes["lp_rows"] <= full + 1
+        if cset.kind == "adjacency" and V.shape[1] == n and \
+                np.linalg.matrix_rank(V * V) == n - 1:
+            # the zero diagonal leaves one ray of eigenvalues: the set
+            # meets the span in one point, the optimum is unique
+            np.testing.assert_allclose(S, S_ref, rtol=0,
+                                       atol=1e-9 * np.abs(S_ref).max())
+
+    def test_unbounded_first_restriction(self, monkeypatch):
+        # with no basis (K = 0) S is any member of the set; kept to the
+        # first vertex's sign rows, min sum(S) is unbounded, since any
+        # other entry can fall without limit
+        n = 6
+        iu, ju = np.triu_indices(n, 1)
+        first = (iu == 0).astype(float)
+        res = linprog(np.full(iu.size, 2.0), A_ub=-np.eye(iu.size)[iu == 0],
+                      b_ub=np.zeros(n - 1), A_eq=first[None], b_eq=[1.0],
+                      bounds=(None, None), method="highs")
+        assert res.status == 3
+        solves = []
+
+        def recorded(*args, **kwargs):
+            out = linprog(*args, **kwargs)
+            solves.append((kwargs["A_ub"].shape[0], out.nit))
+            return out
+
+        monkeypatch.setattr("scipy.optimize.linprog", recorded)
+        S, _, trace = sv.admm_l1_spectral(np.zeros((n, 0)), 0.0,
+                                          sv.ShiftConstraintSet())
+        assert trace.converged and trace.notes["lp_rounds"] == len(solves) > 1
+        assert trace.iters_used == sum(nit for _, nit in solves)
+        assert trace.notes["lp_rows"] == solves[-1][0]
+        # the sparsest member: one edge of weight one at the first vertex
+        assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-9)
+        assert sv.ShiftConstraintSet().violation(S) <= 1e-12
+
+    def test_rows_below_the_full_lp_at_n60(self):
+        G = sim.gen_er_graph(60, 0.3, rng=1, require_connected=True)
+        cov = sim.diffusion_covariance(G, [1.0, 0.5, 0.2])
+        S, trace, _ = sid.infer_shift_from_signals(cov)
+        assert trace.notes["lp_rows"] < 60 * 59 // 2
+        assert scale_aligned_error(S, G.data) <= 1e-8
 
 
 class TestPrimalDualGraph:

@@ -315,11 +315,3 @@ class TestAutoEps:
         assert meta["eps"] > 0
         assert trace.converged
         assert ShiftConstraintSet().violation(S) <= 1e-9
-
-    def test_grid_search_returns_feasible_eps(self):
-        G = sim.gen_er_graph(6, 0.5, rng=19, require_connected=True)
-        X = sim.gen_diffusion(G, [1.0, 0.4], 200, rng=20)
-        basis, _ = sid.estimate_eigenbasis(X)
-        S, lam, trace, eps = sid.infer_shift_grid(basis, eps0=1e-4)
-        assert trace.converged
-        assert eps > 0
