@@ -43,7 +43,6 @@ from .graphcore import (
 from .metrics import EvalReport, edge_prf, evaluate, scale_aligned_error, topk_recovery_curve
 from .netdyn import CascadeData, GraphTrajectory, dynamic_sem_track, sem_fit, svarm_fit
 from .simulate import (
-    RngSpec,
     gen_diffusion,
     gen_er_digraph,
     gen_er_graph,
@@ -53,12 +52,10 @@ from .simulate import (
 )
 from .smoothlearn import (
     DistanceMatrix,
-    SmoothPrior,
     distance_matrix,
     dong_learn,
     edge_select,
     edge_select_noisy,
-    general_smooth_learn,
     kalofolias_learn,
 )
 from .solvers import (

@@ -41,6 +41,8 @@ def _load_config(path) -> SolverConfig:
         payload = json.loads(open(path).read())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise BadParameter(f"config {path} must hold a JSON object")
     known = SolverConfig.__dataclass_fields__.keys()
     bad = set(payload) - set(known)
     if bad:
@@ -53,6 +55,20 @@ def _parse_floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",") if v != ""])
     except ValueError as exc:
         raise BadParameter(f"bad numeric list {text!r}") from exc
+
+
+def _parse_eps(text: str):
+    """``--eps``: "auto" or a finite number."""
+    if text == "auto":
+        return text
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = np.nan
+    if not np.isfinite(eps):
+        raise BadParameter(f"--eps must be 'auto' or a finite number, "
+                           f"got {text!r}")
+    return eps
 
 
 def _cset(args) -> ShiftConstraintSet:
@@ -191,8 +207,7 @@ def cmd_learn(args) -> int:
     if method == "edge-select":
         X = _signals(args)
         if args.noisy:
-            edges, Y, _ = smoothlearn.edge_select_noisy(X, args.k, args.alpha,
-                                                        config)
+            edges, Y, _ = smoothlearn.edge_select_noisy(X, args.k, args.alpha)
         else:
             edges, _ = smoothlearn.edge_select(X, args.k)
         W = np.zeros((X.shape[0], X.shape[0]))
@@ -204,13 +219,16 @@ def cmd_learn(args) -> int:
         X = _signals(args)
         cset = _cset(args)
         if method == "deconv":
-            S, trace = spectralid.network_deconvolve(X, cset, args.eps_num,
+            eps = 0.0 if args.eps == "auto" else args.eps
+            S, trace = spectralid.network_deconvolve(X, cset, eps,
                                                      args.objective, config)
             meta = {}
         elif method == "spectral-partial":
             basis, flags = spectralid.estimate_eigenbasis(X)
+            if not 0 <= args.k <= basis.n:
+                raise BadK(f"--k {args.k} outside 0..{basis.n}")
             keep = basis.vecs[:, -args.k:] if args.k else basis.vecs[:, ~flags]
-            S, trace = spectralid.infer_shift_partial(keep, cset, config)
+            S, trace = spectralid.infer_shift_partial(keep, cset)
             meta = {"kept": keep.shape[1]}
         else:
             S, trace, meta = spectralid.infer_shift_from_signals(
@@ -234,7 +252,7 @@ def cmd_learn(args) -> int:
             est = spectralid.psd_filter_ls(Sx, Sw, config=config)
             info = {"psd": est.psd, "provenance": est.provenance}
         else:
-            est, signs, info = spectralid.sym_filter_select(Sx, Sw, config)
+            est, signs, info = spectralid.sym_filter_select(Sx, Sw)
         serialize.write_matrix_csv(args.output, est.H)
         print(json.dumps(info))
         return 0
@@ -384,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--gamma", type=float, default=0.9,
                      help="forgetting factor (dsem)")
     lrn.add_argument("--k", type=int, default=0,
-                     help="edge budget / kept eigenvectors")
+                     help="edge budget / kept eigenvectors (0: non-degenerate)")
     lrn.add_argument("--noisy", action="store_true",
                      help="edge-select: alternate with denoising")
     lrn.add_argument("--distances", action="store_true",
                      help="kalofolias: input is already a distance matrix")
     lrn.add_argument("--eps", default="auto",
-                     help="spectral: mismatch tolerance, or 'auto'")
+                     help="spectral/deconv: mismatch tolerance, or 'auto' (deconv: 0)")
     lrn.add_argument("--objective", choices=["l1", "frobenius", "linf"],
                      default="l1")
     lrn.add_argument("--cset", choices=["adjacency", "laplacian"],
@@ -434,10 +452,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "method", None) == "spectral" and args.eps != "auto":
-            args.eps = float(args.eps)
-        if getattr(args, "method", None) == "deconv":
-            args.eps_num = 0.0 if args.eps == "auto" else float(args.eps)
+        if hasattr(args, "eps"):
+            args.eps = _parse_eps(args.eps)
         return args.func(args)
     except (BadParameter, BadK) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -141,11 +141,6 @@ class SpectralBasis:
     def n(self) -> int:
         return self.vecs.shape[0]
 
-    def degenerate_blocks(self, tol: float = DEGENERACY_TOL):
-        """Groups of eigenvalue indices closer than ``tol`` to their
-        neighbor; blocks of size > 1 carry a rotation ambiguity."""
-        return eigenvalue_blocks(self.vals, tol)
-
 
 @dataclass(frozen=True)
 class SignalSet:
@@ -290,22 +285,6 @@ def fix_eigenvector_signs(V: np.ndarray) -> np.ndarray:
     signs = np.sign(V[idx, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
     return V * signs
-
-
-def eigenvalue_blocks(vals, tol: float = DEGENERACY_TOL):
-    """Partition ascending eigenvalues into clusters whose consecutive
-    gaps are below ``tol`` (scaled by the spectrum's magnitude)."""
-    vals = np.asarray(vals, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    blocks, current = [], [0]
-    for k in range(1, vals.size):
-        if vals[k] - vals[k - 1] <= tol * scale:
-            current.append(k)
-        else:
-            blocks.append(tuple(current))
-            current = [k]
-    blocks.append(tuple(current))
-    return blocks
 
 
 def eigendecompose(S) -> SpectralBasis:

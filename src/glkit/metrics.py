@@ -112,16 +112,16 @@ def scale_aligned_error(S_hat, S_true) -> float:
     return float(np.linalg.norm(c * A - B) / nb)
 
 
-def evaluate(S_hat, S_true, threshold: float | None = None,
-             ks=None) -> EvalReport:
+def evaluate(S_hat, S_true, threshold: float | None = None) -> EvalReport:
     """Full evaluation report; default support threshold is
-    1e-6 times the largest magnitude in the estimate."""
+    1e-6 times the largest magnitude in the estimate. The top-k curve
+    is taken at k = 1, 5, 10, 25, 50, 100 and every pair, each capped
+    at the number of pairs."""
     A = as_matrix(S_hat)
     if threshold is None:
         threshold = DEFAULT_SUPPORT_THRESHOLD * float(np.abs(A).max(initial=0.0))
     p, r, f = edge_prf(S_hat, S_true, threshold)
     m = A.shape[0] * (A.shape[0] - 1) // 2
-    if ks is None:
-        ks = sorted({min(k, m) for k in (1, 5, 10, 25, 50, 100, m) if k >= 1})
+    ks = sorted({min(k, m) for k in (1, 5, 10, 25, 50, 100, m) if k >= 1})
     curve = topk_recovery_curve(S_hat, S_true, ks)
     return EvalReport(p, r, f, scale_aligned_error(S_hat, S_true), tuple(curve))

@@ -22,13 +22,9 @@ from .graphcore import ShiftKind, ShiftOperator, build_shift
 FLOAT_FMT = "%.17g"
 
 
-def write_matrix_csv(path, M, header: bool = False) -> None:
+def write_matrix_csv(path, M) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = []
-    if header:
-        lines.append(",".join(f"c{j}" for j in range(M.shape[1])))
-    for row in M:
-        lines.append(",".join(FLOAT_FMT % v for v in row))
+    lines = [",".join(FLOAT_FMT % v for v in row) for row in M]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -2,14 +2,13 @@
 
 Random graphs, Gaussian Markov random field samples, diffusion processes,
 smooth-signal factor models, and structural-equation cascades. Every
-generator takes an RngSpec (or a bare seed / numpy Generator) and
-reproduces bit-identical output for identical seeds.
+generator takes an int seed or a numpy Generator (None draws fresh
+entropy) and reproduces bit-identical output for identical seeds.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,43 +31,9 @@ from .graphcore import (
 )
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Seed plus generator id; same spec => bit-identical streams."""
-
-    seed: int = 0
-    generator: str = "pcg64"
-
-    def make(self) -> np.random.Generator:
-        if self.generator != "pcg64":
-            raise BadParameter(f"unknown generator {self.generator!r}")
-        return np.random.default_rng(self.seed)
-
-
 def make_rng(rng) -> np.random.Generator:
-    """Accept RngSpec, int seed, Generator, or None."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngSpec):
-        return rng.make()
+    """Accept an int seed, a Generator (returned as is) or None."""
     return np.random.default_rng(rng)
-
-
-@dataclass(frozen=True)
-class WeightDist:
-    """Edge-weight law for random graphs; default Uniform(0.5, 1.5)
-    keeps shifts well conditioned while exercising non-binary weights."""
-
-    kind: str = "uniform"
-    low: float = 0.5
-    high: float = 1.5
-
-    def draw(self, size, rng) -> np.ndarray:
-        if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size)
-        if self.kind == "constant":
-            return np.full(size, self.low)
-        raise BadParameter(f"unknown weight distribution {self.kind!r}")
 
 
 def is_connected(W) -> bool:
@@ -84,10 +49,10 @@ def is_connected(W) -> bool:
     return A.shape[0] > 0 and bool(reached.all())
 
 
-def gen_er_graph(n: int, p_edge: float, weight_dist: WeightDist | None = None,
-                 rng=None, require_connected: bool = False,
+def gen_er_graph(n: int, p_edge: float, rng=None, require_connected: bool = False,
                  max_tries: int = 1000) -> ShiftOperator:
-    """Erdos-Renyi adjacency with random weights.
+    """Erdos-Renyi adjacency with Uniform(0.5, 1.5) weights, which keep
+    shifts well conditioned while exercising non-binary weights.
 
     Each of the N(N-1)/2 vertex pairs is an edge independently with
     probability ``p_edge``. With ``require_connected`` the draw is
@@ -96,11 +61,10 @@ def gen_er_graph(n: int, p_edge: float, weight_dist: WeightDist | None = None,
     if not (0.0 <= p_edge <= 1.0):
         raise BadParameter("edge probability must lie in [0, 1]")
     rng = make_rng(rng)
-    weight_dist = weight_dist or WeightDist()
     m = n * (n - 1) // 2
     for _ in range(max_tries):
         mask = rng.random(m) < p_edge
-        w = np.where(mask, weight_dist.draw(m, rng), 0.0)
+        w = np.where(mask, rng.uniform(0.5, 1.5, m), 0.0)
         W = weights_from_edge_vector(w, n)
         if not require_connected or is_connected(W):
             return ShiftOperator(W, ShiftKind.ADJACENCY)
@@ -109,18 +73,17 @@ def gen_er_graph(n: int, p_edge: float, weight_dist: WeightDist | None = None,
 
 
 def gen_er_digraph(n: int, p_edge: float, radius: float = 0.5,
-                   weight_dist: WeightDist | None = None,
                    rng=None) -> ShiftOperator:
-    """Directed Erdos-Renyi network-effect matrix, rescaled so its
-    spectral radius equals ``radius`` (stable for SEM generation)."""
+    """Directed Erdos-Renyi network-effect matrix with Uniform(0.5, 1.5)
+    weights, rescaled so its spectral radius equals ``radius`` (stable
+    for SEM generation)."""
     if not (0.0 <= p_edge <= 1.0):
         raise BadParameter("edge probability must lie in [0, 1]")
     if not (0.0 <= radius < 1.0):
         raise BadParameter("spectral radius must lie in [0, 1)")
     rng = make_rng(rng)
-    weight_dist = weight_dist or WeightDist()
     W = np.where(rng.random((n, n)) < p_edge,
-                 weight_dist.draw((n, n), rng), 0.0)
+                 rng.uniform(0.5, 1.5, (n, n)), 0.0)
     np.fill_diagonal(W, 0.0)
     rho = spectral_radius(W)
     if rho > 0 and radius > 0:

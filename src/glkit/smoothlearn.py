@@ -1,8 +1,8 @@
 """Graph learning under smoothness priors.
 
 Covers the alternating factor-analysis learner (joint denoising +
-Laplacian fit), the log-degree-barrier weight learner and its
-generalizations, and exact cardinality-constrained edge selection. The
+Laplacian fit), the log-degree-barrier weight learner, and exact
+cardinality-constrained edge selection. The
 first two solve their weight problems with the edge-weight engine
 :func:`glkit.solvers.primal_dual_graph` (Newton on the N-variable dual),
 one engine call per solve and per outer iteration.
@@ -24,6 +24,9 @@ from .graphcore import (
     laplacian_from_weights,
 )
 from .solvers import DegreeTerm, SolveTrace, SolverConfig, primal_dual_graph
+
+DONG_OUTER_TOL = 1e-6         # relative objective change that ends dong_learn
+EDGE_SELECT_OUTER_ITERS = 50  # alternations of edge_select_noisy at most
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,6 @@ def as_distance(Z) -> DistanceMatrix:
     return Z if isinstance(Z, DistanceMatrix) else DistanceMatrix(np.asarray(Z, float))
 
 
-@dataclass(frozen=True)
-class SmoothPrior:
-    """Degree/weight regularizer selector for general_smooth_learn."""
-
-    kind: str = "log_barrier"
-    alpha: float = 1.0
-    beta: float = 0.0
-    sigma: float = 1.0
-
-
 def kalofolias_learn(Z, alpha: float, beta: float,
                      config: SolverConfig | None = None):
     """Weight learning with a log barrier on the degree vector.
@@ -121,29 +114,6 @@ def kalofolias_learn(Z, alpha: float, beta: float,
     return W, trace
 
 
-def general_smooth_learn(Z, prior: SmoothPrior,
-                         config: SolverConfig | None = None):
-    """Smoothness-based learning with a pluggable weight regularizer.
-
-    ``log_barrier`` delegates to :func:`kalofolias_learn`;
-    ``gaussian_entropy`` has the closed-form fixed point
-    W_ij = exp(-Z_ij / sigma^2) of the entropic objective.
-    """
-    Z = as_distance(Z).Z
-    if prior.kind == "log_barrier":
-        return kalofolias_learn(Z, prior.alpha, prior.beta, config)
-    if prior.kind == "gaussian_entropy":
-        if prior.sigma <= 0:
-            raise BadParameter("gaussian kernel width must be positive")
-        W = np.exp(-Z / prior.sigma ** 2)
-        np.fill_diagonal(W, 0.0)
-        trace = SolveTrace(converged=True, iters_used=0)
-        trace.log(float((W * Z).sum() + prior.sigma ** 2
-                        * (W * (np.log(np.maximum(W, 1e-300)) - 1.0)).sum()))
-        return W, trace
-    raise BadParameter(f"unknown smooth prior {prior.kind!r}")
-
-
 def _dong_objective(X, Y, W, Z_y, alpha, beta):
     fit = float(np.linalg.norm(X - Y) ** 2)
     smooth = 0.5 * float((W * Z_y).sum())
@@ -153,8 +123,7 @@ def _dong_objective(X, Y, W, Z_y, alpha, beta):
 
 
 def dong_learn(X, alpha: float, beta: float,
-               config: SolverConfig | None = None, outer_iters: int = 100,
-               outer_tol: float = 1e-6):
+               config: SolverConfig | None = None, outer_iters: int = 100):
     """Joint denoising and Laplacian learning by alternating minimization.
 
     Minimizes ||X - Y||_F^2 + alpha trace(Y' L Y) + beta/2 ||L||_F^2
@@ -165,7 +134,8 @@ def dong_learn(X, alpha: float, beta: float,
     term and the weight simplex enforcing the trace, then rescales
     exactly. The outer objective is non-increasing; an
     iteration that fails to improve it is rolled back and the loop
-    stops. Returns (L, Y, trace). Raises Infeasible for N < 2: no
+    stops, as it does once the objective falls by at most
+    ``DONG_OUTER_TOL`` relative. Returns (L, Y, trace). Raises Infeasible for N < 2: no
     Laplacian with trace N exists on one vertex.
     """
     if alpha <= 0 or beta <= 0:
@@ -199,12 +169,12 @@ def dong_learn(X, alpha: float, beta: float,
         obj = _dong_objective(X, Y_new, W_new, distance_matrix(Y_new).Z,
                               alpha, beta)
         trace.iters_used = outer + 1
-        if np.isfinite(best) and obj > best + outer_tol * max(1.0, abs(best)):
+        if np.isfinite(best) and obj > best + DONG_OUTER_TOL * max(1.0, abs(best)):
             trace.notes["rolled_back"] = True
             break
         L, Y = L_new, Y_new
         trace.log(obj)
-        if np.isfinite(best) and best - obj <= outer_tol * max(1.0, abs(best)):
+        if np.isfinite(best) and best - obj <= DONG_OUTER_TOL * max(1.0, abs(best)):
             trace.converged = True
             best = obj
             break
@@ -235,15 +205,14 @@ def edge_select(X, K: int):
     return edges, Z
 
 
-def edge_select_noisy(X, K: int, alpha: float,
-                      config: SolverConfig | None = None,
-                      outer_iters: int = 50):
+def edge_select_noisy(X, K: int, alpha: float):
     """Edge selection for noisy observations by alternating minimization.
 
     Alternates the closed-form denoiser Y = (I + alpha L)^-1 X with the
     exact rank-ordering step on the scores recomputed from Y. The
     objective ||X - Y||^2 + alpha trace(Y' L Y) is non-increasing; the
-    loop stops when the edge set repeats. Returns (edges, Y, trace).
+    loop stops when the edge set repeats, or after
+    ``EDGE_SELECT_OUTER_ITERS`` alternations. Returns (edges, Y, trace).
     """
     if alpha <= 0:
         raise BadParameter("alpha must be positive")
@@ -252,7 +221,7 @@ def edge_select_noisy(X, K: int, alpha: float,
     edges, _ = edge_select(X, K)
     trace = SolveTrace()
     Y = X
-    for outer in range(outer_iters):
+    for outer in range(EDGE_SELECT_OUTER_ITERS):
         L = build_shift([(i, j, 1.0) for i, j in edges], n,
                         ShiftKind.LAPLACIAN).data
         Y = np.linalg.solve(np.eye(n) + alpha * L, X)

@@ -23,6 +23,8 @@ thousands of times.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,8 +55,13 @@ class SolverConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1:
-            raise BadParameter("need tol > 0 and max_iters >= 1")
+        # an infinite tol stops every loop at once as converged, a NaN never
+        mi, tol = self.max_iters, self.tol
+        if isinstance(mi, bool) or not isinstance(mi, numbers.Integral) or mi < 1:
+            raise BadParameter(f"max_iters must be an integer >= 1, got {mi!r}")
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < math.inf):
+            raise BadParameter(f"tol must be a finite number > 0, got {tol!r}")
 
 
 @dataclass

@@ -22,10 +22,10 @@ from .errors import (
     TooLarge,
 )
 from .graphcore import (
+    DEGENERACY_TOL,
     SpectralBasis,
     as_matrix,
     as_signal_matrix,
-    eigenvalue_blocks,
     eigendecompose,
     fix_eigenvector_signs,
 )
@@ -36,6 +36,8 @@ from .solvers import (
     spectral_gap,
 )
 from .statnet import _as_covariance, _is_covariance
+
+SIGN_SEARCH_MAX_N = 16  # sym_filter_select enumerates 2^N sign patterns
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,22 @@ class FilterEstimate:
         object.__setattr__(self, "H", 0.5 * (H + H.T))
 
 
-def estimate_eigenbasis(data, degeneracy_tol: float = 1e-8):
+def estimate_eigenbasis(data):
     """Eigenbasis of the (sample) covariance, the candidate GFT basis.
 
     ``data`` is a SignalSet / N x P matrix, or an exact covariance
     (symmetric square matrix) for the infinite-sample mode. Returns the
     sign-normalized basis and a boolean flag per mode marking
-    eigenvalue clusters whose eigenvectors are only defined up to
-    rotation.
+    eigenvalue clusters, whose eigenvectors are only defined up to
+    rotation: a mode is flagged when its gap to a neighboring eigenvalue
+    is at most ``DEGENERACY_TOL`` times max(1, max |eigenvalue|).
     """
     basis = eigendecompose(_as_covariance(data))
+    scale = max(1.0, float(np.max(np.abs(basis.vals), initial=0.0)))
+    close = np.diff(basis.vals) <= DEGENERACY_TOL * scale
     flags = np.zeros(basis.n, dtype=bool)
-    for block in eigenvalue_blocks(basis.vals, degeneracy_tol):
-        if len(block) > 1:
-            flags[list(block)] = True
+    flags[1:] |= close
+    flags[:-1] |= close
     return basis, flags
 
 
@@ -85,48 +89,33 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     return admm_l1_spectral(V, eps, constraint_set, config, objective)
 
 
-def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None,
-                        config: SolverConfig | None = None):
+def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None):
     """Shift recovery from an incomplete eigenbasis.
 
     The known columns constrain their spectral block to be diagonal;
     the orthogonal complement carries a free symmetric block. The
-    l1-minimal such member of the set is one exact linear program, so
-    the iterative knobs of ``config`` go unused. K = N reduces to
-    :func:`infer_shift` with eps = 0, K = 0 to the sparsest member of
-    the constraint set.
+    l1-minimal such member of the set is one exact linear program,
+    solved by HiGHS with no iteration cap or tolerance to set. K = N
+    reduces to :func:`infer_shift` with eps = 0, K = 0 to the sparsest
+    member of the constraint set.
     """
     V_K = np.asarray(V_K, dtype=float)
     if V_K.ndim != 2:
         raise BadInput("partial basis must be an N x K matrix")
     constraint_set = constraint_set or ShiftConstraintSet()
-    S, lam, trace = admm_l1_spectral(V_K, 0.0, constraint_set, config, "l1")
+    S, lam, trace = admm_l1_spectral(V_K, 0.0, constraint_set)
     return S, trace
-
-
-def spectral_feasibility_gap(basis, constraint_set: ShiftConstraintSet | None = None,
-                             tol: float = 1e-6, max_iters: int = 3000) -> float:
-    """An eps for which the noisy-basis recovery is feasible: the
-    smallest distance between a member of the constraint set and a
-    member of the span of the basis's rank-one eigen-matrices that
-    :func:`solvers.spectral_gap` meets (accelerated alternating
-    projections). It bounds the gap from above, so every eps at or
-    above it is feasible. Warns when ``max_iters`` runs out before the
-    ``tol`` rule holds."""
-    V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
-    return spectral_gap(V, constraint_set or ShiftConstraintSet(),
-                        tol=tol, max_iters=max_iters)
 
 
 def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = None,
                              eps="auto", objective: str = "l1",
-                             config: SolverConfig | None = None,
-                             eps_margin: float = 2.0):
+                             config: SolverConfig | None = None):
     """End-to-end stationary pipeline: covariance eigenvectors, then
     eigenvalue selection.
 
-    ``eps="auto"`` solves at ``eps_margin`` times the feasibility gap of
-    the estimated basis (zero for an exact covariance input); a numeric
+    ``eps="auto"`` solves at twice the feasibility gap of the estimated
+    basis (:func:`solvers.spectral_gap`, an upper bound on the smallest
+    feasible eps) or at zero for an exact covariance input; a numeric
     eps is used as-is. Degenerate eigenvalue blocks in the covariance
     route the unambiguous eigenvectors to the partial-basis variant.
     """
@@ -137,13 +126,13 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
         # spectrum leaves no spectral constraint at all (K = 0) and the
         # sparsest member of the constraint set comes back
         keep = basis.vecs[:, ~flags]
-        S, trace = infer_shift_partial(keep, constraint_set, config)
+        S, trace = infer_shift_partial(keep, constraint_set)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
     if eps == "auto":
         if _is_covariance(as_signal_matrix(data)):
             eps_val = 0.0  # exact covariance supplied
         else:
-            eps_val = eps_margin * spectral_feasibility_gap(basis, constraint_set)
+            eps_val = 2.0 * spectral_gap(basis.vecs, constraint_set)
         S, lam, trace = infer_shift(basis, constraint_set, eps_val, objective,
                                     config)
         return S, trace, {"eps": eps_val}
@@ -189,11 +178,11 @@ def psd_filter_recover(Sigma_x, Sigma_w) -> FilterEstimate:
     return FilterEstimate(0.5 * (H + H.T), psd=True, provenance="psd-closed-form")
 
 
-def psd_filter_ls(Sigma_x_list, Sigma_w_list, weights=None,
+def psd_filter_ls(Sigma_x_list, Sigma_w_list,
                   config: SolverConfig | None = None) -> FilterEstimate:
     """PSD-constrained least-squares filter fit across M processes.
 
-    Minimizes the weighted sum of || R_m - Q_m H Q_m ||_F^2 over H >= 0,
+    Minimizes the mean of || R_m - Q_m H Q_m ||_F^2 over H >= 0,
     with Q_m the square root of the m-th input covariance and R_m the
     square root of Q_m Sigma_x_m Q_m, by projected gradient descent on
     the PSD cone. With exact covariances and M = 1 this matches the
@@ -205,8 +194,8 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list, weights=None,
     m = len(Sx)
     if m < 1 or len(Sw) != m:
         raise BadInput("need matching, nonempty covariance lists")
-    wts = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, float)
-    wts = wts / wts.sum()
+    wts = np.full(m, 1.0 / m)
+    wts = wts / wts.sum()  # m copies of fl(1/m) need not sum to exactly 1
     Q = [sqrt_psd(S) for S in Sw]
     R = [sqrt_psd(Q[k] @ Sx[k] @ Q[k]) for k in range(m)]
     lip = 2.0 * sum(w * np.linalg.eigvalsh(S)[-1] ** 2 for w, S in zip(wts, Sw))
@@ -235,19 +224,7 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list, weights=None,
                           provenance="psd-least-squares")
 
 
-def _sign_candidates(A_m: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Stack of vec(H) candidates for every sign vector (rows)."""
-    return signs @ A_m.T
-
-
-def _all_signs(n: int) -> np.ndarray:
-    if n > 20:
-        raise TooLarge("sign enumeration beyond N = 20 is not supported")
-    return np.array(list(product((1.0, -1.0), repeat=n)))
-
-
-def sym_filter_select(Sigma_x_list, Sigma_w_list,
-                      config: SolverConfig | None = None, max_n: int = 16):
+def sym_filter_select(Sigma_x_list, Sigma_w_list):
     """Symmetric (not necessarily PSD) filter identification by
     exhaustive search over eigenvalue sign patterns.
 
@@ -265,9 +242,10 @@ def sym_filter_select(Sigma_x_list, Sigma_w_list,
     if m < 1 or len(Sw) != m:
         raise BadInput("need matching, nonempty covariance lists")
     n = Sx[0].shape[0]
-    if n > max_n:
+    if n > SIGN_SEARCH_MAX_N:
         raise TooLarge(f"N = {n} exceeds the 2^N enumeration budget "
-                       f"(max {max_n}); use the PSD path or fewer nodes")
+                       f"(max {SIGN_SEARCH_MAX_N}); use the PSD path or "
+                       "fewer nodes")
     bases = []
     for k in range(m):
         w_isqrt = inv_sqrt_pd(Sw[k])
@@ -279,7 +257,7 @@ def sym_filter_select(Sigma_x_list, Sigma_w_list,
         Q = w_isqrt @ V
         A = np.einsum("ik,jk->ijk", P, Q).reshape(n * n, n)
         bases.append(A)
-    signs = _all_signs(n)
+    signs = np.array(list(product((1.0, -1.0), repeat=n)))
 
     if m == 1:
         # every sign pattern reproduces Sigma_x exactly: report the tie
@@ -296,7 +274,7 @@ def sym_filter_select(Sigma_x_list, Sigma_w_list,
         return est, [np.ones(n)], {"identifiable": False, "all_tie": tie,
                                    "residual": 0.0}
 
-    cands = [_sign_candidates(A, signs) for A in bases]
+    cands = [signs @ A.T for A in bases]  # row s: vec(H) for sign vector s
 
     def pairwise(idx):
         tot = 0.0

@@ -206,6 +206,39 @@ class TestCli:
                             str(cfg), "-o", str(tmp_path / "x.json")) == 2
             assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "5", '{"tol": "abc"}', '{"tol": null}', '{"max_iters": 2.5}',
+        '{"tol": Infinity}', '{"tol": NaN}'])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        # Infinity once stopped glasso after one iteration as converged,
+        # and NaN ran it to the cap; the rest raised TypeError (exit 1)
+        sig = tmp_path / "sig.csv"
+        ser.write_matrix_csv(sig, np.random.default_rng(2).standard_normal((4, 50)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert self.run("learn", "glasso", "-i", str(sig), "--config", str(cfg),
+                        "-o", str(tmp_path / "x.json")) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["spectral", "deconv"])
+    def test_non_numeric_eps_is_usage_error(self, tmp_path, capsys, method):
+        sig = tmp_path / "sig.csv"
+        ser.write_matrix_csv(sig, np.eye(4))
+        assert self.run("learn", method, "-i", str(sig), "--eps", "foo",
+                        "-o", str(tmp_path / "x.json")) == 2
+        assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["-3", "20"])
+    def test_partial_k_outside_range_is_usage_error(self, tmp_path, capsys, k):
+        # -3 once dropped the first three eigenvectors; 20 at N = 8 kept
+        # all eight and then exited 4 as infeasible
+        sig = tmp_path / "sig.csv"
+        assert self.run("simulate", "diffusion", "--n", "8", "--p", "500",
+                        "--seed", "4", "-o", str(sig)) == 0
+        assert self.run("learn", "spectral-partial", "-i", str(sig), "--k", k,
+                        "-o", str(tmp_path / "x.json")) == 2
+        assert "outside 0..8" in capsys.readouterr().err
+
     def test_dsem_emit_every_zero_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         x, u = tmp_path / "x.csv", tmp_path / "u.csv"

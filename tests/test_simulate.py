@@ -50,8 +50,8 @@ class TestErGraph:
         assert w.min() >= 0.5 and w.max() <= 1.5
 
     def test_bit_identical_reproduction(self):
-        a = sim.gen_er_graph(10, 0.4, rng=sim.RngSpec(7))
-        b = sim.gen_er_graph(10, 0.4, rng=sim.RngSpec(7))
+        a = sim.gen_er_graph(10, 0.4, rng=7)
+        b = sim.gen_er_graph(10, 0.4, rng=7)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -76,8 +76,8 @@ class TestGmrfSampling:
             sim.sample_gmrf(np.diag([1.0, 0.0]), 10, rng=6)
 
     def test_reproducible(self):
-        a = sim.sample_gmrf(np.eye(3), 50, rng=sim.RngSpec(11))
-        b = sim.sample_gmrf(np.eye(3), 50, rng=sim.RngSpec(11))
+        a = sim.sample_gmrf(np.eye(3), 50, rng=11)
+        b = sim.sample_gmrf(np.eye(3), 50, rng=11)
         np.testing.assert_array_equal(a.data, b.data)
 
 
@@ -190,10 +190,41 @@ def test_all_generators_reproducible():
     G = sim.gen_er_graph(6, 0.5, rng=21, require_connected=True)
     L = gc.laplacian_from_weights(G.data)
     pairs = [
-        (sim.gen_diffusion(G, [1.0, 0.3], 20, rng=sim.RngSpec(5)),
-         sim.gen_diffusion(G, [1.0, 0.3], 20, rng=sim.RngSpec(5))),
-        (sim.gen_smooth(L, 20, 0.1, rng=sim.RngSpec(6)),
-         sim.gen_smooth(L, 20, 0.1, rng=sim.RngSpec(6))),
+        (sim.gen_diffusion(G, [1.0, 0.3], 20, rng=5),
+         sim.gen_diffusion(G, [1.0, 0.3], 20, rng=5)),
+        (sim.gen_smooth(L, 20, 0.1, rng=6),
+         sim.gen_smooth(L, 20, 0.1, rng=6)),
     ]
     for a, b in pairs:
         np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_er_streams_pinned(seed):
+    # every benchmark graph comes from these two generators: the draws
+    # below, in this order, fix their outputs and the generator state
+    # they leave behind
+    n, p = 9, 0.3
+    m = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, 1)
+    for connected in (False, True):
+        ref = np.random.default_rng(seed)
+        while True:
+            mask = ref.random(m) < p
+            W = np.zeros((n, n))
+            W[iu, ju] = W[ju, iu] = np.where(mask, ref.uniform(0.5, 1.5, m), 0.0)
+            if not connected or sim.is_connected(W):
+                break
+        rng = np.random.default_rng(seed)
+        G = sim.gen_er_graph(n, p, rng=rng, require_connected=connected)
+        np.testing.assert_array_equal(G.data, W)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    ref = np.random.default_rng(seed)
+    W = np.where(ref.random((n, n)) < p, ref.uniform(0.5, 1.5, (n, n)), 0.0)
+    np.fill_diagonal(W, 0.0)
+    W = W * (0.4 / np.abs(np.linalg.eigvals(W)).max())
+    rng = np.random.default_rng(seed)
+    D = sim.gen_er_digraph(n, p, radius=0.4, rng=rng)
+    np.testing.assert_array_equal(D.data, W)
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -128,31 +128,6 @@ class TestKalofolias:
             sl.kalofolias_learn(np.zeros((3, 3)), 0.0, 1.0)
 
 
-class TestGeneralSmooth:
-    def test_gaussian_kernel_values(self):
-        Z = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 4.0], [0.0, 4.0, 0.0]])
-        W, trace = sl.general_smooth_learn(Z, sl.SmoothPrior("gaussian_entropy",
-                                                             sigma=1.0))
-        assert W[0, 2] == pytest.approx(1.0)     # zero distance
-        assert W[0, 1] == pytest.approx(np.exp(-1.0))
-        assert W[1, 2] == pytest.approx(np.exp(-4.0))
-        assert np.all(np.diag(W) == 0.0)
-        assert trace.converged
-
-    def test_log_barrier_delegates_bitwise(self):
-        rng = np.random.default_rng(5)
-        Z = sl.distance_matrix(rng.standard_normal((5, 8)))
-        W1, _ = sl.general_smooth_learn(Z, sl.SmoothPrior("log_barrier",
-                                                          alpha=1.2, beta=0.4))
-        W2, _ = sl.kalofolias_learn(Z, 1.2, 0.4)
-        np.testing.assert_array_equal(W1, W2)
-
-    def test_bad_sigma(self):
-        with pytest.raises(BadParameter):
-            sl.general_smooth_learn(np.zeros((3, 3)),
-                                    sl.SmoothPrior("gaussian_entropy", sigma=0.0))
-
-
 class TestDongLearn:
     def test_tiny_alpha_keeps_signals(self):
         rng = np.random.default_rng(6)

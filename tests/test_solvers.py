@@ -10,12 +10,27 @@ import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.solvers as sv
 import glkit.spectralid as sid
-from glkit.errors import BadInput, Infeasible
+from glkit.errors import BadInput, BadParameter, Infeasible
 from glkit.metrics import scale_aligned_error
 
 
 def make_config(**kw):
     return sv.SolverConfig(**kw)
+
+
+class TestSolverConfig:
+    def test_numpy_scalars_accepted(self):
+        cfg = sv.SolverConfig(max_iters=np.int64(7), tol=np.float64(1e-3))
+        assert (cfg.max_iters, cfg.tol) == (7, 1e-3)
+
+    @pytest.mark.parametrize("kw", [
+        {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
+        {"max_iters": "10"}, {"max_iters": None}, {"tol": 0.0},
+        {"tol": -1e-3}, {"tol": np.inf}, {"tol": np.nan}, {"tol": "abc"},
+        {"tol": None}, {"tol": True}])
+    def test_bad_values_rejected(self, kw):
+        with pytest.raises(BadParameter):
+            sv.SolverConfig(**kw)
 
 
 class TestLassoCD:

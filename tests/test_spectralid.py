@@ -8,7 +8,8 @@ import glkit.simulate as sim
 import glkit.spectralid as sid
 from glkit.errors import Infeasible, SingularInputCovariance, TooLarge
 from glkit.metrics import scale_aligned_error
-from glkit.solvers import ShiftConstraintSet
+import glkit.solvers as sv
+from glkit.solvers import ShiftConstraintSet, spectral_gap
 
 
 def diffused_basis(G, h=(1.0, 0.5, 0.2)):
@@ -303,7 +304,7 @@ class TestAutoEps:
         G = sim.gen_er_graph(8, 0.4, rng=17, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5], 300, rng=18)
         basis, _ = sid.estimate_eigenbasis(X)
-        gap = sid.spectral_feasibility_gap(basis)
+        gap = spectral_gap(basis.vecs, ShiftConstraintSet())
         S, lam, trace = sid.infer_shift(basis, eps=2.0 * gap)
         assert trace.converged
 
@@ -315,3 +316,41 @@ class TestAutoEps:
         assert meta["eps"] > 0
         assert trace.converged
         assert ShiftConstraintSet().violation(S) <= 1e-9
+
+
+class TestRobustObjectives:
+    """The eps > 0 ADMM under each objective, on one sampled diffusion
+    (eps = 0.1122 there; all three solves converge)."""
+
+    NORMS = {"l1": lambda S: np.abs(S).sum(),
+             "linf": lambda S: np.abs(S).max(),
+             "frobenius": np.linalg.norm}
+
+    def test_each_objective_minimizes_its_own_norm(self, monkeypatch):
+        G = sim.gen_er_graph(12, 0.3, rng=5, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=15)
+        V = sid.estimate_eigenbasis(X)[0].vecs
+        l1_ball_calls = []
+        project_l1_ball = sv.project_l1_ball
+
+        def counting(v, radius):
+            l1_ball_calls.append(radius)
+            return project_l1_ball(v, radius)
+
+        monkeypatch.setattr(sv, "project_l1_ball", counting)
+        sols, calls = {}, {}
+        for obj in self.NORMS:
+            before = len(l1_ball_calls)
+            S, trace, meta = sid.infer_shift_from_signals(X, objective=obj)
+            calls[obj] = len(l1_ball_calls) - before
+            assert trace.converged
+            assert ShiftConstraintSet().violation(S) <= 1e-9
+            lam = np.diag(V.T @ S @ V)
+            assert np.linalg.norm(S - (V * lam) @ V.T) <= meta["eps"] + 1e-5
+            sols[obj] = S
+        # the sup-norm prox runs its inner loop through project_l1_ball
+        assert calls["l1"] == calls["frobenius"] == 0 < calls["linf"]
+        for obj, norm in self.NORMS.items():
+            own = norm(sols[obj])
+            for other in sols.values():
+                assert own <= norm(other) * (1 + 1e-6)
