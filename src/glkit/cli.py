@@ -76,11 +76,10 @@ def _cset(args) -> ShiftConstraintSet:
                               scale=getattr(args, "scale", "first_node"))
 
 
-def _emit_graph(path, W, kind=ShiftKind.ADJACENCY, directed=False):
-    if isinstance(W, ShiftOperator):
-        shift = W
-    else:
-        shift = ShiftOperator(np.asarray(W, float), kind, directed)
+def _emit_graph(path, W):
+    """Write a ShiftOperator, or an array as an undirected adjacency."""
+    shift = W if isinstance(W, ShiftOperator) else \
+        ShiftOperator(np.asarray(W, float), ShiftKind.ADJACENCY)
     serialize.write_shift_any(path, shift)
     log.info("wrote %s", path)
 
@@ -141,15 +140,13 @@ def _signals(args) -> np.ndarray:
 
 
 def _table_payload(table: statnet.TestTable) -> dict:
+    cols = ("i", "j", "statistic", "p_value", "reject")
+    rows = zip(*(getattr(table, c).tolist() for c in cols))
     return {
         "method": table.method,
         "q": table.q,
-        "flags": {k: v for k, v in table.flags.items()},
-        "pairs": [
-            {"i": t.i, "j": t.j, "statistic": t.statistic,
-             "p_value": t.p_value, "reject": t.reject}
-            for t in table.pairs
-        ],
+        "flags": dict(table.flags),
+        "pairs": [dict(zip(cols, row)) for row in rows],
     }
 
 

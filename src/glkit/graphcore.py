@@ -102,23 +102,23 @@ class ShiftOperator:
         np.fill_diagonal(W, 0.0)
         return np.abs(W) if self.kind is not ShiftKind.ADJACENCY else W
 
-    def edges(self, tol: float = 0.0):
-        """Edge list [(i, j, w)] with i < j for undirected shifts,
-        all ordered (i, j) pairs for directed ones. Diagonal entries are
-        included as (i, i, w) records for precision/generic kinds."""
+    def edges(self):
+        """Edge list [(i, j, w)] of the nonzero entries: pairs i < j in
+        :func:`edge_index` order for undirected shifts, all ordered pairs
+        i != j row by row for directed ones, after the (i, i, w)
+        diagonal records of precision/generic kinds."""
         M = self.data
-        out = []
-        if self.kind in (ShiftKind.PRECISION, ShiftKind.GENERIC):
-            for i in range(self.n):
-                if abs(M[i, i]) > tol:
-                    out.append((i, i, float(M[i, i])))
-        vals = M if self.kind is not ShiftKind.LAPLACIAN else -M
-        for i in range(self.n):
-            cols = range(self.n) if self.directed else range(i + 1, self.n)
-            for j in cols:
-                if j != i and abs(vals[i, j]) > tol:
-                    out.append((i, j, float(vals[i, j])))
-        return out
+        vals = -M if self.kind is ShiftKind.LAPLACIAN else M
+        if self.directed:
+            rows, cols = np.nonzero((vals != 0) & ~np.eye(self.n, dtype=bool))
+        else:
+            iu, ju = edge_index(self.n)
+            keep = vals[iu, ju] != 0
+            rows, cols = iu[keep], ju[keep]
+        d = np.flatnonzero(np.diag(M)).tolist() \
+            if self.kind in (ShiftKind.PRECISION, ShiftKind.GENERIC) else []
+        return list(zip(d, d, M[d, d].tolist())) + \
+            list(zip(rows.tolist(), cols.tolist(), vals[rows, cols].tolist()))
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,10 @@ def edge_prf(S_hat, S_true, threshold: float = 0.0):
     return float(precision), float(recall), float(f)
 
 
-def topk_recovery_curve(S_hat, S_true, ks, threshold: float = 0.0):
-    """Fraction of true edges found among the k largest-weight predicted
-    pairs, for each k in the ascending list ``ks``.
+def topk_recovery_curve(S_hat, S_true, ks):
+    """Fraction of true edges (nonzero pairs of ``S_true``) found among
+    the k largest-weight predicted pairs, for each k in the ascending
+    list ``ks``.
 
     Pairs are ranked by |predicted weight| with lexicographic (i, j)
     tie-breaks, so the curve is deterministic.
@@ -82,7 +83,7 @@ def topk_recovery_curve(S_hat, S_true, ks, threshold: float = 0.0):
     iu, ju = edge_index(n)
     weights = np.abs(A[iu, ju])
     order = np.lexsort((ju, iu, -weights))
-    true = np.abs(B[iu, ju]) > threshold
+    true = np.abs(B[iu, ju]) > 0
     n_true = max(int(true.sum()), 1)
     found = np.cumsum(true[order])
     curve = []
@@ -116,12 +117,12 @@ def evaluate(S_hat, S_true, threshold: float | None = None) -> EvalReport:
     """Full evaluation report; default support threshold is
     1e-6 times the largest magnitude in the estimate. The top-k curve
     is taken at k = 1, 5, 10, 25, 50, 100 and every pair, each capped
-    at the number of pairs."""
+    at the number of pairs; it is empty for a graph with no pairs."""
     A = as_matrix(S_hat)
     if threshold is None:
         threshold = DEFAULT_SUPPORT_THRESHOLD * float(np.abs(A).max(initial=0.0))
     p, r, f = edge_prf(S_hat, S_true, threshold)
     m = A.shape[0] * (A.shape[0] - 1) // 2
-    ks = sorted({min(k, m) for k in (1, 5, 10, 25, 50, 100, m) if k >= 1})
+    ks = sorted({min(k, m) for k in (1, 5, 10, 25, 50, 100, m)}) if m else []
     curve = topk_recovery_curve(S_hat, S_true, ks)
     return EvalReport(p, r, f, scale_aligned_error(S_hat, S_true), tuple(curve))

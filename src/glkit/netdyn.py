@@ -85,12 +85,10 @@ class GraphTrajectory:
         self.objectives.append(float(objective))
 
 
-def _sem_grams(data: CascadeData):
-    """Joint Gram of stacked [x; u] samples plus per-sample count."""
-    n = data.n
-    A = np.concatenate([data.X, data.U], axis=0)        # 2N x T x C
-    flat = A.reshape(2 * n, -1)
-    return flat @ flat.T, flat.shape[1]
+def _sem_gram(data: CascadeData):
+    """Joint Gram of the stacked [x; u] samples."""
+    flat = np.concatenate([data.X, data.U], axis=0).reshape(2 * data.n, -1)
+    return flat @ flat.T
 
 
 def _sem_solve_nodes(G, n, lam, config, beta0=None):
@@ -122,9 +120,9 @@ def sem_fit(data: CascadeData, alpha: float,
     counts the most sweeps any row took and logs the summed final
     objective.
     """
-    if alpha < 0:
-        raise BadParameter("alpha must be nonnegative")
-    G, _ = _sem_grams(data)
+    if not 0 <= alpha < np.inf:
+        raise BadParameter(f"alpha must be a finite number >= 0, got {alpha!r}")
+    G = _sem_gram(data)
     # the squared-loss criterion carries no 1/2, so the coordinate
     # descent (which minimizes 0.5 LS + lam l1) gets lam = alpha / 2
     W, omega, _, rows = _sem_solve_nodes(G, data.n, alpha / 2.0, config)
@@ -183,8 +181,8 @@ def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
     """
     if not (0.0 < gamma <= 1.0):
         raise BadParameter("forgetting factor must lie in (0, 1]")
-    if alpha < 0:
-        raise BadParameter("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise BadParameter(f"alpha must be a finite number >= 0, got {alpha!r}")
     if emit_every < 1:
         raise BadParameter("emit_every must be at least 1")
     n = data.n

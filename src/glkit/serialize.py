@@ -23,9 +23,8 @@ FLOAT_FMT = "%.17g"
 
 
 def write_matrix_csv(path, M) -> None:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [",".join(FLOAT_FMT % v for v in row) for row in M]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)), fmt=FLOAT_FMT,
+               delimiter=",")
 
 
 def read_matrix_csv(path, header: bool = False) -> np.ndarray:

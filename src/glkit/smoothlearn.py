@@ -87,10 +87,10 @@ def kalofolias_learn(Z, alpha: float, beta: float,
     nodal degree strictly positive; beta = 0 yields the sparsest graph
     over a beta-grid on the same distances.
     """
-    if alpha <= 0:
-        raise BadParameter("log-barrier weight alpha must be positive")
-    if beta < 0:
-        raise BadParameter("beta must be nonnegative")
+    if not 0 < alpha < np.inf:
+        raise BadParameter(f"alpha must be a finite number > 0, got {alpha!r}")
+    if not 0 <= beta < np.inf:
+        raise BadParameter(f"beta must be a finite number >= 0, got {beta!r}")
     Z = as_distance(Z).Z
     iu, ju = edge_index(Z.shape[0])
     if beta == 0 and Z[iu, ju].min(initial=np.inf) <= 0:
@@ -138,8 +138,8 @@ def dong_learn(X, alpha: float, beta: float,
     ``DONG_OUTER_TOL`` relative. Returns (L, Y, trace). Raises Infeasible for N < 2: no
     Laplacian with trace N exists on one vertex.
     """
-    if alpha <= 0 or beta <= 0:
-        raise BadParameter("alpha and beta must be positive")
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+        raise BadParameter(f"alpha, beta must be finite and > 0: {alpha!r}, {beta!r}")
     X = as_signal_matrix(X)
     n = X.shape[0]
     if n < 2:
@@ -214,8 +214,8 @@ def edge_select_noisy(X, K: int, alpha: float):
     loop stops when the edge set repeats, or after
     ``EDGE_SELECT_OUTER_ITERS`` alternations. Returns (edges, Y, trace).
     """
-    if alpha <= 0:
-        raise BadParameter("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise BadParameter(f"alpha must be a finite number > 0, got {alpha!r}")
     X = as_signal_matrix(X)
     n = X.shape[0]
     edges, _ = edge_select(X, K)

@@ -35,6 +35,8 @@ from .errors import BadInput, BadParameter, Infeasible, SolverError
 from .graphcore import edge_index, edge_positions, weights_from_edge_vector
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
+SPECTRAL_GAP_TOL = 1e-6  # spectral_gap's relative-decrease stop
+SPECTRAL_GAP_MAX_ITERS = 3000
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
         raise BadInput("lasso needs a k x k Gram and k or m x k right-hand sides")
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(R))):
         raise BadInput("non-finite lasso inputs")
-    if lam < 0:
-        raise BadParameter("l1 penalty must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise BadParameter(f"l1 penalty must be a finite number >= 0, got {lam!r}")
     weights = np.broadcast_to(np.ones(k) if penalty_weights is None
                               else np.asarray(penalty_weights, float), (m, k))
     allowed = np.broadcast_to(True if mask is None else np.asarray(mask, bool), (m, k))
@@ -466,8 +468,7 @@ def _objective_value(S, objective: str) -> float:
     return float(np.abs(S).max())
 
 
-def spectral_gap(V, constraint_set: ShiftConstraintSet,
-                 tol: float = 1e-6, max_iters: int = 3000) -> float:
+def spectral_gap(V, constraint_set: ShiftConstraintSet) -> float:
     """Distance between the constraint set and the span of the basis's
     rank-one eigen-matrices.
 
@@ -481,14 +482,15 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
     smallest ||S - T||_F seen is returned: an upper bound on the gap,
     hence a candidate eps at or above it is guaranteed feasible. Stops
     once an iteration that does not restart lowers the distance by at
-    most ``tol`` relative; warns when ``max_iters`` runs out first.
+    most ``SPECTRAL_GAP_TOL`` relative; warns when
+    ``SPECTRAL_GAP_MAX_ITERS`` runs out first.
     """
     V = np.asarray(V, dtype=float)
     coupling = SpectralCoupling(V, 0.0)
     S = S_prev = constraint_set.project(np.ones((V.shape[0], V.shape[0])))
     t = 1.0
     prev = best = np.inf
-    for _ in range(max_iters):
+    for _ in range(SPECTRAL_GAP_MAX_ITERS):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         T = coupling.project(S + ((t - 1.0) / t_next) * (S - S_prev))
         S_prev, S = S, constraint_set.project(T)
@@ -496,14 +498,14 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet,
         best = min(best, dist)
         if dist > prev:
             t = 1.0  # restart: the next step is a plain projection pair
-        elif prev - dist <= tol * max(dist, 1e-12):
+        elif prev - dist <= SPECTRAL_GAP_TOL * max(dist, 1e-12):
             break
         else:
             t = t_next
         prev = dist
     else:
-        warnings.warn(f"spectral_gap stopped at its {max_iters}-iteration cap "
-                      "before its tol rule held", stacklevel=2)
+        warnings.warn(f"spectral_gap stopped at its {SPECTRAL_GAP_MAX_ITERS}-"
+                      "iteration cap before its tol rule held", stacklevel=2)
     return best
 
 
@@ -675,8 +677,8 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     """
     config = config or SolverConfig()
     V = np.asarray(V, dtype=float)
-    if eps < 0:
-        raise BadParameter("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise BadParameter(f"eps must be a finite number >= 0, got {eps!r}")
     if objective not in ("l1", "linf", "frobenius"):
         raise BadParameter(f"unknown objective {objective!r}")
     n = V.shape[0]

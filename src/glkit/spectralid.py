@@ -144,9 +144,9 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
 # graph filter identification from non-stationary diffusion
 
 
-def _eigh_psd(M, clip: float = 0.0):
+def _eigh_psd(M):
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    return np.maximum(vals, clip), vecs
+    return np.maximum(vals, 0.0), vecs
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -156,9 +156,9 @@ def sqrt_psd(M) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def inv_sqrt_pd(M, tol: float = 1e-12) -> np.ndarray:
+def inv_sqrt_pd(M) -> np.ndarray:
     vals, vecs = _eigh_psd(as_matrix(M))
-    if vals.min() <= tol * max(1.0, vals.max()):
+    if vals.min() <= 1e-12 * max(1.0, vals.max()):
         raise SingularInputCovariance("input covariance must be positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.T
 

@@ -38,35 +38,30 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class PairTest:
-    i: int
-    j: int
-    statistic: float
-    p_value: float
-    reject: bool
-
-
 @dataclass
 class TestTable:
-    """Per-pair test results for the hypothesis-testing learners."""
+    """Per-pair test results of the hypothesis-testing learners as
+    read-only columns, one entry per pair i < j in :func:`edge_index`
+    order: ``i``, ``j`` (views of that index), the Fisher
+    ``statistic``, its two-sided ``p_value`` and the Benjamini-Hochberg
+    ``reject``."""
 
-    pairs: list
+    i: np.ndarray
+    j: np.ndarray
+    statistic: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
     method: str
     q: float
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        seen = set()
-        for t in self.pairs:
-            if not (0.0 <= t.p_value <= 1.0):
-                raise BadParameter(f"p-value {t.p_value} outside [0, 1]")
-            if not t.i < t.j or (t.i, t.j) in seen:
-                raise BadParameter("pairs must cover each i < j exactly once")
-            seen.add((t.i, t.j))
-
-    def rejected(self):
-        return [(t.i, t.j) for t in self.pairs if t.reject]
+        for name in ("i", "j", "statistic", "p_value", "reject"):
+            col = np.asarray(getattr(self, name)).view()  # caller's stays writable
+            col.flags.writeable = False
+            setattr(self, name, col)
+        if not np.all((self.p_value >= 0.0) & (self.p_value <= 1.0)):
+            raise BadParameter("p-values must lie in [0, 1]")
 
 
 def sample_covariance(X, centered: bool = False) -> np.ndarray:
@@ -112,14 +107,13 @@ def _fisher_pvalues(rho, null_var: float):
 
 def _build_table(rho, null_var, q, method, n):
     iu, ju = edge_index(n)
-    z, pvals, sat = _fisher_pvalues(rho[iu, ju], null_var)
+    r = rho[iu, ju]
+    z, pvals, sat = _fisher_pvalues(r, null_var)
     reject = bh_select(pvals, q)
-    pairs = [PairTest(int(i), int(j), float(zz), float(pv), bool(rj))
-             for i, j, zz, pv, rj in zip(iu, ju, z, pvals, reject)]
-    flags = {"saturated_pairs": [(int(i), int(j))
-                                 for i, j, s in zip(iu, ju, sat) if s]}
-    table = TestTable(pairs, method, q, flags)
-    W = weights_from_edge_vector(np.where(reject, np.abs(rho[iu, ju]), 0.0), n)
+    hits = np.flatnonzero(sat)
+    flags = {"saturated_pairs": list(zip(iu[hits].tolist(), ju[hits].tolist()))}
+    table = TestTable(iu, ju, z, pvals, reject, method, q, flags)
+    W = weights_from_edge_vector(np.where(reject, np.abs(r), 0.0), n)
     return table, ShiftOperator(W, ShiftKind.ADJACENCY)
 
 
@@ -130,6 +124,8 @@ def correlation_network(X, q: float = 0.05):
     approximate Normal(0, 1/(P-3)) null; the Benjamini-Hochberg step-up
     rule selects the edge set and accepted pairs are weighted |rho_ij|.
     """
+    if not 0 < q < 1:
+        raise BadParameter(f"FDR level q must lie in (0, 1), got {q!r}")
     X = as_signal_matrix(X)
     n, p = X.shape
     if p <= 3:
@@ -151,6 +147,8 @@ def partial_correlation_network(X, q: float = 0.05, ridge: bool = False):
     With ``ridge`` a diagonal load of 1e-3 trace/N rescues singular
     covariances; otherwise they raise SingularCovariance.
     """
+    if not 0 < q < 1:
+        raise BadParameter(f"FDR level q must lie in (0, 1), got {q!r}")
     X = as_signal_matrix(X)
     n, p = X.shape
     if p <= n + 1:
@@ -162,9 +160,7 @@ def partial_correlation_network(X, q: float = 0.05, ridge: bool = False):
             raise SingularCovariance(
                 "sample covariance is singular; pass ridge=True to regularize")
         cov = cov + (1e-3 * np.trace(cov) / n) * np.eye(n)
-    theta = np.linalg.inv(cov)
-    d = np.sqrt(np.diag(theta))
-    rho = -theta / np.outer(d, d)
+    rho = population_partial_correlations(np.linalg.inv(cov))
     return _build_table(rho, 1.0 / (p - n - 1), q, "partial-correlation", n)
 
 
@@ -208,8 +204,8 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
     trace); Theta is positive definite by construction and
     ``trace.notes["support"]`` is the sparsity pattern of Z.
     """
-    if lam < 0:
-        raise BadParameter("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise BadParameter(f"lam must be a finite number >= 0, got {lam!r}")
     config = config or SolverConfig(tol=1e-10)
     S = _as_covariance(data)
     n = S.shape[0]
@@ -246,8 +242,8 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
     shift, gamma, trace); ``trace.notes["kkt_residual"]`` holds the
     residual.
     """
-    if lam < 0:
-        raise BadParameter("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise BadParameter(f"lam must be a finite number >= 0, got {lam!r}")
     config = config or SolverConfig()
     S = _as_covariance(data)
     n = S.shape[0]

@@ -166,7 +166,8 @@ def test_criterion_05_fdr_control():
         for c in cliques:
             X[c] = rng.standard_normal(60) + X[c]  # common factor
         table, _ = st.correlation_network(X, q=0.1)
-        rejected = {(t.i, t.j) for t in table.pairs if t.reject}
+        rejected = set(zip(table.i[table.reject].tolist(),
+                           table.j[table.reject].tolist()))
         r = len(rejected)
         false = len(rejected - true_pairs)
         fdps.append(false / r if r else 0.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import glkit.graphcore as gc
 from glkit.errors import (
@@ -331,6 +333,41 @@ class TestEdgeIndex:
         for arr in (*gc.edge_index(6), *gc.edge_positions(6)):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def reference_edges(S):
+    """The edge list by a plain double loop over every entry."""
+    M, n = S.data, S.n
+    out = []
+    if S.kind in (gc.ShiftKind.PRECISION, gc.ShiftKind.GENERIC):
+        out += [(i, i, float(M[i, i])) for i in range(n) if M[i, i] != 0]
+    vals = -M if S.kind is gc.ShiftKind.LAPLACIAN else M
+    for i in range(n):
+        for j in range(n) if S.directed else range(i + 1, n):
+            if j != i and vals[i, j] != 0:
+                out.append((i, j, float(vals[i, j])))
+    return out
+
+
+@given(st.integers(1, 12), st.sampled_from(list(gc.ShiftKind)), st.booleans(),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_edges_match_double_loop(n, kind, directed, density, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < density)
+    if not directed:
+        W = np.triu(W, 1) + np.triu(W, 1).T
+    np.fill_diagonal(W, 0.0)
+    if kind is gc.ShiftKind.ADJACENCY:
+        M = W
+    elif kind is gc.ShiftKind.LAPLACIAN:
+        M = np.diag(W.sum(axis=1)) - W
+    else:  # signed entries and a sparse diagonal
+        M = W * np.sign(W - 1.0) + np.diag(rng.normal(size=n) * (rng.random(n) < 0.5))
+    S = gc.ShiftOperator(M, kind, directed)
+    got = S.edges()
+    assert got == reference_edges(S)
+    assert all(type(i) is int and type(j) is int and type(w) is float
+               for i, j, w in got)
 
 
 def test_random_laplacians_are_psd():

@@ -85,6 +85,12 @@ class TestTopkCurve:
         assert all(b >= a for a, b in zip(fr, fr[1:]))
 
 
+def test_evaluate_single_vertex_has_empty_curve():
+    report = mt.evaluate(np.zeros((1, 1)), np.zeros((1, 1)))
+    assert report.topk_curve == ()
+    assert (report.precision, report.recall, report.f_score) == (1.0, 1.0, 1.0)
+
+
 class TestScaleAlignedError:
     def test_pure_rescaling_is_zero(self):
         rng = np.random.default_rng(2)
@@ -139,6 +145,15 @@ class TestSerialize:
         assert back.kind == kind
         np.testing.assert_array_equal(back.data, G.data)
 
+    def test_matrix_csv_bytes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, np.array([[np.nan, np.inf, -np.inf],
+                                             [-0.0, 1e-300, 1.0 / 3.0]]))
+        assert path.read_bytes() == \
+            b"nan,inf,-inf\n-0,1e-300,0.33333333333333331\n"
+        ser.write_matrix_csv(path, [2.5, -1, 0])  # 1-D: one row
+        assert path.read_bytes() == b"2.5,-1,0\n"
+
     def test_precision_round_trip_keeps_diagonal(self, tmp_path):
         theta = np.array([[2.0, -0.4], [-0.4, 1.5]])
         G = ShiftOperator(theta, ShiftKind.PRECISION)
@@ -173,6 +188,53 @@ class TestCli:
                         "--lambda", "auto", "-o", str(out)) == 0
         payload = json.loads(Path(out).read_text())
         assert payload["kind"] == "precision"
+
+    @pytest.mark.parametrize("method", ["corr", "pcorr"])
+    def test_table_out(self, tmp_path, method):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((6, 40))
+        if method == "corr":
+            X[4] = X[1]  # a saturated pair
+        sig, out, tab = tmp_path / "x.csv", tmp_path / "g.json", tmp_path / "t.json"
+        ser.write_matrix_csv(sig, X)
+        assert self.run("learn", method, "-i", str(sig), "-o", str(out),
+                        "--q", "0.2", "--table-out", str(tab)) == 0
+        table = json.loads(tab.read_text())
+        assert set(table) == {"method", "q", "flags", "pairs"}
+        assert table["q"] == 0.2
+        assert [(t["i"], t["j"]) for t in table["pairs"]] == \
+            [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        for t in table["pairs"]:
+            assert list(t) == ["i", "j", "statistic", "p_value", "reject"]
+            assert 0.0 <= t["p_value"] <= 1.0 and isinstance(t["reject"], bool)
+        shift = ser.read_graph_json(out)
+        assert {(t["i"], t["j"]) for t in table["pairs"] if t["reject"]} == \
+            {(i, j) for i, j, _ in shift.edges()}
+        sat = [[1, 4]] if method == "corr" else []
+        assert table["flags"] == {"saturated_pairs": sat}
+        if method == "corr":
+            assert '"statistic": Infinity' in tab.read_text()
+            hit = next(t for t in table["pairs"] if (t["i"], t["j"]) == (1, 4))
+            assert hit["p_value"] == 0.0 and hit["reject"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["dong", "--alpha", "nan"], ["dong", "--beta", "inf"],
+        ["lgmrf", "--lambda", "inf"], ["kalofolias", "--alpha", "inf"],
+        ["corr", "--q", "2"], ["corr", "--q", "nan"], ["pcorr", "--q", "0"]])
+    def test_out_of_range_parameter_is_usage_error(self, tmp_path, capsys, argv):
+        # these once ended in a traceback (exit 1), a data error (exit 3)
+        # or, for q, a silent exit 0
+        sig = tmp_path / "sig.csv"
+        ser.write_matrix_csv(sig, np.random.default_rng(2).standard_normal((5, 50)))
+        assert self.run("learn", argv[0], "-i", str(sig), *argv[1:],
+                        "-o", str(tmp_path / "x.json")) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_single_vertex_eval(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        ser.write_graph_json(g, ShiftOperator(np.zeros((1, 1)), ShiftKind.ADJACENCY))
+        assert self.run("eval", "-i", str(g), "--truth", str(g)) == 0
+        assert json.loads(capsys.readouterr().out)["topk_curve"] == []
 
     def test_unknown_method_usage_error(self):
         proc = subprocess.run(

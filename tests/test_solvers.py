@@ -427,11 +427,13 @@ def alternating_gap(V, cset, tol, max_iters):
 
 
 class TestSpectralGap:
-    def test_warns_when_capped(self):
+    def test_warns_when_capped(self, monkeypatch):
         V = sampled_basis(12, 5)
         cset = sv.ShiftConstraintSet()
-        with pytest.warns(UserWarning, match="cap"):
-            capped = sv.spectral_gap(V, cset, max_iters=2)
+        with monkeypatch.context() as m:
+            m.setattr(sv, "SPECTRAL_GAP_MAX_ITERS", 2)
+            with pytest.warns(UserWarning, match="cap"):
+                capped = sv.spectral_gap(V, cset)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap = sv.spectral_gap(V, cset)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.spectralid as sid
-from glkit.errors import Infeasible, SingularInputCovariance, TooLarge
+from glkit.errors import BadParameter, Infeasible, SingularInputCovariance, TooLarge
 from glkit.metrics import scale_aligned_error
 import glkit.solvers as sv
 from glkit.solvers import ShiftConstraintSet, spectral_gap
@@ -307,6 +307,14 @@ class TestAutoEps:
         gap = spectral_gap(basis.vecs, ShiftConstraintSet())
         S, lam, trace = sid.infer_shift(basis, eps=2.0 * gap)
         assert trace.converged
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        # both once returned after one ADMM iteration marked converged
+        G = sim.gen_er_graph(8, 0.4, rng=17, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5], 300, rng=18)
+        with pytest.raises(BadParameter, match="eps"):
+            sid.infer_shift_from_signals(X, ShiftConstraintSet(), eps)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_signals_converge_at_default_config(self, seed):

@@ -9,7 +9,7 @@ import glkit.netdyn as nd
 import glkit.simulate as sim
 import glkit.solvers as sv
 import glkit.statnet as st
-from glkit.errors import NoMLE, SingularCovariance, TooFewSamples
+from glkit.errors import BadParameter, NoMLE, SingularCovariance, TooFewSamples
 from glkit.solvers import SolverConfig
 
 
@@ -107,12 +107,28 @@ class TestCorrelationNetwork:
         table, W = st.correlation_network(X, q=0.05)
         assert W.data[0, 1] == pytest.approx(1.0)
         assert (0, 1) in table.flags["saturated_pairs"]
-        hit = [t for t in table.pairs if (t.i, t.j) == (0, 1)][0]
-        assert hit.p_value == 0.0 and hit.reject
+        hit = np.flatnonzero((table.i == 0) & (table.j == 1))[0]
+        assert table.p_value[hit] == 0.0 and table.reject[hit]
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             st.correlation_network(np.ones((3, 3)), q=0.1)
+
+    def test_table_columns_read_only_and_p_values_checked(self):
+        X = np.random.default_rng(5).standard_normal((4, 30))
+        table, _ = st.correlation_network(X, q=0.1)
+        for col in (table.i, table.j, table.statistic, table.p_value, table.reject):
+            assert col.shape == (6,)
+            with pytest.raises(ValueError):
+                col[0] = 0
+        p = np.array([0.5, 1.5])
+        with pytest.raises(BadParameter, match="p-values"):
+            st.TestTable([0, 0], [1, 2], np.zeros(2), p, np.zeros(2, bool),
+                         "correlation", 0.1)
+        p[1] = 0.25
+        st.TestTable([0, 0], [1, 2], np.zeros(2), p, np.zeros(2, bool),
+                     "correlation", 0.1)
+        p[0] = 0.75  # the caller's array stays writable
 
     def test_scale_invariance_of_decisions(self):
         rng = np.random.default_rng(4)
@@ -120,7 +136,7 @@ class TestCorrelationNetwork:
         t1, _ = st.correlation_network(X, q=0.1)
         scales = rng.uniform(0.3, 5.0, 6)
         t2, _ = st.correlation_network(X * scales[:, None], q=0.1)
-        assert [t.reject for t in t1.pairs] == [t.reject for t in t2.pairs]
+        assert t1.reject.tolist() == t2.reject.tolist()
 
     def test_null_data_rarely_rejects(self):
         # under the full null any rejection is a false discovery, so the
@@ -129,7 +145,7 @@ class TestCorrelationNetwork:
         for seed in range(200):
             X = sim.sample_gmrf(np.eye(8), 200, rng=100 + seed).data
             table, _ = st.correlation_network(X, q=0.1)
-            r = sum(t.reject for t in table.pairs)
+            r = table.reject.sum()
             fdr.append(0.0 if r == 0 else 1.0)
         assert np.mean(fdr) <= 0.16  # q plus three sigmas of 200-run noise
 
@@ -173,7 +189,8 @@ class TestPartialCorrelation:
     def test_population_recovery_from_samples(self):
         X = sim.sample_gmrf(chain_precision(5), 20_000, rng=7)
         table, W = st.partial_correlation_network(X, q=0.01)
-        edges = {(t.i, t.j) for t in table.pairs if t.reject}
+        edges = set(zip(table.i[table.reject].tolist(),
+                        table.j[table.reject].tolist()))
         assert edges == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_singular_needs_ridge(self):
@@ -183,7 +200,7 @@ class TestPartialCorrelation:
         with pytest.raises(SingularCovariance):
             st.partial_correlation_network(X, q=0.1)
         table, _ = st.partial_correlation_network(X, q=0.1, ridge=True)
-        assert len(table.pairs) == 15
+        assert len(table.i) == len(table.p_value) == 15
 
     def test_needs_more_samples_than_nodes(self):
         with pytest.raises(TooFewSamples):
