@@ -69,10 +69,6 @@ class UnstableSEM(DataError):
     """Network-effect matrix has spectral radius >= 1."""
 
 
-class TooLarge(DataError):
-    """Problem size exceeds the enumeration budget of this solver."""
-
-
 class NoMLE(SolverError):
     """Unpenalized maximum-likelihood estimate does not exist."""
 

@@ -717,6 +717,13 @@ class DegreeTerm:
     alpha: float = 1.0
     coef: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("log_barrier", "quadratic"):
+            raise BadParameter(f"unknown degree term {self.kind!r}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.coef < math.inf):
+            raise BadParameter("alpha and coef must be finite numbers >= 0, got "
+                               f"{self.alpha!r}, {self.coef!r}")
+
     @property
     def vanishes(self) -> bool:
         return (self.alpha if self.kind == "log_barrier" else self.coef) == 0
@@ -795,8 +802,8 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     config = config or SolverConfig()
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
-    if beta < 0:
-        raise BadParameter("beta must be nonnegative")
+    if not 0 <= beta < math.inf:
+        raise BadParameter(f"beta must be a finite number >= 0, got {beta!r}")
     if scale_sum is not None and scale_sum <= 0:
         raise BadParameter("scale_sum must be positive")
     if np.abs(Z - Z.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(Z).max()) or \

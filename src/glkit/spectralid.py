@@ -3,7 +3,11 @@
 Step 1 estimates the shift's eigenbasis (from the sample covariance for
 stationary processes, from an identified filter for non-stationary
 ones); Step 2 selects eigenvalues by convex optimization over a shift
-constraint set. Also hosts network deconvolution, which feeds the
+constraint set. The filter of a non-stationary diffusion is identified
+from pairs of output and input covariances: in closed form (PSD filter,
+one process), by projected gradient (PSD, several processes), or by a
+spectral relaxation over eigenvalue signs (symmetric, several
+processes). Also hosts network deconvolution, which feeds the
 eigenvectors of an indirect-relationship matrix through the same
 machinery.
 """
@@ -11,16 +15,10 @@ machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .errors import (
-    BadInput,
-    NotSymmetric,
-    SingularInputCovariance,
-    TooLarge,
-)
+from .errors import BadDimension, BadInput, NotSymmetric, SingularInputCovariance
 from .graphcore import (
     DEGENERACY_TOL,
     SpectralBasis,
@@ -36,8 +34,6 @@ from .solvers import (
     spectral_gap,
 )
 from .statnet import _as_covariance, _is_covariance
-
-SIGN_SEARCH_MAX_N = 16  # sym_filter_select enumerates 2^N sign patterns
 
 
 @dataclass(frozen=True)
@@ -189,11 +185,8 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
     closed form.
     """
     config = config or SolverConfig(max_iters=20000)
-    Sx = [as_matrix(S) for S in Sigma_x_list]
-    Sw = [as_matrix(S) for S in Sigma_w_list]
+    Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
     m = len(Sx)
-    if m < 1 or len(Sw) != m:
-        raise BadInput("need matching, nonempty covariance lists")
     wts = np.full(m, 1.0 / m)
     wts = wts / wts.sum()  # m copies of fl(1/m) need not sum to exactly 1
     Q = [sqrt_psd(S) for S in Sw]
@@ -225,92 +218,76 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
 
 
 def sym_filter_select(Sigma_x_list, Sigma_w_list):
-    """Symmetric (not necessarily PSD) filter identification by
-    exhaustive search over eigenvalue sign patterns.
+    """Symmetric (not necessarily PSD) filter identification by a
+    spectral relaxation over eigenvalue sign patterns.
 
-    Each process m admits 2^N symmetric solutions of
-    H Sigma_w_m H = Sigma_x_m, parameterized by a sign vector; the
-    returned signs minimize the summed pairwise distances between the
-    per-process candidates. A single process is reported as
-    non-identifiable (all candidates tie); the global sign of the
-    winner is fixed by trace(H) >= 0. Returns (FilterEstimate, signs,
-    info dict).
+    Each process a admits 2^N symmetric solutions of
+    H Sigma_w_a H = Sigma_x_a, H_a(s) = P_a diag(s) Q_a' for a sign
+    vector s, with W_a Sigma_x_a W_a = V_a diag(mu_a) V_a',
+    W_a = Sigma_w_a^1/2, P_a = W_a^-1 V_a diag(sqrt mu_a) and
+    Q_a = W_a^-1 V_a. The summed pairwise distance
+    sum_{a<b} ||H_a(s_a) - H_b(s_b)||_F^2 is s'Cs over the stacked signs,
+    with diagonal blocks (M - 1) G_aa, off-diagonal blocks -G_ab and
+    G_ab = (P_a'P_b) o (Q_a'Q_b). An eigenvalue mu_a,k at most
+    1e-12 max(mu_a) is set to 0 (a singular Sigma_x_a, up to rounding);
+    its sign changes no candidate, so it is left out of C and set to +1.
+    The other signs are those of C's eigenvector for its smallest
+    eigenvalue (a zero entry reads as +1); with exact covariances the
+    true pattern has s'Cs = 0, so they are exact up to a global sign.
+    H is the mean of the per-process candidates, its global sign fixed
+    by trace(H) >= 0, and ``info["residual"]`` is their summed pairwise
+    distance. A single process is reported as non-identifiable (every
+    pattern reproduces Sigma_x) and returns the PSD root. Returns
+    (FilterEstimate, one sign vector per process, info dict).
     """
+    Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
+    m, n = len(Sx), Sx[0].shape[0]
+    P, Q, keep = [], [], []
+    for sx, sw in zip(Sx, Sw):
+        w_sqrt = sqrt_psd(sw)
+        mu, V = _eigh_psd(w_sqrt @ sx @ w_sqrt)
+        mu[mu <= 1e-12 * mu.max()] = 0.0  # a singular Sigma_x, up to rounding
+        Q.append(inv_sqrt_pd(sw) @ fix_eigenvector_signs(V))
+        P.append(Q[-1] * np.sqrt(mu))
+        keep.append(mu > 0)
+    # +1 wherever the sign changes no candidate: a zero eigenvalue, or a
+    # single process, where every pattern reproduces Sigma_x (the PSD root)
+    signs = np.ones(m * n)
+    keep = np.concatenate(keep)
+    if m > 1 and keep.any():
+        G = [[(Pa.T @ Pb) * (Qa.T @ Qb) for Pb, Qb in zip(P, Q)]
+             for Pa, Qa in zip(P, Q)]
+        C = np.block([[(m - 1) * G[a][b] if a == b else -G[a][b] for b in range(m)]
+                      for a in range(m)])[np.ix_(keep, keep)]
+        signs[keep] = np.where(np.linalg.eigh(C)[1][:, 0] < 0, -1.0, 1.0)
+    signs = signs.reshape(m, n)
+    cands = [(Pa * s) @ Qa.T for Pa, Qa, s in zip(P, Q, signs)]
+    resid = float(sum(np.sum((cands[a] - cands[b]) ** 2)
+                      for a in range(m) for b in range(a + 1, m)))
+    H = np.mean(cands, axis=0)
+    if np.trace(H) < 0:
+        H, signs = -H, -signs
+    H = 0.5 * (H + H.T)
+    est = FilterEstimate(H, psd=bool(np.linalg.eigvalsh(H).min() >= -1e-8),
+                         provenance="sign-search")
+    info = {"identifiable": m > 1}
+    if m == 1:
+        info["all_tie"] = True
+    info["residual"] = resid
+    return est, list(signs), info
+
+
+def _covariance_lists(Sigma_x_list, Sigma_w_list):
+    """The output and input covariance lists of the filter fits as square
+    arrays: nonempty, of equal length, all N x N for one N."""
     Sx = [as_matrix(S) for S in Sigma_x_list]
     Sw = [as_matrix(S) for S in Sigma_w_list]
-    m = len(Sx)
-    if m < 1 or len(Sw) != m:
+    if not Sx or len(Sw) != len(Sx):
         raise BadInput("need matching, nonempty covariance lists")
-    n = Sx[0].shape[0]
-    if n > SIGN_SEARCH_MAX_N:
-        raise TooLarge(f"N = {n} exceeds the 2^N enumeration budget "
-                       f"(max {SIGN_SEARCH_MAX_N}); use the PSD path or "
-                       "fewer nodes")
-    bases = []
-    for k in range(m):
-        w_isqrt = inv_sqrt_pd(Sw[k])
-        w_sqrt = sqrt_psd(Sw[k])
-        wxw = w_sqrt @ Sx[k] @ w_sqrt
-        mu, V = _eigh_psd(wxw)
-        V = fix_eigenvector_signs(V)
-        P = w_isqrt @ (V * np.sqrt(mu))   # columns sqrt(mu_k) * Sw^-1/2 v_k
-        Q = w_isqrt @ V
-        A = np.einsum("ik,jk->ijk", P, Q).reshape(n * n, n)
-        bases.append(A)
-    signs = np.array(list(product((1.0, -1.0), repeat=n)))
-
-    if m == 1:
-        # every sign pattern reproduces Sigma_x exactly: report the tie
-        H0 = (bases[0] @ np.ones(n)).reshape(n, n)
-        resid = np.array([np.linalg.norm(
-            (bases[0] @ s).reshape(n, n) @ Sw[0] @ (bases[0] @ s).reshape(n, n).T
-            - Sx[0]) for s in signs[: min(len(signs), 4096)]])
-        tie = bool(np.ptp(resid) <= 1e-8 * max(1.0, resid.max()))
-        if np.trace(H0) < 0:
-            H0 = -H0
-        vals = np.linalg.eigvalsh(0.5 * (H0 + H0.T))
-        est = FilterEstimate(0.5 * (H0 + H0.T), psd=bool(vals.min() >= -1e-8),
-                             provenance="sign-search")
-        return est, [np.ones(n)], {"identifiable": False, "all_tie": tie,
-                                   "residual": 0.0}
-
-    cands = [signs @ A.T for A in bases]  # row s: vec(H) for sign vector s
-
-    def pairwise(idx):
-        tot = 0.0
-        for a in range(m):
-            for b in range(a + 1, m):
-                tot += float(np.sum((cands[a][idx[a]] - cands[b][idx[b]]) ** 2))
-        return tot
-
-    # exact best pair for the first two processes, nearest-neighbor search
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(cands[0])
-    dists, nearest = tree.query(cands[1], k=1)
-    j1 = int(np.argmin(dists))
-    idx = [int(nearest[j1]), j1] + [0] * (m - 2)
-    # coordinate passes: each m picks its best candidate given the others
-    best = None
-    for _ in range(10):
-        for a in range(m):
-            others = [cands[b][idx[b]] for b in range(m) if b != a]
-            target = np.mean(others, axis=0)
-            d2 = np.sum((cands[a] - target) ** 2, axis=1)
-            idx[a] = int(np.argmin(d2))
-        cur = pairwise(idx)
-        if best is not None and cur >= best - 1e-15:
-            break
-        best = cur
-    H = np.mean([cands[a][idx[a]] for a in range(m)], axis=0).reshape(n, n)
-    chosen = [signs[i].copy() for i in idx]
-    if np.trace(H) < 0:
-        H = -H
-        chosen = [-s for s in chosen]
-    H = 0.5 * (H + H.T)
-    vals = np.linalg.eigvalsh(H)
-    est = FilterEstimate(H, psd=bool(vals.min() >= -1e-8), provenance="sign-search")
-    return est, chosen, {"identifiable": True, "residual": float(best)}
+    sizes = {S.shape[0] for S in Sx + Sw}
+    if len(sizes) > 1:
+        raise BadDimension(f"covariances of different sizes {sorted(sizes)}")
+    return Sx, Sw
 
 
 def network_deconvolve(T, constraint_set: ShiftConstraintSet | None = None,

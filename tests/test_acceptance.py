@@ -278,23 +278,25 @@ def test_criterion_09_psd_filter_identification():
 def test_criterion_10_symmetric_filter_sign_search():
     rng = np.random.default_rng(8)
     worst = 0.0
-    for _ in range(10):
-        n = 6
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        spec = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
-        H = (Q * spec) @ Q.T
-        Sw = [np.eye(n), np.diag(rng.uniform(0.5, 3.0, n))]
-        Sx = [H @ S @ H.T for S in Sw]
-        est, signs, info = sid.sym_filter_select(Sx, Sw)
-        err = min(np.abs(est.H - H).max(), np.abs(est.H + H).max())
-        worst = max(worst, err)
+    for m in (2, 3):
+        for _ in range(10):
+            n = 6
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spec = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            H = (Q * spec) @ Q.T
+            Sw = [np.eye(n)] + [np.diag(rng.uniform(0.5, 3.0, n))
+                                for _ in range(m - 1)]
+            Sx = [H @ S @ H.T for S in Sw]
+            est, signs, info = sid.sym_filter_select(Sx, Sw)
+            err = min(np.abs(est.H - H).max(), np.abs(est.H + H).max())
+            worst = max(worst, err)
     # single-process runs must flag the 2^N tie
     Hp = np.array([[2.0, 1.0], [1.0, 2.0]])
     _, _, single = sid.sym_filter_select([Hp @ Hp], [np.eye(2)])
     ok = worst <= 1e-8 and single["identifiable"] is False and single["all_tie"]
     report("criterion 10 (symmetric filter sign search)", ok,
-           f"worst recovery error {worst:.2e}, M=1 all-tie reported: "
-           f"{single['all_tie']}")
+           f"worst recovery error (M = 2 and 3) {worst:.2e}, M=1 all-tie "
+           f"reported: {single['all_tie']}")
 
 
 def test_criterion_11_network_deconvolution():

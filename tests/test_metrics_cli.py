@@ -413,6 +413,24 @@ class TestCli:
         Hback = ser.read_matrix_csv(out)
         assert min(np.abs(Hback - H).max(), np.abs(Hback + H).max()) <= 1e-6
 
+    def test_sym_filter_three_processes_n20(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        n = 20
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        H = (Q * (rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n))) @ Q.T
+        argv = []
+        for k in range(3):
+            S = np.eye(n) if k == 0 else np.diag(rng.uniform(0.5, 3.0, n))
+            ser.write_matrix_csv(tmp_path / f"w{k}.csv", S)
+            ser.write_matrix_csv(tmp_path / f"x{k}.csv", H @ S @ H.T)
+            argv += ["--xcov", str(tmp_path / f"x{k}.csv"),
+                     "--wcov", str(tmp_path / f"w{k}.csv")]
+        out = tmp_path / "H.csv"
+        assert self.run("learn", "sym-filter", *argv, "-o", str(out)) == 0
+        assert json.loads(capsys.readouterr().out)["identifiable"] is True
+        Hback = ser.read_matrix_csv(out)
+        assert min(np.abs(Hback - H).max(), np.abs(Hback + H).max()) <= 1e-6
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy is imported only inside the functions that need it

@@ -777,6 +777,19 @@ class TestPrimalDualGraph:
                                     1.0, scale_sum=3.0)
         assert W.sum() / 2.0 == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_beta_outside_range_rejected(self, beta):
+        Z = _sq_distances(np.random.default_rng(18).standard_normal((8, 5)))
+        with pytest.raises(BadParameter):
+            sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier"), beta)
+
+    @pytest.mark.parametrize("kind,alpha,coef", [
+        ("log_barrier", np.nan, 0.0), ("log_barrier", np.inf, 0.0),
+        ("cubic", 1.0, 0.0), ("quadratic", 1.0, -1.0), ("quadratic", 1.0, np.nan)])
+    def test_degree_term_outside_range_rejected(self, kind, alpha, coef):
+        with pytest.raises(BadParameter):
+            sv.DegreeTerm(kind, alpha=alpha, coef=coef)
+
 
 def _degree_map(n):
     """Dense N x N(N-1)/2 map B from upper-triangular weights to degrees."""

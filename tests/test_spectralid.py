@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.spectralid as sid
-from glkit.errors import BadParameter, Infeasible, SingularInputCovariance, TooLarge
+from glkit.errors import (BadDimension, BadInput, BadParameter, Infeasible,
+                          SingularInputCovariance)
 from glkit.metrics import scale_aligned_error
 import glkit.solvers as sv
 from glkit.solvers import ShiftConstraintSet, spectral_gap
@@ -243,10 +246,139 @@ class TestSymFilterSelect:
         assert info["identifiable"] is False
         assert info["all_tie"] is True
 
-    def test_too_large_rejected(self):
-        Sx = [np.eye(20)]
-        with pytest.raises(TooLarge):
-            sid.sym_filter_select(Sx * 2, [np.eye(20)] * 2)
+    def test_three_processes_exact(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            H, Sw, Sx = _filter_draw(rng, 6, 3)
+            est, signs, info = sid.sym_filter_select(Sx, Sw)
+            assert min(np.abs(est.H - H).max(), np.abs(est.H + H).max()) <= 1e-8
+            assert info["residual"] <= 1e-20 * len(Sw) ** 2 * np.sum(H * H)
+
+    @pytest.mark.parametrize("n,m", [(30, 2), (100, 5)])
+    def test_large_n_exact(self, n, m):
+        H, Sw, Sx = _filter_draw(np.random.default_rng(n), n, m)
+        est, signs, info = sid.sym_filter_select(Sx, Sw)
+        assert min(np.abs(est.H - H).max(), np.abs(est.H + H).max()) <= 1e-8
+        assert len(signs) == m and info["identifiable"]
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (8, 2), (4, 3), (6, 3)])
+    def test_reaches_brute_force_minimum(self, n, m):
+        H, Sw, Sx = _filter_draw(np.random.default_rng(20 + n), n, m)
+        total = _BruteForce(Sx, Sw)
+        scale = m * m * np.sum(H * H)
+        assert total.min <= 1e-20 * scale
+        est, signs, info = sid.sym_filter_select(Sx, Sw)
+        assert total(signs) <= total.min + 1e-20 * scale
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_eigenvalue_exact(self, m):
+        # a singular filter: the sign of its zero eigenvalue changes no
+        # candidate and must not decide the others
+        rng = np.random.default_rng(30 + m)
+        for _ in range(10):
+            H, Sw, Sx = _filter_draw(rng, 6, m, zeros=1)
+            est, signs, info = sid.sym_filter_select(Sx, Sw)
+            assert min(np.abs(est.H - H).max(), np.abs(est.H + H).max()) <= 1e-8
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rank_deficient_samples_reach_brute_force_minimum(self, m):
+        # P = 3 < N = 6 samples per process leave each Sigma_x of rank 3;
+        # on the informative signs the relaxation reaches the exhaustive
+        # minimum in 79-88% of such draws (two runs of 100 draws for each
+        # M)
+        rng = np.random.default_rng(40 + m)
+        n, p, hits = 6, 3, 0
+        for _ in range(20):
+            H, Sw, _ = _filter_draw(rng, n, m)
+            Sx = []
+            for S in Sw:
+                X = H @ sid.sqrt_psd(S) @ rng.standard_normal((n, p))
+                Sx.append(X @ X.T / p)
+            total = _BruteForce(Sx, Sw)
+            est, signs, info = sid.sym_filter_select(Sx, Sw)
+            # the zero eigenvalues are rounding-sized, not exactly 0, in
+            # the oracle's candidates
+            hits += total(signs) <= total.min + 1e-6 * np.sum(H * H)
+        assert hits >= 12
+
+    def test_residual_is_pairwise_sum_of_returned_signs(self):
+        # sampled output covariances, so the processes disagree
+        rng = np.random.default_rng(14)
+        n, m = 6, 3
+        H, Sw, _ = _filter_draw(rng, n, m)
+        Sx = []
+        for S in Sw:
+            X = H @ sid.sqrt_psd(S) @ rng.standard_normal((n, 200))
+            Sx.append(X @ X.T / 200)
+        est, signs, info = sid.sym_filter_select(Sx, Sw)
+        cands = [_candidate(sx, sw, s) for sx, sw, s in zip(Sx, Sw, signs)]
+        pairwise = sum(np.sum((cands[a] - cands[b]) ** 2)
+                       for a, b in combinations(range(m), 2))
+        assert info["residual"] > 0
+        assert info["residual"] == pytest.approx(pairwise, rel=1e-10)
+        np.testing.assert_allclose(est.H, np.mean(cands, axis=0), atol=1e-10)
+        assert np.trace(est.H) >= 0
+
+
+def _filter_draw(rng, n, m, zeros=0):
+    """An indefinite symmetric filter (with ``zeros`` zero eigenvalues),
+    white input plus m - 1 diagonal input covariances, and the exact
+    output covariances."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spec = rng.uniform(0.3, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    spec[:zeros] = 0.0
+    H = (Q * spec) @ Q.T
+    Sw = [np.eye(n)] + [np.diag(rng.uniform(0.5, 3.0, n)) for _ in range(m - 1)]
+    return H, Sw, [H @ S @ H for S in Sw]
+
+
+def _candidate(Sx, Sw, s):
+    """The solution of H Sw H = Sx with eigenvalue signs s, in ascending
+    order of the eigenvalues of Sw^1/2 Sx Sw^1/2."""
+    lam, U = np.linalg.eigh(Sw)
+    W = (U * np.sqrt(lam)) @ U.T
+    Wi = (U / np.sqrt(lam)) @ U.T
+    mu, V = np.linalg.eigh(W @ Sx @ W)
+    return Wi @ (V * (s * np.sqrt(np.maximum(mu, 0.0)))) @ V.T @ Wi
+
+
+class _BruteForce:
+    """The summed pairwise distance between the processes' candidates
+    over every combination of their sign patterns, enumerated."""
+
+    def __init__(self, Sx, Sw):
+        m, n = len(Sx), Sx[0].shape[0]
+        self.patterns = np.array(list(product((1.0, -1.0), repeat=n)))
+        cands = [np.array([_candidate(sx, sw, s).ravel() for s in self.patterns])
+                 for sx, sw in zip(Sx, Sw)]
+        self.total = np.zeros((len(self.patterns),) * m)
+        for a, b in combinations(range(m), 2):
+            d2 = ((cands[a][:, None, :] - cands[b][None, :, :]) ** 2).sum(axis=2)
+            shape = [1] * m
+            shape[a] = shape[b] = len(self.patterns)
+            self.total = self.total + d2.reshape(shape)
+        self.min = self.total.min()
+
+    def __call__(self, signs):
+        rows = [np.flatnonzero((self.patterns == s).all(axis=1))[0] for s in signs]
+        return self.total[tuple(rows)]
+
+
+@pytest.mark.parametrize("fit", [sid.psd_filter_ls, sid.sym_filter_select])
+class TestCovarianceLists:
+    def test_sizes_differ_within_a_list(self, fit):
+        with pytest.raises(BadDimension):
+            fit([np.eye(3), np.eye(4)], [np.eye(3), np.eye(4)])
+
+    def test_sizes_differ_between_lists(self, fit):
+        with pytest.raises(BadDimension):
+            fit([np.eye(3)], [np.eye(4)])
+
+    @pytest.mark.parametrize("Sx,Sw", [([], []), ([np.eye(2)], []),
+                                       ([np.eye(2)], [np.eye(2)] * 2)])
+    def test_empty_or_unmatched_lists(self, fit, Sx, Sw):
+        with pytest.raises(BadInput):
+            fit(Sx, Sw)
 
 
 class TestNetworkDeconvolve:
