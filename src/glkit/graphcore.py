@@ -25,7 +25,9 @@ from .errors import (
 
 SYM_TOL = 1e-10          # absolute symmetry tolerance for undirected shifts
 ROWSUM_TOL = 1e-9        # Laplacian |row sum| bound, times max(1, max |entry|)
-DEGENERACY_TOL = 1e-8    # eigenvalue gap below which modes form one block
+# eigenvalue gap, in units of eigh's error N eps_mach ||Sigma||_2, at or
+# below which modes form one block
+DEGENERACY_TOL = 10.0
 
 
 class ShiftKind(Enum):

@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,12 @@ import glkit.metrics as mt
 import glkit.serialize as ser
 from glkit.cli import main as cli_main
 from glkit.graphcore import ShiftKind, ShiftOperator, build_shift
+
+
+# child interpreters import glkit from this checkout's src/, as pytest does
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def adjacency(n, edges):
@@ -236,10 +244,24 @@ class TestCli:
         assert self.run("eval", "-i", str(g), "--truth", str(g)) == 0
         assert json.loads(capsys.readouterr().out)["topk_curve"] == []
 
+    def test_spectral_logs_its_solve_at_info(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setenv("GLK_LOG", "info")
+        caplog.set_level(logging.INFO, logger="glkit")
+        sig = tmp_path / "sig.csv"
+        assert self.run("simulate", "diffusion", "--n", "10", "--p", "500",
+                        "--seed", "7", "-o", str(sig)) == 0
+        assert self.run("learn", "spectral", "-i", str(sig),
+                        "-o", str(tmp_path / "s.json")) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("spectral iters=")]
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert int(fields["iters"]) >= 1 and fields["converged"] == "True"
+        assert float(fields["kkt_residual"]) <= 1e-7
+
     def test_unknown_method_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "glkit.cli", "learn", "nope", "-o", "x"],
-            capture_output=True)
+            capture_output=True, env=CHILD_ENV)
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("argv", [
@@ -438,7 +460,7 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c",
          "import sys, glkit; print(sorted(m for m in sys.modules "
          "if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "[]"
 
 
@@ -447,5 +469,5 @@ def test_import_leaves_thread_pools_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, glkit; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "False"

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as hst
 from scipy.optimize import brentq, linprog, minimize
 
@@ -333,6 +333,14 @@ class TestCachedIndexParity:
     """The projections on the cached edge index give the same numbers
     as the reference formulas above."""
 
+    @given(hst.integers(1, 80), hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
+    def test_vertex_sums_equal_bincount_bitwise(self, n, u, seed):
+        iu, ju = gc.edge_index(n)
+        a = 10.0 ** u * np.random.default_rng(seed).standard_normal(iu.size)
+        assert not iu.flags.writeable
+        ref = np.bincount(iu, a, n) + np.bincount(ju, a, n)
+        assert np.array_equal(sv._vertex_sums(n, iu, ju, a), ref)
+
     @given(hst.sampled_from(["first_node", "total"]), hst.integers(2, 60),
            hst.floats(-3.0, 3.0), hst.booleans(), hst.integers(0, 2 ** 32 - 1))
     def test_adjacency_projection_matches_reference(self, scale, n, u, transposed,
@@ -534,6 +542,31 @@ class TestAdmmKernel:
         assert np.abs(z - np.maximum(a, 0.0)).max() <= 1e-5
 
 
+    def test_finish_hook_ends_at_a_checkpoint(self):
+        c, n = 1e6, 6
+        a = np.random.default_rng(16).standard_normal((n, n))
+        args = (lambda m, rho: (c * a + rho * m) / (c + rho),
+                lambda m, rho: np.maximum(m, 0.0), np.zeros((n, n)),
+                sv.SolverConfig(), lambda x: float(np.abs(x).sum()))
+        calls = []
+
+        def decline(x, z):
+            calls.append(1)
+            return None
+
+        # a hook that declines leaves every iterate as it was
+        x0, z0, t0 = sv.admm(*args)
+        x1, z1, t1 = sv.admm(*args, finish=decline)
+        np.testing.assert_array_equal(x0, x1)
+        assert t1.iters_used == t0.iters_used and len(calls) == t0.iters_used // 50
+        assert "finished" not in t1.notes
+        done = np.maximum(a, 0.0)
+        x, z, trace = sv.admm(*args, finish=lambda x, z: (done, done, {"kkt_residual": 0.0}))
+        assert trace.converged and trace.iters_used == 50
+        assert trace.notes == {"kkt_residual": 0.0, "finished": 50}
+        assert x is done and trace.objective[-1] == float(done.sum())
+
+
 class TestAdmmSpectral:
     def test_two_cycle_recovery(self):
         basis = gc.eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -611,6 +644,145 @@ class TestAdmmSpectral:
                                           objective="frobenius")
         cset = sv.ShiftConstraintSet()
         assert cset.violation(S) <= 1e-6
+
+
+def sampled_basis(n, seed, p=2000):
+    """Eigenbasis of the sample covariance of P diffused signals."""
+    G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
+    X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], p, rng=seed + 50)
+    return sid.estimate_eigenbasis(X)[0].vecs
+
+
+def edge_problem(V, cset):
+    """(A, a, b) of the eps > 0 problem over the edge vector w: the ball
+    reads w'Aw <= eps^2 and the scale a'w = b."""
+    n = V.shape[0]
+    iu, ju = gc.edge_index(n)
+    B = 2.0 * V[iu] * V[ju]
+    Aeq, b = cset.scale_equality(n)
+    return 2.0 * np.eye(iu.size) - B @ B.T, Aeq[iu, ju] + Aeq[ju, iu], b
+
+
+def slsqp_oracle(V, eps, cset):
+    """min ||S||_1 = 2 sum(w) over the edge vector by SLSQP, from the
+    uniform point of the scale equality."""
+    A, a, b = edge_problem(V, cset)
+    res = minimize(lambda w: 2.0 * w.sum(), np.full(a.size, b / a.sum()),
+                   jac=lambda w: np.full(w.size, 2.0), method="SLSQP",
+                   bounds=[(0.0, None)] * a.size,
+                   constraints=[{"type": "eq", "fun": lambda w: a @ w - b,
+                                 "jac": lambda w: a},
+                                {"type": "ineq", "fun": lambda w: eps * eps - w @ A @ w,
+                                 "jac": lambda w: -2.0 * A @ w}],
+                   options={"ftol": 1e-14, "maxiter": 2000})
+    return gc.weights_from_edge_vector(res.x, V.shape[0])
+
+
+def ball_distance(V, S):
+    """||offdiag(V'SV)||_F: the distance from S to the span."""
+    M = V.T @ S @ V
+    np.fill_diagonal(M, 0.0)
+    return float(np.linalg.norm(M))
+
+
+class TestSupportFinisher:
+    """The exact eps > 0 solve on the ADMM's support (l1, adjacency sets)."""
+
+    @pytest.fixture
+    def hook_returns(self, monkeypatch):
+        """Every value the finisher hook returns, in order."""
+        out = []
+        make = sv._support_finisher
+
+        def recording(*args):
+            finish = make(*args)
+
+            def hook(x, z):
+                out.append(finish(x, z))
+                return out[-1]
+            return hook
+
+        monkeypatch.setattr(sv, "_support_finisher", recording)
+        return out
+
+    @pytest.mark.parametrize("n,seed", [(6, 0), (6, 3), (8, 1), (8, 2), (10, 2), (10, 3)])
+    def test_matches_slsqp_first_node(self, n, seed):
+        V = sampled_basis(n, seed)
+        cset = sv.ShiftConstraintSet()
+        eps = 2.0 * sv.spectral_gap(V, cset)
+        S, lam, trace = sv.admm_l1_spectral(V, eps, cset)
+        assert trace.converged and trace.notes["finished"] == trace.iters_used
+        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        oracle = slsqp_oracle(V, eps, cset)
+        assert ball_distance(V, oracle) <= eps * (1 + 1e-8)
+        # the certified point is optimal: no feasible point does better
+        assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-9
+        assert np.abs(S - oracle).max() <= 1e-6
+        np.testing.assert_allclose(lam, np.diag(V.T @ S @ V), atol=1e-12)
+
+    @pytest.mark.parametrize("n,seed", [(6, 1), (8, 3), (10, 1)])
+    def test_total_scale_falls_through(self, n, seed, hook_returns):
+        # ||S||_1 = 2 sum(w) = N on the whole set: c is parallel to a, the
+        # ball's multiplier is 0 and the plain ADMM result stands
+        V = sampled_basis(n, seed)
+        cset = sv.ShiftConstraintSet(scale="total")
+        eps = 2.0 * sv.spectral_gap(V, cset)
+        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
+        assert not any(hook_returns)
+        assert "finished" not in trace.notes and "kkt_residual" not in trace.notes
+        assert np.abs(S).sum() == pytest.approx(np.abs(slsqp_oracle(V, eps, cset)).sum())
+        # nor does the hook certify the ADMM's own (optimal) point
+        coupling = sv.SpectralCoupling(V, eps)
+        finish = sv._support_finisher(V, eps, cset, coupling, 1e-7)
+        assert finish(S, coupling.project(S)) is None
+
+    def test_inactive_ball_falls_through(self, hook_returns):
+        # the sparsest member of the set lies inside the ball: mu = 0
+        V = sampled_basis(8, 2)
+        cset = sv.ShiftConstraintSet()
+        S, _, trace = sv.admm_l1_spectral(V, 1e6, cset)
+        assert not any(hook_returns) and "finished" not in trace.notes
+        assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-6)
+        coupling = sv.SpectralCoupling(V, 1e6)
+        finish = sv._support_finisher(V, 1e6, cset, coupling, 1e-7)
+        for x in (S, cset.project(np.ones((8, 8)))):  # sparse and full supports
+            assert finish(x, coupling.project(x)) is None
+
+    def test_eps_below_gap_falls_through(self, hook_returns):
+        V = sampled_basis(8, 1)
+        cset = sv.ShiftConstraintSet()
+        eps = 0.5 * sv.spectral_gap(V, cset)
+        S, _, trace = sv.admm_l1_spectral(V, eps, cset, sv.SolverConfig(max_iters=1000))
+        assert len(hook_returns) == 20 and not any(hook_returns)
+        assert not trace.converged and "finished" not in trace.notes
+
+    def test_certificate_checks_bind(self, monkeypatch):
+        V = sampled_basis(8, 1)
+        cset = sv.ShiftConstraintSet()
+        eps = 2.0 * sv.spectral_gap(V, cset)
+        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
+        assert trace.notes["kkt_residual"] > 1e-16  # rounding
+        _, _, trace = sv.admm_l1_spectral(V, eps, cset,
+                                          sv.SolverConfig(tol=1e-16, max_iters=500))
+        assert "finished" not in trace.notes
+        # the solution lies on the ball, outside a negative slack, and the
+        # ball check alone rejects it once the set check passes anything
+        monkeypatch.setattr(sv, "_FINISH_ROUNDING", -1e-6)
+        monkeypatch.setattr(sv.ShiftConstraintSet, "violation", lambda self, M: -np.inf)
+        _, _, trace = sv.admm_l1_spectral(V, eps, cset, sv.SolverConfig(max_iters=500))
+        assert "finished" not in trace.notes
+
+    @given(n=hst.integers(5, 10), seed=hst.integers(0, 10_000),
+           p=hst.integers(200, 5000), margin=hst.floats(1.1, 4.0))
+    def test_certified_points_are_feasible(self, n, seed, p, margin):
+        V = sampled_basis(n, seed, p)
+        cset = sv.ShiftConstraintSet()
+        eps = margin * sv.spectral_gap(V, cset)
+        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
+        assume("finished" in trace.notes)
+        assert cset.violation(S) <= 1e-9
+        assert ball_distance(V, S) <= eps * (1 + 1e-9)
+        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
 
 
 def diffusion_basis(n, seed):

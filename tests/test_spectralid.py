@@ -10,7 +10,7 @@ import glkit.simulate as sim
 import glkit.spectralid as sid
 from glkit.errors import (BadDimension, BadInput, BadParameter, Infeasible,
                           SingularInputCovariance)
-from glkit.metrics import scale_aligned_error
+from glkit.metrics import evaluate, scale_aligned_error
 import glkit.solvers as sv
 from glkit.solvers import ShiftConstraintSet, spectral_gap
 
@@ -30,8 +30,35 @@ class TestEstimateEigenbasis:
         assert not flags.any()
 
     def test_identity_covariance_fully_degenerate(self):
-        basis, flags = sid.estimate_eigenbasis(np.eye(5))
-        assert flags.all()
+        for n in (5, 50):
+            basis, flags = sid.estimate_eigenbasis(np.eye(n))
+            assert flags.all()
+
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    def test_repeated_spectra_stay_flagged(self, n):
+        # complete graph: eigenvalue -1 repeated N - 1 times; cycle: every
+        # eigenvalue but 2 and -2 repeated twice (its rotations and reflection)
+        complete = np.ones((n, n)) - np.eye(n)
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        for S, repeated in ((complete, n - 1), (cycle + cycle.T, n - 2)):
+            G = gc.ShiftOperator(S, gc.ShiftKind.ADJACENCY)
+            _, flags = sid.estimate_eigenbasis(sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
+            assert flags.sum() == repeated
+
+    def test_close_distinct_modes_unflagged_n200(self):
+        # h(x) = 1 + 0.5x + 0.2x^2 folds eigenvalues on either side of its
+        # vertex onto close values of h^2: gaps 976 to 34,497 times eigh's
+        # error on these draws, flagged under a tolerance relative to the
+        # Perron eigenvalue alone, and then recovered only partially
+        for s in range(8):
+            G = sim.gen_er_graph(200, 0.3, rng=np.random.default_rng([s, 0]),
+                                 require_connected=True)
+            cov = sim.diffusion_covariance(G, [1.0, 0.5, 0.2])
+            assert not sid.estimate_eigenbasis(cov)[1].any()
+            S, trace, meta = sid.infer_shift_from_signals(cov)
+            assert meta == {"eps": 0.0} and trace.converged
+            report = evaluate(S, G.data)
+            assert report.f_score == 1.0 and report.scale_error <= 1e-7
 
     def test_subspace_distance_shrinks_with_samples(self):
         G = sim.gen_er_graph(8, 0.4, rng=0, require_connected=True)
@@ -447,6 +474,18 @@ class TestAutoEps:
         X = sim.gen_diffusion(G, [1.0, 0.5], 300, rng=18)
         with pytest.raises(BadParameter, match="eps"):
             sid.infer_shift_from_signals(X, ShiftConstraintSet(), eps)
+
+    def test_signals_n100_certified_at_default_config(self):
+        # the plain ADMM stops at its 5000 cap here; the exact solve on
+        # its support finishes at a checkpoint with a KKT certificate
+        rng = np.random.default_rng([1, 2])
+        G = sim.gen_er_graph(100, 0.3, rng=rng, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
+        S, trace, meta = sid.infer_shift_from_signals(X)
+        assert trace.converged and trace.iters_used < 5000
+        assert trace.notes["finished"] == trace.iters_used
+        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert ShiftConstraintSet().violation(S) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_signals_converge_at_default_config(self, seed):
