@@ -117,8 +117,8 @@ def sem_fit(data: CascadeData, alpha: float,
     and the loadings unpenalized; the N row regressions are one
     :func:`lasso_cd_gram` call on the joint [x; u] Gram. Returns
     (W shift, omega, trace); the trace is converged when every row is,
-    counts the most sweeps any row took and logs the summed final
-    objective.
+    counts the most sweeps any row took and logs the criterion above at
+    the returned (W, omega).
     """
     if not 0 <= alpha < np.inf:
         raise BadParameter(f"alpha must be a finite number >= 0, got {alpha!r}")
@@ -128,7 +128,7 @@ def sem_fit(data: CascadeData, alpha: float,
     W, omega, _, rows = _sem_solve_nodes(G, data.n, alpha / 2.0, config)
     trace = SolveTrace(converged=rows.converged,
                        iters_used=max(rows.notes["sweeps"]))
-    trace.log(sum(rows.notes["objectives"]))
+    trace.log(2.0 * sum(rows.notes["objectives"]))
     return ShiftOperator(W, ShiftKind.GENERIC, directed=True), omega, trace
 
 

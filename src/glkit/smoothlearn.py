@@ -2,10 +2,11 @@
 
 Covers the alternating factor-analysis learner (joint denoising +
 Laplacian fit), the log-degree-barrier weight learner, and exact
-cardinality-constrained edge selection. The
-first two solve their weight problems with the edge-weight engine
-:func:`glkit.solvers.primal_dual_graph` (Newton on the N-variable dual),
-one engine call per solve and per outer iteration.
+cardinality-constrained edge selection. The log-barrier learner is one
+call of the edge-weight engine :func:`glkit.solvers.primal_dual_graph`
+(Newton on the N-variable dual); each Laplacian step of the alternating
+learner is the Euclidean projection onto the trace-N Laplacians, which
+runs on the same engine.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from .graphcore import (
     edge_index,
     laplacian_from_weights,
 )
-from .solvers import DegreeTerm, SolveTrace, SolverConfig, primal_dual_graph
+from .solvers import (
+    DegreeTerm,
+    SolveTrace,
+    SolverConfig,
+    _project_laplacian,
+    primal_dual_graph,
+)
 
 DONG_OUTER_TOL = 1e-6         # relative objective change that ends dong_learn
 EDGE_SELECT_OUTER_ITERS = 50  # alternations of edge_select_noisy at most
@@ -105,7 +112,7 @@ def kalofolias_learn(Z, alpha: float, beta: float,
     # engine objective over the upper-triangle vector w is
     # 2 z'w + g(Bw) + b ||w||^2: ||W o Z||_1 = 2 z'w and
     # beta/2 ||W||_F^2 = beta ||w||^2
-    W, trace = primal_dual_graph(Z / c, DegreeTerm("log_barrier", alpha=alpha),
+    W, trace = primal_dual_graph(Z / c, DegreeTerm("log_barrier", alpha),
                                  beta / c ** 2, config)
     W = W / c
     if trace.objective:
@@ -129,14 +136,15 @@ def dong_learn(X, alpha: float, beta: float,
     Minimizes ||X - Y||_F^2 + alpha trace(Y' L Y) + beta/2 ||L||_F^2
     subject to L being a combinatorial Laplacian with trace N. The
     Y step is the closed-form low-pass smoother (I + alpha L)^-1 X (one
-    dense factorization reused across columns); the L step runs the
-    edge-weight engine on the distances of Y with a quadratic degree
-    term and the weight simplex enforcing the trace, then rescales
-    exactly. The outer objective is non-increasing; an
-    iteration that fails to improve it is rolled back and the loop
-    stops, as it does once the objective falls by at most
-    ``DONG_OUTER_TOL`` relative. Returns (L, Y, trace). Raises Infeasible for N < 2: no
-    Laplacian with trace N exists on one vertex.
+    dense factorization reused across columns). With Z the distances of
+    Y, the L step minimises alpha/2 ||W o Z||_1 + beta/2 ||L||_F^2, which
+    is beta/2 ||S - L||_F^2 + const for S = alpha/(2 beta) Z: the
+    projection of S onto the trace-N Laplacians, solved by the
+    edge-weight engine under ``config``. The outer objective is
+    non-increasing; an iteration that fails to improve it is rolled back
+    and the loop stops, as it does once the objective falls by at most
+    ``DONG_OUTER_TOL`` relative. Returns (L, Y, trace). Raises
+    Infeasible for N < 2: no Laplacian with trace N exists on one vertex.
     """
     if not (0 < alpha < np.inf and 0 < beta < np.inf):
         raise BadParameter(f"alpha, beta must be finite and > 0: {alpha!r}, {beta!r}")
@@ -146,33 +154,22 @@ def dong_learn(X, alpha: float, beta: float,
         raise Infeasible("a trace-N Laplacian needs at least two vertices")
     config = config or SolverConfig()
     Y = X.copy()
+    Z_y = distance_matrix(Y).Z
     trace = SolveTrace()
     best = np.inf
     L = laplacian_from_weights(np.zeros((n, n)))
     for outer in range(outer_iters):
-        # L step on the current denoised signals; the engine sees
-        # unit-mean distances (scale equivariance, cf. kalofolias_learn)
-        Z_y = distance_matrix(Y).Z
-        z_eng = Z_y * (alpha / 2.0)
-        iu, ju = edge_index(n)
-        c = max(float(z_eng[iu, ju].mean()), 1.0)
-        W_new, _ = primal_dual_graph(
-            z_eng / c, DegreeTerm("quadratic", coef=beta / c ** 2),
-            beta / c ** 2, config, scale_sum=c * n / 2.0)
-        W_new = W_new / c
-        total = W_new.sum()
-        if total > 0:
-            W_new = W_new * (n / total)  # trace(L) = sum(W) = N exactly
+        W_new, _ = _project_laplacian(Z_y * (alpha / (2.0 * beta)), config)
         L_new = laplacian_from_weights(W_new)
         # Y step: closed-form smoother
         Y_new = np.linalg.solve(np.eye(n) + alpha * L_new.data, X)
-        obj = _dong_objective(X, Y_new, W_new, distance_matrix(Y_new).Z,
-                              alpha, beta)
+        Z_new = distance_matrix(Y_new).Z
+        obj = _dong_objective(X, Y_new, W_new, Z_new, alpha, beta)
         trace.iters_used = outer + 1
         if np.isfinite(best) and obj > best + DONG_OUTER_TOL * max(1.0, abs(best)):
             trace.notes["rolled_back"] = True
             break
-        L, Y = L_new, Y_new
+        L, Y, Z_y = L_new, Y_new, Z_new
         trace.log(obj)
         if np.isfinite(best) and best - obj <= DONG_OUTER_TOL * max(1.0, abs(best)):
             trace.converged = True

@@ -384,10 +384,8 @@ class ShiftConstraintSet:
         edge order). It gathers sym(M)'s upper triangle and scatters w
         through the cached flat positions of :func:`edge_positions`,
         without forming sym(M). The Laplacian set is
-        {L(w) : w >= 0, sum(w) = N/2}; with S = sym(M) and d = diag(S),
-        ||S - L(w)||_F^2 = 2 z'w + ||Bw||^2 + 2 ||w||^2 + const with
-        z_ij = 2 S_ij - d_i - d_j, which :func:`primal_dual_graph` solves
-        exactly (quadratic degree term, beta = 2, weight sum N/2). Raises
+        {L(w) : w >= 0, sum(w) = N/2}, onto which sym(M) is projected by
+        one edge-weight engine solve (:func:`_project_laplacian`). Raises
         Infeasible for N < 2, where no edge can meet the scale equality.
         """
         M = np.asarray(M, float)
@@ -397,16 +395,7 @@ class ShiftConstraintSet:
         if n < 2:
             raise Infeasible("the shift constraint sets are empty for N < 2")
         if self.kind == "laplacian":
-            S = _sym(M)
-            iu, ju = edge_index(n)
-            d = np.diag(S)
-            z = 2.0 * S[iu, ju] - d[iu] - d[ju]
-            # on the weight simplex a constant shift of z changes the
-            # objective by a constant; the engine needs z >= 0
-            W, trace = primal_dual_graph(
-                weights_from_edge_vector(z - z.min(), n),
-                DegreeTerm("quadratic", coef=2.0), 2.0,
-                SolverConfig(tol=1e-12), scale_sum=n / 2.0)
+            W, trace = _project_laplacian(_sym(M), SolverConfig(tol=1e-12))
             if not trace.converged:
                 warnings.warn("Laplacian projection stopped before the "
                               "engine's tolerance", stacklevel=2)
@@ -872,45 +861,36 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
 class DegreeTerm:
     """Spec of the convex function g applied to the degree vector d = W 1.
 
-    ``log_barrier``: -alpha * sum log(d); ``quadratic``: coef/2 * ||d||^2.
+    ``log_barrier``: -weight * sum log(d); ``quadratic``:
+    weight/2 * ||d||^2. The weight is a finite number > 0.
     """
 
     kind: str = "log_barrier"
-    alpha: float = 1.0
-    coef: float = 0.0
+    weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("log_barrier", "quadratic"):
             raise BadParameter(f"unknown degree term {self.kind!r}")
-        if not (0 <= self.alpha < math.inf and 0 <= self.coef < math.inf):
-            raise BadParameter("alpha and coef must be finite numbers >= 0, got "
-                               f"{self.alpha!r}, {self.coef!r}")
-
-    @property
-    def vanishes(self) -> bool:
-        return (self.alpha if self.kind == "log_barrier" else self.coef) == 0
+        if not 0 < self.weight < math.inf:
+            raise BadParameter(f"weight must be a finite number > 0, got {self.weight!r}")
 
     def value(self, d):
         if self.kind == "log_barrier":
-            if self.alpha == 0:
-                return 0.0
-            dd = np.maximum(d, 1e-300)
-            return -self.alpha * float(np.log(dd).sum())
-        return 0.5 * self.coef * float(d @ d)
+            return -self.weight * float(np.log(np.maximum(d, 1e-300)).sum())
+        return 0.5 * self.weight * float(d @ d)
 
     def grad(self, d):
         if self.kind == "log_barrier":
-            return -self.alpha / np.maximum(d, 1e-300)
-        return self.coef * d
+            return -self.weight / np.maximum(d, 1e-300)
+        return self.weight * d
 
     def conjugate(self, v):
         """Value, gradient (the minimiser d(v) of g(d) - v'd) and Hessian
         diagonal of the conjugate g* at v; the log barrier's needs v < 0."""
+        a = self.weight
         if self.kind == "log_barrier":
-            a = self.alpha
             return a * float((np.log(a / -v) - 1.0).sum()), -a / v, a / (v * v)
-        return 0.5 * float(v @ v) / self.coef, v / self.coef, \
-            np.full(v.size, 1.0 / self.coef)
+        return 0.5 * float(v @ v) / a, v / a, np.full(v.size, 1.0 / a)
 
 
 def _vertex_sums(n: int, iu, ju, a) -> np.ndarray:
@@ -939,6 +919,26 @@ def _signless_laplacian(n: int, iu, ju, a, h) -> np.ndarray:
     return H
 
 
+def _project_laplacian(S, config: SolverConfig):
+    """Weights W of the trace-N Laplacian L(W) nearest to symmetric S
+    in Frobenius norm, and the engine's trace.
+
+    With d = diag(S) and z_ij = 2 S_ij - d_i - d_j,
+    ||S - L(w)||_F^2 = 2 z'w + ||Bw||^2 + 2 ||w||^2 + const: one
+    :func:`primal_dual_graph` solve (quadratic degree term, beta = 2,
+    weight sum N/2).
+    """
+    n = S.shape[0]
+    iu, ju = edge_index(n)
+    d = np.diag(S)
+    z = 2.0 * S[iu, ju] - d[iu] - d[ju]
+    # on the weight simplex a constant shift of z changes the
+    # objective by a constant; the engine needs z >= 0
+    return primal_dual_graph(weights_from_edge_vector(z - z.min(), n),
+                             DegreeTerm("quadratic", 2.0), 2.0, config,
+                             scale_sum=n / 2.0)
+
+
 def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
                       config: SolverConfig | None = None,
                       scale_sum: float | None = None):
@@ -961,8 +961,10 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     dual gradient is d(v) - B w(v); the Newton matrix is the signless
     Laplacian of the active edges, weighted 1 / (2 beta) (less its
     rank-one part along the sum), plus diag g*''(v). Armijo steps keep
-    v in the domain of g*. Stops when ||Bw - d||_inf <= tol * max(1,
-    ||Bw||_inf); ``max_iters`` caps the Newton steps.
+    v in the domain of g*. Stops when ||Bw - d||_inf <= tol ||Bw||_inf,
+    a rule that (c z, c^2 beta) meets at the same point scaled by 1 / c
+    (at the empty graph both sides are zero); ``max_iters`` caps the
+    Newton steps.
 
     For beta = 0: a proximal-point loop over that solve. Round k solves
     the beta = rho problem with z replaced by z - rho w_k; rho starts at
@@ -992,10 +994,6 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     z = Z[iu, ju]
     barrier = g_spec.kind == "log_barrier"
 
-    if barrier and g_spec.alpha == 0 and beta == 0:
-        warnings.warn("alpha = beta = 0 gives the degenerate all-zero graph",
-                      stacklevel=2)
-
     def degrees(wv):  # B w
         return _vertex_sums(n, iu, ju, wv)
 
@@ -1010,8 +1008,6 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
             wv = np.maximum(-c, 0.0) / (2.0 * b)
         else:
             wv = project_simplex(-c / (2.0 * b), scale_sum)
-        if g_spec.vanishes:  # g* is the indicator of v = 0
-            return wv, 0.0, None, None
         g_val, d_v, curv = g_spec.conjugate(v)
         return wv, g_val - float(c @ wv) - b * float(wv @ wv), d_v, curv
 
@@ -1020,13 +1016,11 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     def newton(v, zz, b, budget):
         """Returns (v, w(v), Newton steps taken, stopping rule met)."""
         wv, phi, d_v, curv = inner(v, zz, b)
-        if g_spec.vanishes:
-            return v, wv, 0, True
         for k in range(budget + 1):
             bw = degrees(wv)
             grad = d_v - bw
             res = float(np.abs(grad).max())
-            if res <= config.tol * max(1.0, float(bw.max())):
+            if res <= config.tol * float(bw.max()):
                 return v, wv, k, True
             if k == budget:
                 break
@@ -1065,10 +1059,10 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     kkt_scale = max(1.0, float(np.abs(2.0 * z).max()))
     rho = beta if beta > 0 else (float(z.mean()) if z.mean() > 0 else 1.0) ** 2
     v = np.zeros(n)
-    if barrier and not g_spec.vanishes:
+    if barrier:
         # every vertex starts with the edge to its nearest neighbour active
         nearest = (Z + np.diag(np.full(n, np.inf))).min(axis=1)
-        v = -(2.0 * nearest + np.sqrt(g_spec.alpha * rho))
+        v = -(2.0 * nearest + np.sqrt(g_spec.weight * rho))
     if beta > 0:
         v, w, trace.iters_used, trace.converged = newton(v, z, beta, config.max_iters)
     else:

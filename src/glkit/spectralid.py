@@ -189,7 +189,7 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
     the PSD cone. With exact covariances and M = 1 this matches the
     closed form.
     """
-    config = config or SolverConfig(max_iters=20000)
+    config = config or SolverConfig()
     Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
     m = len(Sx)
     wts = np.full(m, 1.0 / m)

@@ -80,6 +80,22 @@ class TestSemFit:
         assert np.all(np.diag(What.data) == 0.0)
 
 
+    def test_logged_objective_is_the_criterion(self):
+        # sum_t ||x_t - W x_t - Omega u_t||^2 + alpha ||W||_1 at the output,
+        # the value the tracker logs at gamma = 1
+        rng = np.random.default_rng(12)
+        W = sim.gen_er_digraph(6, 0.4, radius=0.4, rng=rng)
+        data = sem_dataset(W.data, 200, rng, noise=0.1)
+        alpha = 2.0
+        What, omega, trace = nd.sem_fit(data, alpha)
+        X, U = data.X[:, :, 0], data.U[:, :, 0]
+        resid = X - What.data @ X - omega[:, None] * U
+        crit = float((resid ** 2).sum()) + alpha * float(np.abs(What.data).sum())
+        assert trace.objective[-1] == pytest.approx(crit, rel=1e-9)
+        traj = nd.dynamic_sem_track(data, 1.0, alpha)
+        assert traj.objectives[-1] == pytest.approx(crit, rel=1e-6)
+
+
 class TestSvarm:
     def make_var1(self, seed, T=2000, noise=0.3):
         rng = np.random.default_rng(seed)

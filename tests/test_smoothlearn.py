@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import glkit.graphcore as gc
 import glkit.simulate as sim
@@ -160,6 +161,44 @@ class TestDongLearn:
         _, _, trace = sl.dong_learn(X, 0.05, 1.0)
         objs = np.array(trace.objective)
         assert np.all(np.diff(objs) <= 1e-6 * np.maximum(1.0, np.abs(objs[:-1])))
+
+    def test_laplacian_step_matches_slsqp(self):
+        # one outer iteration returns the first L step, taken at Y = X:
+        # the trace-N Laplacian minimising alpha tr(X'LX) + beta/2 ||L||_F^2
+        rng = np.random.default_rng(11)
+        for n, alpha, beta in [(3, 0.5, 1.0), (5, 0.05, 1.0), (6, 2.0, 0.3),
+                               (8, 0.2, 4.0), (8, 0.01, 1.0)]:
+            X = rng.standard_normal((n, 12))
+            L, _, _ = sl.dong_learn(X, alpha, beta, outer_iters=1)
+            iu, ju = np.triu_indices(n, 1)
+            B = np.zeros((n, iu.size))
+            B[iu, np.arange(iu.size)] = B[ju, np.arange(iu.size)] = 1.0
+
+            def lap(w):
+                return np.diag(B @ w) - gc.weights_from_edge_vector(w, n)
+
+            def objective(w):
+                Lw = lap(w)
+                return alpha * np.trace(X.T @ Lw @ X) + 0.5 * beta * np.sum(Lw * Lw)
+
+            G = X @ X.T
+            zx = G[iu, iu] + G[ju, ju] - 2.0 * G[iu, ju]  # tr(X'L(w)X) = zx'w
+
+            def grad(w):
+                return alpha * zx + beta * (B.T @ (B @ w) + 2.0 * w)
+
+            res = minimize(objective, np.full(iu.size, n / 2.0 / iu.size), jac=grad,
+                           method="SLSQP", bounds=[(0.0, None)] * iu.size,
+                           constraints=[{"type": "eq", "fun": lambda w: w.sum() - n / 2.0,
+                                         "jac": lambda w: np.ones_like(w)}],
+                           options={"ftol": 1e-14, "maxiter": 1000})
+            # SLSQP may stop on a line-search failure at its optimum; check the point
+            assert res.x.min() >= -1e-12 and res.x.sum() == pytest.approx(n / 2.0, abs=1e-9)
+            w = -L.data[iu, ju]
+            assert w.min() >= 0.0 and np.trace(L.data) == pytest.approx(n, abs=1e-9)
+            assert objective(w) <= res.fun + 1e-9 * max(1.0, abs(res.fun))
+            # the ridge term makes the minimiser unique
+            assert np.abs(w - res.x).max() <= 1e-5 * max(1.0, w.max())
 
     def test_recovers_er_graphs_from_smooth_signals(self):
         fs = []

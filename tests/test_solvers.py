@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hst
 from scipy.optimize import brentq, linprog, minimize
 
@@ -912,23 +912,15 @@ class TestPrimalDualGraph:
                                             (2.0, 0.5), (0.3, 2.0)])
     def test_two_node_scalar_oracle(self, alpha, beta):
         Z = np.array([[0.0, 1.0], [1.0, 0.0]])
-        W, trace = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier",
-                                                         alpha=alpha), beta)
+        W, trace = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier", alpha), beta)
         assert W[0, 1] == pytest.approx(self.scalar_root(1.0, alpha, beta),
                                         abs=1e-6)
 
     def test_zero_distances_finite_optimum(self):
         Z = np.zeros((2, 2))
-        W, _ = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier", alpha=1.0),
+        W, _ = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier", 1.0),
                                     1.0)
         assert W[0, 1] == pytest.approx(1.0, abs=1e-5)  # w = sqrt(alpha/beta)
-
-    def test_degenerate_zero_parameters_warn(self):
-        Z = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.warns(UserWarning):
-            W, _ = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier",
-                                                         alpha=0.0), 0.0)
-        assert np.all(W == 0)
 
     def test_kkt_residual_small(self):
         rng = np.random.default_rng(16)
@@ -936,7 +928,7 @@ class TestPrimalDualGraph:
         D = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2) ** 2
         np.fill_diagonal(D, 0.0)
         W, trace = sv.primal_dual_graph(D / D.max(),
-                                        sv.DegreeTerm("log_barrier", alpha=1.0),
+                                        sv.DegreeTerm("log_barrier", 1.0),
                                         0.5)
         assert trace.notes["kkt_residual"] <= 1e-6 * trace.notes["kkt_scale"]
 
@@ -945,7 +937,7 @@ class TestPrimalDualGraph:
         X = rng.standard_normal((6, 15))
         D = (X[:, None, :] - X[None, :, :])
         Z = np.sum(D * D, axis=2)
-        W, _ = sv.primal_dual_graph(Z, sv.DegreeTerm("quadratic", coef=1.0),
+        W, _ = sv.primal_dual_graph(Z, sv.DegreeTerm("quadratic", 1.0),
                                     1.0, scale_sum=3.0)
         assert W.sum() / 2.0 == pytest.approx(3.0, abs=1e-8)
 
@@ -955,12 +947,13 @@ class TestPrimalDualGraph:
         with pytest.raises(BadParameter):
             sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier"), beta)
 
-    @pytest.mark.parametrize("kind,alpha,coef", [
-        ("log_barrier", np.nan, 0.0), ("log_barrier", np.inf, 0.0),
-        ("cubic", 1.0, 0.0), ("quadratic", 1.0, -1.0), ("quadratic", 1.0, np.nan)])
-    def test_degree_term_outside_range_rejected(self, kind, alpha, coef):
+    @pytest.mark.parametrize("kind,weight", [
+        ("log_barrier", np.nan), ("log_barrier", np.inf), ("log_barrier", 0.0),
+        ("cubic", 1.0), ("quadratic", -1.0), ("quadratic", np.nan),
+        ("quadratic", 0.0)])
+    def test_degree_term_outside_range_rejected(self, kind, weight):
         with pytest.raises(BadParameter):
-            sv.DegreeTerm(kind, alpha=alpha, coef=coef)
+            sv.DegreeTerm(kind, weight)
 
 
 def _degree_map(n):
@@ -1042,8 +1035,8 @@ class TestEdgeWeightEngine:
             n = int(rng.integers(3, 8))
             Z = _sq_distances(rng.standard_normal((n, 6)))
             Z /= Z[np.triu_indices(n, 1)].mean()
-            g_spec = sv.DegreeTerm("log_barrier", alpha=weight) if kind == "log" \
-                else sv.DegreeTerm("quadratic", coef=weight)
+            g_spec = sv.DegreeTerm("log_barrier" if kind == "log" else "quadratic",
+                                   weight)
             s = n / 2.0 if scale else None
             W, trace = sv.primal_dual_graph(Z, g_spec, beta, scale_sum=s)
             assert trace.converged
@@ -1055,6 +1048,8 @@ class TestEdgeWeightEngine:
            case=hst.sampled_from(["log", "log_beta0", "quad"]),
            beta=hst.floats(0.05, 5.0), log_c=hst.floats(-3.0, 3.0),
            seed=hst.integers(0, 2 ** 32 - 1))
+    # degrees below 1, where a stop rule floored at 1 is absolute and ends early
+    @example(n=2, p=3, case="log", beta=3.0, log_c=1.0, seed=2)
     def test_properties_and_scale_equivariance(self, n, p, case, beta, log_c, seed):
         # (Z, beta) -> (c Z, c^2 beta) gives W / c: substitute w = w' / c
         # (the quadratic degree weight scales like beta, the sum as 1 / c)
@@ -1064,8 +1059,8 @@ class TestEdgeWeightEngine:
         s = n / 2.0 if case == "quad" else None
 
         def solve(scale):
-            g_spec = sv.DegreeTerm("quadratic", coef=scale ** 2) if case == "quad" \
-                else sv.DegreeTerm("log_barrier", alpha=1.0)
+            g_spec = sv.DegreeTerm("quadratic", scale ** 2) if case == "quad" \
+                else sv.DegreeTerm("log_barrier", 1.0)
             return sv.primal_dual_graph(scale * Z, g_spec, scale ** 2 * beta,
                                         scale_sum=None if s is None else s / scale)
 
