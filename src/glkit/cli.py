@@ -241,8 +241,9 @@ def cmd_learn(args) -> int:
             shift = ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY)
         _emit_graph(args.output, shift)
         log.info("spectral meta: %s", meta)
-        log.info("spectral iters=%d converged=%s kkt_residual=%s", trace.iters_used,
-                 trace.converged, trace.notes.get("kkt_residual"))
+        log.info("spectral iters=%d walk_rounds=%s converged=%s kkt_residual=%s",
+                 trace.iters_used, trace.notes.get("walk_rounds"), trace.converged,
+                 trace.notes.get("kkt_residual"))
         return 0
     if method in ("psd-filter", "sym-filter"):
         Sx = [serialize.read_matrix_csv(p) for p in args.xcov]

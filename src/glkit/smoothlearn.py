@@ -143,7 +143,10 @@ def dong_learn(X, alpha: float, beta: float,
     edge-weight engine under ``config``. The outer objective is
     non-increasing; an iteration that fails to improve it is rolled back
     and the loop stops, as it does once the objective falls by at most
-    ``DONG_OUTER_TOL`` relative. Returns (L, Y, trace). Raises
+    ``DONG_OUTER_TOL`` relative. ``trace.notes["l_step_converged"]``
+    lists each L step's engine flag, and ``trace.converged`` holds only
+    when the objective rule stopped the loop and the last accepted L
+    step met the engine's rule. Returns (L, Y, trace). Raises
     Infeasible for N < 2: no Laplacian with trace N exists on one vertex.
     """
     if not (0 < alpha < np.inf and 0 < beta < np.inf):
@@ -158,8 +161,10 @@ def dong_learn(X, alpha: float, beta: float,
     trace = SolveTrace()
     best = np.inf
     L = laplacian_from_weights(np.zeros((n, n)))
+    l_steps = trace.notes["l_step_converged"] = []
     for outer in range(outer_iters):
-        W_new, _ = _project_laplacian(Z_y * (alpha / (2.0 * beta)), config)
+        W_new, l_trace = _project_laplacian(Z_y * (alpha / (2.0 * beta)), config)
+        l_steps.append(l_trace.converged)
         L_new = laplacian_from_weights(W_new)
         # Y step: closed-form smoother
         Y_new = np.linalg.solve(np.eye(n) + alpha * L_new.data, X)
@@ -172,7 +177,7 @@ def dong_learn(X, alpha: float, beta: float,
         L, Y, Z_y = L_new, Y_new, Z_new
         trace.log(obj)
         if np.isfinite(best) and best - obj <= DONG_OUTER_TOL * max(1.0, abs(best)):
-            trace.converged = True
+            trace.converged = l_trace.converged
             best = obj
             break
         best = obj

@@ -474,7 +474,7 @@ def _objective_value(S, objective: str) -> float:
     return float(np.abs(S).max())
 
 
-def spectral_gap(V, constraint_set: ShiftConstraintSet) -> float:
+def spectral_gap(V, constraint_set: ShiftConstraintSet):
     """Distance between the constraint set and the span of the basis's
     rank-one eigen-matrices.
 
@@ -484,27 +484,36 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet) -> float:
     for accelerated gradient schemes", 2015): whenever the distance of
     an iteration's pair exceeds the previous one, the momentum resets.
     Each iteration projects the extrapolated point onto the span (T) and
-    T onto the set (S), so every pair (S, T) is feasible, and the
-    smallest ||S - T||_F seen is returned: an upper bound on the gap,
-    hence a candidate eps at or above it is guaranteed feasible. Stops
-    once an iteration that does not restart lowers the distance by at
-    most ``SPECTRAL_GAP_TOL`` relative; warns when
-    ``SPECTRAL_GAP_MAX_ITERS`` runs out first.
+    T onto the set (S), so every pair (S, T) is feasible. Stops once an
+    iteration that does not restart lowers the distance by at most
+    ``SPECTRAL_GAP_TOL`` relative; warns when ``SPECTRAL_GAP_MAX_ITERS``
+    runs out first.
+
+    Returns (gap, S, trace). ``gap`` is the smallest ||S - T||_F seen:
+    an upper bound on the true gap, hence every eps at or above it is
+    feasible. ``S`` is the member of the set that reached it, within
+    ``gap`` of the span. The trace logs each iteration's distance;
+    ``converged`` is False when the cap stopped the loop.
     """
     V = np.asarray(V, dtype=float)
     coupling = SpectralCoupling(V, 0.0)
-    S = S_prev = constraint_set.project(np.ones((V.shape[0], V.shape[0])))
+    S = S_prev = best_S = constraint_set.project(np.ones((V.shape[0], V.shape[0])))
     t = 1.0
     prev = best = np.inf
-    for _ in range(SPECTRAL_GAP_MAX_ITERS):
+    trace = SolveTrace()
+    for it in range(SPECTRAL_GAP_MAX_ITERS):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         T = coupling.project(S + ((t - 1.0) / t_next) * (S - S_prev))
         S_prev, S = S, constraint_set.project(T)
         dist = float(np.linalg.norm(S - T))
-        best = min(best, dist)
+        trace.log(dist)
+        trace.iters_used = it + 1
+        if dist < best:
+            best, best_S = dist, S
         if dist > prev:
             t = 1.0  # restart: the next step is a plain projection pair
         elif prev - dist <= SPECTRAL_GAP_TOL * max(dist, 1e-12):
+            trace.converged = True
             break
         else:
             t = t_next
@@ -512,7 +521,7 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet) -> float:
     else:
         warnings.warn(f"spectral_gap stopped at its {SPECTRAL_GAP_MAX_ITERS}-"
                       "iteration cap before its tol rule held", stacklevel=2)
-    return best
+    return best, best_S, trace
 
 
 # HiGHS's primal feasibility tolerance, passed to every solve: row
@@ -656,14 +665,13 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
 
 
 _FINISH_ROUNDS = 20  # solves per checkpoint of the eps > 0 finisher
-_FINISH_ROUNDING = 1e-9  # relative slack of its ball and set checks
+_WALK_ROUNDS = 200  # solves of the active-set walk before the ADMM takes over
+_FINISH_ROUNDING = 1e-9  # relative slack of the certificate's ball and set checks
 
 
-def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
-                      coupling: SpectralCoupling, tol: float):
-    """Checkpoint hook of :func:`admm` for eps > 0 with the l1 objective
-    on an adjacency set: the exact solve on the ADMM iterate's support,
-    returned once a KKT certificate holds.
+class _EdgeKKT:
+    """The eps > 0 l1 problem on an adjacency set: its closed-form KKT
+    solve on a support and the certificate of a solution.
 
     In the edge vector w of S (:func:`edge_index` order) the problem is
     min c'w s.t. w >= 0, a'w = b, w'Aw <= eps^2, with c the l1 tilt,
@@ -676,68 +684,60 @@ def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
     left out when they are fewer, D = V o V), and B and B' apply as
     N x N products; the scale equality and the ball make nu a root
     of a scalar quadratic, and mu = sqrt(f(nu)) / (2 eps), with f(nu) the
-    quadratic form of A_EE^-1 (c + nu a).
+    quadratic form of A_EE^-1 (c + nu a). The reduced costs of a solution
+    are z = c + nu a + 2 mu Aw.
 
-    Starting from the iterate's support, each solve drops the edges with
-    w_e <= 0, or else adds those whose reduced cost z = c + nu a + 2 mu Aw
-    is below -tol max|c|, for at most ``_FINISH_ROUNDS`` solves and until
-    a support repeats (supports tried at earlier checkpoints included).
-    A solution is accepted only when, checked on S itself, it lies in the
-    set and within eps of the span up to ``_FINISH_ROUNDING`` relative,
-    and its KKT residual - the largest |z_e| on the support and -z_e off
-    it, over max|c| - is at most ``tol``. A support that needs no
-    correction but fails these checks ends the tries for good: the
-    problem's KKT point is not certified at this ``tol`` (rounding in an
-    ill-conditioned A_EE). Otherwise the hook returns None: for an
-    inactive ball (mu = 0, which covers the ``total`` scale, where c is
-    parallel to a), for a support that cannot meet the ball and the
-    scale together (eps below the gap), and whenever a check fails.
+    A solution is certified only when, checked on S itself, it lies in
+    the set and within eps of the span up to ``_FINISH_ROUNDING``
+    relative, and its KKT residual - the largest |z_e| on the support and
+    -z_e off it, over max|c| - is at most ``tol``.
     """
-    n = V.shape[0]
-    iu, ju = edge_index(n)
-    up, lo = edge_positions(n)
-    A_eq, b = cset.scale_equality(n)
-    a = A_eq.ravel()[up] + A_eq.ravel()[lo]
-    tilt = cset.l1_tilt(n).ravel()
-    c = tilt[up] + tilt[lo]
-    cmax = float(np.abs(c).max())
-    k = b * b / (eps * eps)
-    D = V * V
-    DD = 2.0 * D.T @ D
-    tried = set()
-    stuck = False
 
-    def b_t(x):  # B'x = diag(V' W(x) V) for an edge vector x
-        return np.einsum("ik,ik->k", V, weights_from_edge_vector(x, n) @ V)
+    def __init__(self, V, eps: float, cset: ShiftConstraintSet,
+                 coupling: SpectralCoupling, tol: float):
+        n = V.shape[0]
+        self.V, self.n, self.eps, self.cset, self.coupling = V, n, eps, cset, coupling
+        self.iu, self.ju = edge_index(n)
+        self.up, lo = edge_positions(n)
+        A_eq, self.b = cset.scale_equality(n)
+        self.a = A_eq.ravel()[self.up] + A_eq.ravel()[lo]
+        tilt = cset.l1_tilt(n).ravel()
+        self.c = tilt[self.up] + tilt[lo]
+        self.cmax = float(np.abs(self.c).max())
+        self.floor = -tol * self.cmax  # reduced costs below it price an edge in
+        self.tol = tol
+        self.k = self.b * self.b / (eps * eps)
+        D = V * V
+        self.DD = 2.0 * D.T @ D
 
-    def b_op(y):  # By over every pair: 2 (V diag(y) V')_ij
-        return 2.0 * ((V * y) @ V.T).ravel()[up]
+    def b_t(self, x):  # B'x = diag(V' W(x) V) for an edge vector x
+        return np.einsum("ik,ik->k", self.V, weights_from_edge_vector(x, self.n) @ self.V)
 
-    def offdiag(M):
-        np.fill_diagonal(M, 0.0)
-        return M
+    def b_op(self, y):  # By over every pair: 2 (V diag(y) V')_ij
+        return 2.0 * ((self.V * y) @ self.V.T).ravel()[self.up]
 
-    def solve(E):
+    def solve(self, E):
         """(w, nu, mu) of the ball-active KKT point on support E, or None."""
+        V, n, iu, ju, a, k = self.V, self.n, self.iu, self.ju, self.a, self.k
         if 2 * np.count_nonzero(E) <= E.size:
             BE = 2.0 * V[iu[E]] * V[ju[E]]
             M = 2.0 * np.eye(n) - BE.T @ BE
         else:  # B'B = 2I - 2 D'D over all pairs: sum over the fewer left out
             Bc = 2.0 * V[iu[~E]] * V[ju[~E]]
-            M = DD + Bc.T @ Bc
+            M = self.DD + Bc.T @ Bc
         try:  # numpy's factor: scipy.linalg alone takes 0.27 s to import
             L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             return None
 
         def a_inv(r):  # A_EE^-1 r = (r + B_E M^-1 B_E'r) / 2 by Woodbury, r on E
-            return np.where(E, 0.5 * (r + b_op(np.linalg.solve(L.T, np.linalg.solve(
-                L, b_t(r))))), 0.0)
+            return np.where(E, 0.5 * (r + self.b_op(np.linalg.solve(L.T, np.linalg.solve(
+                L, self.b_t(r))))), 0.0)
 
-        p, q = a_inv(c * E), a_inv(a * E)
+        p, q = a_inv(self.c * E), a_inv(a * E)
         # x'A_EE y as <offdiag(V'W(x)V), offdiag(V'W(y)V)>: summing the
         # off-diagonal parts avoids the cancellation in 2x'y - (B'x)'(B'y)
-        mp, mq = (offdiag(V.T @ weights_from_edge_vector(x, n) @ V) for x in (p, q))
+        mp, mq = (_offdiag(V.T @ weights_from_edge_vector(x, n) @ V) for x in (p, q))
         P, R, Q = float((mp * mp).sum()), float((mp * mq).sum()), float((mq * mq).sum())
         alpha, beta = a @ p, a @ q
         # a'w = b and w'Aw = eps^2 give (alpha + nu beta)^2 = k f(nu), with
@@ -750,8 +750,116 @@ def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
         f = P + nu * (2.0 * R + nu * Q)
         if not (alpha + nu * beta < 0 and f > 1e-12 * abs(P)):
             return None
-        mu = math.sqrt(f) / (2.0 * eps)
+        mu = math.sqrt(f) / (2.0 * self.eps)
         return -(p + nu * q) / (2.0 * mu), nu, mu
+
+    def price(self, w, nu: float, mu: float):
+        """(S, V'SV, reduced costs z) of a solve's point w."""
+        S = weights_from_edge_vector(w, self.n)
+        Mt = self.V.T @ S @ self.V
+        return S, Mt, self.c + nu * self.a + 2.0 * mu * (2.0 * w - self.b_op(np.diagonal(Mt)))
+
+    def certify(self, S, Mt, z, E):
+        """(S, its coupling projection, {"kkt_residual": ...}) when the
+        certificate holds on S, else None. Overwrites Mt's diagonal."""
+        kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / self.cmax
+        if (kkt <= self.tol
+                and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
+                and self.in_set(S)):
+            return S, self.coupling.project(S), {"kkt_residual": kkt}
+        return None
+
+    def in_set(self, S) -> bool:
+        return self.cset.violation(S) <= _FINISH_ROUNDING * max(1.0, self.b)
+
+    def walk(self, S0):
+        """Primal active-set walk (Nocedal & Wright, Numerical
+        Optimization, ch. 16) from a feasible S0: returns (the certified
+        (S, T, notes) or None, the number of solves).
+
+        The iterate w is a feasible edge vector with support E, at first
+        S0's. Each round solves on E. When some weights of the solution
+        are <= 0, they are dropped, and so are those of each further
+        solve, until a solve has every weight positive; that solution is
+        kept when it does not raise c'w. Otherwise w steps toward E's
+        solution up to the first weight that reaches 0 (a ratio test: the
+        segment stays in the ball and on the scale hyperplane, both
+        convex, and c'w does not rise along it), and that edge leaves E.
+        With every weight positive, the edges whose reduced cost is below
+        -tol max|c| join E, as at the checkpoints of
+        :func:`_support_finisher`; when there are none, the solution is
+        certified. Returns None on a failed solve or certificate, or once
+        ``_WALK_ROUNDS`` solves are spent. Runs no solve (0 rounds) when S0
+        is outside the set or farther than eps from the span, or when the
+        set's point nearest zero is within eps: it is l1-minimal on the
+        ``first_node`` set, hence optimal, and the ball inactive.
+        """
+        def dist(M):  # from M to the span
+            return float(np.linalg.norm(_offdiag(self.V.T @ M @ self.V)))
+
+        if not (self.in_set(S0)
+                and dist(S0) <= self.eps < dist(self.cset.project(np.zeros_like(S0)))):
+            return None, 0
+        w = S0.ravel()[self.up]
+        E = w > 0
+        rounds = 0
+        while rounds < _WALK_ROUNDS:
+            sol = self.solve(E)
+            rounds += 1
+            if sol is None:
+                return None, rounds
+            neg = E & (sol[0] <= 0)
+            if neg.any():
+                kept, bulk = E, sol
+                while (bulk is not None and (bulk[0][kept] <= 0).any()
+                       and rounds < _WALK_ROUNDS):
+                    kept = kept & (bulk[0] > 0)
+                    bulk = self.solve(kept)
+                    rounds += 1
+                if (bulk is None or (bulk[0][kept] <= 0).any()
+                        or self.c @ bulk[0] > self.c @ w):
+                    ratio = w[neg] / np.maximum(w[neg] - sol[0][neg], np.finfo(float).tiny)
+                    j = np.flatnonzero(neg)[np.argmin(ratio)]
+                    w = np.maximum(w + ratio.min() * (sol[0] - w), 0.0)
+                    w[j], E[j] = 0.0, False
+                    continue
+                sol, E = bulk, kept
+            w = sol[0]
+            S, Mt, z = self.price(*sol)
+            add = ~E & (z < self.floor)
+            if not add.any():
+                return self.certify(S, Mt, z, E), rounds
+            E = E | add
+        return None, rounds
+
+
+def _offdiag(M):
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
+def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
+                      coupling: SpectralCoupling, tol: float):
+    """Checkpoint hook of :func:`admm` for eps > 0 with the l1 objective
+    on an adjacency set: the exact solve of :class:`_EdgeKKT` on the ADMM
+    iterate's support, returned once its certificate holds.
+
+    Starting from the iterate's support, each solve drops the edges with
+    w_e <= 0, or else adds those whose reduced cost is below
+    -tol max|c|, for at most ``_FINISH_ROUNDS`` solves and until a
+    support repeats (supports tried at earlier checkpoints included). A
+    support that needs no correction but fails the certificate ends the
+    tries for good: the problem's KKT point is not certified at this
+    ``tol`` (rounding in an ill-conditioned A_EE). Otherwise the hook
+    returns None: for an inactive ball (mu = 0, which covers the
+    ``total`` scale, where c is parallel to a), for a support that cannot
+    meet the ball and the scale together (eps below the gap), and
+    whenever a check fails.
+    """
+    kkt = _EdgeKKT(V, eps, cset, coupling, tol)
+    up = kkt.up
+    tried = set()
+    stuck = False
 
     def finish(x, _z):
         nonlocal stuck
@@ -763,36 +871,31 @@ def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
             if key in tried or not E.any():
                 return None
             tried.add(key)
-            sol = solve(E)
+            sol = kkt.solve(E)
             if sol is None:
                 return None
-            w, nu, mu = sol
+            w = sol[0]
             if (w[E] <= 0).any():
                 E = w > 0
                 continue
-            S = weights_from_edge_vector(w, n)
-            Mt = V.T @ S @ V
-            z = c + nu * a + 2.0 * mu * (2.0 * w - b_op(np.diagonal(Mt)))
-            add = ~E & (z < -tol * cmax)
+            S, Mt, z = kkt.price(*sol)
+            add = ~E & (z < kkt.floor)
             if add.any():
                 E = E | add
                 continue
-            np.fill_diagonal(Mt, 0.0)
-            kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / cmax
-            if (kkt <= tol and float(np.linalg.norm(Mt)) <= eps * (1.0 + _FINISH_ROUNDING)
-                    and cset.violation(S) <= _FINISH_ROUNDING * max(1.0, b)):
-                return S, coupling.project(S), {"kkt_residual": kkt}
-            # the KKT point of the problem fails its checks at this tol;
-            # later checkpoints lead to the same point
-            stuck = True
-            return None
+            done = kkt.certify(S, Mt, z, E)
+            # a KKT point that fails its checks at this tol: later
+            # checkpoints lead to the same point
+            stuck = done is None
+            return done
         return None
 
     return finish
 
 
 def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
-                     config: SolverConfig | None = None, objective: str = "l1"):
+                     config: SolverConfig | None = None, objective: str = "l1",
+                     start=None):
     """min f(S) s.t. S in the constraint set, ||S - V diag(lam) V'||_F <= eps.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
@@ -819,6 +922,17 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     (the checkpoint). Otherwise, and for the other objectives, the ADMM
     runs to its own stopping rule.
 
+    ``start``, an N x N matrix, is used only in that eps > 0 l1 case and
+    only when it lies in the set and within eps of the span (the point
+    :func:`spectral_gap` returns, for eps above the gap). The primal
+    active-set walk of :meth:`_EdgeKKT.walk` then runs from it, with the
+    same closed-form solve and certificate; a certified result returns
+    without any ADMM iteration (``iters_used`` 0, ``notes["finished"]``
+    0), and ``notes["walk_rounds"]`` counts the walk's solves. A walk
+    that fails (a failed solve or certificate, or its round cap) leaves
+    the ADMM above to run as without a start. A start that is not
+    feasible is ignored.
+
     Returns (S, lam, trace), lam read off the coupling block. Raises
     Infeasible when no member of the set is exactly diagonalized by V
     (eps = 0).
@@ -841,14 +955,28 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     if eps == 0:
         _spectral_lp(V, constraint_set, "l1")  # raises Infeasible
     coupling = SpectralCoupling(V, eps)
-    T0 = coupling.project(constraint_set.project(np.zeros((n, n))))
-    finish = None
+    finish, done, walked = None, None, {}
     if eps > 0 and objective == "l1" and constraint_set.kind == "adjacency":
-        finish = _support_finisher(V, eps, constraint_set, coupling, config.tol)
-    S, T, trace = admm(
-        lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
-        lambda M, rho: coupling.project(M),
-        T0, config, lambda S: _objective_value(S, objective), finish)
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            if start.shape != (n, n):
+                raise BadInput("start must be an N x N matrix")
+            done, rounds = _EdgeKKT(V, eps, constraint_set, coupling, config.tol).walk(start)
+            walked = {"walk_rounds": rounds} if rounds else {}
+        if done is None:
+            finish = _support_finisher(V, eps, constraint_set, coupling, config.tol)
+    if done is not None:
+        S, T, notes = done
+        trace = SolveTrace(converged=True)
+        trace.log(_objective_value(S, objective), float(np.linalg.norm(S - T)))
+        trace.notes.update(notes, finished=0)
+    else:
+        T0 = coupling.project(constraint_set.project(np.zeros((n, n))))
+        S, T, trace = admm(
+            lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
+            lambda M, rho: coupling.project(M),
+            T0, config, lambda S: _objective_value(S, objective), finish)
+    trace.notes.update(walked)
     trace.notes["constraint_violation"] = float(constraint_set.violation(S))
     return S, np.diag(V.T @ T @ V).copy(), trace
 

@@ -117,8 +117,13 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
     ``eps="auto"`` solves at twice the feasibility gap of the estimated
     basis (:func:`solvers.spectral_gap`, an upper bound on the smallest
     feasible eps) or at zero for an exact covariance input; a numeric
-    eps is used as-is. Degenerate eigenvalue blocks in the covariance
-    route the unambiguous eigenvectors to the partial-basis variant.
+    eps is used as-is. With eps="auto" the set member that
+    ``spectral_gap`` returns, within the gap of the span, is passed to
+    :func:`solvers.admm_l1_spectral` as its feasible ``start``: for the
+    l1 objective on an adjacency set an active-set walk from it replaces
+    the ADMM whenever its result is certified. Degenerate eigenvalue
+    blocks in the covariance route the unambiguous eigenvectors to the
+    partial-basis variant.
     """
     basis, flags = estimate_eigenbasis(data)
     constraint_set = constraint_set or ShiftConstraintSet()
@@ -130,12 +135,14 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
         S, trace = infer_shift_partial(keep, constraint_set)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
     if eps == "auto":
+        start = None
         if _is_covariance(as_signal_matrix(data)):
             eps_val = 0.0  # exact covariance supplied
         else:
-            eps_val = 2.0 * spectral_gap(basis.vecs, constraint_set)
-        S, lam, trace = infer_shift(basis, constraint_set, eps_val, objective,
-                                    config)
+            gap, start, _ = spectral_gap(basis.vecs, constraint_set)
+            eps_val = 2.0 * gap
+        S, lam, trace = admm_l1_spectral(basis.vecs, eps_val, constraint_set, config,
+                                         objective, start)
         return S, trace, {"eps": eps_val}
     S, lam, trace = infer_shift(basis, constraint_set, float(eps), objective, config)
     return S, trace, {"eps": float(eps)}

@@ -255,7 +255,9 @@ class TestCli:
         [line] = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("spectral iters=")]
         fields = dict(f.split("=") for f in line.split()[1:])
-        assert int(fields["iters"]) >= 1 and fields["converged"] == "True"
+        # eps="auto": the active-set walk certifies before any ADMM iteration
+        assert int(fields["iters"]) == 0 and int(fields["walk_rounds"]) >= 1
+        assert fields["converged"] == "True"
         assert float(fields["kkt_residual"]) <= 1e-7
 
     def test_unknown_method_usage_error(self):

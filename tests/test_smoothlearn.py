@@ -162,6 +162,16 @@ class TestDongLearn:
         objs = np.array(trace.objective)
         assert np.all(np.diff(objs) <= 1e-6 * np.maximum(1.0, np.abs(objs[:-1])))
 
+    def test_capped_laplacian_step_is_not_converged(self):
+        # the L step at the final Y needs more than 5 engine Newton steps
+        X = np.random.default_rng(0).standard_normal((30, 100))
+        _, _, capped = sl.dong_learn(X, 0.05, 1.0, sl.SolverConfig(max_iters=5))
+        assert not capped.converged
+        assert not capped.notes["l_step_converged"][-1]
+        _, _, trace = sl.dong_learn(X, 0.05, 1.0)
+        assert trace.converged and all(trace.notes["l_step_converged"])
+        assert len(trace.notes["l_step_converged"]) == trace.iters_used
+
     def test_laplacian_step_matches_slsqp(self):
         # one outer iteration returns the first L step, taken at Y = X:
         # the trace-N Laplacian minimising alpha tr(X'LX) + beta/2 ||L||_F^2

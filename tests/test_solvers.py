@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import brentq, linprog, minimize
 
@@ -405,7 +405,7 @@ class TestCachedIndexParity:
         cset = sv.ShiftConstraintSet(scale=scale)
 
         def solve():
-            eps = 2.0 * sv.spectral_gap(V, cset)
+            eps = 2.0 * sv.spectral_gap(V, cset)[0]
             return eps, sv.admm_l1_spectral(V, eps, cset)
 
         eps, (S, _, trace) = solve()
@@ -441,13 +441,25 @@ class TestSpectralGap:
         with monkeypatch.context() as m:
             m.setattr(sv, "SPECTRAL_GAP_MAX_ITERS", 2)
             with pytest.warns(UserWarning, match="cap"):
-                capped = sv.spectral_gap(V, cset)
+                capped, _, capped_trace = sv.spectral_gap(V, cset)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gap = sv.spectral_gap(V, cset)
+            gap, _, trace = sv.spectral_gap(V, cset)
         assert type(capped) is float and type(gap) is float
         # the smallest distance seen can only fall with more iterations
         assert capped >= gap > 0
+        assert not capped_trace.converged and capped_trace.iters_used == 2
+        assert trace.converged and 2 < trace.iters_used < sv.SPECTRAL_GAP_MAX_ITERS
+        assert len(trace.objective) == trace.iters_used and min(trace.objective) == gap
+
+    @pytest.mark.parametrize("scale", ["first_node", "total"])
+    def test_returns_the_set_member_at_the_gap(self, scale):
+        V = sampled_basis(12, 5)
+        cset = sv.ShiftConstraintSet(scale=scale)
+        gap, S, _ = sv.spectral_gap(V, cset)
+        assert cset.violation(S) <= 1e-12
+        # the span point T of S's pair is no closer to S than its projection
+        assert ball_distance(V, S) <= gap * (1 + 1e-12)
 
     @given(hst.sampled_from(["first_node", "total"]), hst.integers(4, 12),
            hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
@@ -456,7 +468,7 @@ class TestSpectralGap:
         G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
         X = 10.0 ** u * sim.gen_diffusion(G, [1.0, 0.5, 0.2], 200, rng=seed).data
         V = gc.eigendecompose(np.cov(X)).vecs
-        gap = sv.spectral_gap(V, cset)
+        gap = sv.spectral_gap(V, cset)[0]
         ref = alternating_gap(V, cset, 1e-13, 200000)
         # a feasible-pair distance never undercuts the gap, which the
         # tight reference overestimates only by its last steps
@@ -709,7 +721,7 @@ class TestSupportFinisher:
     def test_matches_slsqp_first_node(self, n, seed):
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet()
-        eps = 2.0 * sv.spectral_gap(V, cset)
+        eps = 2.0 * sv.spectral_gap(V, cset)[0]
         S, lam, trace = sv.admm_l1_spectral(V, eps, cset)
         assert trace.converged and trace.notes["finished"] == trace.iters_used
         assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
@@ -726,7 +738,7 @@ class TestSupportFinisher:
         # ball's multiplier is 0 and the plain ADMM result stands
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet(scale="total")
-        eps = 2.0 * sv.spectral_gap(V, cset)
+        eps = 2.0 * sv.spectral_gap(V, cset)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assert not any(hook_returns)
         assert "finished" not in trace.notes and "kkt_residual" not in trace.notes
@@ -751,7 +763,7 @@ class TestSupportFinisher:
     def test_eps_below_gap_falls_through(self, hook_returns):
         V = sampled_basis(8, 1)
         cset = sv.ShiftConstraintSet()
-        eps = 0.5 * sv.spectral_gap(V, cset)
+        eps = 0.5 * sv.spectral_gap(V, cset)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset, sv.SolverConfig(max_iters=1000))
         assert len(hook_returns) == 20 and not any(hook_returns)
         assert not trace.converged and "finished" not in trace.notes
@@ -759,7 +771,7 @@ class TestSupportFinisher:
     def test_certificate_checks_bind(self, monkeypatch):
         V = sampled_basis(8, 1)
         cset = sv.ShiftConstraintSet()
-        eps = 2.0 * sv.spectral_gap(V, cset)
+        eps = 2.0 * sv.spectral_gap(V, cset)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assert trace.notes["kkt_residual"] > 1e-16  # rounding
         _, _, trace = sv.admm_l1_spectral(V, eps, cset,
@@ -777,12 +789,140 @@ class TestSupportFinisher:
     def test_certified_points_are_feasible(self, n, seed, p, margin):
         V = sampled_basis(n, seed, p)
         cset = sv.ShiftConstraintSet()
-        eps = margin * sv.spectral_gap(V, cset)
+        eps = margin * sv.spectral_gap(V, cset)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assume("finished" in trace.notes)
         assert cset.violation(S) <= 1e-9
         assert ball_distance(V, S) <= eps * (1 + 1e-9)
         assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+
+
+def er_sampled_basis(n, seed, p):
+    """Eigenbasis of the sample covariance of P diffused signals on an
+    ER draw with the benchmark's edge probability."""
+    G = sim.gen_er_graph(n, 0.3, rng=seed, require_connected=True)
+    X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], p, rng=seed + 50)
+    return sid.estimate_eigenbasis(X)[0].vecs
+
+
+class TestActiveSetWalk:
+    """The eps > 0 l1 solve started at spectral_gap's feasible point."""
+
+    @given(n=hst.integers(6, 20), seed=hst.integers(0, 10_000),
+           p=hst.integers(200, 5000))
+    @settings(max_examples=30)
+    def test_walk_certifies_the_cold_solve(self, n, seed, p):
+        V = er_sampled_basis(n, seed, p)
+        cset = sv.ShiftConstraintSet()
+        gap, start, _ = sv.spectral_gap(V, cset)
+        eps = 2.0 * gap
+        S, lam, trace = sv.admm_l1_spectral(V, eps, cset, start=start)
+        cold, cold_lam, _ = sv.admm_l1_spectral(V, eps, cset)
+        # the same support, hence the same bits, as the ADMM-finished solve
+        np.testing.assert_array_equal(S, cold)
+        np.testing.assert_array_equal(lam, cold_lam)
+        assume(trace.notes.get("finished") == 0)
+        assert trace.converged and trace.iters_used == 0
+        assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
+        assert cset.violation(S) <= 1e-9
+        assert ball_distance(V, S) <= eps * (1 + 1e-9)
+        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+
+    @pytest.mark.parametrize("n,seed", [(6, 0), (8, 1), (10, 2)])
+    def test_walk_matches_slsqp(self, n, seed):
+        V = sampled_basis(n, seed)
+        cset = sv.ShiftConstraintSet()
+        gap, start, _ = sv.spectral_gap(V, cset)
+        S, _, trace = sv.admm_l1_spectral(V, 2.0 * gap, cset, start=start)
+        assert trace.notes["finished"] == 0
+        oracle = slsqp_oracle(V, 2.0 * gap, cset)
+        assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-9
+        assert np.abs(S - oracle).max() <= 1e-6
+
+    def test_ratio_steps_reach_the_certificate(self):
+        # a draw of the benchmark's eps="auto" job whose start support
+        # (424 pairs) is far from the optimal one (265): the bulk drops
+        # fail there, and ratio steps carry the walk (44 solves measured)
+        rng = np.random.default_rng([1, 14])
+        G = sim.gen_er_graph(30, 0.3, rng=rng, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
+        S, trace, _ = sid.infer_shift_from_signals(X)
+        assert trace.notes["finished"] == 0 and trace.notes["walk_rounds"] <= 60
+        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+
+    @pytest.fixture
+    def problem(self):
+        V = sampled_basis(10, 2)
+        cset = sv.ShiftConstraintSet()
+        gap, start, _ = sv.spectral_gap(V, cset)
+        cold = sv.admm_l1_spectral(V, 2.0 * gap, cset)
+        assert cold[2].notes["finished"] > 0
+        return V, cset, 2.0 * gap, start, cold
+
+    def assert_cold(self, out, cold):
+        for got, want in zip(out[:2], cold[:2]):
+            np.testing.assert_array_equal(got, want)
+        assert out[2].iters_used == cold[2].iters_used
+        assert out[2].notes["finished"] == cold[2].notes["finished"]
+
+    def test_unusable_starts_are_ignored(self, problem):
+        V, cset, eps, start, cold = problem
+        far = sv.admm_l1_spectral(V, 0.5 * ball_distance(V, start), cset, start=start)
+        assert "walk_rounds" not in far[2].notes
+        assert ball_distance(V, start) <= eps  # a usable start at this eps
+        outside = start.copy()
+        outside[0, 1] += 1e-6  # asymmetric, and off the scale equality
+        farther = start + 10.0 * np.abs(V[:, :1] @ V[:, 1:2].T + V[:, 1:2] @ V[:, :1].T)
+        np.fill_diagonal(farther, 0.0)
+        farther = cset.project(farther)
+        assert cset.violation(farther) <= 1e-12 and ball_distance(V, farther) > eps
+        for bad in (outside, farther, -start):
+            out = sv.admm_l1_spectral(V, eps, cset, start=bad)
+            self.assert_cold(out, cold)
+            assert "walk_rounds" not in out[2].notes
+        with pytest.raises(BadInput, match="start"):
+            sv.admm_l1_spectral(V, eps, cset, start=start[:-1])
+
+    def test_capped_walk_falls_back_to_the_admm(self, problem, monkeypatch):
+        V, cset, eps, start, cold = problem
+        monkeypatch.setattr(sv, "_WALK_ROUNDS", 1)
+        out = sv.admm_l1_spectral(V, eps, cset, start=start)
+        self.assert_cold(out, cold)
+        assert out[2].converged and out[2].notes["walk_rounds"] == 1
+        assert out[2].notes["kkt_residual"] <= sv.SolverConfig().tol
+
+    def test_failed_certificate_falls_back_to_the_admm(self, problem):
+        V, cset, eps, start, _ = problem
+        config = sv.SolverConfig(tol=1e-16, max_iters=500)
+        out = sv.admm_l1_spectral(V, eps, cset, config, start=start)
+        cold = sv.admm_l1_spectral(V, eps, cset, config)
+        for got, want in zip(out[:2], cold[:2]):
+            np.testing.assert_array_equal(got, want)
+        assert out[2].notes["walk_rounds"] >= 1 and "finished" not in out[2].notes
+
+    @pytest.mark.parametrize("scale", ["first_node", "total"])
+    def test_inactive_ball_and_total_scale_keep_the_admm(self, scale):
+        V = sampled_basis(8, 2)
+        cset = sv.ShiftConstraintSet(scale=scale)
+        start = sv.spectral_gap(V, cset)[1]
+        for eps in (1e6, 2.0 * sv.spectral_gap(V, cset)[0]):
+            out = sv.admm_l1_spectral(V, eps, cset, start=start)
+            cold = sv.admm_l1_spectral(V, eps, cset)
+            np.testing.assert_array_equal(out[0], cold[0])
+            if scale == "total" or eps == 1e6:
+                assert out[2].notes.get("finished") == cold[2].notes.get("finished")
+                assert out[2].notes.get("walk_rounds", 0) <= 1
+
+    @pytest.mark.parametrize("objective", ["linf", "frobenius"])
+    def test_other_objectives_ignore_the_start(self, objective):
+        V = sampled_basis(6, 1)
+        cset = sv.ShiftConstraintSet()
+        gap, start, _ = sv.spectral_gap(V, cset)
+        config = sv.SolverConfig(max_iters=200)
+        out = sv.admm_l1_spectral(V, 2.0 * gap, cset, config, objective, start)
+        cold = sv.admm_l1_spectral(V, 2.0 * gap, cset, config, objective)
+        np.testing.assert_array_equal(out[0], cold[0])
+        assert out[2].notes == cold[2].notes
 
 
 def diffusion_basis(n, seed):

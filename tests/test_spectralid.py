@@ -463,7 +463,7 @@ class TestAutoEps:
         G = sim.gen_er_graph(8, 0.4, rng=17, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5], 300, rng=18)
         basis, _ = sid.estimate_eigenbasis(X)
-        gap = spectral_gap(basis.vecs, ShiftConstraintSet())
+        gap = spectral_gap(basis.vecs, ShiftConstraintSet())[0]
         S, lam, trace = sid.infer_shift(basis, eps=2.0 * gap)
         assert trace.converged
 
@@ -476,16 +476,32 @@ class TestAutoEps:
             sid.infer_shift_from_signals(X, ShiftConstraintSet(), eps)
 
     def test_signals_n100_certified_at_default_config(self):
-        # the plain ADMM stops at its 5000 cap here; the exact solve on
-        # its support finishes at a checkpoint with a KKT certificate
+        # the plain ADMM stops at its 5000 cap here. The active-set walk
+        # from spectral_gap's point is certified before any ADMM
+        # iteration (7 solves when measured); the ADMM with the exact
+        # solve at its checkpoints certifies the same point after 1300
         rng = np.random.default_rng([1, 2])
         G = sim.gen_er_graph(100, 0.3, rng=rng, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
         S, trace, meta = sid.infer_shift_from_signals(X)
-        assert trace.converged and trace.iters_used < 5000
-        assert trace.notes["finished"] == trace.iters_used
+        assert trace.converged and trace.iters_used == 0
+        assert trace.notes["finished"] == 0
+        assert 1 <= trace.notes["walk_rounds"] <= 20
         assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
         assert ShiftConstraintSet().violation(S) <= 1e-9
+        basis, _ = sid.estimate_eigenbasis(X)
+        cold, _, cold_trace = sv.admm_l1_spectral(basis.vecs, meta["eps"],
+                                                  ShiftConstraintSet())
+        assert 0 < cold_trace.notes["finished"] == cold_trace.iters_used < 5000
+        np.testing.assert_array_equal(S, cold)
+
+    def test_numeric_eps_keeps_the_admm(self):
+        G = sim.gen_er_graph(12, 0.3, rng=3, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 2000, rng=4)
+        _, auto, meta = sid.infer_shift_from_signals(X)
+        assert auto.notes["finished"] == 0 and auto.notes["walk_rounds"] >= 1
+        _, trace, _ = sid.infer_shift_from_signals(X, eps=meta["eps"])
+        assert trace.notes["finished"] > 0 and "walk_rounds" not in trace.notes
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_signals_converge_at_default_config(self, seed):
