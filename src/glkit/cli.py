@@ -139,17 +139,6 @@ def _signals(args) -> np.ndarray:
     return serialize.read_matrix_csv(args.input, header=args.header)
 
 
-def _table_payload(table: statnet.TestTable) -> dict:
-    cols = ("i", "j", "statistic", "p_value", "reject")
-    rows = zip(*(getattr(table, c).tolist() for c in cols))
-    return {
-        "method": table.method,
-        "q": table.q,
-        "flags": dict(table.flags),
-        "pairs": [dict(zip(cols, row)) for row in rows],
-    }
-
-
 def cmd_learn(args) -> int:
     config = _load_config(args.config)
     method = args.method
@@ -162,7 +151,11 @@ def cmd_learn(args) -> int:
                                                            ridge=args.ridge)
         _emit_graph(args.output, W)
         if args.table_out:
-            serialize.write_report_json(args.table_out, _table_payload(table))
+            cols = ("i", "j", "statistic", "p_value", "reject")
+            serialize.write_records_json(
+                args.table_out,
+                {"method": table.method, "q": table.q, "flags": dict(table.flags)},
+                "pairs", {c: getattr(table, c) for c in cols})
         return 0
     if method == "glasso":
         X = _signals(args)

@@ -46,6 +46,8 @@ class DistanceMatrix:
         Z = np.asarray(self.Z, dtype=float)
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
             raise BadInput("distance matrix must be square")
+        if not np.isfinite(Z).all():
+            raise BadInput("distances must be finite")
         if np.abs(Z - Z.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(Z).max()):
             raise BadInput("distance matrix must be symmetric")
         if np.abs(np.diag(Z)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(Z).max()):
@@ -72,6 +74,8 @@ def distance_matrix(X) -> DistanceMatrix:
     identical rows are exactly zero apart and ties rank exactly.
     """
     X = as_signal_matrix(X)
+    if not np.isfinite(X).all():
+        raise BadInput("signals must be finite")
     n = X.shape[0]
     Z = np.zeros((n, n))
     diff = np.empty_like(X)

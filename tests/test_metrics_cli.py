@@ -3,13 +3,19 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import glkit.metrics as mt
 import glkit.serialize as ser
+import glkit.statnet as stn
+from glkit.errors import DataError
 from glkit.cli import main as cli_main
 from glkit.graphcore import ShiftKind, ShiftOperator, build_shift
 
@@ -170,6 +176,88 @@ class TestSerialize:
         back = ser.read_graph_json(path)
         np.testing.assert_array_equal(back.data, theta)
 
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7),
+                      elements=hst.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[5e-324, -2.2250738585072009e-308, 0.0, -0.0],
+                       [1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0]]))
+    def test_matrix_round_trip_bitwise(self, M):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "m.csv"
+            ser.write_matrix_csv(path, M)
+            back = ser.read_matrix_csv(path)
+        assert back.shape == M.shape
+        assert back.tobytes() == M.tobytes()  # -0.0 keeps its sign bit
+
+    def test_matrix_header_row_is_skipped(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,6.5\n")
+        np.testing.assert_array_equal(ser.read_matrix_csv(path, header=True),
+                                      [[1, 2, 3], [4, 5, 6.5]])
+        with pytest.raises(DataError, match="malformed CSV"):
+            ser.read_matrix_csv(path)
+        path.write_text("a,b,c\n")
+        with pytest.raises(DataError, match="empty matrix file"):
+            ser.read_matrix_csv(path, header=True)
+
+    def test_matrix_single_row_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.5,2\n")
+        assert ser.read_matrix_csv(path).shape == (1, 2)
+        path.write_text("1.5\n\n2\n")  # blank lines are skipped
+        np.testing.assert_array_equal(ser.read_matrix_csv(path), [[1.5], [2.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix file"),
+        (" \n\t\n  \n", "empty matrix file"),
+        ("1,2,3\n4,5\n", "malformed CSV"),                  # ragged rows
+        ("1,2,\n3,4,\n", "malformed CSV"),                  # trailing commas
+        ("1,2\n3,x\n", "malformed CSV"),                    # non-numeric token
+        ("# comment\n1,2\n", "malformed CSV"),              # '#' line
+        ("1,2\n# comment\n", "malformed CSV"),
+        ("1_000,2\n", "malformed CSV"),                      # Python-only literal
+        ("1,2\n3,nan\n", "non-finite value nan in data row 2, column 2"),
+        ("inf,2\n", "non-finite value inf in data row 1, column 1"),
+        ("1,-inf,3\n", "non-finite value -inf in data row 1, column 2"),
+    ])
+    def test_matrix_rejected_inputs(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message) as info:
+            ser.read_matrix_csv(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("case", ["saturated", "single_vertex", "plain"])
+    def test_table_json_matches_json_dumps(self, tmp_path, case):
+        X = np.random.default_rng(21).standard_normal(
+            (1 if case == "single_vertex" else 7, 30))
+        if case == "saturated":
+            X[3], X[5] = X[1], -X[1]  # statistics +inf and -inf
+        table, _ = stn.correlation_network(X, q=0.3)
+        if case == "saturated":
+            assert np.isposinf(table.statistic).any() and np.isneginf(table.statistic).any()
+            assert table.flags["saturated_pairs"]
+        cols = ("i", "j", "statistic", "p_value", "reject")
+        head = {"method": table.method, "q": table.q, "flags": dict(table.flags)}
+        records = [dict(zip(cols, row))
+                   for row in zip(*(getattr(table, c).tolist() for c in cols))]
+        path = tmp_path / "t.json"
+        ser.write_records_json(path, head, "pairs",
+                               {c: getattr(table, c) for c in cols})
+        expected = json.dumps({**head, "pairs": records}, indent=1) + "\n"
+        assert path.read_text() == expected
+
+    def test_records_json_blocks_and_special_floats(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ser, "RECORDS_PER_WRITE", 3)
+        cols = {"k": np.arange(8, dtype=np.int32),
+                "x": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, 2.0]),
+                "ok": np.arange(8) % 3 == 0}
+        path = tmp_path / "r.json"
+        ser.write_records_json(path, {"flags": {"note": "a%sb"}}, "rows", cols)
+        records = [dict(zip(cols, row))
+                   for row in zip(*(c.tolist() for c in cols.values()))]
+        assert path.read_text() == json.dumps(
+            {"flags": {"note": "a%sb"}, "rows": records}, indent=1) + "\n"
+
 
 class TestCli:
     def run(self, *argv):
@@ -224,6 +312,25 @@ class TestCli:
             assert '"statistic": Infinity' in tab.read_text()
             hit = next(t for t in table["pairs"] if (t["i"], t["j"]) == (1, 4))
             assert hit["p_value"] == 0.0 and hit["reject"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["edge-select", "--k", "3"], ["corr"], ["pcorr"], ["kalofolias"],
+        ["glasso"], ["spectral"]])
+    def test_non_finite_signals_are_data_error(self, tmp_path, capsys, argv, value):
+        # these once exited 0 (edge-select), 2 (corr, kalofolias) or 3 with
+        # a solver message (pcorr, glasso, spectral)
+        X = np.random.default_rng(2).standard_normal((6, 50))
+        X[2, 7] = float(value)
+        sig = tmp_path / "sig.csv"
+        ser.write_matrix_csv(sig, X)
+        out = tmp_path / "x.json"
+        assert self.run("learn", argv[0], "-i", str(sig), *argv[1:],
+                        "-o", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(sig) in err
+        assert f"non-finite value {value} in data row 3, column 8" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["dong", "--alpha", "nan"], ["dong", "--beta", "inf"],
@@ -464,6 +571,28 @@ def test_import_leaves_scipy_unloaded():
          "if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # only the eps = 0 spectral-template LPs import scipy (HiGHS)
+    d = str(tmp_path)
+    script = f"""
+import sys
+from glkit.cli import main
+runs = [
+    ["simulate", "gmrf", "--n", "8", "--p", "300", "--seed", "4",
+     "-o", "{d}/x.csv", "--graph-out", "{d}/g.json"],
+    ["learn", "corr", "-i", "{d}/x.csv", "-o", "{d}/c.json",
+     "--table-out", "{d}/t.json"],
+    ["learn", "pcorr", "-i", "{d}/x.csv", "-o", "{d}/p.json"],
+    ["eval", "-i", "{d}/c.json", "--truth", "{d}/g.json"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV)
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_import_leaves_thread_pools_unloaded():

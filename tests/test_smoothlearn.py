@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.smoothlearn as sl
-from glkit.errors import BadK, BadParameter, Infeasible
+from glkit.errors import BadInput, BadK, BadParameter, Infeasible
 
 
 def edge_fscore(est_edges, true_edges):
@@ -44,6 +44,22 @@ class TestDistanceMatrix:
             ref = squareform(pdist(X, metric="sqeuclidean"))
             np.testing.assert_allclose(Z, ref, rtol=1e-12, atol=0.0)
             assert np.array_equal(Z, Z.T) and Z[0, n // 2] == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signals_rejected(self, value):
+        # NaN distances once passed every DistanceMatrix check, and
+        # edge_select returned a graph built from them
+        X = np.random.default_rng(3).standard_normal((6, 20))
+        X[4, 2] = value
+        with pytest.raises(BadInput, match="signals must be finite"):
+            sl.distance_matrix(X)
+        with pytest.raises(BadInput):
+            sl.edge_select(X, 3)
+
+    def test_overflowing_distances_rejected(self):
+        X = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]])
+        with pytest.raises(BadInput, match="distances must be finite"):
+            sl.distance_matrix(X)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)

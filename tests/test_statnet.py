@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import minimize
 
@@ -97,6 +97,51 @@ class TestBenjaminiHochberg:
 
     def test_nothing_rejected_when_all_large(self):
         assert not st.bh_select([0.5, 0.9, 0.7], q=0.1).any()
+
+
+class TestFisherPvalues:
+    # _fisher_pvalues takes erfc from the standard library; scipy's cephes
+    # erfc is the reference here only
+
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc
+
+        null_var = 0.005  # erfc argument atanh(rho) / 0.1
+        t = np.linspace(0.0, 2.6, 20001)
+        z, pvals, sat = st._fisher_pvalues(np.tanh(t), null_var)
+        assert not sat.any()
+        x = np.abs(z) / np.sqrt(2.0 * null_var)
+        assert x.min() == 0.0 and 25.9 < x.max() <= 26.0
+        ref = erfc(x)
+        assert ref.min() > np.finfo(float).tiny  # normal floats throughout
+        np.testing.assert_allclose(pvals, ref, rtol=1e-13, atol=0.0)
+
+    def test_saturated_and_empty(self):
+        z, pvals, sat = st._fisher_pvalues(np.array([1.0, -1.0, 0.0]), 0.1)
+        np.testing.assert_array_equal(z, [np.inf, -np.inf, 0.0])
+        np.testing.assert_array_equal(pvals, [0.0, 0.0, 1.0])
+        z, pvals, sat = st._fisher_pvalues(np.zeros(0), 0.1)
+        assert z.shape == pvals.shape == sat.shape == (0,)
+
+    @given(hst.sampled_from(["corr", "pcorr"]), hst.integers(10, 60),
+           hst.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30)
+    def test_bh_rejects_match_scipy_pvalues(self, method, n, seed):
+        from scipy.special import erfc
+
+        rng = np.random.default_rng(seed)
+        p = 3 * n
+        A = np.eye(n) + np.triu(rng.random((n, n)) < 0.1, 1) * rng.uniform(0.2, 0.8, (n, n))
+        X = A @ rng.standard_normal((n, p))
+        if method == "corr":
+            table, _ = st.correlation_network(X, q=0.2)
+            null_var = 1.0 / (p - 3)
+        else:
+            table, _ = st.partial_correlation_network(X, q=0.2)
+            null_var = 1.0 / (p - n - 1)
+        ref = erfc(np.abs(table.statistic) / np.sqrt(2.0 * null_var))
+        np.testing.assert_allclose(table.p_value, ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(table.reject, st.bh_select(ref, 0.2))
 
 
 class TestCorrelationNetwork:
