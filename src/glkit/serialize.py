@@ -35,9 +35,11 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
     numpy's C parser reads the file (correctly rounded, so a
     ``write_matrix_csv`` round trip is bit exact) without holding its
     text. With ``header`` the first line is skipped. Blank lines are
-    skipped too. An empty file, ragged rows, an empty or non-numeric
-    field (``#`` lines, trailing commas, ``1_000``) and a non-finite
-    value raise ``DataError`` naming the file.
+    skipped too. An empty file raises ``DataError`` naming the file; so
+    do ragged rows, an empty or non-numeric field (``#`` lines, trailing
+    commas, ``1_000``) and a non-finite value, naming also the first
+    offending line of the file (counted from 1, header and blank lines
+    included) and its column.
     """
     try:
         with warnings.catch_warnings():
@@ -49,12 +51,52 @@ def read_matrix_csv(path, header: bool = False) -> np.ndarray:
     except ValueError as exc:
         if _is_blank(path):
             raise DataError(f"{path}: empty matrix file") from None
-        raise DataError(f"{path}: malformed CSV ({str(exc).split(';')[0]})") from exc
+        where = _first_bad_line(path, header) or f"malformed CSV ({exc})"
+        raise DataError(f"{path}: {where}") from exc
     if not np.isfinite(M).all():
-        r, c = np.argwhere(~np.isfinite(M))[0]
-        raise DataError(f"{path}: non-finite value {M[r, c]} in data row {r + 1},"
-                        f" column {c + 1}")
+        raise DataError(f"{path}: {_first_bad_line(path, header)}")
     return M
+
+
+def _parses(field: str) -> bool:
+    """Whether numpy's parser reads ``field`` as one number (Python's
+    float also takes ``1_000``, which numpy rejects)."""
+    if not field.strip():  # loadtxt would skip it as a blank line
+        return False
+    try:
+        return np.loadtxt([field], delimiter=",", comments=None, ndmin=1).size == 1
+    except ValueError:
+        return False
+
+
+def _first_bad_line(path, header: bool):
+    """The error message for the first line of a CSV file that numpy's
+    parser rejects alone, whose width differs from the first data
+    line's, or that holds a non-finite value; None when there is none.
+    It re-reads the file line by line, so only the error path calls it."""
+    first = width = None
+    # undecodable bytes, which numpy's parser rejects, reach it as such
+    with open(path, errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if header and line_no == 1 or not line.strip():
+                continue
+            try:
+                row = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                fields = line.rstrip("\r\n").split(",")
+                col = next((c for c, f in enumerate(fields, 1) if not _parses(f)), 1)
+                return (f"malformed CSV at line {line_no}, column {col}: "
+                        f"{fields[col - 1].strip()!r} is not a number")
+            if first is None:
+                first, width = line_no, row.size
+            elif row.size != width:
+                return (f"malformed CSV at line {line_no}, column "
+                        f"{min(row.size, width) + 1}: width {row.size}, but line "
+                        f"{first} has width {width}")
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                return f"non-finite value {row[bad[0]]} at line {line_no}, column {bad[0] + 1}"
+    return None
 
 
 def _is_blank(path, chunk: int = 1 << 20) -> bool:

@@ -8,10 +8,10 @@ two-block ADMM kernel (the graphical lasso and robust spectral
 templates run on it), exact projections onto the shift constraint sets
 (closed form for adjacencies, one edge-weight engine solve for
 Laplacians), the exact linear program for noise-free spectral
-templates (by delayed row generation), the certified closed-form solve
-on the ADMM's support that finishes robust l1 templates on the
-adjacency sets, the accelerated feasibility gap behind their automatic
-eps, and the edge-weight engine for problems
+templates (by delayed row generation), the certified primal active-set
+walk that solves robust l1 templates on the ``first_node`` adjacency
+set, the accelerated feasibility gap that gives the walk its feasible
+start and the automatic eps, and the edge-weight engine for problems
 with degree terms: semismooth Newton on their N-variable Lagrange dual
 (a proximal-point loop over it when the ridge weight is zero), with the
 weight-to-degree map and the Newton matrix built by index arithmetic.
@@ -48,8 +48,8 @@ class SolverConfig:
 
     Each solver reads ``tol`` against its own residual: relative change
     for the lasso, the scaled primal and dual residuals for
-    :func:`admm` (and the relative KKT residual of the certificate that
-    finishes robust l1 spectral templates early), a scale-free KKT
+    :func:`admm` (and the relative KKT residual of the certificate of
+    the active-set walk for robust l1 spectral templates), a scale-free KKT
     residual for the Laplacian GMRF and a relative degree residual for
     the edge-weight engine (whose ``max_iters`` counts Newton steps).
     Exact solves ignore both: the eps = 0 spectral-template LP with the
@@ -250,7 +250,7 @@ def prox_neg_logdet(A, Sigma_hat, rho: float) -> np.ndarray:
 # two-block ADMM
 
 
-def admm(prox_x, prox_z, z0, config: SolverConfig, objective, finish=None):
+def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
     """Scaled two-block ADMM for min f(x) + g(z) s.t. x = z over N x N
     matrices.
 
@@ -264,13 +264,6 @@ def admm(prox_x, prox_z, z0, config: SolverConfig, objective, finish=None):
     when s exceeds ten times r. Stops when r and s are both at most
     ``tol * N * max(1, ||x||_F)`` or after ``max_iters`` iterations.
     Logs objective(x), r and s every iteration. Returns (x, z, trace).
-
-    ``finish(x, z)``, when given, runs at each 50-iteration checkpoint
-    before the balancing step. It returns None to let the iteration go
-    on, or a certified solution (x, z, notes) that ends it: the trace
-    then logs objective(x) and ||x - z||_F (dual residual NaN), is
-    marked converged, takes ``notes`` into ``trace.notes`` and records
-    the checkpoint in ``notes["finished"]``.
     """
     z = z0
     u = np.zeros_like(z0)
@@ -289,13 +282,6 @@ def admm(prox_x, prox_z, z0, config: SolverConfig, objective, finish=None):
             trace.converged = True
             break
         if (it + 1) % 50 == 0:
-            done = None if finish is None else finish(x, z)
-            if done is not None:
-                x, z, notes = done
-                trace.log(objective(x), float(np.linalg.norm(x - z)))
-                trace.notes.update(notes, finished=it + 1)
-                trace.converged = True
-                break
             if r > 10.0 * s:
                 rho, u = 2.0 * rho, u / 2.0
             elif s > 10.0 * r:
@@ -664,7 +650,6 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     return S, res.x[:k].copy(), trace
 
 
-_FINISH_ROUNDS = 20  # solves per checkpoint of the eps > 0 finisher
 _WALK_ROUNDS = 200  # solves of the active-set walk before the ADMM takes over
 _FINISH_ROUNDING = 1e-9  # relative slack of the certificate's ball and set checks
 
@@ -765,17 +750,14 @@ class _EdgeKKT:
         kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / self.cmax
         if (kkt <= self.tol
                 and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
-                and self.in_set(S)):
+                and self.cset.violation(S) <= _FINISH_ROUNDING * max(1.0, self.b)):
             return S, self.coupling.project(S), {"kkt_residual": kkt}
         return None
 
-    def in_set(self, S) -> bool:
-        return self.cset.violation(S) <= _FINISH_ROUNDING * max(1.0, self.b)
-
     def walk(self, S0):
         """Primal active-set walk (Nocedal & Wright, Numerical
-        Optimization, ch. 16) from a feasible S0: returns (the certified
-        (S, T, notes) or None, the number of solves).
+        Optimization, ch. 16) from S0, a member of the set: returns (the
+        certified (S, T, notes) or None, the number of solves).
 
         The iterate w is a feasible edge vector with support E, at first
         S0's. Each round solves on E. When some weights of the solution
@@ -786,19 +768,13 @@ class _EdgeKKT:
         segment stays in the ball and on the scale hyperplane, both
         convex, and c'w does not rise along it), and that edge leaves E.
         With every weight positive, the edges whose reduced cost is below
-        -tol max|c| join E, as at the checkpoints of
-        :func:`_support_finisher`; when there are none, the solution is
-        certified. Returns None on a failed solve or certificate, or once
-        ``_WALK_ROUNDS`` solves are spent. Runs no solve (0 rounds) when S0
-        is outside the set or farther than eps from the span, or when the
-        set's point nearest zero is within eps: it is l1-minimal on the
-        ``first_node`` set, hence optimal, and the ball inactive.
+        -tol max|c| join E; when there are none, the solution is
+        certified. Returns None on a failed solve (a singular or
+        ball-inactive support) or certificate, or once ``_WALK_ROUNDS``
+        solves are spent. Runs no solve (0 rounds) when S0 is farther than
+        eps from the span: eps is below the gap found there.
         """
-        def dist(M):  # from M to the span
-            return float(np.linalg.norm(_offdiag(self.V.T @ M @ self.V)))
-
-        if not (self.in_set(S0)
-                and dist(S0) <= self.eps < dist(self.cset.project(np.zeros_like(S0)))):
+        if _span_distance(self.V, S0) > self.eps:
             return None, 0
         w = S0.ravel()[self.up]
         E = w > 0
@@ -838,65 +814,19 @@ def _offdiag(M):
     return M
 
 
-def _support_finisher(V, eps: float, cset: ShiftConstraintSet,
-                      coupling: SpectralCoupling, tol: float):
-    """Checkpoint hook of :func:`admm` for eps > 0 with the l1 objective
-    on an adjacency set: the exact solve of :class:`_EdgeKKT` on the ADMM
-    iterate's support, returned once its certificate holds.
-
-    Starting from the iterate's support, each solve drops the edges with
-    w_e <= 0, or else adds those whose reduced cost is below
-    -tol max|c|, for at most ``_FINISH_ROUNDS`` solves and until a
-    support repeats (supports tried at earlier checkpoints included). A
-    support that needs no correction but fails the certificate ends the
-    tries for good: the problem's KKT point is not certified at this
-    ``tol`` (rounding in an ill-conditioned A_EE). Otherwise the hook
-    returns None: for an inactive ball (mu = 0, which covers the
-    ``total`` scale, where c is parallel to a), for a support that cannot
-    meet the ball and the scale together (eps below the gap), and
-    whenever a check fails.
-    """
-    kkt = _EdgeKKT(V, eps, cset, coupling, tol)
-    up = kkt.up
-    tried = set()
-    stuck = False
-
-    def finish(x, _z):
-        nonlocal stuck
-        if stuck:
-            return None
-        E = x.ravel()[up] > 0
-        for _ in range(_FINISH_ROUNDS):
-            key = E.tobytes()
-            if key in tried or not E.any():
-                return None
-            tried.add(key)
-            sol = kkt.solve(E)
-            if sol is None:
-                return None
-            w = sol[0]
-            if (w[E] <= 0).any():
-                E = w > 0
-                continue
-            S, Mt, z = kkt.price(*sol)
-            add = ~E & (z < kkt.floor)
-            if add.any():
-                E = E | add
-                continue
-            done = kkt.certify(S, Mt, z, E)
-            # a KKT point that fails its checks at this tol: later
-            # checkpoints lead to the same point
-            stuck = done is None
-            return done
-        return None
-
-    return finish
+def _span_distance(V, M) -> float:
+    """||offdiag(V'MV)||_F: the distance from symmetric M to the span of
+    the basis's rank-one eigen-matrices."""
+    return float(np.linalg.norm(_offdiag(V.T @ M @ V)))
 
 
-def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
-                     config: SolverConfig | None = None, objective: str = "l1",
-                     start=None):
+def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
+                     config: SolverConfig | None = None, objective: str = "l1"):
     """min f(S) s.t. S in the constraint set, ||S - V diag(lam) V'||_F <= eps.
+
+    ``eps="auto"`` solves at twice the feasibility gap of the basis
+    (:func:`spectral_gap`, an upper bound on the smallest feasible eps);
+    ``trace.notes["eps"]`` records the eps solved at, on every path.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
     linear program, solved exactly by :func:`_spectral_lp` (HiGHS with
@@ -906,32 +836,27 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     spectrally, and ignores ``config``. With eps = 0 and the Frobenius
     objective the same LP first checks that the set meets the span.
 
-    Every other case (eps > 0, or the Frobenius objective) needs a full
-    basis and runs :func:`admm` (residual balancing, stopping rule and
-    ``config`` as documented there) from the coupling projection of the
-    set's point nearest zero: the S block is the prox of the objective
-    plus the set indicator (a projection of a tilted point for
-    l1/Frobenius, an inner loop of alternating proxes with correction
-    terms for sup-norm); the (lam, E) block projects onto the spectral
-    coupling set in the V coordinates, with the off-diagonal residual
-    shrunk to the eps-ball. With eps > 0, the l1 objective and an
-    adjacency set, each 50-iteration checkpoint also tries the exact
-    solve on the iterate's support (:func:`_support_finisher`); a
-    certified solution ends the ADMM there, with
-    ``notes["kkt_residual"]`` (at most ``tol``) and ``notes["finished"]``
-    (the checkpoint). Otherwise, and for the other objectives, the ADMM
-    runs to its own stopping rule.
+    With eps > 0, the l1 objective and the ``first_node`` adjacency set,
+    the primal active-set walk of :meth:`_EdgeKKT.walk` runs from the
+    set member that :func:`spectral_gap` returns (for eps="auto", the
+    same call that set eps). A certified result returns with no ADMM
+    iteration: ``iters_used`` 0, ``notes["kkt_residual"]`` at most
+    ``tol`` and ``notes["walk_rounds"]`` the walk's solves. The walk is
+    not tried, and spectral_gap not called for a numeric eps, when the
+    set's point nearest zero lies within eps of the span: that point is
+    l1-minimal on the set, so it is optimal and the ball inactive.
 
-    ``start``, an N x N matrix, is used only in that eps > 0 l1 case and
-    only when it lies in the set and within eps of the span (the point
-    :func:`spectral_gap` returns, for eps above the gap). The primal
-    active-set walk of :meth:`_EdgeKKT.walk` then runs from it, with the
-    same closed-form solve and certificate; a certified result returns
-    without any ADMM iteration (``iters_used`` 0, ``notes["finished"]``
-    0), and ``notes["walk_rounds"]`` counts the walk's solves. A walk
-    that fails (a failed solve or certificate, or its round cap) leaves
-    the ADMM above to run as without a start. A start that is not
-    feasible is ignored.
+    Every other case (the other objectives, the Laplacian set, the
+    ``total`` scale, on which ||S||_1 = N for every member, and a walk
+    that fails or cannot start) needs a full basis and runs :func:`admm`
+    (residual balancing, stopping rule and ``config`` as documented
+    there) from the coupling projection of the set's point nearest zero:
+    the S block is the prox of the objective plus the set indicator (a
+    projection of a tilted point for l1/Frobenius, an inner loop of
+    alternating proxes with correction terms for sup-norm); the
+    (lam, E) block projects onto the spectral coupling set in the V
+    coordinates, with the off-diagonal residual shrunk to the eps-ball.
+    It warns when the ADMM stops at ``max_iters``.
 
     Returns (S, lam, trace), lam read off the coupling block. Raises
     Infeasible when no member of the set is exactly diagonalized by V
@@ -939,45 +864,53 @@ def admm_l1_spectral(V, eps: float, constraint_set: ShiftConstraintSet,
     """
     config = config or SolverConfig()
     V = np.asarray(V, dtype=float)
-    if not 0 <= eps < math.inf:
-        raise BadParameter(f"eps must be a finite number >= 0, got {eps!r}")
+    if not (eps == "auto" or isinstance(eps, numbers.Real) and 0 <= eps < math.inf):
+        raise BadParameter(f"eps must be 'auto' or a finite number >= 0, got {eps!r}")
     if objective not in ("l1", "linf", "frobenius"):
         raise BadParameter(f"unknown objective {objective!r}")
     n = V.shape[0]
     gram = V.T @ V
     if np.abs(gram - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
         raise BadInput("basis columns must be orthonormal")
-    if eps == 0 and objective != "frobenius":
-        return _spectral_lp(V, constraint_set, objective)
-    if V.shape[1] != n:
+    if V.shape[1] != n and (eps != 0 or objective == "frobenius"):
         raise BadParameter("a partial basis needs eps = 0 and the l1 or linf "
                            "objective")
+    start = None
+    if eps == "auto":
+        gap, start, _ = spectral_gap(V, constraint_set)
+        eps = 2.0 * gap
+    notes = {"eps": float(eps)}
+    if eps == 0 and objective != "frobenius":
+        S, lam, trace = _spectral_lp(V, constraint_set, objective)
+        trace.notes.update(notes)
+        return S, lam, trace
     if eps == 0:
         _spectral_lp(V, constraint_set, "l1")  # raises Infeasible
     coupling = SpectralCoupling(V, eps)
-    finish, done, walked = None, None, {}
-    if eps > 0 and objective == "l1" and constraint_set.kind == "adjacency":
-        if start is not None:
-            start = np.asarray(start, dtype=float)
-            if start.shape != (n, n):
-                raise BadInput("start must be an N x N matrix")
-            done, rounds = _EdgeKKT(V, eps, constraint_set, coupling, config.tol).walk(start)
-            walked = {"walk_rounds": rounds} if rounds else {}
-        if done is None:
-            finish = _support_finisher(V, eps, constraint_set, coupling, config.tol)
+    nearest = constraint_set.project(np.zeros((n, n)))
+    done = None
+    if (eps > 0 and objective == "l1" and constraint_set.kind == "adjacency"
+            and constraint_set.scale == "first_node"
+            and _span_distance(V, nearest) > eps):
+        if start is None:
+            start = spectral_gap(V, constraint_set)[1]
+        done, rounds = _EdgeKKT(V, eps, constraint_set, coupling, config.tol).walk(start)
+        if rounds:
+            notes["walk_rounds"] = rounds
     if done is not None:
-        S, T, notes = done
+        S, T, kkt = done
         trace = SolveTrace(converged=True)
         trace.log(_objective_value(S, objective), float(np.linalg.norm(S - T)))
-        trace.notes.update(notes, finished=0)
+        trace.notes.update(kkt)
     else:
-        T0 = coupling.project(constraint_set.project(np.zeros((n, n))))
         S, T, trace = admm(
             lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
             lambda M, rho: coupling.project(M),
-            T0, config, lambda S: _objective_value(S, objective), finish)
-    trace.notes.update(walked)
-    trace.notes["constraint_violation"] = float(constraint_set.violation(S))
+            coupling.project(nearest), config, lambda S: _objective_value(S, objective))
+        if not trace.converged:
+            warnings.warn(f"admm_l1_spectral stopped at its {config.max_iters}-"
+                          "iteration cap before its tol rule held", stacklevel=2)
+    trace.notes.update(notes, constraint_violation=float(constraint_set.violation(S)))
     return S, np.diag(V.T @ T @ V).copy(), trace
 
 

@@ -27,12 +27,7 @@ from .graphcore import (
     eigendecompose,
     fix_eigenvector_signs,
 )
-from .solvers import (
-    ShiftConstraintSet,
-    SolverConfig,
-    admm_l1_spectral,
-    spectral_gap,
-)
+from .solvers import ShiftConstraintSet, SolverConfig, admm_l1_spectral
 from .statnet import _as_covariance, _is_covariance
 
 
@@ -76,14 +71,16 @@ def estimate_eigenbasis(data):
 
 
 def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
-                eps: float = 0.0, objective: str = "l1",
+                eps: float | str = 0.0, objective: str = "l1",
                 config: SolverConfig | None = None):
     """Recover a shift with the prescribed eigenbasis (Step 2).
 
     ``basis`` is a SpectralBasis or an orthonormal matrix of candidate
     eigenvectors. With eps = 0 the shift is constrained to be exactly
     diagonalized by the basis; eps > 0 allows a Frobenius-ball mismatch
-    to absorb finite-sample noise in the eigenvectors.
+    to absorb finite-sample noise in the eigenvectors, and eps="auto"
+    sets it to twice the basis's feasibility gap
+    (:func:`solvers.admm_l1_spectral`).
     """
     V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
     constraint_set = constraint_set or ShiftConstraintSet()
@@ -114,14 +111,10 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
     """End-to-end stationary pipeline: covariance eigenvectors, then
     eigenvalue selection.
 
-    ``eps="auto"`` solves at twice the feasibility gap of the estimated
-    basis (:func:`solvers.spectral_gap`, an upper bound on the smallest
-    feasible eps) or at zero for an exact covariance input; a numeric
-    eps is used as-is. With eps="auto" the set member that
-    ``spectral_gap`` returns, within the gap of the span, is passed to
-    :func:`solvers.admm_l1_spectral` as its feasible ``start``: for the
-    l1 objective on an adjacency set an active-set walk from it replaces
-    the ADMM whenever its result is certified. Degenerate eigenvalue
+    ``eps="auto"`` solves at zero for an exact covariance input and
+    otherwise at twice the feasibility gap of the estimated basis, as
+    :func:`solvers.admm_l1_spectral` sets it; a numeric eps is used
+    as-is. ``meta["eps"]`` is the eps solved at. Degenerate eigenvalue
     blocks in the covariance route the unambiguous eigenvectors to the
     partial-basis variant.
     """
@@ -134,18 +127,10 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
         keep = basis.vecs[:, ~flags]
         S, trace = infer_shift_partial(keep, constraint_set)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
-    if eps == "auto":
-        start = None
-        if _is_covariance(as_signal_matrix(data)):
-            eps_val = 0.0  # exact covariance supplied
-        else:
-            gap, start, _ = spectral_gap(basis.vecs, constraint_set)
-            eps_val = 2.0 * gap
-        S, lam, trace = admm_l1_spectral(basis.vecs, eps_val, constraint_set, config,
-                                         objective, start)
-        return S, trace, {"eps": eps_val}
-    S, lam, trace = infer_shift(basis, constraint_set, float(eps), objective, config)
-    return S, trace, {"eps": float(eps)}
+    if eps == "auto" and _is_covariance(as_signal_matrix(data)):
+        eps = 0.0  # exact covariance supplied
+    S, lam, trace = infer_shift(basis, constraint_set, eps, objective, config)
+    return S, trace, {"eps": trace.notes["eps"]}
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +288,15 @@ def _covariance_lists(Sigma_x_list, Sigma_w_list):
 
 
 def network_deconvolve(T, constraint_set: ShiftConstraintSet | None = None,
-                       eps: float = 0.0, objective: str = "l1",
+                       eps: float | str = 0.0, objective: str = "l1",
                        config: SolverConfig | None = None):
     """Recover a direct-interaction shift from an indirect-relationship
     matrix expressible as an (unknown) analytic filter of the shift.
 
     Eigendecomposes T and selects eigenvalues over the constraint set -
-    the same Step 2 used for stationary covariances, agnostic to the
-    filter that produced T.
+    the same Step 2 used for stationary covariances (eps as in
+    :func:`infer_shift`, "auto" included), agnostic to the filter that
+    produced T.
     """
     M = as_matrix(T)
     if np.abs(M - M.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(M).max()):

@@ -215,9 +215,9 @@ class TestSerialize:
         ("# comment\n1,2\n", "malformed CSV"),              # '#' line
         ("1,2\n# comment\n", "malformed CSV"),
         ("1_000,2\n", "malformed CSV"),                      # Python-only literal
-        ("1,2\n3,nan\n", "non-finite value nan in data row 2, column 2"),
-        ("inf,2\n", "non-finite value inf in data row 1, column 1"),
-        ("1,-inf,3\n", "non-finite value -inf in data row 1, column 2"),
+        ("1,2\n3,nan\n", "non-finite value nan at line 2, column 2"),
+        ("inf,2\n", "non-finite value inf at line 1, column 1"),
+        ("1,-inf,3\n", "non-finite value -inf at line 1, column 2"),
     ])
     def test_matrix_rejected_inputs(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -225,6 +225,25 @@ class TestSerialize:
         with pytest.raises(DataError, match=message) as info:
             ser.read_matrix_csv(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1,2\n3,x\n", 2, "column 2: 'x' is not a number"),
+        ("1,2\n\n1_000,4\n", 3, "column 1: '1_000' is not a number"),
+        ("1,2,\n", 1, "column 3: '' is not a number"),
+        ("1,2\n3\n", 2, "column 2: width 1, but line {first} has width 2"),
+        ("1,2\n \n3,4,5\n", 3, "column 3: width 3, but line {first} has width 2"),
+        ("1,2\n\n3,nan\n", 3, "column 2"),
+        ("1,2\n3,\udcff\n", 2, "column 2: '\\udcff' is not a number"),  # byte 0xff
+    ])
+    @pytest.mark.parametrize("header", [False, True])
+    def test_matrix_errors_name_the_file_line(self, tmp_path, text, line, message, header):
+        # lines count from 1 in the file itself, header and blank lines included
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" * header + text, errors="surrogateescape")
+        with pytest.raises(DataError) as info:
+            ser.read_matrix_csv(path, header=header)
+        message = message.format(first=1 + header)
+        assert f" at line {line + header}, {message}" in str(info.value)
 
     @pytest.mark.parametrize("case", ["saturated", "single_vertex", "plain"])
     def test_table_json_matches_json_dumps(self, tmp_path, case):
@@ -329,7 +348,7 @@ class TestCli:
                         "-o", str(out)) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(sig) in err
-        assert f"non-finite value {value} in data row 3, column 8" in err
+        assert f"non-finite value {value} at line 3, column 8" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -78,6 +78,26 @@ class TestEstimateEigenbasis:
             meds.append(np.median(dists))
         assert meds[0] > meds[1] > meds[2]
 
+    @given(n=st.integers(4, 15), seed=st.integers(0, 10_000), p=st.integers(20, 5000))
+    def test_unflagged_modes_within_davis_kahan(self, n, seed, p):
+        # sin of the angle between mode k of the sample covariance and of
+        # Sigma is at most 2 ||Sigma_hat - Sigma||_2 / min gap_k, the gaps
+        # to Sigma's neighbouring eigenvalues (Yu, Wang & Samworth, "A
+        # useful variant of the Davis-Kahan theorem", Biometrika 2015):
+        # deterministic for the Sigma_hat the basis is computed from
+        G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
+        Sigma = sim.diffusion_covariance(G, [1.0, 0.5, 0.2])
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], p, rng=seed + 1)
+        basis, flags = sid.estimate_eigenbasis(X)
+        vals, vecs = np.linalg.eigh(Sigma)
+        gaps = np.minimum(np.diff(vals, prepend=-np.inf), np.diff(vals, append=np.inf))
+        noise = np.linalg.norm(sid._as_covariance(X) - Sigma, 2)
+        cos = np.abs(np.sum(basis.vecs * vecs, axis=0))
+        sin = np.sqrt(np.maximum(0.0, 1.0 - cos ** 2))
+        # eigh's own error in each direction: a few N eps ||Sigma|| / gap
+        slack = 100 * n * np.finfo(float).eps * vals[-1] / gaps
+        assert (sin <= 2.0 * noise / gaps + slack)[~flags].all()
+
 
 class TestInferShift:
     def test_two_cycle(self):
@@ -475,33 +495,49 @@ class TestAutoEps:
         with pytest.raises(BadParameter, match="eps"):
             sid.infer_shift_from_signals(X, ShiftConstraintSet(), eps)
 
+    def test_other_eps_strings_rejected(self):
+        X = sim.gen_diffusion(sim.gen_er_graph(8, 0.4, rng=17, require_connected=True),
+                              [1.0, 0.5], 300, rng=18)
+        V = sid.estimate_eigenbasis(X)[0].vecs
+        for eps in ("Auto", "0.1"):
+            with pytest.raises(BadParameter, match="eps"):
+                sid.infer_shift_from_signals(X, eps=eps)
+        with pytest.raises(BadParameter, match="partial basis"):
+            sv.admm_l1_spectral(V[:, :4], "auto", ShiftConstraintSet())
+
     def test_signals_n100_certified_at_default_config(self):
-        # the plain ADMM stops at its 5000 cap here. The active-set walk
-        # from spectral_gap's point is certified before any ADMM
-        # iteration (7 solves when measured); the ADMM with the exact
-        # solve at its checkpoints certifies the same point after 1300
+        # the plain ADMM stops at its 5000 cap here, with a warning. The
+        # active-set walk from spectral_gap's point is certified before
+        # any ADMM iteration (7 solves when measured), and a numeric eps
+        # equal to auto's takes the same walk
         rng = np.random.default_rng([1, 2])
         G = sim.gen_er_graph(100, 0.3, rng=rng, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
         S, trace, meta = sid.infer_shift_from_signals(X)
         assert trace.converged and trace.iters_used == 0
-        assert trace.notes["finished"] == 0
         assert 1 <= trace.notes["walk_rounds"] <= 20
         assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
         assert ShiftConstraintSet().violation(S) <= 1e-9
         basis, _ = sid.estimate_eigenbasis(X)
         cold, _, cold_trace = sv.admm_l1_spectral(basis.vecs, meta["eps"],
                                                   ShiftConstraintSet())
-        assert 0 < cold_trace.notes["finished"] == cold_trace.iters_used < 5000
+        assert cold_trace.notes == trace.notes
         np.testing.assert_array_equal(S, cold)
 
-    def test_numeric_eps_keeps_the_admm(self):
+    def test_numeric_eps_takes_the_walk(self, monkeypatch):
         G = sim.gen_er_graph(12, 0.3, rng=3, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 2000, rng=4)
-        _, auto, meta = sid.infer_shift_from_signals(X)
-        assert auto.notes["finished"] == 0 and auto.notes["walk_rounds"] >= 1
-        _, trace, _ = sid.infer_shift_from_signals(X, eps=meta["eps"])
-        assert trace.notes["finished"] > 0 and "walk_rounds" not in trace.notes
+        calls = []
+        gap = sv.spectral_gap
+        monkeypatch.setattr(sv, "spectral_gap", lambda *a: calls.append(1) or gap(*a))
+        S, auto, meta = sid.infer_shift_from_signals(X)
+        # one feasibility-gap call sets eps and starts the walk
+        assert len(calls) == 1 and meta == {"eps": auto.notes["eps"]}
+        assert auto.iters_used == 0 and auto.notes["walk_rounds"] >= 1
+        S_num, trace, meta_num = sid.infer_shift_from_signals(X, eps=meta["eps"])
+        assert len(calls) == 2 and meta_num == meta
+        np.testing.assert_array_equal(S_num, S)
+        assert trace.notes == auto.notes
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_signals_converge_at_default_config(self, seed):
