@@ -66,7 +66,6 @@ from .solvers import (
     admm_l1_spectral,
     lasso_cd,
     primal_dual_graph,
-    prox_neg_logdet,
 )
 from .spectralid import (
     FilterEstimate,

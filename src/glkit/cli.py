@@ -157,20 +157,19 @@ def cmd_learn(args) -> int:
                 {"method": table.method, "q": table.q, "flags": dict(table.flags)},
                 "pairs", {c: getattr(table, c) for c in cols})
         return 0
-    if method == "glasso":
+    if method in ("glasso", "lgmrf"):
         X = _signals(args)
         lam = statnet.auto_lambda(*X.shape) if args.lam == "auto" else float(args.lam)
-        theta, trace = statnet.graphical_lasso(X, lam, args.penalize_diagonal,
-                                               config)
-        _emit_graph(args.output, ShiftOperator(theta, ShiftKind.PRECISION))
-        log.info("glasso lam=%g iters=%d", lam, trace.iters_used)
-        return 0
-    if method == "lgmrf":
-        X = _signals(args)
-        lam = statnet.auto_lambda(*X.shape) if args.lam == "auto" else float(args.lam)
-        L, gamma, trace = statnet.laplacian_gmrf(X, lam, config)
-        _emit_graph(args.output, L)
-        print(json.dumps({"gamma": gamma, "iters": trace.iters_used}))
+        if method == "glasso":
+            theta, trace = statnet.graphical_lasso(X, lam, args.penalize_diagonal,
+                                                   config)
+            _emit_graph(args.output, ShiftOperator(theta, ShiftKind.PRECISION))
+        else:
+            L, gamma, trace = statnet.laplacian_gmrf(X, lam, config)
+            _emit_graph(args.output, L)
+            print(json.dumps({"gamma": gamma, "iters": trace.iters_used}))
+        log.info("%s lam=%g iters=%d converged=%s kkt_residual=%s", method, lam,
+                 trace.iters_used, trace.converged, trace.notes["kkt_residual"])
         return 0
     if method == "nlasso":
         X = _signals(args)

@@ -1,9 +1,9 @@
 """Statistical topology inference.
 
 Correlation and partial-correlation networks with Fisher tests and
-Benjamini-Hochberg FDR control, the graphical lasso (on the shared
-residual-balanced ADMM kernel of :mod:`glkit.solvers`), the Laplacian-
-constrained GMRF (projected gradient), and neighborhood lasso selection
+Benjamini-Hochberg FDR control, the graphical lasso and the Laplacian-
+constrained GMRF (Egilmez, Pavez & Ortega, IEEE JSTSP 2017; both on
+:func:`glkit.solvers.logdet_prox_gradient`), and neighborhood lasso selection
 (the N node regressions as one shared-Gram
 :func:`glkit.solvers.lasso_cd_gram` call).
 """
@@ -30,11 +30,9 @@ from .graphcore import (
     weights_from_edge_vector,
 )
 from .solvers import (
-    SolveTrace,
     SolverConfig,
-    admm,
     lasso_cd_gram,
-    prox_neg_logdet,
+    logdet_prox_gradient,
     soft_threshold,
 )
 
@@ -201,35 +199,37 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
                     config: SolverConfig | None = None):
     """l1-penalized Gaussian maximum-likelihood precision estimation.
 
-    Maximizes logdet(T) - trace(S T) - lam ||T||_1 with :func:`admm`
-    from Z = I, alternating the log-det prox (the T block) with
-    elementwise soft thresholding (the Z block); it stops when the
-    primal and dual residuals are at most ``tol * N * max(1, ||T||_F)``
-    (default ``tol`` 1e-10). ``data`` may be a SignalSet (covariance
-    taken with divisor P) or a covariance matrix. Returns (Theta,
-    trace); Theta is positive definite by construction and
-    ``trace.notes["support"]`` is the sparsity pattern of Z.
+    Minimizes -logdet(T) + trace(S T) + lam ||T||_1 (diagonal
+    unpenalized unless ``penalize_diagonal``) by one
+    :func:`glkit.solvers.logdet_prox_gradient` call over T's entries,
+    soft thresholding as the prox, from T = diag(1 / (S_ii + w_ii)): every
+    iterate is symmetric, positive definite and exactly 0 where
+    thresholded. ``data`` is a SignalSet (covariance with divisor P) or a
+    covariance. Returns (Theta, trace). Raises NoMLE for a singular
+    covariance with lam = 0 or a zero-variance unpenalized vertex.
     """
     if not 0 <= lam < np.inf:
         raise BadParameter(f"lam must be a finite number >= 0, got {lam!r}")
-    config = config or SolverConfig(tol=1e-10)
+    config = config or SolverConfig()
     S = _as_covariance(data)
     n = S.shape[0]
+    w = np.full(n * n, float(lam))  # the penalty weights of T's entries
+    if not penalize_diagonal:
+        w[:: n + 1] = 0.0
+    start = np.diag(S) + w[:: n + 1]
+    if not np.all(start > 0):
+        raise NoMLE(f"zero variance at unpenalized vertex {int(np.argmin(start))}: no MLE")
     if lam == 0 and np.linalg.eigvalsh(S).min() <= 1e-12 * max(1.0, np.abs(S).max()):
         raise NoMLE("singular covariance with lam = 0: the MLE does not exist")
-    weights = np.full((n, n), float(lam))
-    if not penalize_diagonal:
-        np.fill_diagonal(weights, 0.0)
-
-    def objective(T):
-        return -np.linalg.slogdet(T)[1] + float((S * T).sum()) + \
-            float((weights * np.abs(T)).sum())
-
-    T, Z, trace = admm(lambda M, rho: prox_neg_logdet(M, S, rho),
-                       lambda M, rho: soft_threshold(M, weights / rho),
-                       np.eye(n), config, objective)
-    trace.notes["support"] = Z != 0
-    return T, trace
+    # tr(S T) = tr(sym(S) T) for symmetric T; a symmetric gradient keeps
+    # every iterate symmetric to the bit. The first step is the smallest
+    # inverse curvature T_ii^2 of the start's diagonal.
+    x, trace = logdet_prox_gradient(
+        lambda x: x.reshape(n, n), lambda C: (0.5 * (C + C.T)).ravel(),
+        (0.5 * (S + S.T)).ravel(), lambda v, t: soft_threshold(v, t * w),
+        lambda x: float(w @ np.abs(x)), np.diag(1.0 / start).ravel(),
+        float(np.min(1.0 / start)) ** 2, config)
+    return x.reshape(n, n), trace
 
 
 def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
@@ -237,16 +237,10 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
 
     Minimizes -logdet(Theta) + trace(S Theta) + lam ||Theta||_1 over the
     edge weights w >= 0 of the Laplacian L(w) and the load gamma >= 0,
-    where ||Theta||_1 = 4 sum(w) + N gamma is linear. Projected gradient
-    with Barzilai-Borwein steps and Armijo backtracking (one Cholesky
-    factor per trial point; a failed one rejects the point) starts from
-    w = 0, gamma = N / (trace(S) + N lam) and stops after
-    ``config.max_iters`` iterations or when the KKT residual
-    ||x - max(x - s^2 grad, 0)||_inf / s of x = (w, gamma), s = max(x),
-    is at most ``config.tol``; it is scale free, as x scales as 1/c and
-    grad as c under (S, lam) -> (c S, c lam). Returns (L as a Laplacian
-    shift, gamma, trace); ``trace.notes["kkt_residual"]`` holds the
-    residual.
+    where ||Theta||_1 = 4 sum(w) + N gamma is linear: one
+    :func:`glkit.solvers.logdet_prox_gradient` call over x = (w, gamma),
+    the prox a projection onto x >= 0, from w = 0, gamma = N / (trace(S)
+    + N lam). Returns (L as a Laplacian shift, gamma, trace).
     """
     if not 0 <= lam < np.inf:
         raise BadParameter(f"lam must be a finite number >= 0, got {lam!r}")
@@ -254,67 +248,26 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
     S = _as_covariance(data)
     n = S.shape[0]
     iu, ju = edge_index(n)
-    # f(x) = -logdet(Theta) + lin'x with x = (w, gamma): trace(S L(w)) and
-    # the penalty are both linear in x
+    # trace(S L(w)) and the penalty are both linear in x = (w, gamma)
     lin = np.append(S[iu, iu] + S[ju, ju] - 2.0 * S[iu, ju] + 4.0 * lam,
                     np.trace(S) + n * lam)
     if lin[-1] <= 0:
         raise NoMLE("zero covariance with lam = 0: the MLE does not exist")
 
-    def value(x):
-        """(f(x), Cholesky factor of Theta), or (inf, None) off the domain."""
+    def theta(x):
         W = weights_from_edge_vector(x[:-1], n)
-        theta = np.diag(W.sum(axis=1) + x[-1]) - W
-        try:
-            factor = np.linalg.cholesky(theta)
-        except np.linalg.LinAlgError:
-            return np.inf, None
-        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor)).sum()), factor
+        return np.diag(W.sum(axis=1) + x[-1]) - W
 
-    def gradient(factor):
-        inv_factor = np.linalg.inv(factor)
-        C = inv_factor.T @ inv_factor  # Theta^-1
+    def adjoint(C):
         d = np.diag(C)
-        return lin - np.append(d[iu] + d[ju] - 2.0 * C[iu, ju], d.sum())
-
-    def kkt(x, g):
-        s = x.max()  # gamma > 0 on the domain
-        return float(np.abs(np.minimum(x / s, s * g)).max())
+        return np.append(d[iu] + d[ju] - 2.0 * C[iu, ju], d.sum())
 
     x = np.zeros(iu.size + 1)
     x[-1] = n / lin[-1]
-    f, factor = value(x)
-    g = gradient(factor)
-    step = x[-1] ** 2 / n  # inverse curvature in gamma at the start
-    residual = kkt(x, g)
-    trace = SolveTrace()
-    trace.log(f)
-    while residual > config.tol and trace.iters_used < config.max_iters:
-        # Armijo test with slack for rounding in f: near the optimum the
-        # decrease falls below it and the BB step is taken as it stands
-        slack = 1e-12 * max(1.0, abs(f))
-        for _ in range(60):
-            x_new = np.maximum(x - step * g, 0.0)
-            f_new, factor = value(x_new)
-            if f_new <= f + 1e-4 * float(g @ (x_new - x)) + slack:
-                break
-            step *= 0.5
-        else:
-            break  # no acceptable point after 60 halvings
-        g_new = gradient(factor)
-        s, y = x_new - x, g_new - g
-        if s @ y > 0:
-            step = float(s @ s) / float(s @ y)
-        x, f, g = x_new, f_new, g_new
-        residual = kkt(x, g)
-        trace.iters_used += 1
-        trace.log(f)
-    trace.converged = residual <= config.tol
-    gamma = float(x[-1])
-    L = laplacian_from_weights(weights_from_edge_vector(x[:-1], n))
-    trace.notes["theta"] = L.data + gamma * np.eye(n)
-    trace.notes["kkt_residual"] = residual
-    return L, gamma, trace
+    # the first step is the inverse curvature in gamma at the start
+    x, trace = logdet_prox_gradient(theta, adjoint, lin, lambda v, t: np.maximum(v, 0.0),
+                                    lambda x: 0.0, x, x[-1] ** 2 / n, config)
+    return laplacian_from_weights(weights_from_edge_vector(x[:-1], n)), float(x[-1]), trace
 
 
 def neighborhood_lasso(X, lam: float, rule: str = "or",

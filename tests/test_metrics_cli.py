@@ -386,6 +386,37 @@ class TestCli:
         assert fields["converged"] == "True"
         assert float(fields["kkt_residual"]) <= 1e-7
 
+    @pytest.mark.parametrize("method", ["glasso", "lgmrf"])
+    def test_precision_learners_log_their_solve_at_info(self, tmp_path, caplog,
+                                                        monkeypatch, capsys, method):
+        monkeypatch.setenv("GLK_LOG", "info")
+        caplog.set_level(logging.INFO, logger="glkit")
+        sig = tmp_path / "sig.csv"
+        assert self.run("simulate", "gmrf", "--n", "6", "--p", "200",
+                        "--seed", "3", "-o", str(sig)) == 0
+        assert self.run("learn", method, "-i", str(sig),
+                        "-o", str(tmp_path / "g.json")) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith(f"{method} lam=")]
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert int(fields["iters"]) >= 1 and fields["converged"] == "True"
+        assert float(fields["kkt_residual"]) <= 1e-7
+        out = capsys.readouterr().out
+        if method == "lgmrf":  # stdout keeps its one JSON line
+            assert set(json.loads(out)) == {"gamma", "iters"}
+        else:
+            assert out == ""
+
+    def test_glasso_zero_variance_vertex_exits_4(self, tmp_path, capsys):
+        X = np.random.default_rng(23).standard_normal((5, 200))
+        X[2] = 0.0
+        sig, out = tmp_path / "sig.csv", tmp_path / "g.json"
+        ser.write_matrix_csv(sig, X)
+        assert self.run("learn", "glasso", "-i", str(sig), "--lambda", "0.1",
+                        "-o", str(out)) == 4
+        assert "vertex 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "glkit.cli", "learn", "nope", "-o", "x"],

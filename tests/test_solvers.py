@@ -129,34 +129,6 @@ class TestLassoCDGramBatch:
         assert np.abs(Bc - B).max() <= 1e-9 * max(1.0, np.abs(B).max())
 
 
-class TestProxNegLogdet:
-    def test_strong_penalty_limit(self):
-        out = sv.prox_neg_logdet(np.eye(3), np.eye(3), rho=1e9)
-        np.testing.assert_allclose(out, np.eye(3), atol=1e-4)
-
-    def test_scalar_quadratic_formula(self):
-        out = sv.prox_neg_logdet(np.zeros((4, 4)), np.eye(4), rho=1.0)
-        golden = (-1.0 + np.sqrt(5.0)) / 2.0
-        np.testing.assert_allclose(out, golden * np.eye(4), atol=1e-12)
-
-    def test_inverse_is_fixed_point(self):
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((5, 5))
-        Sigma = M @ M.T + 5 * np.eye(5)
-        inv = np.linalg.inv(Sigma)
-        for rho in (1e-4, 1.0, 50.0):
-            np.testing.assert_allclose(
-                sv.prox_neg_logdet(inv, Sigma, rho), inv, atol=1e-8)
-
-    def test_output_always_positive_definite(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            A = rng.standard_normal((6, 6))
-            S = rng.standard_normal((6, 6))
-            out = sv.prox_neg_logdet(0.5 * (A + A.T), S @ S.T, rho=0.7)
-            assert np.linalg.eigvalsh(out).min() > 0
-
-
 def qp_oracle_projection(S0, cset):
     """Projection onto the constraint set by direct NLP over the edge
     vector w (small n only): W(w) for the adjacency sets, L(w) with
@@ -534,6 +506,31 @@ def dense_lp_oracle(V, cset, objective):
     S[ti, tj] = res.x[:ti.size]
     S[tj, ti] = res.x[:ti.size]
     return res, S
+
+
+class TestLogdetProxGradient:
+    # min -log x + 2x over x > 0: x = 1/2
+    scalar = (lambda x: x.reshape(1, 1), lambda C: C.ravel(), np.array([2.0]))
+
+    def test_scalar_likelihood(self):
+        x, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v, lambda x: 0.0,
+                                           np.array([3.0]), 9.0, make_config())
+        assert trace.converged and trace.notes["kkt_residual"] <= 1e-7
+        assert x[0] == pytest.approx(0.5, rel=1e-7)
+
+    def test_capped_and_stalled_solves_warn(self):
+        with pytest.warns(UserWarning, match="3-iteration cap"):
+            _, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v, lambda x: 0.0,
+                                               np.array([3.0]), 9.0,
+                                               make_config(max_iters=3))
+        assert not trace.converged and trace.iters_used == 3
+        # from the optimum a "prox" that adds 1 only moves uphill: no step
+        # passes the Armijo test
+        with pytest.warns(UserWarning, match="60 step halvings"):
+            _, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v + 1.0,
+                                               lambda x: 0.0,
+                                               np.array([0.5]), 1.0, make_config())
+        assert not trace.converged and trace.iters_used == 0
 
 
 class TestAdmmKernel:

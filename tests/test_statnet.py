@@ -304,10 +304,8 @@ class TestGraphicalLasso:
         iters = []
         for tol in (1e-10, 1e-7):
             theta, trace = st.graphical_lasso(X, lam, config=SolverConfig(tol=tol))
-            bound = tol * n * max(1.0, np.linalg.norm(theta))
             assert trace.converged
-            assert trace.primal_residuals[-1] <= bound
-            assert trace.dual_residuals[-1] <= bound
+            assert trace.notes["kkt_residual"] <= tol
             iters.append(trace.iters_used)
         assert iters[1] < iters[0]
 
@@ -315,6 +313,58 @@ class TestGraphicalLasso:
         X = np.ones((4, 2))
         with pytest.raises(NoMLE):
             st.graphical_lasso(X, 0.0)
+
+    def test_zero_variance_vertex_has_no_mle(self):
+        # an unpenalized theta_22 grows without bound: -log t + 0 * t
+        X = np.random.default_rng(23).standard_normal((5, 200))
+        X[2] = 0.0
+        with pytest.raises(NoMLE, match="vertex 2"):
+            st.graphical_lasso(X, 0.1)
+        theta, trace = st.graphical_lasso(X, 0.1, penalize_diagonal=True)
+        assert trace.converged
+        assert theta[2, 2] == pytest.approx(1.0 / 0.1, rel=1e-6)
+
+    def test_cross_block_entries_are_exactly_zero(self):
+        # |S_ij| <= lam across two independent blocks: the solution is
+        # block diagonal (Mazumder & Hastie, JMLR 2012), to the bit
+        rng = np.random.default_rng(24)
+        X = np.vstack([sim.sample_gmrf(chain_precision(4), 2000, rng=rng).data,
+                       sim.sample_gmrf(chain_precision(4), 2000, rng=rng).data])
+        S = st.sample_covariance(X)
+        lam = 1.05 * np.abs(S[:4, 4:]).max()
+        assert lam < np.abs(S[:4, :4] - np.diag(np.diag(S[:4, :4]))).max()
+        theta, trace = st.graphical_lasso(S, lam)
+        assert trace.converged
+        assert np.all(theta[:4, 4:] == 0.0) and np.all(theta[4:, :4] == 0.0)
+        assert np.count_nonzero(theta[:4, :4] - np.diag(np.diag(theta[:4, :4]))) > 0
+
+    @given(n=hst.integers(2, 10), extra=hst.integers(2, 40),
+           lam_factor=hst.floats(0.1, 2.0), log_c=hst.floats(-4.0, 4.0),
+           penalize_diagonal=hst.booleans(), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_properties_and_scale_equivariance(self, n, extra, lam_factor, log_c,
+                                               penalize_diagonal, seed):
+        p = n + extra
+        S = st.sample_covariance(np.random.default_rng(seed).standard_normal((n, p)))
+        lam = lam_factor * st.auto_lambda(n, p)
+        c = 10.0 ** log_c
+        config = SolverConfig()
+        theta, trace = st.graphical_lasso(S, lam, penalize_diagonal, config)
+        assert trace.converged
+        assert np.array_equal(theta, theta.T)
+        assert np.linalg.eigvalsh(theta).min() > 0
+        # KKT residual recomputed from the returned estimate
+        W = np.full((n, n), lam)
+        if not penalize_diagonal:
+            np.fill_diagonal(W, 0.0)
+        G = S - np.linalg.inv(theta)
+        s = np.abs(theta).max()
+        kkt = np.abs(theta - sv.soft_threshold(theta - s * s * G, s * s * W)).max() / s
+        assert kkt <= 2.0 * config.tol
+        zero = theta == 0.0
+        assert np.all(np.abs(G[zero]) <= lam * (1.0 + 1e-6))
+        theta_c, trace_c = st.graphical_lasso(c * S, c * lam, penalize_diagonal, config)
+        assert trace_c.converged
+        assert np.abs(c * theta_c - theta).max() <= 1e-5 * np.abs(theta).max()
 
     def test_positive_definite_and_monotone(self):
         X = sim.sample_gmrf(chain_precision(8), 400, rng=14)
@@ -341,6 +391,17 @@ class TestGraphicalLasso:
 
 
 class TestLaplacianGmrf:
+    def test_capped_solves_warn(self):
+        X = sim.sample_gmrf(chain_precision(6), 500, rng=13)
+        config = SolverConfig(max_iters=2)
+        with pytest.warns(UserWarning, match="2-iteration cap"):
+            _, _, trace = st.laplacian_gmrf(X, 0.1, config)
+        assert not trace.converged and trace.iters_used == 2
+        assert trace.notes["kkt_residual"] > config.tol
+        with pytest.warns(UserWarning, match="2-iteration cap"):
+            _, trace = st.graphical_lasso(X, 0.1, config=config)
+        assert not trace.converged and trace.iters_used == 2
+
     def test_identity_covariance(self):
         L, gamma, _ = st.laplacian_gmrf(np.eye(4), 0.0)
         assert np.abs(L.data).max() <= 1e-6
