@@ -104,8 +104,8 @@ class ShiftOperator:
         np.fill_diagonal(W, 0.0)
         return np.abs(W) if self.kind is not ShiftKind.ADJACENCY else W
 
-    def edges(self):
-        """Edge list [(i, j, w)] of the nonzero entries: pairs i < j in
+    def edge_columns(self):
+        """Columns (i, j, w) of the nonzero entries: pairs i < j in
         :func:`edge_index` order for undirected shifts, all ordered pairs
         i != j row by row for directed ones, after the (i, i, w)
         diagonal records of precision/generic kinds."""
@@ -117,10 +117,14 @@ class ShiftOperator:
             iu, ju = edge_index(self.n)
             keep = vals[iu, ju] != 0
             rows, cols = iu[keep], ju[keep]
-        d = np.flatnonzero(np.diag(M)).tolist() \
-            if self.kind in (ShiftKind.PRECISION, ShiftKind.GENERIC) else []
-        return list(zip(d, d, M[d, d].tolist())) + \
-            list(zip(rows.tolist(), cols.tolist(), vals[rows, cols].tolist()))
+        if self.kind in (ShiftKind.PRECISION, ShiftKind.GENERIC):
+            d = np.flatnonzero(np.diag(M))
+            rows, cols = np.concatenate([d, rows]), np.concatenate([d, cols])
+        return rows, cols, vals[rows, cols]
+
+    def edges(self):
+        """Edge list [(i, j, w)] of :meth:`edge_columns`."""
+        return list(zip(*(col.tolist() for col in self.edge_columns())))
 
 
 @dataclass(frozen=True)

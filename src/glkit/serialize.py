@@ -3,11 +3,12 @@ and reports.
 
 CSV is headerless by default, one row per vertex, values printed with
 17 significant digits so a write/read round trip is bit exact. Graphs
-are JSON objects {"n", "kind", "edges": [{"i", "j", "w"}]} with
-zero-based indices; Laplacians store their nonnegative edge weights,
-precision/generic shifts store raw entries including (i, i) diagonal
-records. Long record lists (test tables) are written as they are
-formatted, in the same bytes as ``json.dumps(payload, indent=1)``.
+are JSON objects {"n", "kind", "directed", "edges": [{"i", "j", "w"}]}
+with zero-based indices; Laplacians store their nonnegative edge
+weights, precision/generic shifts store raw entries including (i, i)
+diagonal records. Long record lists (graph edges, test tables) are
+written as they are formatted, in the same bytes as
+``json.dumps(payload, indent=1)``.
 """
 
 from __future__ import annotations
@@ -108,13 +109,10 @@ def _is_blank(path, chunk: int = 1 << 20) -> bool:
 
 
 def write_graph_json(path, shift: ShiftOperator) -> None:
-    payload = {
-        "n": shift.n,
-        "kind": shift.kind.value,
-        "directed": shift.directed,
-        "edges": [{"i": i, "j": j, "w": float(w)} for i, j, w in shift.edges()],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    i, j, w = shift.edge_columns()
+    write_records_json(path, {"n": shift.n, "kind": shift.kind.value,
+                              "directed": shift.directed},
+                       "edges", {"i": i, "j": j, "w": w})
 
 
 def read_graph_json(path) -> ShiftOperator:

@@ -11,7 +11,6 @@ runs on the same engine.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +103,6 @@ def kalofolias_learn(Z, alpha: float, beta: float,
         raise BadParameter(f"beta must be a finite number >= 0, got {beta!r}")
     Z = as_distance(Z).Z
     iu, ju = edge_index(Z.shape[0])
-    if beta == 0 and Z[iu, ju].min(initial=np.inf) <= 0:
-        # a free zero-distance edge plus the barrier pulls weights to
-        # infinity; the engine caps them, but the output is degenerate
-        warnings.warn("beta = 0 with zero distances makes weights diverge; "
-                      "output is capped and unreliable", stacklevel=2)
     # The problem is scale equivariant: solving at Z/c with beta/c^2 and
     # dividing the weights by c reproduces the original solution, so the
     # engine always sees distances of unit mean (much better conditioned).

@@ -12,9 +12,10 @@ templates (by delayed row generation), the certified primal active-set
 walk that solves robust l1 templates on the ``first_node`` adjacency
 set, the accelerated feasibility gap that gives the walk its feasible
 start and the automatic eps, and the edge-weight engine for problems
-with degree terms: semismooth Newton on their N-variable Lagrange dual
-(a proximal-point loop over it when the ridge weight is zero), with the
-weight-to-degree map and the Newton matrix built by index arithmetic.
+with degree terms: one proximal-point loop of semismooth Newton solves
+on their N-variable Lagrange dual (a single round when the ridge weight
+is positive), with the weight-to-degree map and the Newton matrix built
+by index arithmetic.
 
 Edge vectors follow the order of :func:`graphcore.edge_index`. The
 kernels share its per-N cache, and that of the flat positions of
@@ -137,7 +138,8 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
     the regression form).
 
     Returns (B shaped like ``R``, one trace). ``trace.converged`` holds
-    when every problem met its stopping rule, ``iters_used`` sums their
+    when every problem met its stopping rule; otherwise one UserWarning
+    counts the problems stopped at ``max_iters``. ``iters_used`` sums their
     sweeps and ``objective`` holds each problem's sweep path in turn.
     ``notes["sweeps"]`` and ``notes["objectives"]`` list the per-problem
     sweep counts and final objectives; ``notes["kkt_residual"]`` is the
@@ -167,8 +169,8 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
     def objective(beta, g, r, w, c):
         return 0.5 * beta @ g - r @ beta + lam * np.abs(w * beta).sum() + c
 
-    trace = SolveTrace(converged=True)
-    sweeps, finals, kkt, scale = [], [], 0.0, 1.0
+    trace = SolveTrace()
+    sweeps, finals, kkt, scale, capped = [], [], 0.0, 1.0, 0
     for i in range(m):
         beta, r, w, c = B[i], R2[i], weights[i], consts[i]
         thresh = lam * w
@@ -192,7 +194,7 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
                         <= config.tol * max(1.0, np.abs(beta).max(initial=0.0)))
         sweeps.append(sweep)
         finals.append(trace.objective[-1])
-        trace.converged &= done
+        capped += not done
         # projected (sub)gradient residual for the KKT report
         on = allowed[i]
         grad = (g - r)[on]
@@ -200,6 +202,11 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
                        np.abs(grad + thresh[on] * np.sign(beta[on])))
         kkt = max(kkt, float(res.max(initial=0.0)))
         scale = max(scale, float(np.abs(r[on]).max(initial=0.0)))
+    trace.converged = capped == 0
+    if capped:
+        warnings.warn(f"lasso_cd_gram stopped {capped} of {m} problems at its "
+                      f"{config.max_iters}-sweep cap before its tol rule held",
+                      stacklevel=2)
     trace.iters_used = sum(sweeps)
     trace.notes.update(sweeps=sweeps, objectives=finals, kkt_residual=kkt,
                        kkt_scale=scale)
@@ -209,9 +216,9 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
 def lasso_cd(A, b, lam, config: SolverConfig | None = None, penalty_weights=None):
     """Lasso 0.5 ||b - A beta||^2 + lam ||beta||_1 by coordinate descent.
 
-    Returns (beta, trace); ``trace.converged`` is False when the sweep cap
-    is hit, never an exception. KKT residuals are reported in
-    ``trace.notes``.
+    Returns (beta, trace); ``trace.converged`` is False, with a warning
+    rather than an exception, when the sweep cap is hit. KKT residuals
+    are reported in ``trace.notes``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -429,10 +436,7 @@ class ShiftConstraintSet:
         if n < 2:
             raise Infeasible("the shift constraint sets are empty for N < 2")
         if self.kind == "laplacian":
-            W, trace = _project_laplacian(_sym(M), SolverConfig(tol=1e-12))
-            if not trace.converged:
-                warnings.warn("Laplacian projection stopped before the "
-                              "engine's tolerance", stacklevel=2)
+            W, _ = _project_laplacian(_sym(M), SolverConfig(tol=1e-12))
             return np.diag(W.sum(axis=1)) - W
         up, lo = edge_positions(n)
         flat = M.ravel()
@@ -481,23 +485,21 @@ def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str)
         return cset.project(M - inv_rho * cset.l1_tilt(n))
     if objective == "frobenius":
         return cset.project(M / (1.0 + inv_rho))
-    if objective == "linf":
-        # alternating prox steps with correction terms for the nonseparable pair
-        x = M.copy()
-        p = np.zeros_like(M)
-        q = np.zeros_like(M)
-        for _ in range(200):
-            v = x + p
-            y = v - project_l1_ball(v, inv_rho)  # prox of inv_rho * ||.||_inf
-            p = v - y
-            x_new = cset.project(y + q)
-            q = y + q - x_new
-            if np.abs(x_new - x).max() < 1e-12:
-                x = x_new
-                break
+    # linf: alternating prox steps with correction terms for the nonseparable pair
+    x = M.copy()
+    p = np.zeros_like(M)
+    q = np.zeros_like(M)
+    for _ in range(200):
+        v = x + p
+        y = v - project_l1_ball(v, inv_rho)  # prox of inv_rho * ||.||_inf
+        p = v - y
+        x_new = cset.project(y + q)
+        q = y + q - x_new
+        if np.abs(x_new - x).max() < 1e-12:
             x = x_new
-        return x
-    raise BadParameter(f"unknown objective {objective!r}")
+            break
+        x = x_new
+    return x
 
 
 def _objective_value(S, objective: str) -> float:
@@ -1062,27 +1064,28 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     edges at vertex i; applied by index arithmetic, never stored) and g
     is the degree term (log barrier or quadratic).
 
-    For beta > 0: semismooth Newton on the Lagrange dual of the split
-    d = Bw, in its N multipliers v, with closed-form inner minimisers
-    w(v) = max(0, -(2z + B'v)) / (2 beta) (with ``scale_sum``, the
-    projection of -(2z + B'v) / (2 beta) onto the weight simplex, which
-    eliminates the sum's multiplier exactly) and d(v) = grad g*(v). The
-    dual gradient is d(v) - B w(v); the Newton matrix is the signless
-    Laplacian of the active edges, weighted 1 / (2 beta) (less its
-    rank-one part along the sum), plus diag g*''(v). Armijo steps keep
-    v in the domain of g*. Stops when ||Bw - d||_inf <= tol ||Bw||_inf,
-    a rule that (c z, c^2 beta) meets at the same point scaled by 1 / c
-    (at the empty graph both sides are zero); ``max_iters`` caps the
-    Newton steps.
-
-    For beta = 0: a proximal-point loop over that solve. Round k solves
-    the beta = rho problem with z replaced by z - rho w_k; rho starts at
-    mean(z)^2 and shrinks tenfold per round. Stops when the
-    projected-gradient KKT residual of the beta = 0 problem is at most
-    ``tol`` times ``trace.notes["kkt_scale"]``; ``converged`` stays false
-    when the Newton steps of all rounds reach ``max_iters`` or a weight
-    reaches ``WEIGHT_CAP`` (zero distances make the log-barrier problem
-    unbounded).
+    One proximal-point loop: round k solves the beta = rho problem with z
+    replaced by z - (rho - beta) w_k. rho starts at beta when beta > 0
+    (one round) and at mean(z)^2 when beta = 0, and falls tenfold per
+    round, never below beta. Each round is semismooth Newton on the
+    Lagrange dual of the split d = Bw, in its N multipliers v, with
+    closed-form inner minimisers w(v) = max(0, -(2z + B'v)) / (2 rho)
+    (with ``scale_sum``, the projection of -(2z + B'v) / (2 rho) onto the
+    weight simplex, which eliminates the sum's multiplier exactly) and
+    d(v) = grad g*(v). The dual gradient is d(v) - B w(v); the Newton
+    matrix is the signless Laplacian of the active edges, weighted
+    1 / (2 rho) (less its rank-one part along the sum), plus
+    diag g*''(v). Armijo steps keep v in the domain of g*. The round at
+    rho = beta is the problem itself and stops when
+    ||Bw - d||_inf <= tol ||Bw||_inf, a rule that (c z, c^2 beta) meets
+    at the same point scaled by 1 / c (at the empty graph both sides are
+    zero). Earlier rounds end the loop once the projected-gradient KKT
+    residual of the problem is at most ``tol`` times
+    ``trace.notes["kkt_scale"]``. ``max_iters`` caps the Newton steps of
+    all rounds. A solve that stops at that cap, on a step with no
+    descent, or with a weight at ``WEIGHT_CAP`` (zero distances make
+    the beta = 0 log-barrier problem unbounded) has ``converged`` false
+    and gives one UserWarning naming the cause.
 
     Returns (W, trace); ``trace.iters_used`` counts Newton steps and
     ``trace.notes`` holds the KKT residual and its scale.
@@ -1172,26 +1175,29 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
         # every vertex starts with the edge to its nearest neighbour active
         nearest = (Z + np.diag(np.full(n, np.inf))).min(axis=1)
         v = -(2.0 * nearest + np.sqrt(g_spec.weight * rho))
-    if beta > 0:
-        v, w, trace.iters_used, trace.converged = newton(v, z, beta, config.max_iters)
-    else:
-        w = np.zeros(iu.size)
-        while trace.iters_used < config.max_iters:
-            v, w, steps, _ = newton(v, z - rho * w, rho,
-                                    config.max_iters - trace.iters_used)
-            trace.iters_used += max(steps, 1)
-            if kkt_residual(w) <= config.tol * kkt_scale:
-                trace.converged = True
-                break
-            if w.max() >= WEIGHT_CAP:
-                break
-            rho /= 10.0
-    if np.any(w >= WEIGHT_CAP):
-        warnings.warn("edge weights hit the safety cap; problem is near-degenerate",
-                      stacklevel=2)
+    w = np.zeros(iu.size)
+    while True:
+        v, w, steps, done = newton(v, z - (rho - beta) * w, rho,
+                                   config.max_iters - trace.iters_used)
+        if rho == beta:  # the problem itself, ended by its own Newton rule
+            trace.iters_used += steps
+            break
+        trace.iters_used += max(steps, 1)
+        done = kkt_residual(w) <= config.tol * kkt_scale
+        if done or trace.iters_used >= config.max_iters or w.max() >= WEIGHT_CAP:
+            break
+        rho = max(rho / 10.0, beta)
+    capped = bool(w.max() >= WEIGHT_CAP)
+    trace.converged = done and not capped
+    if capped:
         w = np.minimum(w, WEIGHT_CAP)
-        trace.converged = False
         trace.notes["weight_cap"] = True
+    if not trace.converged:
+        cause = ("edge weights at WEIGHT_CAP (a near-unbounded problem)" if capped else
+                 f"its {config.max_iters}-step cap" if trace.iters_used >= config.max_iters
+                 else "a Newton step with no descent")
+        warnings.warn(f"primal_dual_graph stopped at {cause} before its tol rule held",
+                      stacklevel=2)
     trace.notes["kkt_residual"] = kkt_residual(w)
     trace.notes["kkt_scale"] = kkt_scale
     trace.log(objective(w))

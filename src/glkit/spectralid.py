@@ -198,14 +198,12 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
                    for k, w in enumerate(wts))
 
     prev = objective(H)
-    hist = [prev]
-    for it in range(config.max_iters):
+    for _ in range(config.max_iters):
         grad = sum(2.0 * w * (Q[k] @ (Q[k] @ H @ Q[k] - R[k]) @ Q[k])
                    for k, w in enumerate(wts))
         vals, vecs = _eigh_psd(H - step * grad)
         H = (vecs * vals) @ vecs.T
         cur = objective(H)
-        hist.append(cur)
         if abs(prev - cur) <= config.tol * max(1.0, abs(prev)):
             break
         prev = cur

@@ -168,6 +168,37 @@ class TestSerialize:
         ser.write_matrix_csv(path, [2.5, -1, 0])  # 1-D: one row
         assert path.read_bytes() == b"2.5,-1,0\n"
 
+    @pytest.mark.parametrize("case", ["adjacency", "laplacian", "precision",
+                                      "directed", "empty"])
+    def test_graph_json_matches_json_dumps(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(ser, "RECORDS_PER_WRITE", 3)
+        rng = np.random.default_rng(22)
+        n = 6
+        A = np.triu(rng.uniform(0.5, 1.5, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        A += A.T
+        shift = {
+            "adjacency": ShiftOperator(A, ShiftKind.ADJACENCY),
+            "laplacian": ShiftOperator(np.diag(A.sum(axis=1)) - A, ShiftKind.LAPLACIAN),
+            "precision": ShiftOperator(np.diag([2.0, 0, 1.5, 0, 1, 3]) - 0.1 * A,
+                                       ShiftKind.PRECISION),
+            "directed": ShiftOperator(rng.standard_normal((n, n))
+                                      * (rng.random((n, n)) < 0.4), directed=True),
+            "empty": ShiftOperator(np.zeros((n, n)), ShiftKind.ADJACENCY),
+        }[case]
+        M = -shift.data if case == "laplacian" else shift.data
+        diag = [(i, i) for i in range(n)] if shift.kind in (
+            ShiftKind.PRECISION, ShiftKind.GENERIC) else []
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and (shift.directed or i < j)]
+        edges = [{"i": i, "j": j, "w": float(M[i, j])} for i, j in diag + pairs
+                 if M[i, j] != 0]
+        assert (case == "empty") == (not edges)
+        path = tmp_path / "g.json"
+        ser.write_graph_json(path, shift)
+        assert path.read_text() == json.dumps(
+            {"n": n, "kind": shift.kind.value, "directed": shift.directed,
+             "edges": edges}, indent=1) + "\n"
+
     def test_precision_round_trip_keeps_diagonal(self, tmp_path):
         theta = np.array([[2.0, -0.4], [-0.4, 1.5]])
         G = ShiftOperator(theta, ShiftKind.PRECISION)

@@ -133,12 +133,20 @@ class TestKalofolias:
     def test_zero_row_with_beta_zero_guard(self):
         Z = np.zeros((3, 3))
         Z[1, 2] = Z[2, 1] = 1.0  # node 0 at distance 0 from everything
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="WEIGHT_CAP") as record:
             W, trace = sl.kalofolias_learn(Z, 1.0, 0.0)
+        assert len(record) == 1  # one event, one warning
         # weights head for infinity but stay below the safety cap
         from glkit.solvers import WEIGHT_CAP
         assert W.max() <= WEIGHT_CAP
         assert not trace.converged
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_capped_solve_warns(self, beta):
+        Z = sl.distance_matrix(np.random.default_rng(0).standard_normal((30, 50)))
+        with pytest.warns(UserWarning, match="3-step cap"):
+            _, trace = sl.kalofolias_learn(Z, 1.0, beta, sl.SolverConfig(max_iters=3))
+        assert not trace.converged and trace.iters_used == 3
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(BadParameter):
@@ -181,12 +189,26 @@ class TestDongLearn:
     def test_capped_laplacian_step_is_not_converged(self):
         # the L step at the final Y needs more than 5 engine Newton steps
         X = np.random.default_rng(0).standard_normal((30, 100))
-        _, _, capped = sl.dong_learn(X, 0.05, 1.0, sl.SolverConfig(max_iters=5))
+        with pytest.warns(UserWarning, match="5-step cap"):
+            _, _, capped = sl.dong_learn(X, 0.05, 1.0, sl.SolverConfig(max_iters=5))
         assert not capped.converged
         assert not capped.notes["l_step_converged"][-1]
         _, _, trace = sl.dong_learn(X, 0.05, 1.0)
         assert trace.converged and all(trace.notes["l_step_converged"])
         assert len(trace.notes["l_step_converged"]) == trace.iters_used
+
+    def test_worse_iteration_is_rolled_back(self):
+        # with one Newton step per L step the second outer objective rises
+        X = np.random.default_rng(0).standard_normal((10, 20))
+        config = sl.SolverConfig(max_iters=1)
+        with pytest.warns(UserWarning, match="1-step cap"):
+            L, Y, trace = sl.dong_learn(X, 0.05, 1.0, config)
+            L1, Y1, _ = sl.dong_learn(X, 0.05, 1.0, config, outer_iters=1)
+        assert trace.notes["rolled_back"] and not trace.converged
+        assert trace.iters_used == 2 and len(trace.objective) == 1
+        # the first iterate is returned, not the rejected second one
+        np.testing.assert_array_equal(L.data, L1.data)
+        np.testing.assert_array_equal(Y, Y1)
 
     def test_laplacian_step_matches_slsqp(self):
         # one outer iteration returns the first L step, taken at Y = X:

@@ -86,9 +86,16 @@ class TestLassoCD:
     def test_iteration_cap_flags_not_converged(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((50, 20))
-        beta, trace = sv.lasso_cd(A, rng.standard_normal(50), 0.01,
-                                  make_config(max_iters=1, tol=1e-14))
+        with pytest.warns(UserWarning, match="1 of 1 problems at its 1-sweep cap"):
+            beta, trace = sv.lasso_cd(A, rng.standard_normal(50), 0.01,
+                                      make_config(max_iters=1, tol=1e-14))
         assert trace.converged is False
+        # one warning per call, however many rows stop at the cap
+        R = rng.standard_normal((3, 50)) @ A
+        with pytest.warns(UserWarning, match="3 of 3 problems") as record:
+            _, trace = sv.lasso_cd_gram(A.T @ A, R, 0.01,
+                                        make_config(max_iters=1, tol=1e-14))
+        assert len(record) == 1 and trace.converged is False
 
     def test_penalty_weights_exempt_coordinates(self):
         rng = np.random.default_rng(6)
@@ -213,6 +220,16 @@ class TestShiftProjection:
             assert np.abs(ours - oracle).max() <= 1e-6
             # never farther from S0 than the oracle's point
             assert np.linalg.norm(ours - S0) <= np.linalg.norm(oracle - S0) + 1e-12
+
+    def test_capped_laplacian_projection_warns_once(self, monkeypatch):
+        # the engine is the one place that reports a capped solve
+        config = sv.SolverConfig
+        monkeypatch.setattr(sv, "SolverConfig",
+                            lambda tol: config(max_iters=1, tol=tol))
+        M = np.random.default_rng(11).standard_normal((6, 6))
+        with pytest.warns(UserWarning, match="1-step cap") as record:
+            sv.ShiftConstraintSet(kind="laplacian").project(M)
+        assert len(record) == 1
 
     def test_laplacian_set_constraints(self):
         rng = np.random.default_rng(11)
