@@ -233,8 +233,9 @@ def cmd_learn(args) -> int:
             shift = ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY)
         _emit_graph(args.output, shift)
         log.info("spectral meta: %s", meta)
-        log.info("spectral iters=%d walk_rounds=%s converged=%s kkt_residual=%s",
-                 trace.iters_used, trace.notes.get("walk_rounds"), trace.converged,
+        log.info("spectral iters=%d walk_rounds=%s lp_rounds=%s converged=%s "
+                 "kkt_residual=%s", trace.iters_used, trace.notes.get("walk_rounds"),
+                 trace.notes.get("lp_rounds"), trace.converged,
                  trace.notes.get("kkt_residual"))
         return 0
     if method in ("psd-filter", "sym-filter"):

@@ -563,13 +563,17 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet):
 # HiGHS's primal feasibility tolerance, passed to every solve: row
 # generation stops once no row left out is violated by more than it
 _LP_FEAS_TOL = 1e-7
+# smallest singular value, relative to the largest, at which the equality
+# rows of :func:`_spectral_lp` are taken to fix its point
+_LP_RANK_FLOOR = 1e-8
 
 
 def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     """Exact eps = 0 solve: min ||S||_1 (or ||S||_inf) over the members
     S of the set that equal V diag(lam) V' + Vc Z Vc', with Z a free
     symmetric block on an orthonormal complement Vc of a partial N x K
-    basis (empty for a full one).
+    basis (empty for a full one). The Frobenius objective solves the l1
+    problem.
 
     With U = [V Vc], LP variable m scales (u_p u_q' + u_q u_p') / 2 for
     the column pair (p_m, q_m): (k, k) for each eigenvalue, (a, b) with
@@ -577,32 +581,42 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     set, so both norms are linear there (sup-norm via one epigraph
     variable t >= 0).
 
-    Delayed row generation (Bertsimas & Tsitsiklis, Introduction to
-    Linear Optimization, 6.1): every equality row is in every HiGHS
-    solve, while the inequality rows - one sign row per entry pair, plus
-    the |S_ij| <= t epigraph rows for the sup-norm - start as those of
-    the first vertex's N - 1 pairs. Each round reads every row's value
-    off the assembled S and stops when no row left out is violated by
-    more than ``_LP_FEAS_TOL``, HiGHS's own feasibility tolerance for
-    the rows it holds: a relaxation whose solution every row accepts is
-    optimal for the full LP, so the result is exact. Otherwise it adds
-    the 4N left-out rows of largest value, the most violated first;
-    nearly binding rows fill the rest, since a restricted vertex often
-    violates only a few rows at a time. The l1 objective <G, S> equals
-    ||S||_1 on the set, so the implied row <G, S> >= 0 joins every solve
-    and keeps each restricted LP bounded (the sup-norm is bounded by
-    t >= 0). An infeasible restricted LP raises Infeasible: the full LP
-    has more rows. The final vertex is projected onto the set so that
-    its structural constraints hold exactly.
+    When the equality rows (the set's zero diagonal or zero row sums and
+    its scale row) have full column rank - the smallest singular value
+    above ``_LP_RANK_FLOOR`` of the largest, as for most full bases - they
+    admit at most one point, read by least squares. It raises Infeasible
+    when an equality row, a sign row or an epigraph row (t at its least
+    value) misses by more than ``_LP_FEAS_TOL``; otherwise it is the
+    optimum of every objective, found with no LP solve (Segarra, Marques,
+    Mateos & Ribeiro, "Network topology inference from spectral
+    templates", 2017). scipy is imported only past this point.
+
+    Otherwise free directions remain, and delayed row generation
+    (Bertsimas & Tsitsiklis, Introduction to Linear Optimization, 6.1)
+    runs HiGHS: every equality row is in every solve, while the
+    inequality rows - one sign row per entry pair, plus the |S_ij| <= t
+    epigraph rows for the sup-norm - start as those of the first
+    vertex's N - 1 pairs. Each round reads every row's value off the
+    assembled S and stops when no row left out is violated by more than
+    ``_LP_FEAS_TOL``, HiGHS's own feasibility tolerance for the rows it
+    holds: a relaxation whose solution every row accepts is optimal for
+    the full LP, so the result is exact. Otherwise it adds the 4N
+    left-out rows of largest value, the most violated first; nearly
+    binding rows fill the rest, since a restricted vertex often violates
+    only a few rows at a time. The l1 objective <G, S> equals ||S||_1 on
+    the set, so the implied row <G, S> >= 0 joins every solve and keeps
+    each restricted LP bounded (the sup-norm is bounded by t >= 0). An
+    infeasible restricted LP raises Infeasible: the full LP has more
+    rows. The final point is projected onto the set so that its
+    structural constraints hold exactly.
 
     Returns (S, lam, trace) with the distance to the coupling set and
-    the last solve's duality gap as residuals. ``iters_used`` sums the
-    simplex iterations of all rounds, ``notes["lp_rounds"]`` counts the
-    solves and ``notes["lp_rows"]`` / ``notes["lp_rows_full"]`` give the
-    inequality rows of the final solve and of the full LP.
+    the last solve's duality gap (0 without a solve) as residuals.
+    ``iters_used`` sums the simplex iterations of all rounds,
+    ``notes["lp_rounds"]`` counts the solves (0 for the closed form) and
+    ``notes["lp_rows"]`` / ``notes["lp_rows_full"]`` give the inequality
+    rows of the final solve and of the full LP.
     """
-    from scipy.optimize import linprog
-
     n, k = V.shape
     U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
     za, zb = np.triu_indices(n - k)
@@ -617,6 +631,11 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     def in_basis(M):
         """<M, (u_p u_q' + u_q u_p') / 2> for every variable, M symmetric."""
         return (U.T @ M @ U)[p, q]
+
+    def assemble(x):
+        C = np.zeros((n, n))
+        C[p, q] = x[: p.size]
+        return U @ _sym(C) @ U.T
 
     G = cset.l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
     A, b = cset.scale_equality(n)  # <A, S> = b
@@ -633,71 +652,84 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     g_off = G[iu, ju]
     ri, rj, coef, tcoef = iu, ju, -g_off, np.zeros(iu.size)
     first = np.arange(n - 1)  # the pairs (0, j) lead the edge order
-    c = in_basis(G)
-    floor = [-c]
-    bounds = (None, None)
     if objective == "linf":
         diag = np.arange(n)
         ri, rj = np.concatenate([iu, iu, diag]), np.concatenate([ju, ju, diag])
         coef = np.concatenate([coef, g_off, np.diag(G)])
         tcoef = np.concatenate([tcoef, -np.ones(iu.size + n)])
         first = np.concatenate([first, iu.size + first])
-        a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-        c = np.zeros(p.size + 1)
-        c[-1] = 1.0
-        floor = []
-        bounds = [(None, None)] * p.size + [(0.0, None)]
-
-    def pool_rows(r):
-        rows = coef[r, None] * entry_rows(ri[r], rj[r])
-        return rows if objective == "l1" else np.hstack([rows, tcoef[r, None]])
-
-    active = np.zeros(coef.size, dtype=bool)
-    active[first] = True
-    blocks = floor + [pool_rows(first)]
-    rounds = nit = 0
-    while True:
-        a_ub = np.vstack(blocks)
-        # presolve slows these dense LPs: 3.6x at N = 50 (one round), 4-5x
-        # in each round of an N = 200 partial-basis solve
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
-                      b_eq=b_eq, bounds=bounds, method="highs",
-                      options={"presolve": False,
-                               "primal_feasibility_tolerance": _LP_FEAS_TOL})
-        rounds += 1
-        nit += int(res.nit)
-        if res.status == 2:
+    fixed = a_eq.shape[0] >= p.size  # fewer rows than variables leave free directions
+    if fixed:
+        x, _, _, sv = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+        fixed = sv[-1] > _LP_RANK_FLOOR * sv[0]
+    if fixed:
+        S = assemble(x)
+        viol = coef * S[ri, rj]
+        viol += tcoef * viol.max(where=tcoef < 0, initial=0.0)  # t at its least
+        if (np.abs(a_eq @ x - b_eq) > _LP_FEAS_TOL).any() or (viol > _LP_FEAS_TOL).any():
             raise Infeasible("no member of the constraint set is exactly "
                              "diagonalized by the given basis")
-        if res.x is None:
-            raise SolverError(f"spectral LP failed: {res.message}")
-        C = np.zeros((n, n))
-        C[p, q] = res.x[: p.size]
-        S = U @ _sym(C) @ U.T
-        t = res.x[-1] if objective == "linf" else 0.0
-        viol = coef * S[ri, rj] + tcoef * t
-        viol[active] = -np.inf
-        if not (viol > _LP_FEAS_TOL).any():
-            break
-        # the 4N left-out rows of largest value, violated or nearly binding
-        new = np.flatnonzero(~active)
-        if new.size > 4 * n:
-            new = new[np.argpartition(viol[new], -4 * n)[-4 * n:]]
-        active[new] = True
-        blocks.append(pool_rows(new))
+        lam, gap, converged, rounds, n_rows, nit = x[:k], 0.0, True, 0, 0, 0
+    else:  # free directions remain: HiGHS with row generation
+        from scipy.optimize import linprog
+
+        c = in_basis(G)
+        floor = [-c]
+        bounds = (None, None)
+        if objective == "linf":
+            a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+            c = np.zeros(p.size + 1)
+            c[-1] = 1.0
+            floor = []
+            bounds = [(None, None)] * p.size + [(0.0, None)]
+
+        def pool_rows(r):
+            rows = coef[r, None] * entry_rows(ri[r], rj[r])
+            return rows if objective != "linf" else np.hstack([rows, tcoef[r, None]])
+
+        active = np.zeros(coef.size, dtype=bool)
+        active[first] = True
+        blocks = floor + [pool_rows(first)]
+        rounds = nit = 0
+        while True:
+            a_ub = np.vstack(blocks)
+            # presolve slows these dense LPs: 3.6x at N = 50 (one round), 4-5x
+            # in each round of an N = 200 partial-basis solve
+            res = linprog(c, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                          b_eq=b_eq, bounds=bounds, method="highs",
+                          options={"presolve": False,
+                                   "primal_feasibility_tolerance": _LP_FEAS_TOL})
+            rounds += 1
+            nit += int(res.nit)
+            if res.status == 2:
+                raise Infeasible("no member of the constraint set is exactly "
+                                 "diagonalized by the given basis")
+            if res.x is None:
+                raise SolverError(f"spectral LP failed: {res.message}")
+            S = assemble(res.x)
+            t = res.x[-1] if objective == "linf" else 0.0
+            viol = coef * S[ri, rj] + tcoef * t
+            viol[active] = -np.inf
+            if not (viol > _LP_FEAS_TOL).any():
+                break
+            # the 4N left-out rows of largest value, violated or nearly binding
+            new = np.flatnonzero(~active)
+            if new.size > 4 * n:
+                new = new[np.argpartition(viol[new], -4 * n)[-4 * n:]]
+            active[new] = True
+            blocks.append(pool_rows(new))
+        lam, converged, n_rows = res.x[:k], res.status == 0, a_ub.shape[0]
+        gap = abs(res.fun - float(b_eq @ res.eqlin.marginals))
     S = cset.project(S)
     Mt = U.T @ S @ U
     Mt[np.arange(k), np.arange(k)] = 0.0
     Mt[k:, k:] = 0.0
-    trace = SolveTrace()
-    trace.log(_objective_value(S, objective), float(np.linalg.norm(Mt)),
-              abs(res.fun - float(b_eq @ res.eqlin.marginals)))
-    trace.converged = res.status == 0
+    trace = SolveTrace(converged=converged)
+    trace.log(_objective_value(S, objective), float(np.linalg.norm(Mt)), gap)
     trace.iters_used = nit
     trace.notes.update(constraint_violation=float(cset.violation(S)),
-                       lp_rounds=rounds, lp_rows=a_ub.shape[0],
-                       lp_rows_full=coef.size)
-    return S, res.x[:k].copy(), trace
+                       lp_rounds=rounds, lp_rows=n_rows, lp_rows_full=coef.size)
+    return S, lam.copy(), trace
 
 
 _WALK_ROUNDS = 200  # solves of the active-set walk before the ADMM takes over
@@ -879,12 +911,15 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     ``trace.notes["eps"]`` records the eps solved at, on every path.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
-    linear program, solved exactly by :func:`_spectral_lp` (HiGHS with
-    delayed row generation; ``iters_used`` sums the simplex iterations
-    of its rounds); that path also takes a partial basis (N x K matrix
-    V), whose orthogonal complement block of S is unconstrained
-    spectrally, and ignores ``config``. With eps = 0 and the Frobenius
-    objective the same LP first checks that the set meets the span.
+    linear program, solved exactly by :func:`_spectral_lp`: in closed
+    form when its equality rows fix the point (``notes["lp_rounds"]``
+    0), else by HiGHS with delayed row generation (``iters_used`` sums
+    the simplex iterations of its rounds); that path also takes a
+    partial basis (N x K matrix V), whose orthogonal complement block of
+    S is unconstrained spectrally, and ignores ``config``. With eps = 0
+    and the Frobenius objective the same solve first checks that the set
+    meets the span, and its closed-form point, the only feasible one, is
+    returned as is.
 
     With eps > 0, the l1 objective and the ``first_node`` adjacency set,
     the primal active-set walk of :meth:`_EdgeKKT.walk` runs from the
@@ -930,12 +965,11 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         gap, start, _ = spectral_gap(V, constraint_set)
         eps = 2.0 * gap
     notes = {"eps": float(eps)}
-    if eps == 0 and objective != "frobenius":
-        S, lam, trace = _spectral_lp(V, constraint_set, objective)
-        trace.notes.update(notes)
-        return S, lam, trace
     if eps == 0:
-        _spectral_lp(V, constraint_set, "l1")  # raises Infeasible
+        S, lam, trace = _spectral_lp(V, constraint_set, objective)  # may raise Infeasible
+        if objective != "frobenius" or trace.notes["lp_rounds"] == 0:
+            trace.notes.update(notes)
+            return S, lam, trace
     coupling = SpectralCoupling(V, eps)
     nearest = constraint_set.project(np.zeros((n, n)))
     done = None

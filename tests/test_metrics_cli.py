@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import glkit.metrics as mt
 import glkit.serialize as ser
+import glkit.simulate as sim
 import glkit.statnet as stn
 from glkit.errors import DataError
 from glkit.cli import main as cli_main
@@ -414,8 +415,25 @@ class TestCli:
         fields = dict(f.split("=") for f in line.split()[1:])
         # eps="auto": the active-set walk certifies before any ADMM iteration
         assert int(fields["iters"]) == 0 and int(fields["walk_rounds"]) >= 1
-        assert fields["converged"] == "True"
+        assert fields["converged"] == "True" and fields["lp_rounds"] == "None"
         assert float(fields["kkt_residual"]) <= 1e-7
+
+    def test_exact_spectral_logs_lp_rounds_at_info(self, tmp_path, caplog,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("GLK_LOG", "info")
+        caplog.set_level(logging.INFO, logger="glkit")
+        G = sim.gen_er_graph(10, 0.4, rng=3, require_connected=True)
+        cov = tmp_path / "cov.csv"
+        ser.write_matrix_csv(cov, sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
+        assert self.run("learn", "spectral", "-i", str(cov), "--eps", "0",
+                        "-o", str(tmp_path / "s.json")) == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("spectral iters=")]
+        fields = dict(f.split("=") for f in line.split()[1:])
+        # the equality rows fix the shift: no LP solve
+        assert fields["lp_rounds"] == "0" and int(fields["iters"]) == 0
+        assert fields["converged"] == "True"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("method", ["glasso", "lgmrf"])
     def test_precision_learners_log_their_solve_at_info(self, tmp_path, caplog,
@@ -655,8 +673,11 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):
-    # only the eps = 0 spectral-template LPs import scipy (HiGHS)
+    # only the eps = 0 spectral-template LPs with free directions import
+    # scipy (HiGHS); an exact covariance fixes the shift in closed form
     d = str(tmp_path)
+    G = sim.gen_er_graph(10, 0.4, rng=3, require_connected=True)
+    ser.write_matrix_csv(tmp_path / "cov.csv", sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
     script = f"""
 import sys
 from glkit.cli import main
@@ -667,13 +688,31 @@ runs = [
      "--table-out", "{d}/t.json"],
     ["learn", "pcorr", "-i", "{d}/x.csv", "-o", "{d}/p.json"],
     ["eval", "-i", "{d}/c.json", "--truth", "{d}/g.json"],
+    ["learn", "spectral", "-i", "{d}/cov.csv", "--eps", "0", "-o", "{d}/s.json"],
 ]
 codes = [main(argv) for argv in runs]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True, env=CHILD_ENV)
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] []"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_exact_deconvolution_leaves_scipy_unloaded():
+    # the equality rows fix the deconvolved shift: no HiGHS solve
+    script = """
+import sys
+import numpy as np
+from glkit import simulate, spectralid
+G = simulate.gen_er_graph(12, 0.4, rng=5, require_connected=True)
+S = G.data * (0.5 / simulate.spectral_radius(G.data))
+T = S @ np.linalg.inv(np.eye(12) - S)
+S_hat, trace = spectralid.network_deconvolve(0.5 * (T + T.T), eps=0)
+print(trace.notes["lp_rounds"], sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env=CHILD_ENV)
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_import_leaves_thread_pools_unloaded():

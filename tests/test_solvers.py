@@ -480,6 +480,19 @@ class TestSpectralGap:
         assert len(calls) <= 400
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that grows by one at each scipy.optimize.linprog call."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.optimize.linprog", recorded)
+    return calls
+
+
 def dense_lp_oracle(V, cset, objective):
     """The eps = 0 spectral-template LP in one HiGHS call over the entries
     S_ij, i <= j, with every row present: the set's rows, (U'SU)_ab = 0
@@ -646,6 +659,29 @@ class TestAdmmSpectral:
                                           objective="frobenius")
         cset = sv.ShiftConstraintSet()
         assert cset.violation(S) <= 1e-6
+
+    def test_frobenius_with_free_directions_runs_the_admm(self, lp_calls):
+        # a path's spectrum is symmetric, so V o V repeats its columns:
+        # the zero diagonal leaves a segment of members for the ADMM
+        W = np.diag(np.ones(3), 1)
+        V = gc.eigendecompose(W + W.T).vecs
+        cset = sv.ShiftConstraintSet()
+        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
+        S_l1, _, _ = sv.admm_l1_spectral(V, 0.0, cset)
+        assert len(lp_calls) >= 1 and trace.converged and trace.iters_used >= 1
+        assert cset.violation(S) <= 1e-6 and ball_distance(V, S) <= 1e-6
+        assert np.linalg.norm(S) <= np.linalg.norm(S_l1) + 1e-6
+
+    def test_frobenius_at_eps_zero_takes_the_fixed_point(self):
+        # an exact basis leaves one feasible point, optimal for every objective
+        cset = sv.ShiftConstraintSet()
+        _, basis = diffusion_basis(20, 4)
+        S_l1, lam_l1, _ = sv.admm_l1_spectral(basis.vecs, 0.0, cset)
+        S, lam, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset, objective="frobenius")
+        assert trace.converged and trace.iters_used == 0
+        assert trace.notes["lp_rounds"] == 0 and trace.notes["eps"] == 0.0
+        assert np.abs(S - S_l1).max() <= 1e-9 and np.abs(lam - lam_l1).max() <= 1e-9
+        assert trace.objective[-1] == pytest.approx(np.linalg.norm(S), rel=1e-12)
 
 
 def sampled_basis(n, seed, p=2000):
@@ -997,11 +1033,15 @@ class TestRowGeneration:
         # the l1 solves also hold the implied row <G, S> >= 0
         assert trace.notes["lp_rows"] <= full + 1
         if cset.kind == "adjacency" and V.shape[1] == n and \
-                np.linalg.matrix_rank(V * V) == n - 1:
+                np.linalg.matrix_rank(V * V, tol=1e-8) == n - 1:
             # the zero diagonal leaves one ray of eigenvalues: the set
-            # meets the span in one point, the optimum is unique
+            # meets the span in one point, the optimum is unique (V o V
+            # has largest singular value 1; below 1e-8 a singular value
+            # is rounding, as in bipartite graphs' symmetric spectra)
             np.testing.assert_allclose(S, S_ref, rtol=0,
                                        atol=1e-9 * np.abs(S_ref).max())
+            # and the equality rows fix it: no LP solve
+            assert trace.notes["lp_rounds"] == 0
 
     def test_unbounded_first_restriction(self, monkeypatch):
         # with no basis (K = 0) S is any member of the set; kept to the
@@ -1030,6 +1070,55 @@ class TestRowGeneration:
         # the sparsest member: one edge of weight one at the first vertex
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-9)
         assert sv.ShiftConstraintSet().violation(S) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["first_node", "total"])
+    @pytest.mark.parametrize("objective", ["l1", "linf"])
+    def test_exact_full_basis_makes_no_lp_call(self, lp_calls, name, objective):
+        # the zero diagonal and the scale row leave one candidate point
+        cset = SHIFT_SETS[name]
+        for seed in range(3):
+            _, basis = diffusion_basis(12, 60 + seed)
+            S, lam, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset,
+                                                objective=objective)
+            assert lp_calls == []
+            assert trace.converged and trace.iters_used == 0
+            assert trace.notes["lp_rounds"] == trace.notes["lp_rows"] == 0
+            assert cset.violation(S) <= 1e-12
+            res, S_ref = dense_lp_oracle(basis.vecs, cset, objective)
+            assert trace.objective[-1] == pytest.approx(res.fun, rel=1e-9)
+            np.testing.assert_allclose(S, S_ref, rtol=0, atol=1e-8 * np.abs(S_ref).max())
+            np.testing.assert_allclose(basis.vecs @ np.diag(lam) @ basis.vecs.T, S,
+                                       rtol=0, atol=1e-9 * np.abs(S).max())
+
+    def test_exact_laplacian_basis_still_calls_highs(self, lp_calls):
+        # the zero row sums fix only the eigenvalue of the constant
+        # eigenvector, so the sign rows choose the point
+        cset = SHIFT_SETS["laplacian"]
+        G = sim.gen_er_graph(12, 0.3, rng=61, require_connected=True)
+        L = gc.laplacian_from_weights(G.data)
+        V = gc.eigendecompose(sim.diffusion_covariance(L, [1.0, 0.5, 0.2])).vecs
+        for objective in ("l1", "linf"):
+            lp_calls.clear()
+            _, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
+            assert trace.converged and trace.notes["lp_rounds"] == len(lp_calls) >= 1
+
+    def test_random_full_basis_infeasible_without_lp_call(self, lp_calls):
+        for seed in range(3):
+            V = np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 10)))[0]
+            for objective in ("l1", "linf", "frobenius"):
+                with pytest.raises(Infeasible):
+                    sv.admm_l1_spectral(V, 0.0, sv.ShiftConstraintSet(),
+                                        objective=objective)
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_partial_basis_calls_highs(self, lp_calls, k):
+        # K = 0 and K = N / 2 leave free directions for the sign rows
+        _, basis = diffusion_basis(10, 62)
+        S, _, trace = sv.admm_l1_spectral(basis.vecs[:, 10 - k:], 0.0,
+                                          sv.ShiftConstraintSet())
+        assert trace.converged and trace.notes["lp_rounds"] == len(lp_calls) >= 1
+        assert sv.ShiftConstraintSet().violation(S) <= 1e-9
 
     def test_rows_below_the_full_lp_at_n60(self):
         G = sim.gen_er_graph(60, 0.3, rng=1, require_connected=True)
