@@ -55,7 +55,7 @@ class SolverConfig:
     and a relative degree residual for the edge-weight engine (whose
     ``max_iters`` counts Newton steps).
     Exact solves ignore both: the eps = 0 spectral-template LP with the
-    l1 or sup-norm objective is solved by HiGHS to optimality.
+    l1 or sup-norm objective is solved exactly (closed form or HiGHS).
     """
 
     max_iters: int = 5000
@@ -306,16 +306,18 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
 
 
 def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
-    """Scaled two-block ADMM for min f(x) + g(z) s.t. x = z over N x N
-    matrices (the robust spectral templates' solver).
+    """Scaled two-block ADMM for min f(x) + g(z) s.t. x = z over N x M
+    matrices (the robust spectral templates' solver). z may stack copies
+    of an N x N matrix side by side under separate terms of g, f holding
+    the copies equal: the consensus form of Boyd et al., "Distributed
+    optimization and statistical learning via ADMM", 2011, 7.1.
 
     From z = z0, u = 0 and rho = 1 it iterates x = prox_x(z - u, rho),
     z = prox_z(x + u, rho), u += x - z, where prox_x(m, rho) minimises
     f(x) + rho/2 ||x - m||_F^2 (likewise prox_z for g). Every 50
-    iterations the residuals are balanced (Boyd et al., "Distributed
-    optimization and statistical learning via ADMM", 2011, 3.4.1): rho
-    doubles and u halves when the primal residual r = ||x - z||_F exceeds
-    ten times the dual residual s = rho ||z - z_prev||_F, and the reverse
+    iterations the residuals are balanced (ibid., 3.4.1): rho doubles
+    and u halves when the primal residual r = ||x - z||_F exceeds ten
+    times the dual residual s = rho ||z - z_prev||_F, and the reverse
     when s exceeds ten times r. Stops when r and s are both at most
     ``tol * N * max(1, ||x||_F)`` or after ``max_iters`` iterations.
     Logs objective(x), r and s every iteration. Returns (x, z, trace).
@@ -477,7 +479,9 @@ class SpectralCoupling:
 
 
 def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str):
-    """prox of (objective + indicator of cset) evaluated at M."""
+    """prox of (objective + indicator of cset) evaluated at M. The
+    sup-norm's own prox is a third ADMM block, so for it M holds two
+    copies side by side, and both become the projection of their mean."""
     n = M.shape[0]
     if objective == "l1":
         # ||S||_1 is linear on the sign-constrained set, so the composite
@@ -485,21 +489,7 @@ def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str)
         return cset.project(M - inv_rho * cset.l1_tilt(n))
     if objective == "frobenius":
         return cset.project(M / (1.0 + inv_rho))
-    # linf: alternating prox steps with correction terms for the nonseparable pair
-    x = M.copy()
-    p = np.zeros_like(M)
-    q = np.zeros_like(M)
-    for _ in range(200):
-        v = x + p
-        y = v - project_l1_ball(v, inv_rho)  # prox of inv_rho * ||.||_inf
-        p = v - y
-        x_new = cset.project(y + q)
-        q = y + q - x_new
-        if np.abs(x_new - x).max() < 1e-12:
-            x = x_new
-            break
-        x = x_new
-    return x
+    return np.tile(cset.project(0.5 * (M[:, :n] + M[:, n:])), 2)
 
 
 def _objective_value(S, objective: str) -> float:
@@ -618,7 +608,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     rows of the final solve and of the full LP.
     """
     n, k = V.shape
-    U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
+    U = V if k == n else np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
     za, zb = np.triu_indices(n - k)
     p = np.concatenate([np.arange(k), k + za])
     q = np.concatenate([np.arange(k), k + zb])
@@ -906,8 +896,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
                      config: SolverConfig | None = None, objective: str = "l1"):
     """min f(S) s.t. S in the constraint set, ||S - V diag(lam) V'||_F <= eps.
 
-    ``eps="auto"`` solves at twice the feasibility gap of the basis
-    (:func:`spectral_gap`, an upper bound on the smallest feasible eps);
+    Exact steps come first. ``eps="auto"`` runs the eps = 0 solve and
+    keeps eps = 0 when it finds a member that V diagonalizes; only if it
+    raises Infeasible is eps twice the feasibility gap of the basis
+    (:func:`spectral_gap`, an upper bound on the smallest feasible eps).
     ``trace.notes["eps"]`` records the eps solved at, on every path.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
@@ -921,27 +913,28 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     meets the span, and its closed-form point, the only feasible one, is
     returned as is.
 
-    With eps > 0, the l1 objective and the ``first_node`` adjacency set,
-    the primal active-set walk of :meth:`_EdgeKKT.walk` runs from the
-    set member that :func:`spectral_gap` returns (for eps="auto", the
-    same call that set eps). A certified result returns with no ADMM
-    iteration: ``iters_used`` 0, ``notes["kkt_residual"]`` at most
-    ``tol`` and ``notes["walk_rounds"]`` the walk's solves. The walk is
-    not tried, and spectral_gap not called for a numeric eps, when the
-    set's point nearest zero lies within eps of the span: that point is
-    l1-minimal on the set, so it is optimal and the ball inactive.
+    The set's point nearest zero minimises all three norms on the set
+    (on ``first_node`` every member's first row sums to 1; on ``total``
+    and the Laplacian set ||S||_1 is constant and the uniform point has
+    the least Frobenius and sup norms): within eps of the span it is
+    returned with no iteration, and spectral_gap is not called for a
+    numeric eps. Otherwise, with the l1 objective and the ``first_node``
+    set, the primal active-set walk of :meth:`_EdgeKKT.walk` runs from
+    the member that :func:`spectral_gap` returns (for eps="auto", the
+    call that set eps). A certified result has ``iters_used`` 0,
+    ``notes["kkt_residual"]`` at most ``tol`` and ``notes["walk_rounds"]``
+    the walk's solves.
 
-    Every other case (the other objectives, the Laplacian set, the
-    ``total`` scale, on which ||S||_1 = N for every member, and a walk
-    that fails or cannot start) needs a full basis and runs :func:`admm`
+    Every other case (the other objectives and sets, and a walk that
+    fails or cannot start) needs a full basis and runs :func:`admm`
     (residual balancing, stopping rule and ``config`` as documented
     there) from the coupling projection of the set's point nearest zero:
-    the S block is the prox of the objective plus the set indicator (a
-    projection of a tilted point for l1/Frobenius, an inner loop of
-    alternating proxes with correction terms for sup-norm); the
-    (lam, E) block projects onto the spectral coupling set in the V
-    coordinates, with the off-diagonal residual shrunk to the eps-ball.
-    It warns when the ADMM stops at ``max_iters``.
+    x is the prox of the objective plus the set indicator, and z the
+    projection onto the spectral coupling set in the V coordinates, with
+    the off-diagonal residual shrunk to the eps-ball. The sup-norm takes
+    a third block: x = [S, S] and z = [T, Y], where Y's step is the exact
+    prox Y - P(Y) of ||Y||_inf / rho, P projecting onto the l1 ball of
+    radius 1/rho. It warns when the ADMM stops at ``max_iters``.
 
     Returns (S, lam, trace), lam read off the coupling block. Raises
     Infeasible when no member of the set is exactly diagonalized by V
@@ -960,22 +953,25 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     if V.shape[1] != n and (eps != 0 or objective == "frobenius"):
         raise BadParameter("a partial basis needs eps = 0 and the l1 or linf "
                            "objective")
-    start = None
+    lp = start = None
     if eps == "auto":
-        gap, start, _ = spectral_gap(V, constraint_set)
-        eps = 2.0 * gap
+        try:
+            lp, eps = _spectral_lp(V, constraint_set, objective), 0.0
+        except Infeasible:
+            gap, start, _ = spectral_gap(V, constraint_set)
+            eps = 2.0 * gap
     notes = {"eps": float(eps)}
     if eps == 0:
-        S, lam, trace = _spectral_lp(V, constraint_set, objective)  # may raise Infeasible
+        S, lam, trace = lp or _spectral_lp(V, constraint_set, objective)  # or raise Infeasible
         if objective != "frobenius" or trace.notes["lp_rounds"] == 0:
             trace.notes.update(notes)
             return S, lam, trace
     coupling = SpectralCoupling(V, eps)
     nearest = constraint_set.project(np.zeros((n, n)))
     done = None
-    if (eps > 0 and objective == "l1" and constraint_set.kind == "adjacency"
-            and constraint_set.scale == "first_node"
-            and _span_distance(V, nearest) > eps):
+    if _span_distance(V, nearest) <= eps:  # optimal for every objective
+        done = nearest, coupling.project(nearest), {}
+    elif objective == "l1" and constraint_set == ShiftConstraintSet():  # first_node adjacency
         if start is None:
             start = spectral_gap(V, constraint_set)[1]
         done, rounds = _EdgeKKT(V, eps, constraint_set, coupling, config.tol).walk(start)
@@ -987,10 +983,17 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         trace.log(_objective_value(S, objective), float(np.linalg.norm(S - T)))
         trace.notes.update(kkt)
     else:
+        copies = 2 if objective == "linf" else 1
+
+        def prox_z(M, rho):  # the coupling block, and the sup-norm's by Moreau
+            T = coupling.project(M[:, :n])
+            return T if copies == 1 else np.hstack(
+                [T, M[:, n:] - project_l1_ball(M[:, n:], 1.0 / rho)])
         S, T, trace = admm(
             lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
-            lambda M, rho: coupling.project(M),
-            coupling.project(nearest), config, lambda S: _objective_value(S, objective))
+            prox_z, np.tile(coupling.project(nearest), copies), config,
+            lambda X: _objective_value(X[:, :n], objective))
+        S, T = S[:, :n], T[:, :n]
         if not trace.converged:
             warnings.warn(f"admm_l1_spectral stopped at its {config.max_iters}-"
                           "iteration cap before its tol rule held", stacklevel=2)

@@ -23,12 +23,11 @@ from .graphcore import (
     DEGENERACY_TOL,
     SpectralBasis,
     as_matrix,
-    as_signal_matrix,
     eigendecompose,
     fix_eigenvector_signs,
 )
 from .solvers import ShiftConstraintSet, SolverConfig, admm_l1_spectral
-from .statnet import _as_covariance, _is_covariance
+from .statnet import _as_covariance
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class FilterEstimate:
 def estimate_eigenbasis(data):
     """Eigenbasis of the (sample) covariance, the candidate GFT basis.
 
-    ``data`` is a SignalSet / N x P matrix, or an exact covariance
-    (symmetric square matrix) for the infinite-sample mode. Returns the
+    ``data`` is a SignalSet / N x P matrix, or a covariance, exact or
+    sampled (a symmetric square matrix). Returns the
     sign-normalized basis and a boolean flag per mode marking
     eigenvalue clusters, whose eigenvectors are only defined up to
     rotation: a mode is flagged when its gap to a neighboring eigenvalue
@@ -79,8 +78,7 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     eigenvectors. With eps = 0 the shift is constrained to be exactly
     diagonalized by the basis; eps > 0 allows a Frobenius-ball mismatch
     to absorb finite-sample noise in the eigenvectors, and eps="auto"
-    sets it to twice the basis's feasibility gap
-    (:func:`solvers.admm_l1_spectral`).
+    picks 0 or twice the feasibility gap (:func:`solvers.admm_l1_spectral`).
     """
     V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
     constraint_set = constraint_set or ShiftConstraintSet()
@@ -111,12 +109,12 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
     """End-to-end stationary pipeline: covariance eigenvectors, then
     eigenvalue selection.
 
-    ``eps="auto"`` solves at zero for an exact covariance input and
-    otherwise at twice the feasibility gap of the estimated basis, as
-    :func:`solvers.admm_l1_spectral` sets it; a numeric eps is used
-    as-is. ``meta["eps"]`` is the eps solved at. Degenerate eigenvalue
-    blocks in the covariance route the unambiguous eigenvectors to the
-    partial-basis variant.
+    ``eps="auto"`` is chosen by :func:`solvers.admm_l1_spectral` from
+    the estimated basis alone: 0 when the set has a member that the basis
+    diagonalizes exactly, else twice the feasibility gap; a numeric eps
+    is used as-is. ``meta["eps"]`` is the eps solved at. Degenerate
+    eigenvalue blocks in the covariance route the unambiguous
+    eigenvectors to the partial-basis variant.
     """
     basis, flags = estimate_eigenbasis(data)
     constraint_set = constraint_set or ShiftConstraintSet()
@@ -127,8 +125,6 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
         keep = basis.vecs[:, ~flags]
         S, trace = infer_shift_partial(keep, constraint_set)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
-    if eps == "auto" and _is_covariance(as_signal_matrix(data)):
-        eps = 0.0  # exact covariance supplied
     S, lam, trace = infer_shift(basis, constraint_set, eps, objective, config)
     return S, trace, {"eps": trace.notes["eps"]}
 

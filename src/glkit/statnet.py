@@ -181,18 +181,15 @@ def auto_lambda(n: int, p: int) -> float:
     return 2.0 * np.sqrt(np.log(n) / p)
 
 
-def _is_covariance(M) -> bool:
-    """The one "exact covariance" rule: a square array symmetric to
-    1e-10 of its largest entry is a covariance, anything else signals."""
-    return M.ndim == 2 and M.shape[0] == M.shape[1] and \
-        np.abs(M - M.T).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(M).max())
-
-
 def _as_covariance(data) -> np.ndarray:
-    """Signals (SignalSet or N x P array) -> sample covariance;
-    a symmetric square array passes through as the covariance itself."""
+    """Signals (SignalSet or N x P array) -> sample covariance; a square
+    array symmetric to 1e-10 of its largest entry passes through as the
+    covariance itself."""
     M = as_signal_matrix(data)
-    return M if _is_covariance(M) else sample_covariance(M)
+    if M.ndim == 2 and M.shape[0] == M.shape[1] and \
+            np.abs(M - M.T).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(M).max()):
+        return M
+    return sample_covariance(M)
 
 
 def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,

@@ -435,6 +435,17 @@ class TestCli:
         assert fields["converged"] == "True"
         assert capsys.readouterr().out == ""
 
+    def test_spectral_on_a_sample_covariance_csv(self, tmp_path, capsys):
+        # a sampled basis is infeasible at eps = 0, so --eps auto solves at
+        # twice the gap, as for the signals themselves
+        G = sim.gen_er_graph(20, 0.3, rng=1, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=2)
+        cov = tmp_path / "cov.csv"
+        ser.write_matrix_csv(cov, stn.sample_covariance(X))
+        assert self.run("learn", "spectral", "-i", str(cov),
+                        "-o", str(tmp_path / "s.json")) == 0
+        assert ser.read_graph_json(tmp_path / "s.json").data.any()
+
     @pytest.mark.parametrize("method", ["glasso", "lgmrf"])
     def test_precision_learners_log_their_solve_at_info(self, tmp_path, caplog,
                                                         monkeypatch, capsys, method):

@@ -11,6 +11,7 @@ import glkit.spectralid as sid
 from glkit.errors import (BadDimension, BadInput, BadParameter, Infeasible,
                           SingularInputCovariance)
 from glkit.metrics import evaluate, scale_aligned_error
+from glkit.statnet import sample_covariance
 import glkit.solvers as sv
 from glkit.solvers import ShiftConstraintSet, spectral_gap
 
@@ -462,7 +463,9 @@ class TestAutoEps:
 
     def test_nearly_symmetric_square_input_is_signals(self):
         # 1e-8 asymmetry is far above the exact-covariance rule's 1e-10, so
-        # the basis and the eps choice must both treat the input as signals
+        # the basis must treat the input as signals. eps does not read the
+        # input's shape: the basis of M M' / 10 is the exact one perturbed
+        # by about 1e-8, which meets the eps = 0 rows within HiGHS's 1e-7
         G = sim.gen_er_graph(10, 0.5, rng=16, require_connected=True)
         Sigma = sim.diffusion_covariance(G, [1.0, 0.5, 0.2])  # no zero entry
         M = Sigma + 1e-8 * np.random.default_rng(3).standard_normal((10, 10))
@@ -470,7 +473,41 @@ class TestAutoEps:
         np.testing.assert_allclose(basis.vals,
                                    np.linalg.eigvalsh(M @ M.T / 10), atol=1e-12)
         _, _, meta = sid.infer_shift_from_signals(M)
-        assert meta["eps"] > 0.0
+        assert meta["eps"] == 0.0
+
+    def test_exact_inputs_take_the_eps_zero_solve(self, monkeypatch):
+        # eps="auto" asks the eps = 0 solve first: an exact basis has a
+        # member it diagonalizes, found in closed form with no gap computed
+        calls = []
+        gap = sv.spectral_gap
+        monkeypatch.setattr(sv, "spectral_gap", lambda *a: calls.append(1) or gap(*a))
+        G = sim.gen_er_graph(20, 0.3, rng=1, require_connected=True)
+        V = diffused_basis(G).vecs
+        S, lam, trace = sv.admm_l1_spectral(V, "auto", ShiftConstraintSet())
+        S0, lam0, trace0 = sv.admm_l1_spectral(V, 0.0, ShiftConstraintSet())
+        A = G.data * (0.5 / sim.spectral_radius(G.data))
+        T = A @ np.linalg.inv(np.eye(20) - A)
+        S_dec, trace_dec = sid.network_deconvolve(0.5 * (T + T.T), eps="auto")
+        S0_dec, _ = sid.network_deconvolve(0.5 * (T + T.T))
+        assert not calls
+        for got, want in ((S, S0), (lam, lam0), (S_dec, S0_dec)):
+            np.testing.assert_array_equal(got, want)
+        for tr in (trace, trace_dec):
+            assert tr.notes["eps"] == 0.0 and tr.converged
+            assert tr.iters_used == 0 and tr.notes["lp_rounds"] == 0
+        assert trace.notes == trace0.notes
+        assert scale_aligned_error(S_dec, G.data) <= 1e-10
+
+    def test_sample_covariance_input_matches_its_signals(self):
+        # eps="auto" no longer reads a symmetric input as an exact
+        # covariance: the sampled basis is infeasible at eps = 0 either way
+        G = sim.gen_er_graph(20, 0.3, rng=1, require_connected=True)
+        X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=2)
+        S, trace, meta = sid.infer_shift_from_signals(X)
+        S_cov, trace_cov, meta_cov = sid.infer_shift_from_signals(sample_covariance(X))
+        assert meta["eps"] > 0 and meta_cov == meta
+        np.testing.assert_array_equal(S_cov, S)
+        assert trace_cov.notes == trace.notes
 
     def test_degenerate_covariance_routes_to_partial(self):
         # white covariance: every mode ambiguous, so no spectral
