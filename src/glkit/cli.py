@@ -71,11 +71,6 @@ def _parse_eps(text: str):
     return eps
 
 
-def _cset(args) -> ShiftConstraintSet:
-    return ShiftConstraintSet(kind=getattr(args, "cset", "adjacency"),
-                              scale=getattr(args, "scale", "first_node"))
-
-
 def _emit_graph(path, W):
     """Write a ShiftOperator, or an array as an undirected adjacency."""
     shift = W if isinstance(W, ShiftOperator) else \
@@ -206,7 +201,7 @@ def cmd_learn(args) -> int:
         return 0
     if method in ("spectral", "spectral-partial", "deconv"):
         X = _signals(args)
-        cset = _cset(args)
+        cset = ShiftConstraintSet(args.scale)
         if method == "deconv":
             eps = 0.0 if args.eps == "auto" else args.eps
             S, trace = spectralid.network_deconvolve(X, cset, eps,
@@ -223,15 +218,8 @@ def cmd_learn(args) -> int:
             S, trace, meta = spectralid.infer_shift_from_signals(
                 X, cset, args.eps, args.objective, config)
         thresh = metrics.DEFAULT_SUPPORT_THRESHOLD * max(np.abs(S).max(), 1e-30)
-        if cset.kind == "laplacian":
-            # rebuild from the thresholded weights so row sums stay exact
-            W = np.maximum(-(S - np.diag(np.diag(S))), 0.0)
-            W = np.where(W > thresh, 0.5 * (W + W.T), 0.0)
-            shift = graphcore.laplacian_from_weights(0.5 * (W + W.T))
-        else:
-            W = np.where(np.abs(S) > thresh, S, 0.0)
-            shift = ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY)
-        _emit_graph(args.output, shift)
+        W = np.where(np.abs(S) > thresh, S, 0.0)
+        _emit_graph(args.output, ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY))
         log.info("spectral meta: %s", meta)
         log.info("spectral iters=%d walk_rounds=%s lp_rounds=%s converged=%s "
                  "kkt_residual=%s", trace.iters_used, trace.notes.get("walk_rounds"),
@@ -404,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="spectral/deconv: mismatch tolerance, or 'auto' (deconv: 0)")
     lrn.add_argument("--objective", choices=["l1", "frobenius", "linf"],
                      default="l1")
-    lrn.add_argument("--cset", choices=["adjacency", "laplacian"],
-                     default="adjacency")
     lrn.add_argument("--scale", choices=["first_node", "total"],
-                     default="first_node")
+                     default="first_node",
+                     help="spectral/deconv: scale rule; total takes eps 0 only")
     lrn.add_argument("--xcov", action="append", default=[],
                      help="output covariance CSV (repeatable)")
     lrn.add_argument("--wcov", action="append", default=[],

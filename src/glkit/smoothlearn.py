@@ -11,6 +11,7 @@ runs on the same engine.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,7 @@ def edge_select_noisy(X, K: int, alpha: float):
     Alternates the closed-form denoiser Y = (I + alpha L)^-1 X with the
     exact rank-ordering step on the scores recomputed from Y. The
     objective ||X - Y||^2 + alpha trace(Y' L Y) is non-increasing; the
-    loop stops when the edge set repeats, or after
+    loop stops when the edge set repeats, or warns after
     ``EDGE_SELECT_OUTER_ITERS`` alternations. Returns (edges, Y, trace).
     """
     if not 0 < alpha < np.inf:
@@ -234,4 +235,7 @@ def edge_select_noisy(X, K: int, alpha: float):
             trace.converged = True
             break
         edges = new_edges
+    else:
+        warnings.warn(f"edge_select_noisy stopped at its {EDGE_SELECT_OUTER_ITERS}-"
+                      "alternation cap while its edge set still changed", stacklevel=2)
     return edges, Y, trace

@@ -5,17 +5,15 @@ learner (one Gram matrix shared by many right-hand sides, each with its
 own mask of usable coordinates), the proximal-gradient kernel of the
 penalised Gaussian likelihood shared by the precision estimators, the
 residual-balanced two-block ADMM kernel of robust spectral templates,
-exact projections onto the shift constraint sets
-(closed form for adjacencies, one edge-weight engine solve for
-Laplacians), the exact linear program for noise-free spectral
-templates (by delayed row generation), the certified primal active-set
-walk that solves robust l1 templates on the ``first_node`` adjacency
-set, the accelerated feasibility gap that gives the walk its feasible
-start and the automatic eps, and the edge-weight engine for problems
-with degree terms: one proximal-point loop of semismooth Newton solves
-on their N-variable Lagrange dual (a single round when the ridge weight
-is positive), with the weight-to-degree map and the Newton matrix built
-by index arithmetic.
+closed-form projections onto the shift constraint sets, the exact
+linear program for noise-free spectral templates (by delayed row
+generation), the certified primal active-set walk that solves robust
+l1 templates on the ``first_node`` set, the accelerated feasibility gap
+that gives the walk its feasible start and the automatic eps, and the
+edge-weight engine for problems with degree terms: one proximal-point
+loop of semismooth Newton solves on their N-variable Lagrange dual (a
+single round when the ridge weight is positive), with the
+weight-to-degree map and the Newton matrix built by index arithmetic.
 
 Edge vectors follow the order of :func:`graphcore.edge_index`. The
 kernels share its per-N cache, and that of the flat positions of
@@ -355,44 +353,39 @@ def _sym(M):
 
 
 @lru_cache(maxsize=8)
-def _l1_tilt(kind: str, n: int) -> np.ndarray:
-    G = np.ones((n, n)) if kind == "adjacency" else -np.ones((n, n))
-    np.fill_diagonal(G, 0.0 if kind == "adjacency" else 1.0)
+def _l1_tilt(n: int) -> np.ndarray:
+    """Matrix G with <G, S> = ||S||_1 for every nonnegative S with zero
+    diagonal, hence on both shift constraint sets (read-only, cached per
+    N)."""
+    G = np.ones((n, n))
+    np.fill_diagonal(G, 0.0)
     G.flags.writeable = False
     return G
 
 
 @dataclass(frozen=True)
 class ShiftConstraintSet:
-    """Feasible set for recovered shift operators.
+    """Feasible set for recovered shift operators: symmetric,
+    nonnegative, zero diagonal, plus one scale-fixing equality - either
+    the weighted degree of the first vertex equal to one
+    (``scale="first_node"``) or total weight equal to N
+    (``scale="total"``).
 
-    ``kind="adjacency"``: symmetric, nonnegative, zero diagonal, plus one
-    scale-fixing equality - either the weighted degree of the first
-    vertex equal to one (``scale="first_node"``) or total weight equal to
-    N (``scale="total"``). ``kind="laplacian"``: symmetric, nonpositive
-    off-diagonals, zero row sums and trace N (positive semidefiniteness
-    follows from diagonal dominance).
-
-    Note that on the Laplacian set the l1 norm equals twice the trace and
-    is therefore constant: sparsity-based eigenvalue selection cannot
-    break ties there (the rescaled complete-graph Laplacian is feasible
-    for every basis containing the constant vector), so adjacency
-    recovery is the meaningful sparse route.
+    Every member of the ``total`` set has ||S||_1 = N, so the l1 norm
+    cannot choose among its members near the span: robust (eps > 0)
+    spectral templates take ``first_node`` only, and ``total`` serves
+    eps = 0, where its output is the ``first_node`` one times
+    N / sum(S).
     """
 
-    kind: str = "adjacency"
     scale: str = "first_node"
 
     def __post_init__(self):
-        if self.kind not in ("adjacency", "laplacian"):
-            raise BadParameter(f"unknown constraint kind {self.kind!r}")
         if self.scale not in ("first_node", "total"):
             raise BadParameter(f"unknown scale rule {self.scale!r}")
 
     def scale_equality(self, n: int):
         """(A, b) of the set's scale-fixing equality <A, S> = b."""
-        if self.kind == "laplacian":
-            return np.eye(n), float(n)
         if self.scale == "total":
             return np.ones((n, n)), float(n)
         A = np.zeros((n, n))
@@ -404,32 +397,20 @@ class ShiftConstraintSet:
         M = np.asarray(M, float)
         A, b = self.scale_equality(M.shape[0])
         off = M - np.diag(np.diag(M))
-        v = [np.abs(M - M.T).max(initial=0.0), abs(float((A * M).sum()) - b)]
-        if self.kind == "adjacency":
-            v += [-off.min(initial=0.0), np.abs(np.diag(M)).max(initial=0.0)]
-        else:
-            v += [off.max(initial=0.0), np.abs(M.sum(axis=1)).max(initial=0.0)]
-        return float(max(v))
-
-    def l1_tilt(self, n: int) -> np.ndarray:
-        """Matrix G with <G, S> = ||S||_1 for every S in the set
-        (read-only, cached per kind and N)."""
-        return _l1_tilt(self.kind, n)
+        return float(max(np.abs(M - M.T).max(initial=0.0), abs(float((A * M).sum()) - b),
+                         -off.min(initial=0.0), np.abs(np.diag(M)).max(initial=0.0)))
 
     def project(self, M) -> np.ndarray:
-        """Exact Euclidean projection onto the set.
+        """Exact Euclidean projection onto the set, in closed form.
 
-        After symmetrization both kinds reduce to a problem over the
-        edge vector w >= 0 (the upper triangle in :func:`edge_index`
-        order). The adjacency sets have a closed form: entrywise clipping
-        plus one simplex projection over the entries tied by the scale
-        equality (for ``first_node`` the pairs (0, j), the first N - 1 in
-        edge order). It gathers sym(M)'s upper triangle and scatters w
-        through the cached flat positions of :func:`edge_positions`,
-        without forming sym(M). The Laplacian set is
-        {L(w) : w >= 0, sum(w) = N/2}, onto which sym(M) is projected by
-        one edge-weight engine solve (:func:`_project_laplacian`). Raises
-        Infeasible for N < 2, where no edge can meet the scale equality.
+        After symmetrization it is a problem over the edge vector w >= 0
+        (the upper triangle in :func:`edge_index` order): entrywise
+        clipping plus one simplex projection over the entries tied by the
+        scale equality (for ``first_node`` the pairs (0, j), the first
+        N - 1 in edge order). It gathers sym(M)'s upper triangle and
+        scatters w through the cached flat positions of
+        :func:`edge_positions`, without forming sym(M). Raises Infeasible
+        for N < 2, where no edge can meet the scale equality.
         """
         M = np.asarray(M, float)
         n = M.shape[0]
@@ -437,9 +418,6 @@ class ShiftConstraintSet:
             raise BadInput("projection needs a square matrix")
         if n < 2:
             raise Infeasible("the shift constraint sets are empty for N < 2")
-        if self.kind == "laplacian":
-            W, _ = _project_laplacian(_sym(M), SolverConfig(tol=1e-12))
-            return np.diag(W.sum(axis=1)) - W
         up, lo = edge_positions(n)
         flat = M.ravel()
         vals = 0.5 * (flat[up] + flat[lo])  # sym(M) at the pairs
@@ -486,7 +464,7 @@ def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str)
     if objective == "l1":
         # ||S||_1 is linear on the sign-constrained set, so the composite
         # prox is a single projection of the tilted point
-        return cset.project(M - inv_rho * cset.l1_tilt(n))
+        return cset.project(M - inv_rho * _l1_tilt(n))
     if objective == "frobenius":
         return cset.project(M / (1.0 + inv_rho))
     return np.tile(cset.project(0.5 * (M[:, :n] + M[:, n:])), 2)
@@ -500,9 +478,9 @@ def _objective_value(S, objective: str) -> float:
     return float(np.abs(S).max())
 
 
-def spectral_gap(V, constraint_set: ShiftConstraintSet):
-    """Distance between the constraint set and the span of the basis's
-    rank-one eigen-matrices.
+def spectral_gap(V):
+    """Distance between the ``first_node`` set and the span of the
+    basis's rank-one eigen-matrices.
 
     Alternating projections are projected gradient steps on half the
     squared distance to the span; they run here with Nesterov momentum
@@ -523,14 +501,15 @@ def spectral_gap(V, constraint_set: ShiftConstraintSet):
     """
     V = np.asarray(V, dtype=float)
     coupling = SpectralCoupling(V, 0.0)
-    S = S_prev = best_S = constraint_set.project(np.ones((V.shape[0], V.shape[0])))
+    cset = ShiftConstraintSet()
+    S = S_prev = best_S = cset.project(np.ones((V.shape[0], V.shape[0])))
     t = 1.0
     prev = best = np.inf
     trace = SolveTrace()
     for it in range(SPECTRAL_GAP_MAX_ITERS):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         T = coupling.project(S + ((t - 1.0) / t_next) * (S - S_prev))
-        S_prev, S = S, constraint_set.project(T)
+        S_prev, S = S, cset.project(T)
         dist = float(np.linalg.norm(S - T))
         trace.log(dist)
         trace.iters_used = it + 1
@@ -571,8 +550,8 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     set, so both norms are linear there (sup-norm via one epigraph
     variable t >= 0).
 
-    When the equality rows (the set's zero diagonal or zero row sums and
-    its scale row) have full column rank - the smallest singular value
+    When the equality rows (the zero diagonal and the scale row) have
+    full column rank - the smallest singular value
     above ``_LP_RANK_FLOOR`` of the largest, as for most full bases - they
     admit at most one point, read by least squares. It raises Infeasible
     when an equality row, a sign row or an epigraph row (t at its least
@@ -627,14 +606,9 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         C[p, q] = x[: p.size]
         return U @ _sym(C) @ U.T
 
-    G = cset.l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
+    G = _l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
     A, b = cset.scale_equality(n)  # <A, S> = b
-    if cset.kind == "adjacency":
-        zero_rows = up * uq  # the diagonal entries
-    else:  # row sums: each row of U summed against the all-ones vector
-        ones_u = U.sum(axis=0)
-        zero_rows = 0.5 * (up * ones_u[q] + uq * ones_u[p])
-    a_eq = np.vstack([zero_rows, in_basis(_sym(A))])
+    a_eq = np.vstack([up * uq, in_basis(_sym(A))])  # zero diagonal, scale row
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[-1] = b
     # the pool of inequality rows: row r reads coef[r] S_{ri, rj} + tcoef[r] t <= 0
@@ -727,12 +701,13 @@ _FINISH_ROUNDING = 1e-9  # relative slack of the certificate's ball and set chec
 
 
 class _EdgeKKT:
-    """The eps > 0 l1 problem on an adjacency set: its closed-form KKT
-    solve on a support and the certificate of a solution.
+    """The eps > 0 l1 problem on the ``first_node`` set: its closed-form
+    KKT solve on a support and the certificate of a solution.
 
     In the edge vector w of S (:func:`edge_index` order) the problem is
-    min c'w s.t. w >= 0, a'w = b, w'Aw <= eps^2, with c the l1 tilt,
-    (a, b) the set's scale equality, A = 2I - BB' and B[e, k] =
+    min c'w s.t. w >= 0, a'w = 1, w'Aw <= eps^2, with c = 2 (||S||_1
+    counts each pair twice), a the indicator of the first vertex's pairs
+    (the scale equality), A = 2I - BB' and B[e, k] =
     2 V[i, k] V[j, k]: w'Aw = ||S||_F^2 - ||diag(V'SV)||^2 is the squared
     distance from S to the matrices V diagonalizes. On a support E with
     the ball active, stationarity gives w_E = -A_EE^-1 (c + nu a) / (2 mu).
@@ -747,23 +722,19 @@ class _EdgeKKT:
     A solution is certified only when, checked on S itself, it lies in
     the set and within eps of the span up to ``_FINISH_ROUNDING``
     relative, and its KKT residual - the largest |z_e| on the support and
-    -z_e off it, over max|c| - is at most ``tol``.
+    -z_e off it, over max|c| = 2 - is at most ``tol``.
     """
 
-    def __init__(self, V, eps: float, cset: ShiftConstraintSet,
-                 coupling: SpectralCoupling, tol: float):
+    def __init__(self, V, eps: float, coupling: SpectralCoupling, tol: float):
         n = V.shape[0]
-        self.V, self.n, self.eps, self.cset, self.coupling = V, n, eps, cset, coupling
+        self.V, self.n, self.eps, self.coupling = V, n, eps, coupling
         self.iu, self.ju = edge_index(n)
-        self.up, lo = edge_positions(n)
-        A_eq, self.b = cset.scale_equality(n)
-        self.a = A_eq.ravel()[self.up] + A_eq.ravel()[lo]
-        tilt = cset.l1_tilt(n).ravel()
-        self.c = tilt[self.up] + tilt[lo]
-        self.cmax = float(np.abs(self.c).max())
-        self.floor = -tol * self.cmax  # reduced costs below it price an edge in
+        self.up = edge_positions(n)[0]
+        self.a = (self.iu == 0).astype(float)
+        self.c = np.full(self.iu.size, 2.0)
+        self.floor = -tol * 2.0  # reduced costs below it price an edge in
         self.tol = tol
-        self.k = self.b * self.b / (eps * eps)
+        self.k = 1.0 / (eps * eps)
         D = V * V
         self.DD = 2.0 * D.T @ D
 
@@ -819,10 +790,10 @@ class _EdgeKKT:
     def certify(self, S, Mt, z, E):
         """(S, its coupling projection, {"kkt_residual": ...}) when the
         certificate holds on S, else None. Overwrites Mt's diagonal."""
-        kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / self.cmax
+        kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / 2.0
         if (kkt <= self.tol
                 and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
-                and self.cset.violation(S) <= _FINISH_ROUNDING * max(1.0, self.b)):
+                and ShiftConstraintSet().violation(S) <= _FINISH_ROUNDING):
             return S, self.coupling.project(S), {"kkt_residual": kkt}
         return None
 
@@ -901,6 +872,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     raises Infeasible is eps twice the feasibility gap of the basis
     (:func:`spectral_gap`, an upper bound on the smallest feasible eps).
     ``trace.notes["eps"]`` records the eps solved at, on every path.
+    On ``scale="total"``, where ||S||_1 = N on every member, eps > 0
+    selects nothing: a numeric eps > 0 raises BadParameter, and
+    eps="auto" is eps = 0, raising Infeasible (naming ``first_node``)
+    when no member fits the basis exactly.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
     linear program, solved exactly by :func:`_spectral_lp`: in closed
@@ -913,20 +888,19 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     meets the span, and its closed-form point, the only feasible one, is
     returned as is.
 
-    The set's point nearest zero minimises all three norms on the set
-    (on ``first_node`` every member's first row sums to 1; on ``total``
-    and the Laplacian set ||S||_1 is constant and the uniform point has
-    the least Frobenius and sup norms): within eps of the span it is
-    returned with no iteration, and spectral_gap is not called for a
-    numeric eps. Otherwise, with the l1 objective and the ``first_node``
-    set, the primal active-set walk of :meth:`_EdgeKKT.walk` runs from
+    The set's point nearest zero minimises the Frobenius norm on the
+    set, and all three norms on ``first_node``, where every member's
+    first row sums to 1: within eps of the span it is returned with no
+    iteration, and spectral_gap is not called for a numeric eps.
+    Otherwise, with the l1 objective (so eps > 0 on ``first_node``), the
+    primal active-set walk of :meth:`_EdgeKKT.walk` runs from
     the member that :func:`spectral_gap` returns (for eps="auto", the
     call that set eps). A certified result has ``iters_used`` 0,
     ``notes["kkt_residual"]`` at most ``tol`` and ``notes["walk_rounds"]``
     the walk's solves.
 
-    Every other case (the other objectives and sets, and a walk that
-    fails or cannot start) needs a full basis and runs :func:`admm`
+    Every other case (the sup-norm and Frobenius objectives, and a walk
+    that fails or cannot start) needs a full basis and runs :func:`admm`
     (residual balancing, stopping rule and ``config`` as documented
     there) from the coupling projection of the set's point nearest zero:
     x is the prox of the objective plus the set indicator, and z the
@@ -946,6 +920,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         raise BadParameter(f"eps must be 'auto' or a finite number >= 0, got {eps!r}")
     if objective not in ("l1", "linf", "frobenius"):
         raise BadParameter(f"unknown objective {objective!r}")
+    total = constraint_set.scale == "total"
+    if total and eps not in ("auto", 0):
+        raise BadParameter(f"eps > 0 needs scale='first_node': ||S||_1 is N on "
+                           f"the whole total-scale set, got eps={eps!r}")
     n = V.shape[0]
     gram = V.T @ V
     if np.abs(gram - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
@@ -958,7 +936,11 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         try:
             lp, eps = _spectral_lp(V, constraint_set, objective), 0.0
         except Infeasible:
-            gap, start, _ = spectral_gap(V, constraint_set)
+            if total:
+                raise Infeasible("no member of the total-scale set is exactly "
+                                 "diagonalized by the basis, and eps > 0 needs "
+                                 "scale='first_node'") from None
+            gap, start, _ = spectral_gap(V)
             eps = 2.0 * gap
     notes = {"eps": float(eps)}
     if eps == 0:
@@ -971,10 +953,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     done = None
     if _span_distance(V, nearest) <= eps:  # optimal for every objective
         done = nearest, coupling.project(nearest), {}
-    elif objective == "l1" and constraint_set == ShiftConstraintSet():  # first_node adjacency
+    elif objective == "l1":
         if start is None:
-            start = spectral_gap(V, constraint_set)[1]
-        done, rounds = _EdgeKKT(V, eps, constraint_set, coupling, config.tol).walk(start)
+            start = spectral_gap(V)[1]
+        done, rounds = _EdgeKKT(V, eps, coupling, config.tol).walk(start)
         if rounds:
             notes["walk_rounds"] = rounds
     if done is not None:

@@ -14,6 +14,7 @@ machinery.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,11 @@ def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None):
 
     The known columns constrain their spectral block to be diagonal;
     the orthogonal complement carries a free symmetric block. The
-    l1-minimal such member of the set is one exact linear program,
-    solved by HiGHS with no iteration cap or tolerance to set. K = N
-    reduces to :func:`infer_shift` with eps = 0, K = 0 to the sparsest
-    member of the constraint set.
+    l1-minimal such member of the set is one exact linear program, with
+    no iteration cap or tolerance to set: read in closed form when its
+    equality rows fix the point (as for most full bases), else solved by
+    HiGHS. K = N reduces to :func:`infer_shift` with eps = 0, K = 0 to
+    the sparsest member of the constraint set.
     """
     V_K = np.asarray(V_K, dtype=float)
     if V_K.ndim != 2:
@@ -175,7 +177,8 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
     with Q_m the square root of the m-th input covariance and R_m the
     square root of Q_m Sigma_x_m Q_m, by projected gradient descent on
     the PSD cone. With exact covariances and M = 1 this matches the
-    closed form.
+    closed form. Stops when the objective changes by at most ``tol``
+    relative, or warns when ``max_iters`` runs out first.
     """
     config = config or SolverConfig()
     Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
@@ -203,6 +206,9 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
         if abs(prev - cur) <= config.tol * max(1.0, abs(prev)):
             break
         prev = cur
+    else:
+        warnings.warn(f"psd_filter_ls stopped at its {config.max_iters}-iteration "
+                      "cap before its tol rule held", stacklevel=2)
     vals = np.linalg.eigvalsh(H)
     return FilterEstimate(H, psd=bool(vals.min() >= -1e-8),
                           provenance="psd-least-squares")

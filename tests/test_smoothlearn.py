@@ -327,6 +327,16 @@ class TestEdgeSelectNoisy:
         objs = np.array(trace.objective)
         assert np.all(np.diff(objs) <= 1e-9)
 
+    def test_capped_alternation_warns(self, monkeypatch):
+        # this draw's edge set changes once before it repeats
+        X = np.random.default_rng(4).standard_normal((8, 7))
+        _, _, trace = sl.edge_select_noisy(X, 5, alpha=5.0)
+        assert trace.converged and trace.iters_used == 2
+        monkeypatch.setattr(sl, "EDGE_SELECT_OUTER_ITERS", 1)
+        with pytest.warns(UserWarning, match="1-alternation cap") as record:
+            _, _, trace = sl.edge_select_noisy(X, 5, alpha=5.0)
+        assert len(record) == 1 and not trace.converged and trace.iters_used == 1
+
     def test_recovery_under_noise(self):
         fs = []
         for seed in range(20):

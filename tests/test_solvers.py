@@ -138,8 +138,7 @@ class TestLassoCDGramBatch:
 
 def qp_oracle_projection(S0, cset):
     """Projection onto the constraint set by direct NLP over the edge
-    vector w (small n only): W(w) for the adjacency sets, L(w) with
-    sum(w) = N/2 for the Laplacian set."""
+    vector w of W(w) (small n only)."""
     n = S0.shape[0]
     iu, ju = np.triu_indices(n, 1)
 
@@ -147,8 +146,6 @@ def qp_oracle_projection(S0, cset):
         M = np.zeros((n, n))
         M[iu, ju] = w
         M[ju, iu] = w
-        if cset.kind == "laplacian":
-            M = np.diag(M.sum(axis=1)) - M
         return M
 
     def obj(w):
@@ -156,15 +153,10 @@ def qp_oracle_projection(S0, cset):
 
     def grad(w):
         R = unpack(w) - S0
-        g = R[iu, ju] + R[ju, iu]
-        if cset.kind == "laplacian":
-            g = np.diag(R)[iu] + np.diag(R)[ju] - g
-        return 2.0 * g
+        return 2.0 * (R[iu, ju] + R[ju, iu])
 
     # the scale equality as a'w = b
-    if cset.kind == "laplacian":
-        a, b = np.ones(iu.size), n / 2.0
-    elif cset.scale == "first_node":
+    if cset.scale == "first_node":
         a, b = (iu == 0).astype(float), 1.0
     else:
         a, b = np.full(iu.size, 2.0), float(n)
@@ -177,8 +169,7 @@ def qp_oracle_projection(S0, cset):
 
 
 SHIFT_SETS = {"first_node": sv.ShiftConstraintSet(),
-              "total": sv.ShiftConstraintSet(scale="total"),
-              "laplacian": sv.ShiftConstraintSet(kind="laplacian")}
+              "total": sv.ShiftConstraintSet(scale="total")}
 
 
 def feasible_point(cset, n, rng):
@@ -186,10 +177,7 @@ def feasible_point(cset, n, rng):
     W = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
     W[0, 1] = 1.0  # keeps the first vertex's degree positive
     W = W + W.T
-    if cset.kind == "adjacency" and cset.scale == "first_node":
-        return W / W[:, 0].sum()
-    W = W * (n / W.sum())
-    return W if cset.kind == "adjacency" else np.diag(W.sum(axis=1)) - W
+    return W / W[:, 0].sum() if cset.scale == "first_node" else W * (n / W.sum())
 
 
 class TestShiftProjection:
@@ -221,27 +209,6 @@ class TestShiftProjection:
             # never farther from S0 than the oracle's point
             assert np.linalg.norm(ours - S0) <= np.linalg.norm(oracle - S0) + 1e-12
 
-    def test_capped_laplacian_projection_warns_once(self, monkeypatch):
-        # the engine is the one place that reports a capped solve
-        config = sv.SolverConfig
-        monkeypatch.setattr(sv, "SolverConfig",
-                            lambda tol: config(max_iters=1, tol=tol))
-        M = np.random.default_rng(11).standard_normal((6, 6))
-        with pytest.warns(UserWarning, match="1-step cap") as record:
-            sv.ShiftConstraintSet(kind="laplacian").project(M)
-        assert len(record) == 1
-
-    def test_laplacian_set_constraints(self):
-        rng = np.random.default_rng(11)
-        cset = sv.ShiftConstraintSet(kind="laplacian")
-        for _ in range(5):
-            out = cset.project(rng.standard_normal((5, 5)))
-            assert np.abs(out - out.T).max() <= 1e-8
-            off = out - np.diag(np.diag(out))
-            assert off.max() <= 1e-8
-            assert np.abs(out.sum(axis=1)).max() <= 1e-8
-            assert np.trace(out) == pytest.approx(5.0, abs=1e-8)
-
     @pytest.mark.parametrize("name", list(SHIFT_SETS))
     def test_fewer_than_two_vertices_infeasible(self, name):
         for n in (0, 1):
@@ -261,16 +228,14 @@ class TestShiftProjection:
         rng = np.random.default_rng(seed)
         cset = SHIFT_SETS[name]
         M = 10.0 ** u * rng.standard_normal((n, n))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a capped engine solve fails
-            P = cset.project(M)
-            assert cset.violation(P) <= 1e-9 * max(1.0, np.abs(M).max())
-            for _ in range(3):
-                Y = feasible_point(cset, n, rng)
-                scale = max(1.0, np.linalg.norm(M)) * max(1.0, np.linalg.norm(Y - P))
-                assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
-                np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
-                                           atol=1e-9 * max(1.0, np.abs(Y).max()))
+        P = cset.project(M)
+        assert cset.violation(P) <= 1e-9 * max(1.0, np.abs(M).max())
+        for _ in range(3):
+            Y = feasible_point(cset, n, rng)
+            scale = max(1.0, np.linalg.norm(M)) * max(1.0, np.linalg.norm(Y - P))
+            assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
+            np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
+                                       atol=1e-9 * max(1.0, np.abs(Y).max()))
 
 
 def _reference_project(cset, M):
@@ -378,39 +343,35 @@ class TestCachedIndexParity:
             assert _off_norm(V, out) <= max(eps, 1e-12 * np.abs(M).max())
 
     def test_l1_tilt_cached_and_read_only(self):
-        for cset, diag_value, off_value in ((SHIFT_SETS["first_node"], 0.0, 1.0),
-                                            (SHIFT_SETS["laplacian"], 1.0, -1.0)):
-            G = cset.l1_tilt(5)
-            expected = np.full((5, 5), off_value)
-            np.fill_diagonal(expected, diag_value)
-            assert np.array_equal(G, expected)
-            assert G is cset.l1_tilt(5)
-            with pytest.raises(ValueError):
-                G[0, 1] = 2.0
+        G = sv._l1_tilt(5)
+        expected = np.ones((5, 5))
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(G, expected)
+        assert G is sv._l1_tilt(5)
+        with pytest.raises(ValueError):
+            G[0, 1] = 2.0
 
     @pytest.mark.parametrize("scale", ["first_node", "total"])
     def test_admm_path_matches_reference(self, scale, monkeypatch):
-        V = sampled_basis(12, 5)
+        # a path's spectrum is symmetric: at eps = 0 free directions remain,
+        # and the Frobenius objective runs the ADMM on either set
+        W = np.diag(np.ones(7), 1)
+        V = gc.eigendecompose(W + W.T).vecs
         cset = sv.ShiftConstraintSet(scale=scale)
-
-        def solve():
-            eps = 2.0 * sv.spectral_gap(V, cset)[0]
-            return eps, sv.admm_l1_spectral(V, eps, cset)
-
-        eps, (S, _, trace) = solve()
+        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
         monkeypatch.setattr(sv.ShiftConstraintSet, "project", _reference_project)
         monkeypatch.setattr(sv.SpectralCoupling, "project", _reference_coupling)
-        eps_ref, (S_ref, _, trace_ref) = solve()
-        assert eps > 0 and eps == eps_ref
-        assert trace.converged
+        S_ref, _, trace_ref = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
+        assert trace.converged and trace.iters_used > 0
         assert np.array_equal(S, S_ref)
         assert trace.iters_used == trace_ref.iters_used
 
 
-def alternating_gap(V, cset, tol, max_iters):
+def alternating_gap(V, tol, max_iters):
     """The gap by plain alternating projections: the distance sequence
     falls monotonically; stops once it falls by at most tol relative."""
     coupling = sv.SpectralCoupling(V, 0.0)
+    cset = sv.ShiftConstraintSet()
     S = cset.project(np.ones((V.shape[0], V.shape[0])))
     prev = np.inf
     for _ in range(max_iters):
@@ -426,14 +387,13 @@ def alternating_gap(V, cset, tol, max_iters):
 class TestSpectralGap:
     def test_warns_when_capped(self, monkeypatch):
         V = sampled_basis(12, 5)
-        cset = sv.ShiftConstraintSet()
         with monkeypatch.context() as m:
             m.setattr(sv, "SPECTRAL_GAP_MAX_ITERS", 2)
             with pytest.warns(UserWarning, match="cap"):
-                capped, _, capped_trace = sv.spectral_gap(V, cset)
+                capped, _, capped_trace = sv.spectral_gap(V)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gap, _, trace = sv.spectral_gap(V, cset)
+            gap, _, trace = sv.spectral_gap(V)
         assert type(capped) is float and type(gap) is float
         # the smallest distance seen can only fall with more iterations
         assert capped >= gap > 0
@@ -441,24 +401,20 @@ class TestSpectralGap:
         assert trace.converged and 2 < trace.iters_used < sv.SPECTRAL_GAP_MAX_ITERS
         assert len(trace.objective) == trace.iters_used and min(trace.objective) == gap
 
-    @pytest.mark.parametrize("scale", ["first_node", "total"])
-    def test_returns_the_set_member_at_the_gap(self, scale):
+    def test_returns_the_set_member_at_the_gap(self):
         V = sampled_basis(12, 5)
-        cset = sv.ShiftConstraintSet(scale=scale)
-        gap, S, _ = sv.spectral_gap(V, cset)
-        assert cset.violation(S) <= 1e-12
+        gap, S, _ = sv.spectral_gap(V)
+        assert sv.ShiftConstraintSet().violation(S) <= 1e-12
         # the span point T of S's pair is no closer to S than its projection
         assert ball_distance(V, S) <= gap * (1 + 1e-12)
 
-    @given(hst.sampled_from(["first_node", "total"]), hst.integers(4, 12),
-           hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
-    def test_upper_bound_close_to_tight_reference(self, name, n, u, seed):
-        cset = SHIFT_SETS[name]
+    @given(hst.integers(4, 12), hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
+    def test_upper_bound_close_to_tight_reference(self, n, u, seed):
         G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
         X = 10.0 ** u * sim.gen_diffusion(G, [1.0, 0.5, 0.2], 200, rng=seed).data
         V = gc.eigendecompose(np.cov(X)).vecs
-        gap = sv.spectral_gap(V, cset)[0]
-        ref = alternating_gap(V, cset, 1e-13, 200000)
+        gap = sv.spectral_gap(V)[0]
+        ref = alternating_gap(V, 1e-13, 200000)
         # a feasible-pair distance never undercuts the gap, which the
         # tight reference overestimates only by its last steps
         assert ref * (1.0 - 1e-9) <= gap <= ref * (1.0 + 1e-3)
@@ -476,7 +432,7 @@ class TestSpectralGap:
             monkeypatch.setattr(cls, "project", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sv.spectral_gap(V, sv.ShiftConstraintSet())
+            sv.spectral_gap(V)
         assert len(calls) <= 400
 
 
@@ -506,14 +462,11 @@ def dense_lp_oracle(V, cset, objective):
         return (M + M.T - np.diag(np.diag(M)))[ti, tj]
 
     U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
-    G = cset.l1_tilt(n)
+    G = sv._l1_tilt(n)
     off = ti != tj
     a_eq = [lin(np.outer(U[:, a], U[:, b]))
             for a in range(k) for b in range(a + 1, n)]
-    if cset.kind == "adjacency":
-        a_eq += [lin(np.diag(np.eye(n)[i])) for i in range(n)]
-    else:
-        a_eq += [lin(np.outer(np.eye(n)[i], np.ones(n))) for i in range(n)]
+    a_eq += [lin(np.diag(np.eye(n)[i])) for i in range(n)]
     A, b = cset.scale_equality(n)
     a_eq.append(lin(A))
     b_eq = np.zeros(len(a_eq))
@@ -753,14 +706,15 @@ def plain_admm(monkeypatch, *args):
 
 class TestSupportFinisher:
     """The closed-form solve of :class:`sv._EdgeKKT` on a support and its
-    certificate, reached through the active-set walk, and the eps > 0 l1
-    cases that keep the plain ADMM."""
+    certificate, reached through the active-set walk, the eps > 0 l1
+    cases that keep the plain ADMM, and the total scale, which takes no
+    eps > 0."""
 
     @pytest.mark.parametrize("n,seed", [(6, 0), (6, 3), (8, 1), (8, 2), (10, 2), (10, 3)])
     def test_matches_slsqp_first_node(self, n, seed):
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet()
-        eps = 3.0 * sv.spectral_gap(V, cset)[0]
+        eps = 3.0 * sv.spectral_gap(V)[0]
         S, lam, trace = sv.admm_l1_spectral(V, eps, cset)
         assert trace.converged and trace.iters_used == 0
         assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
@@ -775,16 +729,18 @@ class TestSupportFinisher:
 
     @pytest.mark.parametrize("n,seed", [(6, 1), (8, 3), (10, 1)])
     def test_total_scale_falls_through(self, n, seed, gap_calls):
-        # ||S||_1 = 2 sum(w) = N on the whole set: every member is optimal,
-        # so no walk is tried and the plain ADMM result stands
+        # ||S||_1 = 2 sum(w) = N on the whole total set, so eps > 0 selects
+        # nothing there: eps="auto" falls through to the exact eps = 0
+        # solve, which a sampled basis fails, and a numeric eps > 0 is refused
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet(scale="total")
-        eps = 2.0 * sv.spectral_gap(V, cset)[0]
-        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
-        assert len(gap_calls) == 1  # the call above
-        assert trace.converged and trace.iters_used > 0
-        assert "walk_rounds" not in trace.notes and "kkt_residual" not in trace.notes
-        assert np.abs(S).sum() == pytest.approx(np.abs(slsqp_oracle(V, eps, cset)).sum())
+        with pytest.raises(Infeasible, match="first_node"):
+            sv.admm_l1_spectral(V, "auto", cset)
+        eps = 2.0 * sv.spectral_gap(V)[0]
+        for objective in ("l1", "linf", "frobenius"):
+            with pytest.raises(BadParameter, match="first_node"):
+                sv.admm_l1_spectral(V, eps, cset, objective=objective)
+        assert len(gap_calls) == 1  # the call above: no total solve runs one
 
     def test_inactive_ball_falls_through(self, gap_calls):
         # the set's point nearest zero is l1-minimal on the set; within
@@ -807,7 +763,7 @@ class TestSupportFinisher:
     def test_eps_below_gap_falls_through(self, gap_calls):
         V = sampled_basis(8, 1)
         cset = sv.ShiftConstraintSet()
-        eps = 0.5 * sv.spectral_gap(V, cset)[0]
+        eps = 0.5 * sv.spectral_gap(V)[0]
         with pytest.warns(UserWarning, match="cap"):
             S, _, trace = sv.admm_l1_spectral(V, eps, cset, sv.SolverConfig(max_iters=1000))
         # spectral_gap's point is farther than eps from the span: no walk
@@ -817,7 +773,7 @@ class TestSupportFinisher:
     def test_certificate_checks_bind(self, monkeypatch):
         V = sampled_basis(8, 1)
         cset = sv.ShiftConstraintSet()
-        eps = 2.0 * sv.spectral_gap(V, cset)[0]
+        eps = 2.0 * sv.spectral_gap(V)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assert trace.iters_used == 0
         assert trace.notes["kkt_residual"] > 1e-16  # rounding
@@ -839,7 +795,7 @@ class TestSupportFinisher:
     def test_certified_points_are_feasible(self, n, seed, p, margin):
         V = sampled_basis(n, seed, p)
         cset = sv.ShiftConstraintSet()
-        eps = margin * sv.spectral_gap(V, cset)[0]
+        eps = margin * sv.spectral_gap(V)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assume(trace.iters_used == 0 and "walk_rounds" in trace.notes)
         assert cset.violation(S) <= 1e-9
@@ -868,7 +824,7 @@ class TestActiveSetWalk:
         cset = sv.ShiftConstraintSet()
         S, lam, trace = sv.admm_l1_spectral(V, "auto", cset)
         eps = trace.notes["eps"]
-        assert eps == 2.0 * sv.spectral_gap(V, cset)[0]
+        assert eps == 2.0 * sv.spectral_gap(V)[0]
         # a numeric eps equal to auto's walks from the same point
         cold, cold_lam, cold_trace = sv.admm_l1_spectral(V, eps, cset)
         np.testing.assert_array_equal(S, cold)
@@ -934,36 +890,11 @@ class TestActiveSetWalk:
             np.testing.assert_array_equal(got, want)
         assert out[2].notes["walk_rounds"] >= 1 and not out[2].converged
 
-    @pytest.mark.parametrize("scale", ["first_node", "total"])
-    def test_inactive_ball_and_total_scale_keep_the_admm(self, scale, gap_calls):
-        V = sampled_basis(8, 2)
-        cset = sv.ShiftConstraintSet(scale=scale)
-        nearest = cset.project(np.zeros((8, 8)))
-        S, _, trace = sv.admm_l1_spectral(V, 1e6, cset)
-        # an inactive ball returns the set's point nearest zero, no ADMM
-        assert not gap_calls and "walk_rounds" not in trace.notes
-        assert trace.converged and trace.iters_used == 0
-        np.testing.assert_array_equal(S, nearest)
-        # the sparsest member of the first_node set has l1 mass 2; every
-        # member of the total set has mass N
-        assert np.abs(S).sum() == pytest.approx(
-            np.abs(slsqp_oracle(V, 1e6, cset)).sum(), abs=1e-6)
-        assert np.abs(S).sum() == pytest.approx(2.0 if scale == "first_node" else 8.0)
-        if scale == "total":
-            # between the gap and the nearest point's distance the ball
-            # binds, and the total scale has no walk: the ADMM runs
-            gap = sv.spectral_gap(V, cset)[0]
-            eps = 0.5 * (gap + ball_distance(V, nearest))
-            assert 2.0 * gap < eps
-            _, _, trace = sv.admm_l1_spectral(V, eps, cset)
-            assert len(gap_calls) == 1 and "walk_rounds" not in trace.notes
-            assert trace.converged and trace.iters_used >= 1
-
     @pytest.mark.parametrize("objective", ["linf", "frobenius"])
     def test_other_objectives_ignore_the_start(self, objective, gap_calls):
         V = sampled_basis(6, 1)
         cset = sv.ShiftConstraintSet()
-        eps = 2.0 * sv.spectral_gap(V, cset)[0]
+        eps = 2.0 * sv.spectral_gap(V)[0]
         out = sv.admm_l1_spectral(V, eps, cset, None, objective)
         # no feasible start is computed for them: eps="auto" calls
         # spectral_gap once, for eps alone, and solves as the numeric eps
@@ -979,7 +910,7 @@ class TestExactSteps:
     """The steps admm_l1_spectral takes before or in place of iterating:
     the set's point nearest zero, and the sup-norm's exact prox block."""
 
-    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    @pytest.mark.parametrize("name", ["first_node"])  # eps > 0 takes no other set
     @pytest.mark.parametrize("objective", ["l1", "linf", "frobenius"])
     def test_nearest_member_returns_in_closed_form(self, name, objective, gap_calls):
         cset = SHIFT_SETS[name]
@@ -1000,12 +931,12 @@ class TestExactSteps:
             np.testing.assert_allclose(lam, np.diag(V.T @ S @ V), atol=1e-12)
         assert not gap_calls
 
-    @pytest.mark.parametrize("name", ["first_node", "total"])
+    @pytest.mark.parametrize("name", ["first_node"])  # eps > 0 takes no other set
     @pytest.mark.parametrize("n,seed", [(8, 1), (10, 2), (12, 3)])
     def test_linf_matches_the_epigraph_oracle(self, name, n, seed, monkeypatch):
         cset = SHIFT_SETS[name]
         V = sampled_basis(n, seed)
-        eps = 2.0 * sv.spectral_gap(V, cset)[0]
+        eps = 2.0 * sv.spectral_gap(V)[0]
         assert ball_distance(V, cset.project(np.zeros((n, n)))) > eps  # the ADMM runs
         calls = []
         project_l1_ball = sv.project_l1_ball
@@ -1052,14 +983,11 @@ class TestSpectralLP:
             assert np.abs(S - S_admm).max() <= 1e-8
 
     @pytest.mark.parametrize("cset", [
-        sv.ShiftConstraintSet(), sv.ShiftConstraintSet(scale="total"),
-        sv.ShiftConstraintSet(kind="laplacian")])
+        sv.ShiftConstraintSet(), sv.ShiftConstraintSet(scale="total")])
     def test_linf_objective_exact(self, cset):
         for seed in range(5):
             G, _ = diffusion_basis(10, 40 + seed)
-            shift = G.data if cset.kind == "adjacency" else \
-                gc.laplacian_from_weights(G.data)
-            basis = gc.eigendecompose(sim.diffusion_covariance(shift, [1.0, 0.5]))
+            basis = gc.eigendecompose(sim.diffusion_covariance(G.data, [1.0, 0.5]))
             V = basis.vecs
             S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="linf")
             S_l1, _, _ = sv.admm_l1_spectral(V, 0.0, cset)
@@ -1079,8 +1007,7 @@ class TestRowGeneration:
     def test_matches_dense_oracle(self, name, objective, basis, n, seed):
         cset = SHIFT_SETS[name]
         G = sim.gen_er_graph(n, 0.4, rng=seed, require_connected=True)
-        shift = G.data if cset.kind == "adjacency" else gc.laplacian_from_weights(G.data)
-        V = gc.eigendecompose(sim.diffusion_covariance(shift, [1.0, 0.5, 0.2])).vecs
+        V = gc.eigendecompose(sim.diffusion_covariance(G.data, [1.0, 0.5, 0.2])).vecs
         if basis == "random":  # almost never fits the set: Infeasible
             V = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
         V = V[:, :{"full": n, "half": n // 2, "none": 0, "random": n}[basis]]
@@ -1099,8 +1026,7 @@ class TestRowGeneration:
         assert trace.notes["lp_rows_full"] == full
         # the l1 solves also hold the implied row <G, S> >= 0
         assert trace.notes["lp_rows"] <= full + 1
-        if cset.kind == "adjacency" and V.shape[1] == n and \
-                np.linalg.matrix_rank(V * V, tol=1e-8) == n - 1:
+        if V.shape[1] == n and np.linalg.matrix_rank(V * V, tol=1e-8) == n - 1:
             # the zero diagonal leaves one ray of eigenvalues: the set
             # meets the span in one point, the optimum is unique (V o V
             # has largest singular value 1; below 1e-8 a singular value
@@ -1156,18 +1082,6 @@ class TestRowGeneration:
             np.testing.assert_allclose(S, S_ref, rtol=0, atol=1e-8 * np.abs(S_ref).max())
             np.testing.assert_allclose(basis.vecs @ np.diag(lam) @ basis.vecs.T, S,
                                        rtol=0, atol=1e-9 * np.abs(S).max())
-
-    def test_exact_laplacian_basis_still_calls_highs(self, lp_calls):
-        # the zero row sums fix only the eigenvalue of the constant
-        # eigenvector, so the sign rows choose the point
-        cset = SHIFT_SETS["laplacian"]
-        G = sim.gen_er_graph(12, 0.3, rng=61, require_connected=True)
-        L = gc.laplacian_from_weights(G.data)
-        V = gc.eigendecompose(sim.diffusion_covariance(L, [1.0, 0.5, 0.2])).vecs
-        for objective in ("l1", "linf"):
-            lp_calls.clear()
-            _, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
-            assert trace.converged and trace.notes["lp_rounds"] == len(lp_calls) >= 1
 
     def test_random_full_basis_infeasible_without_lp_call(self, lp_calls):
         for seed in range(3):
