@@ -142,8 +142,9 @@ def dong_learn(X, alpha: float, beta: float,
     edge-weight engine under ``config``. The outer objective is
     non-increasing; an iteration that fails to improve it is rolled back
     and the loop stops, as it does once the objective falls by at most
-    ``DONG_OUTER_TOL`` relative. ``trace.notes["l_step_converged"]``
-    lists each L step's engine flag, and ``trace.converged`` holds only
+    ``DONG_OUTER_TOL`` relative; when ``outer_iters`` runs out first, one
+    UserWarning names that cap. ``trace.notes["l_step_converged"]`` lists
+    each L step's engine flag, and ``trace.converged`` holds only
     when the objective rule stopped the loop and the last accepted L
     step met the engine's rule. Returns (L, Y, trace). Raises
     Infeasible for N < 2: no Laplacian with trace N exists on one vertex.
@@ -180,6 +181,9 @@ def dong_learn(X, alpha: float, beta: float,
             best = obj
             break
         best = obj
+    else:
+        warnings.warn(f"dong_learn stopped at its {outer_iters}-iteration outer cap "
+                      "before DONG_OUTER_TOL held", stacklevel=2)
     return L, Y, trace
 
 

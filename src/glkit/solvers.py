@@ -28,7 +28,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -352,17 +351,6 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-@lru_cache(maxsize=8)
-def _l1_tilt(n: int) -> np.ndarray:
-    """Matrix G with <G, S> = ||S||_1 for every nonnegative S with zero
-    diagonal, hence on both shift constraint sets (read-only, cached per
-    N)."""
-    G = np.ones((n, n))
-    np.fill_diagonal(G, 0.0)
-    G.flags.writeable = False
-    return G
-
-
 @dataclass(frozen=True)
 class ShiftConstraintSet:
     """Feasible set for recovered shift operators: symmetric,
@@ -384,20 +372,12 @@ class ShiftConstraintSet:
         if self.scale not in ("first_node", "total"):
             raise BadParameter(f"unknown scale rule {self.scale!r}")
 
-    def scale_equality(self, n: int):
-        """(A, b) of the set's scale-fixing equality <A, S> = b."""
-        if self.scale == "total":
-            return np.ones((n, n)), float(n)
-        A = np.zeros((n, n))
-        A[:, 0] = 1.0
-        return A, 1.0
-
     def violation(self, M) -> float:
         """Largest violation of the set's conditions by M."""
         M = np.asarray(M, float)
-        A, b = self.scale_equality(M.shape[0])
+        scale = M.sum() - M.shape[0] if self.scale == "total" else M[:, 0].sum() - 1.0
         off = M - np.diag(np.diag(M))
-        return float(max(np.abs(M - M.T).max(initial=0.0), abs(float((A * M).sum()) - b),
+        return float(max(np.abs(M - M.T).max(initial=0.0), abs(float(scale)),
                          -off.min(initial=0.0), np.abs(np.diag(M)).max(initial=0.0)))
 
     def project(self, M) -> np.ndarray:
@@ -460,13 +440,13 @@ def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str)
     """prox of (objective + indicator of cset) evaluated at M. The
     sup-norm's own prox is a third ADMM block, so for it M holds two
     copies side by side, and both become the projection of their mean."""
-    n = M.shape[0]
     if objective == "l1":
-        # ||S||_1 is linear on the sign-constrained set, so the composite
-        # prox is a single projection of the tilted point
-        return cset.project(M - inv_rho * _l1_tilt(n))
+        # ||S||_1 is the sum of the off-diagonal entries on the set, so the
+        # composite prox is one projection of M - 1/rho (it reads only the pairs)
+        return cset.project(M - inv_rho)
     if objective == "frobenius":
         return cset.project(M / (1.0 + inv_rho))
+    n = M.shape[0]
     return np.tile(cset.project(0.5 * (M[:, :n] + M[:, n:])), 2)
 
 
@@ -546,9 +526,13 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
 
     With U = [V Vc], LP variable m scales (u_p u_q' + u_q u_p') / 2 for
     the column pair (p_m, q_m): (k, k) for each eigenvalue, (a, b) with
-    a <= b for each entry of Z. The sign of each entry is fixed on the
-    set, so both norms are linear there (sup-norm via one epigraph
-    variable t >= 0).
+    a <= b for each entry of Z. Every row's coefficients are index
+    arithmetic on U and s = U'1: variable m adds s_p s_q to 1'S1, (U[0, p]
+    s_q + s_p U[0, q]) / 2 to the first column's sum and [p = q] to
+    tr(S). The set fixes the sign of each entry, so both norms are
+    linear there: ||S||_1 = 1'S1 - tr(S), and the sup-norm takes one
+    epigraph variable t >= 0 with a row S_ij <= t per pair (the diagonal
+    is zero, so t >= 0 covers it).
 
     When the equality rows (the zero diagonal and the scale row) have
     full column rank - the smallest singular value
@@ -563,21 +547,20 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     Otherwise free directions remain, and delayed row generation
     (Bertsimas & Tsitsiklis, Introduction to Linear Optimization, 6.1)
     runs HiGHS: every equality row is in every solve, while the
-    inequality rows - one sign row per entry pair, plus the |S_ij| <= t
-    epigraph rows for the sup-norm - start as those of the first
-    vertex's N - 1 pairs. Each round reads every row's value off the
+    inequality rows - one sign row per pair, plus the sup-norm's
+    epigraph row per pair - start as those of the first vertex's N - 1
+    pairs. Each round reads every row's value off the
     assembled S and stops when no row left out is violated by more than
     ``_LP_FEAS_TOL``, HiGHS's own feasibility tolerance for the rows it
     holds: a relaxation whose solution every row accepts is optimal for
     the full LP, so the result is exact. Otherwise it adds the 4N
     left-out rows of largest value, the most violated first; nearly
     binding rows fill the rest, since a restricted vertex often violates
-    only a few rows at a time. The l1 objective <G, S> equals ||S||_1 on
-    the set, so the implied row <G, S> >= 0 joins every solve and keeps
-    each restricted LP bounded (the sup-norm is bounded by t >= 0). An
-    infeasible restricted LP raises Infeasible: the full LP has more
-    rows. The final point is projected onto the set so that its
-    structural constraints hold exactly.
+    only a few rows at a time. The implied row ||S||_1 >= 0 joins every
+    l1 solve and keeps each restricted LP bounded (the sup-norm is
+    bounded by t >= 0). An infeasible restricted LP raises Infeasible:
+    the full LP has more rows. The final point is projected onto the set
+    so that its structural constraints hold exactly.
 
     Returns (S, lam, trace) with the distance to the coupling set and
     the last solve's duality gap (0 without a solve) as residuals.
@@ -597,30 +580,28 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         """Coefficients of S_ij in the LP variables, one row per pair."""
         return 0.5 * (up[i] * uq[j] + uq[i] * up[j])
 
-    def in_basis(M):
-        """<M, (u_p u_q' + u_q u_p') / 2> for every variable, M symmetric."""
-        return (U.T @ M @ U)[p, q]
-
     def assemble(x):
         C = np.zeros((n, n))
         C[p, q] = x[: p.size]
         return U @ _sym(C) @ U.T
 
-    G = _l1_tilt(n)  # G_ij S_ij = |S_ij| on the set
-    A, b = cset.scale_equality(n)  # <A, S> = b
-    a_eq = np.vstack([up * uq, in_basis(_sym(A))])  # zero diagonal, scale row
+    s = U.sum(axis=0)  # U'1
+    sp, sq = s[p], s[q]
+    if cset.scale == "total":  # 1'S1 = N
+        scale_row, b = sp * sq, float(n)
+    else:  # the first column sums to 1
+        scale_row, b = 0.5 * (U[0, p] * sq + sp * U[0, q]), 1.0
+    a_eq = np.vstack([up * uq, scale_row])  # zero diagonal, scale row
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[-1] = b
     # the pool of inequality rows: row r reads coef[r] S_{ri, rj} + tcoef[r] t <= 0
     iu, ju = edge_index(n)
-    g_off = G[iu, ju]
-    ri, rj, coef, tcoef = iu, ju, -g_off, np.zeros(iu.size)
+    ones = np.ones(iu.size)
+    ri, rj, coef, tcoef = iu, ju, -ones, np.zeros(iu.size)
     first = np.arange(n - 1)  # the pairs (0, j) lead the edge order
-    if objective == "linf":
-        diag = np.arange(n)
-        ri, rj = np.concatenate([iu, iu, diag]), np.concatenate([ju, ju, diag])
-        coef = np.concatenate([coef, g_off, np.diag(G)])
-        tcoef = np.concatenate([tcoef, -np.ones(iu.size + n)])
+    if objective == "linf":  # S_ij - t <= 0 per pair: |S_ij| = S_ij on the set
+        ri, rj = np.concatenate([iu, iu]), np.concatenate([ju, ju])
+        coef, tcoef = np.concatenate([coef, ones]), np.concatenate([tcoef, -ones])
         first = np.concatenate([first, iu.size + first])
     fixed = a_eq.shape[0] >= p.size  # fewer rows than variables leave free directions
     if fixed:
@@ -637,7 +618,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     else:  # free directions remain: HiGHS with row generation
         from scipy.optimize import linprog
 
-        c = in_basis(G)
+        c = sp * sq - (p == q)  # ||S||_1 = 1'S1 - tr(S) on the set
         floor = [-c]
         bounds = (None, None)
         if objective == "linf":

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -197,13 +198,25 @@ class TestDongLearn:
         assert trace.converged and all(trace.notes["l_step_converged"])
         assert len(trace.notes["l_step_converged"]) == trace.iters_used
 
+    def test_outer_cap_warns(self):
+        # this input needs several outer iterations (see the capped test above)
+        X = np.random.default_rng(0).standard_normal((30, 100))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, trace = sl.dong_learn(X, 0.05, 1.0, outer_iters=1)
+        assert [str(w.message) for w in caught] == [
+            "dong_learn stopped at its 1-iteration outer cap before DONG_OUTER_TOL held"]
+        assert not trace.converged and trace.iters_used == 1
+        assert len(trace.objective) == 1 and "rolled_back" not in trace.notes
+
     def test_worse_iteration_is_rolled_back(self):
         # with one Newton step per L step the second outer objective rises
         X = np.random.default_rng(0).standard_normal((10, 20))
         config = sl.SolverConfig(max_iters=1)
         with pytest.warns(UserWarning, match="1-step cap"):
             L, Y, trace = sl.dong_learn(X, 0.05, 1.0, config)
-            L1, Y1, _ = sl.dong_learn(X, 0.05, 1.0, config, outer_iters=1)
+            with pytest.warns(UserWarning, match="1-iteration outer cap"):
+                L1, Y1, _ = sl.dong_learn(X, 0.05, 1.0, config, outer_iters=1)
         assert trace.notes["rolled_back"] and not trace.converged
         assert trace.iters_used == 2 and len(trace.objective) == 1
         # the first iterate is returned, not the rejected second one
@@ -217,7 +230,8 @@ class TestDongLearn:
         for n, alpha, beta in [(3, 0.5, 1.0), (5, 0.05, 1.0), (6, 2.0, 0.3),
                                (8, 0.2, 4.0), (8, 0.01, 1.0)]:
             X = rng.standard_normal((n, 12))
-            L, _, _ = sl.dong_learn(X, alpha, beta, outer_iters=1)
+            with pytest.warns(UserWarning, match="1-iteration outer cap"):
+                L, _, _ = sl.dong_learn(X, alpha, beta, outer_iters=1)
             iu, ju = np.triu_indices(n, 1)
             B = np.zeros((n, iu.size))
             B[iu, np.arange(iu.size)] = B[ju, np.arange(iu.size)] = 1.0

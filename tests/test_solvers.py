@@ -172,6 +172,20 @@ SHIFT_SETS = {"first_node": sv.ShiftConstraintSet(),
               "total": sv.ShiftConstraintSet(scale="total")}
 
 
+def dense_scale_equality(n, scale):
+    """(A, b) of a set's scale equality <A, S> = b as a dense matrix."""
+    if scale == "total":
+        return np.ones((n, n)), float(n)
+    A = np.zeros((n, n))
+    A[:, 0] = 1.0
+    return A, 1.0
+
+
+def dense_l1_tilt(n):
+    """G with <G, S> = ||S||_1 on the sets: ones off the diagonal."""
+    return np.ones((n, n)) - np.eye(n)
+
+
 def feasible_point(cset, n, rng):
     """A random member of the set with about half its edges present."""
     W = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
@@ -236,6 +250,20 @@ class TestShiftProjection:
             assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
             np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
                                        atol=1e-9 * max(1.0, np.abs(Y).max()))
+
+    @given(hst.sampled_from(list(SHIFT_SETS)), hst.integers(1, 9),
+           hst.floats(-3.0, 3.0), hst.integers(0, 2 ** 32 - 1))
+    def test_violation_matches_dense_definition(self, name, n, u, seed):
+        # asymmetric, signed, nonzero diagonal: every condition is violated
+        rng = np.random.default_rng(seed)
+        cset = SHIFT_SETS[name]
+        M = 10.0 ** u * rng.standard_normal((n, n))
+        A, b = dense_scale_equality(n, cset.scale)
+        off = M - np.diag(np.diag(M))
+        expected = max(np.abs(M - M.T).max(), abs((A * M).sum() - b), -off.min(),
+                       np.abs(np.diag(M)).max())
+        assert cset.violation(M) == pytest.approx(expected, rel=1e-12,
+                                                  abs=1e-12 * max(1.0, n * np.abs(M).max()))
 
 
 def _reference_project(cset, M):
@@ -342,14 +370,16 @@ class TestCachedIndexParity:
         else:  # the off-diagonal residual shrinks onto the eps-ball
             assert _off_norm(V, out) <= max(eps, 1e-12 * np.abs(M).max())
 
-    def test_l1_tilt_cached_and_read_only(self):
-        G = sv._l1_tilt(5)
-        expected = np.ones((5, 5))
-        np.fill_diagonal(expected, 0.0)
-        assert np.array_equal(G, expected)
-        assert G is sv._l1_tilt(5)
-        with pytest.raises(ValueError):
-            G[0, 1] = 2.0
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    def test_l1_prox_equals_the_dense_tilt(self, name):
+        # the projection reads only the pairs, where the tilt is 1
+        rng = np.random.default_rng(5)
+        cset = SHIFT_SETS[name]
+        for n in (2, 5, 9):
+            M = rng.standard_normal((n, n))
+            for inv_rho in (0.0, 0.3, 7.0):
+                assert np.array_equal(sv._prox_objective(cset, M, inv_rho, "l1"),
+                                      cset.project(M - inv_rho * dense_l1_tilt(n)))
 
     @pytest.mark.parametrize("scale", ["first_node", "total"])
     def test_admm_path_matches_reference(self, scale, monkeypatch):
@@ -462,12 +492,12 @@ def dense_lp_oracle(V, cset, objective):
         return (M + M.T - np.diag(np.diag(M)))[ti, tj]
 
     U = np.hstack([V, np.linalg.qr(V, mode="complete")[0][:, k:]])
-    G = sv._l1_tilt(n)
+    G = dense_l1_tilt(n)
     off = ti != tj
     a_eq = [lin(np.outer(U[:, a], U[:, b]))
             for a in range(k) for b in range(a + 1, n)]
     a_eq += [lin(np.diag(np.eye(n)[i])) for i in range(n)]
-    A, b = cset.scale_equality(n)
+    A, b = dense_scale_equality(n, cset.scale)
     a_eq.append(lin(A))
     b_eq = np.zeros(len(a_eq))
     b_eq[-1] = b
@@ -650,7 +680,7 @@ def edge_problem(V, cset):
     n = V.shape[0]
     iu, ju = gc.edge_index(n)
     B = 2.0 * V[iu] * V[ju]
-    Aeq, b = cset.scale_equality(n)
+    Aeq, b = dense_scale_equality(n, cset.scale)
     return 2.0 * np.eye(iu.size) - B @ B.T, Aeq[iu, ju] + Aeq[ju, iu], b
 
 
@@ -1022,9 +1052,9 @@ class TestRowGeneration:
         assert cset.violation(S) <= 1e-9
         assert abs(trace.objective[-1] - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
         pairs = n * (n - 1) // 2
-        full = pairs if objective == "l1" else 2 * pairs + n
+        full = pairs if objective == "l1" else 2 * pairs
         assert trace.notes["lp_rows_full"] == full
-        # the l1 solves also hold the implied row <G, S> >= 0
+        # the l1 solves also hold the implied row ||S||_1 >= 0
         assert trace.notes["lp_rows"] <= full + 1
         if V.shape[1] == n and np.linalg.matrix_rank(V * V, tol=1e-8) == n - 1:
             # the zero diagonal leaves one ray of eigenvalues: the set
