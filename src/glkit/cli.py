@@ -22,7 +22,7 @@ import numpy as np
 from . import graphcore, metrics, netdyn, serialize, simulate, smoothlearn, spectralid, statnet
 from .errors import BadK, BadParameter, DataError, GlkitError, Infeasible, NoMLE, SolverError
 from .graphcore import ShiftKind, ShiftOperator
-from .solvers import ShiftConstraintSet, SolverConfig
+from .solvers import SolverConfig
 
 log = logging.getLogger("glkit")
 
@@ -201,22 +201,21 @@ def cmd_learn(args) -> int:
         return 0
     if method in ("spectral", "spectral-partial", "deconv"):
         X = _signals(args)
-        cset = ShiftConstraintSet(args.scale)
         if method == "deconv":
             eps = 0.0 if args.eps == "auto" else args.eps
-            S, trace = spectralid.network_deconvolve(X, cset, eps,
-                                                     args.objective, config)
+            S, trace = spectralid.network_deconvolve(X, eps=eps, objective=args.objective,
+                                                     config=config)
             meta = {}
         elif method == "spectral-partial":
             basis, flags = spectralid.estimate_eigenbasis(X)
             if not 0 <= args.k <= basis.n:
                 raise BadK(f"--k {args.k} outside 0..{basis.n}")
             keep = basis.vecs[:, -args.k:] if args.k else basis.vecs[:, ~flags]
-            S, trace = spectralid.infer_shift_partial(keep, cset)
+            S, trace = spectralid.infer_shift_partial(keep)
             meta = {"kept": keep.shape[1]}
         else:
             S, trace, meta = spectralid.infer_shift_from_signals(
-                X, cset, args.eps, args.objective, config)
+                X, eps=args.eps, objective=args.objective, config=config)
         thresh = metrics.DEFAULT_SUPPORT_THRESHOLD * max(np.abs(S).max(), 1e-30)
         W = np.where(np.abs(S) > thresh, S, 0.0)
         _emit_graph(args.output, ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY))
@@ -392,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="spectral/deconv: mismatch tolerance, or 'auto' (deconv: 0)")
     lrn.add_argument("--objective", choices=["l1", "frobenius", "linf"],
                      default="l1")
-    lrn.add_argument("--scale", choices=["first_node", "total"],
-                     default="first_node",
-                     help="spectral/deconv: scale rule; total takes eps 0 only")
     lrn.add_argument("--xcov", action="append", default=[],
                      help="output covariance CSV (repeatable)")
     lrn.add_argument("--wcov", action="append", default=[],

@@ -5,15 +5,15 @@ learner (one Gram matrix shared by many right-hand sides, each with its
 own mask of usable coordinates), the proximal-gradient kernel of the
 penalised Gaussian likelihood shared by the precision estimators, the
 residual-balanced two-block ADMM kernel of robust spectral templates,
-closed-form projections onto the shift constraint sets, the exact
+the closed-form projection onto the shift constraint set, the exact
 linear program for noise-free spectral templates (by delayed row
 generation), the certified primal active-set walk that solves robust
-l1 templates on the ``first_node`` set, the accelerated feasibility gap
-that gives the walk its feasible start and the automatic eps, and the
-edge-weight engine for problems with degree terms: one proximal-point
-loop of semismooth Newton solves on their N-variable Lagrange dual (a
-single round when the ridge weight is positive), with the
-weight-to-degree map and the Newton matrix built by index arithmetic.
+l1 templates, the accelerated feasibility gap that gives the walk its
+feasible start and the automatic eps, and the edge-weight engine for
+problems with degree terms: one proximal-point loop of semismooth
+Newton solves on their N-variable Lagrange dual (a single round when
+the ridge weight is positive), with the weight-to-degree map and the
+Newton matrix built by index arithmetic.
 
 Edge vectors follow the order of :func:`graphcore.edge_index`. The
 kernels share its per-N cache, and that of the flat positions of
@@ -354,30 +354,17 @@ def _sym(M):
 @dataclass(frozen=True)
 class ShiftConstraintSet:
     """Feasible set for recovered shift operators: symmetric,
-    nonnegative, zero diagonal, plus one scale-fixing equality - either
-    the weighted degree of the first vertex equal to one
-    (``scale="first_node"``) or total weight equal to N
-    (``scale="total"``).
-
-    Every member of the ``total`` set has ||S||_1 = N, so the l1 norm
-    cannot choose among its members near the span: robust (eps > 0)
-    spectral templates take ``first_node`` only, and ``total`` serves
-    eps = 0, where its output is the ``first_node`` one times
-    N / sum(S).
+    nonnegative, zero diagonal, and the weighted degree of the first
+    vertex equal to one (Segarra, Marques, Mateos & Ribeiro, "Network
+    topology inference from spectral templates", 2017). It has no
+    fields: the type owns the set's projection and violation check.
     """
-
-    scale: str = "first_node"
-
-    def __post_init__(self):
-        if self.scale not in ("first_node", "total"):
-            raise BadParameter(f"unknown scale rule {self.scale!r}")
 
     def violation(self, M) -> float:
         """Largest violation of the set's conditions by M."""
         M = np.asarray(M, float)
-        scale = M.sum() - M.shape[0] if self.scale == "total" else M[:, 0].sum() - 1.0
         off = M - np.diag(np.diag(M))
-        return float(max(np.abs(M - M.T).max(initial=0.0), abs(float(scale)),
+        return float(max(np.abs(M - M.T).max(initial=0.0), abs(float(M[:, 0].sum() - 1.0)),
                          -off.min(initial=0.0), np.abs(np.diag(M)).max(initial=0.0)))
 
     def project(self, M) -> np.ndarray:
@@ -386,11 +373,11 @@ class ShiftConstraintSet:
         After symmetrization it is a problem over the edge vector w >= 0
         (the upper triangle in :func:`edge_index` order): entrywise
         clipping plus one simplex projection over the entries tied by the
-        scale equality (for ``first_node`` the pairs (0, j), the first
-        N - 1 in edge order). It gathers sym(M)'s upper triangle and
-        scatters w through the cached flat positions of
-        :func:`edge_positions`, without forming sym(M). Raises Infeasible
-        for N < 2, where no edge can meet the scale equality.
+        scale equality, the pairs (0, j) that lead the edge order. It
+        gathers sym(M)'s upper triangle and scatters w through the cached
+        flat positions of :func:`edge_positions`, without forming sym(M).
+        Raises Infeasible for N < 2, where no edge can meet the scale
+        equality.
         """
         M = np.asarray(M, float)
         n = M.shape[0]
@@ -401,11 +388,8 @@ class ShiftConstraintSet:
         up, lo = edge_positions(n)
         flat = M.ravel()
         vals = 0.5 * (flat[up] + flat[lo])  # sym(M) at the pairs
-        if self.scale == "first_node":
-            w = np.maximum(vals, 0.0)
-            w[:n - 1] = project_simplex(vals[:n - 1], 1.0)
-        else:
-            w = project_simplex(vals, float(n) / 2.0)
+        w = np.maximum(vals, 0.0)
+        w[:n - 1] = project_simplex(vals[:n - 1], 1.0)
         out = np.zeros(n * n)
         out[up] = w
         out[lo] = w
@@ -459,7 +443,7 @@ def _objective_value(S, objective: str) -> float:
 
 
 def spectral_gap(V):
-    """Distance between the ``first_node`` set and the span of the
+    """Distance between the shift constraint set and the span of the
     basis's rank-one eigen-matrices.
 
     Alternating projections are projected gradient steps on half the
@@ -534,9 +518,9 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     epigraph variable t >= 0 with a row S_ij <= t per pair (the diagonal
     is zero, so t >= 0 covers it).
 
-    When the equality rows (the zero diagonal and the scale row) have
-    full column rank - the smallest singular value
-    above ``_LP_RANK_FLOOR`` of the largest, as for most full bases - they
+    When the equality rows (the zero diagonal and the first column's
+    sum) have full column rank - the smallest singular value above
+    ``_LP_RANK_FLOOR`` of the largest, as for most full bases - they
     admit at most one point, read by least squares. It raises Infeasible
     when an equality row, a sign row or an epigraph row (t at its least
     value) misses by more than ``_LP_FEAS_TOL``; otherwise it is the
@@ -587,13 +571,10 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
 
     s = U.sum(axis=0)  # U'1
     sp, sq = s[p], s[q]
-    if cset.scale == "total":  # 1'S1 = N
-        scale_row, b = sp * sq, float(n)
-    else:  # the first column sums to 1
-        scale_row, b = 0.5 * (U[0, p] * sq + sp * U[0, q]), 1.0
-    a_eq = np.vstack([up * uq, scale_row])  # zero diagonal, scale row
+    # zero diagonal, and the first column sums to 1
+    a_eq = np.vstack([up * uq, 0.5 * (U[0, p] * sq + sp * U[0, q])])
     b_eq = np.zeros(a_eq.shape[0])
-    b_eq[-1] = b
+    b_eq[-1] = 1.0
     # the pool of inequality rows: row r reads coef[r] S_{ri, rj} + tcoef[r] t <= 0
     iu, ju = edge_index(n)
     ones = np.ones(iu.size)
@@ -682,7 +663,7 @@ _FINISH_ROUNDING = 1e-9  # relative slack of the certificate's ball and set chec
 
 
 class _EdgeKKT:
-    """The eps > 0 l1 problem on the ``first_node`` set: its closed-form
+    """The eps > 0 l1 problem on the shift constraint set: its closed-form
     KKT solve on a support and the certificate of a solution.
 
     In the edge vector w of S (:func:`edge_index` order) the problem is
@@ -853,10 +834,6 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     raises Infeasible is eps twice the feasibility gap of the basis
     (:func:`spectral_gap`, an upper bound on the smallest feasible eps).
     ``trace.notes["eps"]`` records the eps solved at, on every path.
-    On ``scale="total"``, where ||S||_1 = N on every member, eps > 0
-    selects nothing: a numeric eps > 0 raises BadParameter, and
-    eps="auto" is eps = 0, raising Infeasible (naming ``first_node``)
-    when no member fits the basis exactly.
 
     With eps = 0 and the l1 or sup-norm objective the problem is a
     linear program, solved exactly by :func:`_spectral_lp`: in closed
@@ -869,11 +846,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     meets the span, and its closed-form point, the only feasible one, is
     returned as is.
 
-    The set's point nearest zero minimises the Frobenius norm on the
-    set, and all three norms on ``first_node``, where every member's
-    first row sums to 1: within eps of the span it is returned with no
-    iteration, and spectral_gap is not called for a numeric eps.
-    Otherwise, with the l1 objective (so eps > 0 on ``first_node``), the
+    The set's point nearest zero minimises all three norms on the set,
+    where every member's first row sums to 1: within eps of the span it
+    is returned with no iteration, and spectral_gap is not called for a
+    numeric eps. Otherwise, with the l1 objective (so eps > 0), the
     primal active-set walk of :meth:`_EdgeKKT.walk` runs from
     the member that :func:`spectral_gap` returns (for eps="auto", the
     call that set eps). A certified result has ``iters_used`` 0,
@@ -901,10 +877,6 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         raise BadParameter(f"eps must be 'auto' or a finite number >= 0, got {eps!r}")
     if objective not in ("l1", "linf", "frobenius"):
         raise BadParameter(f"unknown objective {objective!r}")
-    total = constraint_set.scale == "total"
-    if total and eps not in ("auto", 0):
-        raise BadParameter(f"eps > 0 needs scale='first_node': ||S||_1 is N on "
-                           f"the whole total-scale set, got eps={eps!r}")
     n = V.shape[0]
     gram = V.T @ V
     if np.abs(gram - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
@@ -917,10 +889,6 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
         try:
             lp, eps = _spectral_lp(V, constraint_set, objective), 0.0
         except Infeasible:
-            if total:
-                raise Infeasible("no member of the total-scale set is exactly "
-                                 "diagonalized by the basis, and eps > 0 needs "
-                                 "scale='first_node'") from None
             gap, start, _ = spectral_gap(V)
             eps = 2.0 * gap
     notes = {"eps": float(eps)}

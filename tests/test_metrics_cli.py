@@ -581,32 +581,23 @@ class TestCli:
         assert self.run("learn", "deconv", "-i", str(ident),
                         "-o", str(tmp_path / "x.json")) == 4
 
-    @pytest.mark.parametrize("scale", ["first_node", "total"])
-    def test_single_vertex_spectral_is_solver_error(self, tmp_path, scale, capsys):
+    def test_single_vertex_spectral_is_solver_error(self, tmp_path, capsys):
         one = tmp_path / "one.csv"
         ser.write_matrix_csv(one, np.array([[0.5, 0.1, 0.3]]))
-        assert self.run("learn", "spectral", "-i", str(one), "--scale", scale,
+        assert self.run("learn", "spectral", "-i", str(one),
                         "-o", str(tmp_path / "x.json")) == 4
         assert "solver error" in capsys.readouterr().err
 
-    def test_total_scale_takes_eps_zero_only(self, tmp_path, capsys):
+    def test_removed_set_flags_exit_2(self, tmp_path):
+        # the total scale and the Laplacian set are gone, and so are their flags
         sig = tmp_path / "sig.csv"
-        out = str(tmp_path / "x.json")
         assert self.run("simulate", "diffusion", "--n", "10", "--p", "500",
                         "--seed", "7", "-o", str(sig)) == 0
-        # the l1 norm is N on the whole total set: no eps > 0 ...
-        assert self.run("learn", "spectral", "-i", str(sig), "--scale", "total",
-                        "--eps", "0.1", "-o", out) == 2
-        assert "first_node" in capsys.readouterr().err
-        # ... and "auto" is eps = 0, which sampled signals do not fit
-        assert self.run("learn", "spectral", "-i", str(sig), "--scale", "total",
-                        "-o", out) == 4
-        assert "first_node" in capsys.readouterr().err
-        # the Laplacian set and its flag are gone
-        with pytest.raises(SystemExit) as exc:
-            self.run("learn", "spectral", "-i", str(sig), "--cset", "laplacian",
-                     "-o", out)
-        assert exc.value.code == 2
+        for flag in (["--scale", "total"], ["--cset", "laplacian"]):
+            with pytest.raises(SystemExit) as exc:
+                self.run("learn", "spectral", "-i", str(sig), *flag,
+                         "-o", str(tmp_path / "x.json"))
+            assert exc.value.code == 2
 
     def test_reproducible_outputs(self, tmp_path):
         a1, a2 = tmp_path / "a1.csv", tmp_path / "a2.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 import glkit.netdyn as nd
 import glkit.simulate as sim
@@ -79,6 +81,21 @@ class TestSemFit:
         What, _, _ = nd.sem_fit(data, 0.5)
         assert np.all(np.diag(What.data) == 0.0)
 
+    @given(hst.integers(3, 8), hst.integers(20, 80), hst.integers(-6, 6),
+           hst.floats(0.01, 10.0), hst.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_rescaling_is_bitwise(self, n, T, k, alpha, seed):
+        # (cX, cU, c^2 alpha) scales the Gram, its right-hand sides and the
+        # penalty by c^2, which a power of two does without rounding
+        rng = np.random.default_rng(seed)
+        W = sim.gen_er_digraph(n, 0.4, radius=0.4, rng=rng)
+        data = sem_dataset(W.data, T, rng, noise=0.1)
+        c = 2.0 ** k
+        What, omega, _ = nd.sem_fit(data, alpha)
+        Wc, omega_c, _ = nd.sem_fit(nd.CascadeData(c * data.X, c * data.U), c * c * alpha)
+        assert np.array_equal(Wc.data, What.data)
+        assert np.array_equal(omega_c, omega)
+        assert np.all(np.diag(Wc.data) == 0.0)
+
 
     def test_logged_objective_is_the_criterion(self):
         # sum_t ||x_t - W x_t - Omega u_t||^2 + alpha ||W||_1 at the output,
@@ -135,6 +152,18 @@ class TestSvarm:
             e_or, _ = nd.svarm_fit(X, 2, 10.0, "or")
             e_and, _ = nd.svarm_fit(X, 2, 10.0, "and")
             assert np.all(~e_and | e_or)
+
+    @given(hst.integers(3, 8), hst.integers(20, 80), hst.integers(1, 3),
+           hst.integers(-6, 6), hst.floats(0.01, 20.0), hst.integers(0, 2 ** 32 - 1))
+    def test_power_of_two_rescaling_is_bitwise(self, n, T, lags, k, lam, seed):
+        X = np.random.default_rng(seed).standard_normal((n, T))
+        c = 2.0 ** k
+        edges, Ws = nd.svarm_fit(X, lags, lam)
+        edges_c, Ws_c = nd.svarm_fit(c * X, lags, c * c * lam)
+        assert np.array_equal(edges_c, edges)
+        assert len(Ws_c) == len(Ws) == lags
+        for W, Wc in zip(Ws, Ws_c):
+            assert np.array_equal(Wc, W)
 
     def test_short_series_rejected(self):
         with pytest.raises(TooFewSamples):

@@ -136,7 +136,7 @@ class TestLassoCDGramBatch:
         assert np.abs(Bc - B).max() <= 1e-9 * max(1.0, np.abs(B).max())
 
 
-def qp_oracle_projection(S0, cset):
+def qp_oracle_projection(S0):
     """Projection onto the constraint set by direct NLP over the edge
     vector w of W(w) (small n only)."""
     n = S0.shape[0]
@@ -156,10 +156,7 @@ def qp_oracle_projection(S0, cset):
         return 2.0 * (R[iu, ju] + R[ju, iu])
 
     # the scale equality as a'w = b
-    if cset.scale == "first_node":
-        a, b = (iu == 0).astype(float), 1.0
-    else:
-        a, b = np.full(iu.size, 2.0), float(n)
+    a, b = (iu == 0).astype(float), 1.0
     res = minimize(obj, a * (b / (a @ a)), jac=grad, bounds=[(0, None)] * iu.size,
                    constraints=[{"type": "eq", "fun": lambda w: a @ w - b,
                                  "jac": lambda w: a}], method="SLSQP",
@@ -168,14 +165,11 @@ def qp_oracle_projection(S0, cset):
     return unpack(res.x)
 
 
-SHIFT_SETS = {"first_node": sv.ShiftConstraintSet(),
-              "total": sv.ShiftConstraintSet(scale="total")}
+SHIFT_SETS = {"first_node": sv.ShiftConstraintSet()}
 
 
-def dense_scale_equality(n, scale):
-    """(A, b) of a set's scale equality <A, S> = b as a dense matrix."""
-    if scale == "total":
-        return np.ones((n, n)), float(n)
+def dense_scale_equality(n):
+    """(A, b) of the set's scale equality <A, S> = b as a dense matrix."""
     A = np.zeros((n, n))
     A[:, 0] = 1.0
     return A, 1.0
@@ -186,15 +180,20 @@ def dense_l1_tilt(n):
     return np.ones((n, n)) - np.eye(n)
 
 
-def feasible_point(cset, n, rng):
+def feasible_point(n, rng):
     """A random member of the set with about half its edges present."""
     W = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
     W[0, 1] = 1.0  # keeps the first vertex's degree positive
     W = W + W.T
-    return W / W[:, 0].sum() if cset.scale == "first_node" else W * (n / W.sum())
+    return W / W[:, 0].sum()
 
 
 class TestShiftProjection:
+    def test_the_one_set_takes_no_arguments(self):
+        assert sv.ShiftConstraintSet() == SHIFT_SETS["first_node"]
+        with pytest.raises(TypeError):
+            sv.ShiftConstraintSet("total")
+
     def test_idempotent_on_feasible_point(self):
         cset = sv.ShiftConstraintSet()
         S0 = np.zeros((3, 3))
@@ -218,7 +217,7 @@ class TestShiftProjection:
         for _ in range(5):
             S0 = rng.standard_normal((n, n))
             ours = cset.project(S0)
-            oracle = qp_oracle_projection(S0, cset)
+            oracle = qp_oracle_projection(S0)
             assert np.abs(ours - oracle).max() <= 1e-6
             # never farther from S0 than the oracle's point
             assert np.linalg.norm(ours - S0) <= np.linalg.norm(oracle - S0) + 1e-12
@@ -245,7 +244,7 @@ class TestShiftProjection:
         P = cset.project(M)
         assert cset.violation(P) <= 1e-9 * max(1.0, np.abs(M).max())
         for _ in range(3):
-            Y = feasible_point(cset, n, rng)
+            Y = feasible_point(n, rng)
             scale = max(1.0, np.linalg.norm(M)) * max(1.0, np.linalg.norm(Y - P))
             assert np.sum((M - P) * (Y - P)) <= 1e-8 * scale
             np.testing.assert_allclose(cset.project(Y), Y, rtol=0,
@@ -258,7 +257,7 @@ class TestShiftProjection:
         rng = np.random.default_rng(seed)
         cset = SHIFT_SETS[name]
         M = 10.0 ** u * rng.standard_normal((n, n))
-        A, b = dense_scale_equality(n, cset.scale)
+        A, b = dense_scale_equality(n)
         off = M - np.diag(np.diag(M))
         expected = max(np.abs(M - M.T).max(), abs((A * M).sum() - b), -off.min(),
                        np.abs(np.diag(M)).max())
@@ -275,13 +274,10 @@ def _reference_project(cset, M):
     iu, ju = np.triu_indices(n, 1)
     out = np.zeros_like(S)
     vals = S[iu, ju]
-    if cset.scale == "first_node":
-        tied = iu == 0
-        w = np.empty_like(vals)
-        w[~tied] = np.maximum(vals[~tied], 0.0)
-        w[tied] = sv.project_simplex(vals[tied], 1.0)
-    else:
-        w = sv.project_simplex(vals, float(n) / 2.0)
+    tied = iu == 0
+    w = np.empty_like(vals)
+    w[~tied] = np.maximum(vals[~tied], 0.0)
+    w[tied] = sv.project_simplex(vals[tied], 1.0)
     out[iu, ju] = w
     out[ju, iu] = w
     return out
@@ -323,11 +319,10 @@ class TestCachedIndexParity:
         ref = np.bincount(iu, a, n) + np.bincount(ju, a, n)
         assert np.array_equal(sv._vertex_sums(n, iu, ju, a), ref)
 
-    @given(hst.sampled_from(["first_node", "total"]), hst.integers(2, 60),
-           hst.floats(-3.0, 3.0), hst.booleans(), hst.integers(0, 2 ** 32 - 1))
-    def test_adjacency_projection_matches_reference(self, scale, n, u, transposed,
-                                                    seed):
-        cset = sv.ShiftConstraintSet(scale=scale)
+    @given(hst.integers(2, 60), hst.floats(-3.0, 3.0), hst.booleans(),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_adjacency_projection_matches_reference(self, n, u, transposed, seed):
+        cset = sv.ShiftConstraintSet()
         M = 10.0 ** u * np.random.default_rng(seed).standard_normal((n, n))
         if transposed:  # a non-contiguous input
             M = M.T
@@ -381,13 +376,13 @@ class TestCachedIndexParity:
                 assert np.array_equal(sv._prox_objective(cset, M, inv_rho, "l1"),
                                       cset.project(M - inv_rho * dense_l1_tilt(n)))
 
-    @pytest.mark.parametrize("scale", ["first_node", "total"])
-    def test_admm_path_matches_reference(self, scale, monkeypatch):
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
+    def test_admm_path_matches_reference(self, name, monkeypatch):
         # a path's spectrum is symmetric: at eps = 0 free directions remain,
-        # and the Frobenius objective runs the ADMM on either set
+        # and the Frobenius objective runs the ADMM
         W = np.diag(np.ones(7), 1)
         V = gc.eigendecompose(W + W.T).vecs
-        cset = sv.ShiftConstraintSet(scale=scale)
+        cset = SHIFT_SETS[name]
         S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
         monkeypatch.setattr(sv.ShiftConstraintSet, "project", _reference_project)
         monkeypatch.setattr(sv.SpectralCoupling, "project", _reference_coupling)
@@ -479,7 +474,7 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def dense_lp_oracle(V, cset, objective):
+def dense_lp_oracle(V, objective):
     """The eps = 0 spectral-template LP in one HiGHS call over the entries
     S_ij, i <= j, with every row present: the set's rows, (U'SU)_ab = 0
     for each a < b with a among the K given columns (U = [V Vc]), and
@@ -497,7 +492,7 @@ def dense_lp_oracle(V, cset, objective):
     a_eq = [lin(np.outer(U[:, a], U[:, b]))
             for a in range(k) for b in range(a + 1, n)]
     a_eq += [lin(np.diag(np.eye(n)[i])) for i in range(n)]
-    A, b = dense_scale_equality(n, cset.scale)
+    A, b = dense_scale_equality(n)
     a_eq.append(lin(A))
     b_eq = np.zeros(len(a_eq))
     b_eq[-1] = b
@@ -590,7 +585,7 @@ class TestAdmmSpectral:
             W[ju, iu] = w
             H = np.eye(4) + 0.5 * W + 0.2 * W @ W
             basis = gc.eigendecompose(H @ H)
-            _, oracle = dense_lp_oracle(basis.vecs, sv.ShiftConstraintSet(), "l1")
+            _, oracle = dense_lp_oracle(basis.vecs, "l1")
             if oracle is None:
                 continue
             S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
@@ -674,21 +669,21 @@ def sampled_basis(n, seed, p=2000):
     return sid.estimate_eigenbasis(X)[0].vecs
 
 
-def edge_problem(V, cset):
+def edge_problem(V):
     """(A, a, b) of the eps > 0 problem over the edge vector w: the ball
     reads w'Aw <= eps^2 and the scale a'w = b."""
     n = V.shape[0]
     iu, ju = gc.edge_index(n)
     B = 2.0 * V[iu] * V[ju]
-    Aeq, b = dense_scale_equality(n, cset.scale)
+    Aeq, b = dense_scale_equality(n)
     return 2.0 * np.eye(iu.size) - B @ B.T, Aeq[iu, ju] + Aeq[ju, iu], b
 
 
-def slsqp_oracle(V, eps, cset, objective="l1"):
+def slsqp_oracle(V, eps, objective="l1"):
     """min ||S||_1 = 2 sum(w) over the edge vector by SLSQP, from the
     uniform point of the scale equality; for ``objective="linf"`` the
     epigraph form min t over (w, t) with w <= t."""
-    A, a, b = edge_problem(V, cset)
+    A, a, b = edge_problem(V)
     m = a.size
     x0 = np.full(m, b / a.sum())
     c = np.full(m, 2.0)
@@ -736,9 +731,8 @@ def plain_admm(monkeypatch, *args):
 
 class TestSupportFinisher:
     """The closed-form solve of :class:`sv._EdgeKKT` on a support and its
-    certificate, reached through the active-set walk, the eps > 0 l1
-    cases that keep the plain ADMM, and the total scale, which takes no
-    eps > 0."""
+    certificate, reached through the active-set walk, and the eps > 0 l1
+    cases that keep the plain ADMM."""
 
     @pytest.mark.parametrize("n,seed", [(6, 0), (6, 3), (8, 1), (8, 2), (10, 2), (10, 3)])
     def test_matches_slsqp_first_node(self, n, seed):
@@ -750,27 +744,12 @@ class TestSupportFinisher:
         assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
         assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
         assert trace.notes["eps"] == eps
-        oracle = slsqp_oracle(V, eps, cset)
+        oracle = slsqp_oracle(V, eps)
         assert ball_distance(V, oracle) <= eps * (1 + 1e-8)
         # the certified point is optimal: no feasible point does better
         assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-9
         assert np.abs(S - oracle).max() <= 1e-6
         np.testing.assert_allclose(lam, np.diag(V.T @ S @ V), atol=1e-12)
-
-    @pytest.mark.parametrize("n,seed", [(6, 1), (8, 3), (10, 1)])
-    def test_total_scale_falls_through(self, n, seed, gap_calls):
-        # ||S||_1 = 2 sum(w) = N on the whole total set, so eps > 0 selects
-        # nothing there: eps="auto" falls through to the exact eps = 0
-        # solve, which a sampled basis fails, and a numeric eps > 0 is refused
-        V = sampled_basis(n, seed)
-        cset = sv.ShiftConstraintSet(scale="total")
-        with pytest.raises(Infeasible, match="first_node"):
-            sv.admm_l1_spectral(V, "auto", cset)
-        eps = 2.0 * sv.spectral_gap(V)[0]
-        for objective in ("l1", "linf", "frobenius"):
-            with pytest.raises(BadParameter, match="first_node"):
-                sv.admm_l1_spectral(V, eps, cset, objective=objective)
-        assert len(gap_calls) == 1  # the call above: no total solve runs one
 
     def test_inactive_ball_falls_through(self, gap_calls):
         # the set's point nearest zero is l1-minimal on the set; within
@@ -873,7 +852,7 @@ class TestActiveSetWalk:
         cset = sv.ShiftConstraintSet()
         S, _, trace = sv.admm_l1_spectral(V, "auto", cset)
         assert len(gap_calls) == 1 and trace.iters_used == 0
-        oracle = slsqp_oracle(V, trace.notes["eps"], cset)
+        oracle = slsqp_oracle(V, trace.notes["eps"])
         assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-9
         assert np.abs(S - oracle).max() <= 1e-6
 
@@ -951,7 +930,7 @@ class TestExactSteps:
                 "frobenius": np.linalg.norm}[objective]
         rng = np.random.default_rng(5)
         for _ in range(20):
-            assert norm(nearest) <= norm(feasible_point(cset, 8, rng)) * (1 + 1e-12)
+            assert norm(nearest) <= norm(feasible_point(8, rng)) * (1 + 1e-12)
         dist = ball_distance(V, nearest)
         for eps in (dist, 2.0 * dist):
             S, lam, trace = sv.admm_l1_spectral(V, eps, cset, objective=objective)
@@ -972,7 +951,7 @@ class TestExactSteps:
         project_l1_ball = sv.project_l1_ball
         monkeypatch.setattr(sv, "project_l1_ball",
                             lambda v, r: calls.append(r) or project_l1_ball(v, r))
-        oracle = slsqp_oracle(V, eps, cset, "linf")
+        oracle = slsqp_oracle(V, eps, "linf")
         assert ball_distance(V, oracle) <= eps * (1 + 1e-8)
         oracle = np.abs(oracle).max()
         # at the default tol the ADMM's point lies up to about 1e-5 inside
@@ -1012,8 +991,7 @@ class TestSpectralLP:
             assert trace.converged and trace_admm.converged
             assert np.abs(S - S_admm).max() <= 1e-8
 
-    @pytest.mark.parametrize("cset", [
-        sv.ShiftConstraintSet(), sv.ShiftConstraintSet(scale="total")])
+    @pytest.mark.parametrize("cset", list(SHIFT_SETS.values()))
     def test_linf_objective_exact(self, cset):
         for seed in range(5):
             G, _ = diffusion_basis(10, 40 + seed)
@@ -1041,7 +1019,7 @@ class TestRowGeneration:
         if basis == "random":  # almost never fits the set: Infeasible
             V = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
         V = V[:, :{"full": n, "half": n // 2, "none": 0, "random": n}[basis]]
-        res, S_ref = dense_lp_oracle(V, cset, objective)
+        res, S_ref = dense_lp_oracle(V, objective)
         assert res.status in (0, 2)
         if res.status == 2:
             with pytest.raises(Infeasible):
@@ -1094,7 +1072,7 @@ class TestRowGeneration:
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-9)
         assert sv.ShiftConstraintSet().violation(S) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["first_node", "total"])
+    @pytest.mark.parametrize("name", list(SHIFT_SETS))
     @pytest.mark.parametrize("objective", ["l1", "linf"])
     def test_exact_full_basis_makes_no_lp_call(self, lp_calls, name, objective):
         # the zero diagonal and the scale row leave one candidate point
@@ -1107,7 +1085,7 @@ class TestRowGeneration:
             assert trace.converged and trace.iters_used == 0
             assert trace.notes["lp_rounds"] == trace.notes["lp_rows"] == 0
             assert cset.violation(S) <= 1e-12
-            res, S_ref = dense_lp_oracle(basis.vecs, cset, objective)
+            res, S_ref = dense_lp_oracle(basis.vecs, objective)
             assert trace.objective[-1] == pytest.approx(res.fun, rel=1e-9)
             np.testing.assert_allclose(S, S_ref, rtol=0, atol=1e-8 * np.abs(S_ref).max())
             np.testing.assert_allclose(basis.vecs @ np.diag(lam) @ basis.vecs.T, S,
