@@ -130,15 +130,21 @@ def cmd_simulate(args) -> int:
 # learn
 
 
-def _signals(args) -> np.ndarray:
-    return serialize.read_matrix_csv(args.input, header=args.header)
+def _csv(args, path, flag: str, header: bool = False) -> np.ndarray:
+    """The matrix CSV that ``flag`` names; a usage error when it is absent."""
+    if path is None:
+        raise BadParameter(f"learn {args.method} needs {flag}")
+    return serialize.read_matrix_csv(path, header=header)
 
 
 def cmd_learn(args) -> int:
+    """Run one learner; at ``GLK_LOG=info`` log its SolveTrace, if any, on
+    one line: status, iters_used, kkt_residual and the integer notes."""
     config = _load_config(args.config)
-    method = args.method
+    method, trace = args.method, None
+    if method not in ("psd-filter", "sym-filter"):  # these read covariance lists
+        X = _csv(args, args.input, "-i/--input", args.header)
     if method in ("corr", "pcorr"):
-        X = _signals(args)
         if method == "corr":
             table, W = statnet.correlation_network(X, args.q)
         else:
@@ -151,9 +157,7 @@ def cmd_learn(args) -> int:
                 args.table_out,
                 {"method": table.method, "q": table.q, "flags": dict(table.flags)},
                 "pairs", {c: getattr(table, c) for c in cols})
-        return 0
-    if method in ("glasso", "lgmrf"):
-        X = _signals(args)
+    elif method in ("glasso", "lgmrf"):
         lam = statnet.auto_lambda(*X.shape) if args.lam == "auto" else float(args.lam)
         if method == "glasso":
             theta, trace = statnet.graphical_lasso(X, lam, args.penalize_diagonal,
@@ -163,44 +167,30 @@ def cmd_learn(args) -> int:
             L, gamma, trace = statnet.laplacian_gmrf(X, lam, config)
             _emit_graph(args.output, L)
             print(json.dumps({"gamma": gamma, "iters": trace.iters_used}))
-        log.info("%s lam=%g iters=%d converged=%s kkt_residual=%s", method, lam,
-                 trace.iters_used, trace.converged, trace.notes["kkt_residual"])
-        return 0
-    if method == "nlasso":
-        X = _signals(args)
-        if args.lam == "auto":
-            lam = X.shape[1] * statnet.auto_lambda(*X.shape)
-        else:
-            lam = float(args.lam)
+    elif method == "nlasso":
+        lam = X.shape[1] * statnet.auto_lambda(*X.shape) if args.lam == "auto" else \
+            float(args.lam)
         W, _ = statnet.neighborhood_lasso(X, lam, args.rule, config)
         _emit_graph(args.output, W)
-        return 0
-    if method == "dong":
-        X = _signals(args)
+    elif method == "dong":
         L, Y, trace = smoothlearn.dong_learn(X, args.alpha, args.beta, config)
         _emit_graph(args.output, L)
         if args.denoised_out:
             serialize.write_matrix_csv(args.denoised_out, Y)
-        return 0
-    if method == "kalofolias":
-        X = _signals(args)
+    elif method == "kalofolias":
         Z = X if args.distances else smoothlearn.distance_matrix(X).Z
         W, trace = smoothlearn.kalofolias_learn(Z, args.alpha, args.beta, config)
         _emit_graph(args.output, W)
-        return 0
-    if method == "edge-select":
-        X = _signals(args)
+    elif method == "edge-select":
         if args.noisy:
-            edges, Y, _ = smoothlearn.edge_select_noisy(X, args.k, args.alpha)
+            edges, Y, trace = smoothlearn.edge_select_noisy(X, args.k, args.alpha)
         else:
             edges, _ = smoothlearn.edge_select(X, args.k)
         W = np.zeros((X.shape[0], X.shape[0]))
         for i, j in edges:
             W[i, j] = W[j, i] = 1.0
         _emit_graph(args.output, W)
-        return 0
-    if method in ("spectral", "spectral-partial", "deconv"):
-        X = _signals(args)
+    elif method in ("spectral", "spectral-partial", "deconv"):
         if method == "deconv":
             eps = 0.0 if args.eps == "auto" else args.eps
             S, trace = spectralid.network_deconvolve(X, eps=eps, objective=args.objective,
@@ -220,12 +210,7 @@ def cmd_learn(args) -> int:
         W = np.where(np.abs(S) > thresh, S, 0.0)
         _emit_graph(args.output, ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY))
         log.info("spectral meta: %s", meta)
-        log.info("spectral iters=%d walk_rounds=%s lp_rounds=%s converged=%s "
-                 "kkt_residual=%s", trace.iters_used, trace.notes.get("walk_rounds"),
-                 trace.notes.get("lp_rounds"), trace.converged,
-                 trace.notes.get("kkt_residual"))
-        return 0
-    if method in ("psd-filter", "sym-filter"):
+    elif method in ("psd-filter", "sym-filter"):
         Sx = [serialize.read_matrix_csv(p) for p in args.xcov]
         Sw = [serialize.read_matrix_csv(p) for p in args.wcov]
         if method == "psd-filter":
@@ -235,17 +220,25 @@ def cmd_learn(args) -> int:
             est, signs, info = spectralid.sym_filter_select(Sx, Sw)
         serialize.write_matrix_csv(args.output, est.H)
         print(json.dumps(info))
-        return 0
-    if method == "sem":
-        X = _signals(args)
-        U = serialize.read_matrix_csv(args.exo)
-        data = netdyn.CascadeData(X, U)
-        W, omega, trace = netdyn.sem_fit(data, args.alpha, config)
-        _emit_graph(args.output, W)
-        print(json.dumps({"omega": list(omega)}))
-        return 0
-    if method == "svarm":
-        X = _signals(args)
+    elif method in ("sem", "dsem"):
+        data = netdyn.CascadeData(X, _csv(args, args.exo, "--exo"))
+        if method == "sem":
+            W, omega, trace = netdyn.sem_fit(data, args.alpha, config)
+            _emit_graph(args.output, W)
+            print(json.dumps({"omega": list(omega)}))
+        else:
+            traj = netdyn.dynamic_sem_track(data, args.gamma, args.alpha, config,
+                                            emit_every=args.emit_every)
+            _emit_graph(args.output,
+                        ShiftOperator(traj.weights[-1], ShiftKind.GENERIC,
+                                      directed=True))
+            if args.trajectory_out:
+                serialize.write_report_json(args.trajectory_out, {
+                    "times": traj.times,
+                    "edge_counts": traj.edge_counts,
+                    "objectives": traj.objectives,
+                })
+    elif method == "svarm":
         samples = X.shape[1] - args.lags  # svarm_fit's objective sums over these
         if args.lam != "auto":
             lam = float(args.lam)
@@ -257,24 +250,14 @@ def cmd_learn(args) -> int:
         _emit_graph(args.output,
                     ShiftOperator(edges.astype(float), ShiftKind.GENERIC,
                                   directed=True))
-        return 0
-    if method == "dsem":
-        X = _signals(args)
-        U = serialize.read_matrix_csv(args.exo)
-        data = netdyn.CascadeData(X, U)
-        traj = netdyn.dynamic_sem_track(data, args.gamma, args.alpha, config,
-                                        emit_every=args.emit_every)
-        _emit_graph(args.output,
-                    ShiftOperator(traj.weights[-1], ShiftKind.GENERIC,
-                                  directed=True))
-        if args.trajectory_out:
-            serialize.write_report_json(args.trajectory_out, {
-                "times": traj.times,
-                "edge_counts": traj.edge_counts,
-                "objectives": traj.objectives,
-            })
-        return 0
-    raise BadParameter(f"unknown learn method {method!r}")
+    else:
+        raise BadParameter(f"unknown learn method {method!r}")
+    if trace is not None:
+        fields = [f"status={trace.status}", f"iters_used={trace.iters_used}",
+                  f"kkt_residual={trace.kkt_residual}"]
+        fields += [f"{k}={v}" for k, v in trace.notes.items() if type(v) is int]
+        log.info("%s %s", method, " ".join(fields))
+    return 0
 
 
 # ---------------------------------------------------------------------------

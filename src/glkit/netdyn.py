@@ -116,9 +116,9 @@ def sem_fit(data: CascadeData, alpha: float,
     enforced exactly (node i never sees its own signal as a regressor)
     and the loadings unpenalized; the N row regressions are one
     :func:`lasso_cd_gram` call on the joint [x; u] Gram. Returns
-    (W shift, omega, trace); the trace is converged when every row is,
-    counts the most sweeps any row took and logs the criterion above at
-    the returned (W, omega).
+    (W shift, omega, trace); the trace has the rows' status, counts the
+    most sweeps any row took and logs the criterion above at the
+    returned (W, omega).
     """
     if not 0 <= alpha < np.inf:
         raise BadParameter(f"alpha must be a finite number >= 0, got {alpha!r}")
@@ -126,8 +126,7 @@ def sem_fit(data: CascadeData, alpha: float,
     # the squared-loss criterion carries no 1/2, so the coordinate
     # descent (which minimizes 0.5 LS + lam l1) gets lam = alpha / 2
     W, omega, _, rows = _sem_solve_nodes(G, data.n, alpha / 2.0, config)
-    trace = SolveTrace(converged=rows.converged,
-                       iters_used=max(rows.notes["sweeps"]))
+    trace = SolveTrace(status=rows.status, iters_used=max(rows.notes["sweeps"]))
     trace.log(2.0 * sum(rows.notes["objectives"]))
     return ShiftOperator(W, ShiftKind.GENERIC, directed=True), omega, trace
 

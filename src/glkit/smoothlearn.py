@@ -11,7 +11,6 @@ runs on the same engine.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +141,11 @@ def dong_learn(X, alpha: float, beta: float,
     edge-weight engine under ``config``. The outer objective is
     non-increasing; an iteration that fails to improve it is rolled back
     and the loop stops, as it does once the objective falls by at most
-    ``DONG_OUTER_TOL`` relative; when ``outer_iters`` runs out first, one
-    UserWarning names that cap. ``trace.notes["l_step_converged"]`` lists
-    each L step's engine flag, and ``trace.converged`` holds only
-    when the objective rule stopped the loop and the last accepted L
-    step met the engine's rule. Returns (L, Y, trace). Raises
+    ``DONG_OUTER_TOL`` relative. The status is then the last L step's (its
+    engine warned if it failed), or "stalled", with a warning, for a
+    rollback after a converged L step; it is "max_iters", with a warning,
+    when ``outer_iters`` runs out first. ``trace.notes["l_step_converged"]``
+    lists each L step's engine flag. Returns (L, Y, trace). Raises
     Infeasible for N < 2: no Laplacian with trace N exists on one vertex.
     """
     if not (0 < alpha < np.inf and 0 < beta < np.inf):
@@ -177,13 +176,15 @@ def dong_learn(X, alpha: float, beta: float,
         L, Y, Z_y = L_new, Y_new, Z_new
         trace.log(obj)
         if np.isfinite(best) and best - obj <= DONG_OUTER_TOL * max(1.0, abs(best)):
-            trace.converged = l_trace.converged
-            best = obj
             break
         best = obj
     else:
-        warnings.warn(f"dong_learn stopped at its {outer_iters}-iteration outer cap "
-                      "before DONG_OUTER_TOL held", stacklevel=2)
+        trace.stop("max_iters", "dong_learn", f"its {outer_iters}-iteration outer cap")
+        return L, Y, trace
+    if "rolled_back" in trace.notes and l_trace.converged:
+        trace.stop("stalled", "dong_learn", "an outer step that raised the objective")
+    else:
+        trace.status = l_trace.status  # its own stop warned if it failed
     return L, Y, trace
 
 
@@ -217,7 +218,8 @@ def edge_select_noisy(X, K: int, alpha: float):
     exact rank-ordering step on the scores recomputed from Y. The
     objective ||X - Y||^2 + alpha trace(Y' L Y) is non-increasing; the
     loop stops when the edge set repeats, or warns after
-    ``EDGE_SELECT_OUTER_ITERS`` alternations. Returns (edges, Y, trace).
+    ``EDGE_SELECT_OUTER_ITERS`` alternations ("max_iters"). Returns
+    (edges, Y, trace).
     """
     if not 0 < alpha < np.inf:
         raise BadParameter(f"alpha must be a finite number > 0, got {alpha!r}")
@@ -236,10 +238,10 @@ def edge_select_noisy(X, K: int, alpha: float):
         trace.iters_used = outer + 1
         new_edges, _ = edge_select(Y, K)
         if new_edges == edges:
-            trace.converged = True
+            trace.stop("converged")
             break
         edges = new_edges
     else:
-        warnings.warn(f"edge_select_noisy stopped at its {EDGE_SELECT_OUTER_ITERS}-"
-                      "alternation cap while its edge set still changed", stacklevel=2)
+        trace.stop("max_iters", "edge_select_noisy",
+                   f"its {EDGE_SELECT_OUTER_ITERS}-alternation cap")
     return edges, Y, trace

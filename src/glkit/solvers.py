@@ -70,21 +70,35 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-run diagnostics: objective path, residuals, convergence flag."""
+    """One solve's report. ``status`` is "converged" (a stopping rule
+    held), "exact" (a closed form or an optimal LP), "certified" (the
+    active-set walk's KKT certificate held), "max_iters" (the cap ran out
+    first) or "stalled" (no further progress). ``kkt_residual`` is the
+    optimality residual, None where the solver has none; ``notes`` holds
+    its other work counts."""
 
     objective: list = field(default_factory=list)
-    primal_residuals: list = field(default_factory=list)
-    dual_residuals: list = field(default_factory=list)
-    converged: bool = False
+    status: str = "max_iters"
     iters_used: int = 0
+    kkt_residual: float | None = None
     notes: dict = field(default_factory=dict)
 
-    def log(self, obj: float, primal: float = np.nan, dual: float = np.nan):
+    @property
+    def converged(self) -> bool:
+        return self.status in ("converged", "exact", "certified")
+
+    def log(self, obj: float):
         if not np.isfinite(obj):
             raise BadInput("objective became non-finite")
         self.objective.append(float(obj))
-        self.primal_residuals.append(float(primal))
-        self.dual_residuals.append(float(dual))
+
+    def stop(self, status: str, solver: str = "", limit: str = ""):
+        """Set the status; "max_iters" and "stalled" give the one UserWarning,
+        from the solver's caller, naming ``solver`` and the ``limit`` hit."""
+        self.status = status
+        if not self.converged:
+            warnings.warn(f"{solver} stopped at {limit} before its stopping rule held",
+                          stacklevel=3)
 
 
 def soft_threshold(x, t):
@@ -134,14 +148,17 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
     one per problem) only shifts the logged objective (0.5 ||b||^2 for
     the regression form).
 
-    Returns (B shaped like ``R``, one trace). ``trace.converged`` holds
-    when every problem met its stopping rule; otherwise one UserWarning
-    counts the problems stopped at ``max_iters``. ``iters_used`` sums their
-    sweeps and ``objective`` holds each problem's sweep path in turn.
-    ``notes["sweeps"]`` and ``notes["objectives"]`` list the per-problem
-    sweep counts and final objectives; ``notes["kkt_residual"]`` is the
-    worst projected-subgradient residual over the usable coordinates and
-    ``notes["kkt_scale"]`` the largest max(1, |r|_inf) over them.
+    Returns (B shaped like ``R``, one trace). Its status is "converged"
+    when every problem met its stopping rule, else "max_iters" with one
+    UserWarning counting the problems stopped there. ``iters_used`` sums
+    their sweeps and ``objective`` holds each problem's sweep path in
+    turn. ``notes["sweeps"]`` and ``notes["objectives"]`` list the
+    per-problem sweep counts and final objectives. ``kkt_residual`` is the
+    worst projected-subgradient residual over the allowed coordinates
+    and ``notes["kkt_scale"]`` the largest max(1, |r|_inf) over them. A
+    coordinate's residual is 0 after its update and moves by |G_jk delta_k|
+    per later one, so a converged regression-form solve (G = A'A, r = A'b)
+    has it at most ``tol`` max(1, max|B|) max_j sum_{k != j} |G_jk|.
     """
     config = config or SolverConfig()
     G = np.asarray(G, dtype=float)
@@ -199,23 +216,19 @@ def lasso_cd_gram(G, R, lam, config: SolverConfig | None = None,
                        np.abs(grad + thresh[on] * np.sign(beta[on])))
         kkt = max(kkt, float(res.max(initial=0.0)))
         scale = max(scale, float(np.abs(r[on]).max(initial=0.0)))
-    trace.converged = capped == 0
-    if capped:
-        warnings.warn(f"lasso_cd_gram stopped {capped} of {m} problems at its "
-                      f"{config.max_iters}-sweep cap before its tol rule held",
-                      stacklevel=2)
-    trace.iters_used = sum(sweeps)
-    trace.notes.update(sweeps=sweeps, objectives=finals, kkt_residual=kkt,
-                       kkt_scale=scale)
+    trace.iters_used, trace.kkt_residual = sum(sweeps), kkt
+    trace.notes.update(sweeps=sweeps, objectives=finals, kkt_scale=scale)
+    trace.stop("max_iters" if capped else "converged", "lasso_cd_gram",
+               f"its {config.max_iters}-sweep cap on {capped} of {m} problems")
     return (B if R.ndim == 2 else B[0]), trace
 
 
 def lasso_cd(A, b, lam, config: SolverConfig | None = None, penalty_weights=None):
     """Lasso 0.5 ||b - A beta||^2 + lam ||beta||_1 by coordinate descent.
 
-    Returns (beta, trace); ``trace.converged`` is False, with a warning
-    rather than an exception, when the sweep cap is hit. KKT residuals
-    are reported in ``trace.notes``.
+    Returns (beta, trace) as :func:`lasso_cd_gram` does: status
+    "max_iters", with a warning rather than an exception, when the sweep
+    cap is hit, and the KKT residual as ``trace.kkt_residual``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -244,8 +257,9 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
     factor per trial point. ``adjoint`` is the transpose of theta's linear
     part, ``prox(v, t)`` h's prox and ``penalty`` h (0 for an indicator).
     Stops when the scale-free KKT residual ||x - prox(x - s^2 g, s^2)||_inf
-    / s, s = max|x|, is at most ``tol``, or warns when ``max_iters`` or 60
-    step halvings run out. Returns (x, trace), the residual in its notes.
+    / s, s = max|x|, is at most ``tol`` (status "converged"), or warns when
+    ``max_iters`` ("max_iters") or 60 step halvings ("stalled") run out.
+    Returns (x, trace), the residual as ``trace.kkt_residual``.
     """
 
     def value(x):
@@ -289,12 +303,14 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
         x, F, g = x_new, F_new, g_new
         trace.iters_used += 1
         trace.log(F)
-    trace.converged = residual <= config.tol
-    if not trace.converged:
-        cause = "60 step halvings" if trace.iters_used < config.max_iters else \
-            f"its {config.max_iters}-iteration cap"
-        warnings.warn(f"logdet_prox_gradient stopped at {cause}", stacklevel=3)
-    trace.notes["kkt_residual"] = residual
+    trace.kkt_residual = residual
+    if residual <= config.tol:
+        trace.stop("converged")
+    elif trace.iters_used == config.max_iters:
+        trace.stop("max_iters", "logdet_prox_gradient",
+                   f"its {config.max_iters}-iteration cap")
+    else:
+        trace.stop("stalled", "logdet_prox_gradient", "60 step halvings")
     return x, trace
 
 
@@ -316,8 +332,10 @@ def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
     and u halves when the primal residual r = ||x - z||_F exceeds ten
     times the dual residual s = rho ||z - z_prev||_F, and the reverse
     when s exceeds ten times r. Stops when r and s are both at most
-    ``tol * N * max(1, ||x||_F)`` or after ``max_iters`` iterations.
-    Logs objective(x), r and s every iteration. Returns (x, z, trace).
+    ``tol * N * max(1, ||x||_F)`` (status "converged") or after
+    ``max_iters`` iterations (status "max_iters", with no warning: the
+    caller gives it). Logs objective(x) every iteration. Returns
+    (x, z, trace).
     """
     z = z0
     u = np.zeros_like(z0)
@@ -330,10 +348,10 @@ def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
         u = u + x - z
         r = float(np.linalg.norm(x - z))
         s = rho * float(np.linalg.norm(z - z_prev))
-        trace.log(objective(x), r, s)
+        trace.log(objective(x))
         trace.iters_used = it + 1
         if max(r, s) <= config.tol * x.shape[0] * max(1.0, float(np.linalg.norm(x))):
-            trace.converged = True
+            trace.stop("converged")
             break
         if (it + 1) % 50 == 0:
             if r > 10.0 * s:
@@ -460,8 +478,8 @@ def spectral_gap(V):
     Returns (gap, S, trace). ``gap`` is the smallest ||S - T||_F seen:
     an upper bound on the true gap, hence every eps at or above it is
     feasible. ``S`` is the member of the set that reached it, within
-    ``gap`` of the span. The trace logs each iteration's distance;
-    ``converged`` is False when the cap stopped the loop.
+    ``gap`` of the span. The trace logs each iteration's distance; its
+    status is "max_iters" when the cap stopped the loop.
     """
     V = np.asarray(V, dtype=float)
     coupling = SpectralCoupling(V, 0.0)
@@ -482,14 +500,13 @@ def spectral_gap(V):
         if dist > prev:
             t = 1.0  # restart: the next step is a plain projection pair
         elif prev - dist <= SPECTRAL_GAP_TOL * max(dist, 1e-12):
-            trace.converged = True
+            trace.stop("converged")
             break
         else:
             t = t_next
         prev = dist
     else:
-        warnings.warn(f"spectral_gap stopped at its {SPECTRAL_GAP_MAX_ITERS}-"
-                      "iteration cap before its tol rule held", stacklevel=2)
+        trace.stop("max_iters", "spectral_gap", f"its {SPECTRAL_GAP_MAX_ITERS}-iteration cap")
     return best, best_S, trace
 
 
@@ -546,9 +563,9 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     the full LP has more rows. The final point is projected onto the set
     so that its structural constraints hold exactly.
 
-    Returns (S, lam, trace) with the distance to the coupling set and
-    the last solve's duality gap (0 without a solve) as residuals.
-    ``iters_used`` sums the simplex iterations of all rounds,
+    Returns (S, lam, trace) with status "exact"; a HiGHS solve that ends
+    short of optimality raises SolverError. ``iters_used`` sums the
+    simplex iterations of all rounds,
     ``notes["lp_rounds"]`` counts the solves (0 for the closed form) and
     ``notes["lp_rows"]`` / ``notes["lp_rows_full"]`` give the inequality
     rows of the final solve and of the full LP.
@@ -595,7 +612,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         if (np.abs(a_eq @ x - b_eq) > _LP_FEAS_TOL).any() or (viol > _LP_FEAS_TOL).any():
             raise Infeasible("no member of the constraint set is exactly "
                              "diagonalized by the given basis")
-        lam, gap, converged, rounds, n_rows, nit = x[:k], 0.0, True, 0, 0, 0
+        lam, rounds, n_rows, nit = x[:k], 0, 0, 0
     else:  # free directions remain: HiGHS with row generation
         from scipy.optimize import linprog
 
@@ -630,7 +647,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
             if res.status == 2:
                 raise Infeasible("no member of the constraint set is exactly "
                                  "diagonalized by the given basis")
-            if res.x is None:
+            if res.status != 0:
                 raise SolverError(f"spectral LP failed: {res.message}")
             S = assemble(res.x)
             t = res.x[-1] if objective == "linf" else 0.0
@@ -644,15 +661,10 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
                 new = new[np.argpartition(viol[new], -4 * n)[-4 * n:]]
             active[new] = True
             blocks.append(pool_rows(new))
-        lam, converged, n_rows = res.x[:k], res.status == 0, a_ub.shape[0]
-        gap = abs(res.fun - float(b_eq @ res.eqlin.marginals))
+        lam, n_rows = res.x[:k], a_ub.shape[0]
     S = cset.project(S)
-    Mt = U.T @ S @ U
-    Mt[np.arange(k), np.arange(k)] = 0.0
-    Mt[k:, k:] = 0.0
-    trace = SolveTrace(converged=converged)
-    trace.log(_objective_value(S, objective), float(np.linalg.norm(Mt)), gap)
-    trace.iters_used = nit
+    trace = SolveTrace(status="exact", iters_used=nit)
+    trace.log(_objective_value(S, objective))
     trace.notes.update(constraint_violation=float(cset.violation(S)),
                        lp_rounds=rounds, lp_rows=n_rows, lp_rows_full=coef.size)
     return S, lam.copy(), trace
@@ -750,19 +762,19 @@ class _EdgeKKT:
         return S, Mt, self.c + nu * self.a + 2.0 * mu * (2.0 * w - self.b_op(np.diagonal(Mt)))
 
     def certify(self, S, Mt, z, E):
-        """(S, its coupling projection, {"kkt_residual": ...}) when the
+        """(S, its coupling projection, its KKT residual) when the
         certificate holds on S, else None. Overwrites Mt's diagonal."""
         kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / 2.0
         if (kkt <= self.tol
                 and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
                 and ShiftConstraintSet().violation(S) <= _FINISH_ROUNDING):
-            return S, self.coupling.project(S), {"kkt_residual": kkt}
+            return S, self.coupling.project(S), kkt
         return None
 
     def walk(self, S0):
         """Primal active-set walk (Nocedal & Wright, Numerical
         Optimization, ch. 16) from S0, a member of the set: returns (the
-        certified (S, T, notes) or None, the number of solves).
+        certified (S, T, kkt residual) or None, the number of solves).
 
         The iterate w is a feasible edge vector with support E, at first
         S0's. Each round solves on E. When some weights of the solution
@@ -844,17 +856,17 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     S is unconstrained spectrally, and ignores ``config``. With eps = 0
     and the Frobenius objective the same solve first checks that the set
     meets the span, and its closed-form point, the only feasible one, is
-    returned as is.
+    returned as is. These solves have status "exact".
 
     The set's point nearest zero minimises all three norms on the set,
     where every member's first row sums to 1: within eps of the span it
-    is returned with no iteration, and spectral_gap is not called for a
-    numeric eps. Otherwise, with the l1 objective (so eps > 0), the
-    primal active-set walk of :meth:`_EdgeKKT.walk` runs from
-    the member that :func:`spectral_gap` returns (for eps="auto", the
-    call that set eps). A certified result has ``iters_used`` 0,
-    ``notes["kkt_residual"]`` at most ``tol`` and ``notes["walk_rounds"]``
-    the walk's solves.
+    is returned with no iteration (status "exact"), and spectral_gap is
+    not called for a numeric eps. Otherwise, with the l1 objective (so
+    eps > 0), the primal active-set walk of :meth:`_EdgeKKT.walk` runs
+    from the member that :func:`spectral_gap` returns (for eps="auto",
+    the call that set eps). A certified result has status "certified",
+    ``iters_used`` 0, ``kkt_residual`` at most ``tol`` and
+    ``notes["walk_rounds"]`` the walk's solves.
 
     Every other case (the sup-norm and Frobenius objectives, and a walk
     that fails or cannot start) needs a full basis and runs :func:`admm`
@@ -865,7 +877,8 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     the off-diagonal residual shrunk to the eps-ball. The sup-norm takes
     a third block: x = [S, S] and z = [T, Y], where Y's step is the exact
     prox Y - P(Y) of ||Y||_inf / rho, P projecting onto the l1 ball of
-    radius 1/rho. It warns when the ADMM stops at ``max_iters``.
+    radius 1/rho. Its status is the ADMM's, with no ``kkt_residual``, and
+    it warns when the ADMM stops at ``max_iters``.
 
     Returns (S, lam, trace), lam read off the coupling block. Raises
     Infeasible when no member of the set is exactly diagonalized by V
@@ -901,7 +914,7 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     nearest = constraint_set.project(np.zeros((n, n)))
     done = None
     if _span_distance(V, nearest) <= eps:  # optimal for every objective
-        done = nearest, coupling.project(nearest), {}
+        done = nearest, coupling.project(nearest), None
     elif objective == "l1":
         if start is None:
             start = spectral_gap(V)[1]
@@ -910,9 +923,8 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
             notes["walk_rounds"] = rounds
     if done is not None:
         S, T, kkt = done
-        trace = SolveTrace(converged=True)
-        trace.log(_objective_value(S, objective), float(np.linalg.norm(S - T)))
-        trace.notes.update(kkt)
+        trace = SolveTrace(status="exact" if kkt is None else "certified", kkt_residual=kkt)
+        trace.log(_objective_value(S, objective))
     else:
         copies = 2 if objective == "linf" else 1
 
@@ -926,8 +938,8 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
             lambda X: _objective_value(X[:, :n], objective))
         S, T = S[:, :n], T[:, :n]
         if not trace.converged:
-            warnings.warn(f"admm_l1_spectral stopped at its {config.max_iters}-"
-                          "iteration cap before its tol rule held", stacklevel=2)
+            trace.stop("max_iters", "admm_l1_spectral",
+                       f"its {config.max_iters}-iteration cap")
     trace.notes.update(notes, constraint_violation=float(constraint_set.violation(S)))
     return S, np.diag(V.T @ T @ V).copy(), trace
 
@@ -1050,13 +1062,17 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
     zero). Earlier rounds end the loop once the projected-gradient KKT
     residual of the problem is at most ``tol`` times
     ``trace.notes["kkt_scale"]``. ``max_iters`` caps the Newton steps of
-    all rounds. A solve that stops at that cap, on a step with no
-    descent, or with a weight at ``WEIGHT_CAP`` (zero distances make
-    the beta = 0 log-barrier problem unbounded) has ``converged`` false
-    and gives one UserWarning naming the cause.
+    all rounds. A solve that stops at that cap has status "max_iters";
+    one that stops on a step with no descent, or with a weight at
+    ``WEIGHT_CAP`` (zero distances make the beta = 0 log-barrier problem
+    unbounded), has status "stalled". Either gives one UserWarning.
 
-    Returns (W, trace); ``trace.iters_used`` counts Newton steps and
-    ``trace.notes`` holds the KKT residual and its scale.
+    Returns (W, trace); ``iters_used`` counts Newton steps and
+    ``kkt_residual`` is the problem's projected-gradient KKT residual at W:
+    for a converged solve, at most ``tol`` ``notes["kkt_scale"]`` when an
+    earlier round ended it, else (w = w(v) exactly) at most
+    2 max_i |g'((Bw)_i) - g'(d_i)|, twice that with ``scale_sum``: for the
+    quadratic term, 2 weight ``tol`` ||Bw||_inf.
     """
     config = config or SolverConfig()
     Z = np.asarray(Z, dtype=float)
@@ -1069,7 +1085,7 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
             Z.min(initial=0.0) < -1e-12:
         raise BadInput("Z must be symmetric and nonnegative")
     if n < 2:  # no vertex pairs, nothing to learn
-        return np.zeros((n, n)), SolveTrace(converged=True)
+        return np.zeros((n, n)), SolveTrace(status="exact")
     iu, ju = edge_index(n)
     z = Z[iu, ju]
     barrier = g_spec.kind == "log_barrier"
@@ -1124,7 +1140,7 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
                     return v, wv, k, False
             v = v + t * step
             wv, phi, d_v, curv = trial
-            trace.log(objective(wv), res)
+            trace.log(objective(wv))
         return v, wv, budget, False
 
     def kkt_residual(wv):  # projected-gradient residual of the true problem
@@ -1155,18 +1171,17 @@ def primal_dual_graph(Z, g_spec: DegreeTerm, beta: float,
         if done or trace.iters_used >= config.max_iters or w.max() >= WEIGHT_CAP:
             break
         rho = max(rho / 10.0, beta)
-    capped = bool(w.max() >= WEIGHT_CAP)
-    trace.converged = done and not capped
-    if capped:
+    if w.max() >= WEIGHT_CAP:
         w = np.minimum(w, WEIGHT_CAP)
         trace.notes["weight_cap"] = True
-    if not trace.converged:
-        cause = ("edge weights at WEIGHT_CAP (a near-unbounded problem)" if capped else
-                 f"its {config.max_iters}-step cap" if trace.iters_used >= config.max_iters
-                 else "a Newton step with no descent")
-        warnings.warn(f"primal_dual_graph stopped at {cause} before its tol rule held",
-                      stacklevel=2)
-    trace.notes["kkt_residual"] = kkt_residual(w)
-    trace.notes["kkt_scale"] = kkt_scale
+        trace.stop("stalled", "primal_dual_graph",
+                   "edge weights at WEIGHT_CAP (a near-unbounded problem)")
+    elif done:
+        trace.stop("converged")
+    elif trace.iters_used >= config.max_iters:
+        trace.stop("max_iters", "primal_dual_graph", f"its {config.max_iters}-step cap")
+    else:
+        trace.stop("stalled", "primal_dual_graph", "a Newton step with no descent")
+    trace.kkt_residual, trace.notes["kkt_scale"] = kkt_residual(w), kkt_scale
     trace.log(objective(w))
     return weights_from_edge_vector(w, n), trace

@@ -14,7 +14,6 @@ machinery.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .graphcore import (
     eigendecompose,
     fix_eigenvector_signs,
 )
-from .solvers import ShiftConstraintSet, SolverConfig, admm_l1_spectral
+from .solvers import ShiftConstraintSet, SolveTrace, SolverConfig, admm_l1_spectral
 from .statnet import _as_covariance
 
 
@@ -206,9 +205,9 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
         if abs(prev - cur) <= config.tol * max(1.0, abs(prev)):
             break
         prev = cur
-    else:
-        warnings.warn(f"psd_filter_ls stopped at its {config.max_iters}-iteration "
-                      "cap before its tol rule held", stacklevel=2)
+    else:  # FilterEstimate carries no trace: the warning is the report
+        SolveTrace().stop("max_iters", "psd_filter_ls",
+                          f"its {config.max_iters}-iteration cap")
     vals = np.linalg.eigvalsh(H)
     return FilterEstimate(H, psd=bool(vals.min() >= -1e-8),
                           provenance="psd-least-squares")

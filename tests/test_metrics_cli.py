@@ -310,6 +310,14 @@ class TestSerialize:
             {"flags": {"note": "a%sb"}, "rows": records}, indent=1) + "\n"
 
 
+def solve_line(caplog, method):
+    """The fields of the one solve line that ``glk learn <method>`` logs
+    at info."""
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith(f"{method} status=")]
+    return dict(f.split("=") for f in line.split()[1:])
+
+
 class TestCli:
     def run(self, *argv):
         return cli_main(list(argv))
@@ -384,17 +392,29 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["dong", "--alpha", "nan"], ["dong", "--beta", "inf"],
-        ["lgmrf", "--lambda", "inf"], ["kalofolias", "--alpha", "inf"],
-        ["corr", "--q", "2"], ["corr", "--q", "nan"], ["pcorr", "--q", "0"]])
+        ["dong", "-i", "SIG", "--alpha", "nan"], ["dong", "-i", "SIG", "--beta", "inf"],
+        ["lgmrf", "-i", "SIG", "--lambda", "inf"],
+        ["kalofolias", "-i", "SIG", "--alpha", "inf"],
+        ["corr", "-i", "SIG", "--q", "2"], ["corr", "-i", "SIG", "--q", "nan"],
+        ["pcorr", "-i", "SIG", "--q", "0"],
+        *([m] for m in ("corr", "pcorr", "glasso", "lgmrf", "nlasso", "dong", "kalofolias",
+                        "edge-select", "spectral", "spectral-partial", "deconv", "sem",
+                        "svarm", "dsem")),
+        ["sem", "-i", "SIG"], ["dsem", "-i", "SIG"]])
     def test_out_of_range_parameter_is_usage_error(self, tmp_path, capsys, argv):
         # these once ended in a traceback (exit 1), a data error (exit 3)
-        # or, for q, a silent exit 0
+        # or, for q, a silent exit 0; a missing -i, or a missing --exo for
+        # sem and dsem, raised TypeError (exit 1)
         sig = tmp_path / "sig.csv"
         ser.write_matrix_csv(sig, np.random.default_rng(2).standard_normal((5, 50)))
-        assert self.run("learn", argv[0], "-i", str(sig), *argv[1:],
-                        "-o", str(tmp_path / "x.json")) == 2
-        assert "usage error" in capsys.readouterr().err
+        argv = [str(sig) if a == "SIG" else a for a in argv]
+        assert self.run("learn", *argv, "-o", str(tmp_path / "x.json")) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        if "-i" not in argv:
+            assert f"learn {argv[0]} needs -i/--input" in err
+        elif len(argv) == 3:
+            assert f"learn {argv[0]} needs --exo" in err
 
     def test_single_vertex_eval(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -410,12 +430,10 @@ class TestCli:
                         "--seed", "7", "-o", str(sig)) == 0
         assert self.run("learn", "spectral", "-i", str(sig),
                         "-o", str(tmp_path / "s.json")) == 0
-        [line] = [r.getMessage() for r in caplog.records
-                  if r.getMessage().startswith("spectral iters=")]
-        fields = dict(f.split("=") for f in line.split()[1:])
+        fields = solve_line(caplog, "spectral")
         # eps="auto": the active-set walk certifies before any ADMM iteration
-        assert int(fields["iters"]) == 0 and int(fields["walk_rounds"]) >= 1
-        assert fields["converged"] == "True" and fields["lp_rounds"] == "None"
+        assert int(fields["iters_used"]) == 0 and int(fields["walk_rounds"]) >= 1
+        assert fields["status"] == "certified" and "lp_rounds" not in fields
         assert float(fields["kkt_residual"]) <= 1e-7
 
     def test_exact_spectral_logs_lp_rounds_at_info(self, tmp_path, caplog,
@@ -427,12 +445,10 @@ class TestCli:
         ser.write_matrix_csv(cov, sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
         assert self.run("learn", "spectral", "-i", str(cov), "--eps", "0",
                         "-o", str(tmp_path / "s.json")) == 0
-        [line] = [r.getMessage() for r in caplog.records
-                  if r.getMessage().startswith("spectral iters=")]
-        fields = dict(f.split("=") for f in line.split()[1:])
+        fields = solve_line(caplog, "spectral")
         # the equality rows fix the shift: no LP solve
-        assert fields["lp_rounds"] == "0" and int(fields["iters"]) == 0
-        assert fields["converged"] == "True"
+        assert fields["lp_rounds"] == "0" and int(fields["iters_used"]) == 0
+        assert fields["status"] == "exact" and fields["kkt_residual"] == "None"
         assert capsys.readouterr().out == ""
 
     def test_spectral_on_a_sample_covariance_csv(self, tmp_path, capsys):
@@ -446,26 +462,33 @@ class TestCli:
                         "-o", str(tmp_path / "s.json")) == 0
         assert ser.read_graph_json(tmp_path / "s.json").data.any()
 
-    @pytest.mark.parametrize("method", ["glasso", "lgmrf"])
-    def test_precision_learners_log_their_solve_at_info(self, tmp_path, caplog,
-                                                        monkeypatch, capsys, method):
+    @pytest.mark.parametrize("method,generator,extra,status", [
+        pytest.param(*case, id=case[0]) for case in [
+            ("glasso", "gmrf", [], "converged"), ("lgmrf", "gmrf", [], "converged"),
+            ("dong", "gmrf", [], "converged"), ("kalofolias", "gmrf", [], "converged"),
+            ("edge-select", "gmrf", ["--noisy", "--k", "5"], "converged"),
+            ("spectral-partial", "diffusion", ["--k", "2"], "exact"),
+            ("sem", "sem", ["--exo", "EXO"], "converged")]])
+    def test_learners_log_their_solve_at_info(self, tmp_path, caplog, monkeypatch, capsys,
+                                              method, generator, extra, status):
         monkeypatch.setenv("GLK_LOG", "info")
         caplog.set_level(logging.INFO, logger="glkit")
-        sig = tmp_path / "sig.csv"
-        assert self.run("simulate", "gmrf", "--n", "6", "--p", "200",
-                        "--seed", "3", "-o", str(sig)) == 0
-        assert self.run("learn", method, "-i", str(sig),
+        sig, exo = tmp_path / "sig.csv", tmp_path / "exo.csv"
+        assert self.run("simulate", generator, "--n", "6", "--p", "200", "--seed", "3",
+                        "-o", str(sig), "--exo-out", str(exo)) == 0
+        extra = [str(exo) if a == "EXO" else a for a in extra]
+        assert self.run("learn", method, "-i", str(sig), *extra,
                         "-o", str(tmp_path / "g.json")) == 0
-        [line] = [r.getMessage() for r in caplog.records
-                  if r.getMessage().startswith(f"{method} lam=")]
-        fields = dict(f.split("=") for f in line.split()[1:])
-        assert int(fields["iters"]) >= 1 and fields["converged"] == "True"
-        assert float(fields["kkt_residual"]) <= 1e-7
+        fields = solve_line(caplog, method)
+        assert int(fields["iters_used"]) >= 1 and fields["status"] == status
+        if method in ("glasso", "lgmrf"):
+            assert float(fields["kkt_residual"]) <= 1e-7
+        if method == "spectral-partial":  # a partial basis leaves free directions
+            assert int(fields["lp_rounds"]) >= 1
+        # stdout keeps the one JSON line of the methods that print one
         out = capsys.readouterr().out
-        if method == "lgmrf":  # stdout keeps its one JSON line
-            assert set(json.loads(out)) == {"gamma", "iters"}
-        else:
-            assert out == ""
+        keys = {"lgmrf": {"gamma", "iters"}, "sem": {"omega"}}.get(method)
+        assert set(json.loads(out)) == keys if keys else out == ""
 
     def test_glasso_zero_variance_vertex_exits_4(self, tmp_path, capsys):
         X = np.random.default_rng(23).standard_normal((5, 200))

@@ -140,7 +140,7 @@ class TestKalofolias:
         # weights head for infinity but stay below the safety cap
         from glkit.solvers import WEIGHT_CAP
         assert W.max() <= WEIGHT_CAP
-        assert not trace.converged
+        assert not trace.converged and trace.status == "stalled"
 
     @pytest.mark.parametrize("beta", [0.5, 0.0])
     def test_capped_solve_warns(self, beta):
@@ -148,6 +148,7 @@ class TestKalofolias:
         with pytest.warns(UserWarning, match="3-step cap"):
             _, trace = sl.kalofolias_learn(Z, 1.0, beta, sl.SolverConfig(max_iters=3))
         assert not trace.converged and trace.iters_used == 3
+        assert trace.status == "max_iters"
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(BadParameter):
@@ -192,7 +193,7 @@ class TestDongLearn:
         X = np.random.default_rng(0).standard_normal((30, 100))
         with pytest.warns(UserWarning, match="5-step cap"):
             _, _, capped = sl.dong_learn(X, 0.05, 1.0, sl.SolverConfig(max_iters=5))
-        assert not capped.converged
+        assert not capped.converged and capped.status == "max_iters"
         assert not capped.notes["l_step_converged"][-1]
         _, _, trace = sl.dong_learn(X, 0.05, 1.0)
         assert trace.converged and all(trace.notes["l_step_converged"])
@@ -205,8 +206,9 @@ class TestDongLearn:
             warnings.simplefilter("always")
             _, _, trace = sl.dong_learn(X, 0.05, 1.0, outer_iters=1)
         assert [str(w.message) for w in caught] == [
-            "dong_learn stopped at its 1-iteration outer cap before DONG_OUTER_TOL held"]
+            "dong_learn stopped at its 1-iteration outer cap before its stopping rule held"]
         assert not trace.converged and trace.iters_used == 1
+        assert trace.status == "max_iters"
         assert len(trace.objective) == 1 and "rolled_back" not in trace.notes
 
     def test_worse_iteration_is_rolled_back(self):
@@ -216,8 +218,10 @@ class TestDongLearn:
         with pytest.warns(UserWarning, match="1-step cap"):
             L, Y, trace = sl.dong_learn(X, 0.05, 1.0, config)
             with pytest.warns(UserWarning, match="1-iteration outer cap"):
-                L1, Y1, _ = sl.dong_learn(X, 0.05, 1.0, config, outer_iters=1)
+                L1, Y1, trace1 = sl.dong_learn(X, 0.05, 1.0, config, outer_iters=1)
         assert trace.notes["rolled_back"] and not trace.converged
+        # the rejected L step stopped at its cap, and the solve reports its status
+        assert trace.status == trace1.status == "max_iters"
         assert trace.iters_used == 2 and len(trace.objective) == 1
         # the first iterate is returned, not the rejected second one
         np.testing.assert_array_equal(L.data, L1.data)
@@ -231,7 +235,8 @@ class TestDongLearn:
                                (8, 0.2, 4.0), (8, 0.01, 1.0)]:
             X = rng.standard_normal((n, 12))
             with pytest.warns(UserWarning, match="1-iteration outer cap"):
-                L, _, _ = sl.dong_learn(X, alpha, beta, outer_iters=1)
+                L, _, trace = sl.dong_learn(X, alpha, beta, outer_iters=1)
+            assert trace.status == "max_iters" and not trace.converged
             iu, ju = np.triu_indices(n, 1)
             B = np.zeros((n, iu.size))
             B[iu, np.arange(iu.size)] = B[ju, np.arange(iu.size)] = 1.0
@@ -350,6 +355,7 @@ class TestEdgeSelectNoisy:
         with pytest.warns(UserWarning, match="1-alternation cap") as record:
             _, _, trace = sl.edge_select_noisy(X, 5, alpha=5.0)
         assert len(record) == 1 and not trace.converged and trace.iters_used == 1
+        assert trace.status == "max_iters"
 
     def test_recovery_under_noise(self):
         fs = []

@@ -10,6 +10,7 @@ import glkit.graphcore as gc
 import glkit.simulate as sim
 import glkit.solvers as sv
 import glkit.spectralid as sid
+import glkit.statnet as stn
 from glkit.errors import BadInput, BadParameter, Infeasible
 from glkit.metrics import scale_aligned_error
 
@@ -86,16 +87,17 @@ class TestLassoCD:
     def test_iteration_cap_flags_not_converged(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((50, 20))
-        with pytest.warns(UserWarning, match="1 of 1 problems at its 1-sweep cap"):
+        with pytest.warns(UserWarning, match="its 1-sweep cap on 1 of 1 problems"):
             beta, trace = sv.lasso_cd(A, rng.standard_normal(50), 0.01,
                                       make_config(max_iters=1, tol=1e-14))
-        assert trace.converged is False
+        assert trace.converged is False and trace.status == "max_iters"
         # one warning per call, however many rows stop at the cap
         R = rng.standard_normal((3, 50)) @ A
         with pytest.warns(UserWarning, match="3 of 3 problems") as record:
             _, trace = sv.lasso_cd_gram(A.T @ A, R, 0.01,
                                         make_config(max_iters=1, tol=1e-14))
         assert len(record) == 1 and trace.converged is False
+        assert trace.status == "max_iters"
 
     def test_penalty_weights_exempt_coordinates(self):
         rng = np.random.default_rng(6)
@@ -423,6 +425,7 @@ class TestSpectralGap:
         # the smallest distance seen can only fall with more iterations
         assert capped >= gap > 0
         assert not capped_trace.converged and capped_trace.iters_used == 2
+        assert capped_trace.status == "max_iters" and trace.status == "converged"
         assert trace.converged and 2 < trace.iters_used < sv.SPECTRAL_GAP_MAX_ITERS
         assert len(trace.objective) == trace.iters_used and min(trace.objective) == gap
 
@@ -523,7 +526,7 @@ class TestLogdetProxGradient:
     def test_scalar_likelihood(self):
         x, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v, lambda x: 0.0,
                                            np.array([3.0]), 9.0, make_config())
-        assert trace.converged and trace.notes["kkt_residual"] <= 1e-7
+        assert trace.status == "converged" and trace.kkt_residual <= 1e-7
         assert x[0] == pytest.approx(0.5, rel=1e-7)
 
     def test_capped_and_stalled_solves_warn(self):
@@ -532,6 +535,7 @@ class TestLogdetProxGradient:
                                                np.array([3.0]), 9.0,
                                                make_config(max_iters=3))
         assert not trace.converged and trace.iters_used == 3
+        assert trace.status == "max_iters"
         # from the optimum a "prox" that adds 1 only moves uphill: no step
         # passes the Armijo test
         with pytest.warns(UserWarning, match="60 step halvings"):
@@ -539,6 +543,7 @@ class TestLogdetProxGradient:
                                                lambda x: 0.0,
                                                np.array([0.5]), 1.0, make_config())
         assert not trace.converged and trace.iters_used == 0
+        assert trace.status == "stalled"
 
 
 class TestAdmmKernel:
@@ -553,9 +558,8 @@ class TestAdmmKernel:
                               np.zeros((n, n)), config,
                               lambda x: 0.5 * c * float(((x - a) ** 2).sum()))
         bound = config.tol * n * max(1.0, np.linalg.norm(x))
-        assert trace.converged
-        assert trace.primal_residuals[-1] <= bound
-        assert trace.dual_residuals[-1] <= bound
+        assert trace.status == "converged" and trace.kkt_residual is None
+        assert np.linalg.norm(x - z) <= bound  # the primal residual of the stop
         assert np.abs(z - np.maximum(a, 0.0)).max() <= 1e-5
 
 
@@ -617,8 +621,9 @@ class TestAdmmSpectral:
         basis = gc.eigendecompose(H @ H)
         S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
                                           sv.ShiftConstraintSet())
-        assert trace.primal_residuals[-1] <= 1e-6
-        assert trace.dual_residuals[-1] <= 1e-6
+        assert trace.status == "exact"
+        # S is exactly diagonalized by the basis
+        assert np.linalg.norm(sv._offdiag(basis.vecs.T @ S @ basis.vecs)) <= 1e-6
 
     def test_deterministic(self):
         basis = gc.eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -740,9 +745,9 @@ class TestSupportFinisher:
         cset = sv.ShiftConstraintSet()
         eps = 3.0 * sv.spectral_gap(V)[0]
         S, lam, trace = sv.admm_l1_spectral(V, eps, cset)
-        assert trace.converged and trace.iters_used == 0
+        assert trace.status == "certified" and trace.iters_used == 0
         assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
-        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert trace.kkt_residual <= sv.SolverConfig().tol
         assert trace.notes["eps"] == eps
         oracle = slsqp_oracle(V, eps)
         assert ball_distance(V, oracle) <= eps * (1 + 1e-8)
@@ -760,7 +765,7 @@ class TestSupportFinisher:
         nearest = ball_distance(V, cset.project(np.zeros((8, 8))))
         S, _, trace = sv.admm_l1_spectral(V, nearest * (1 + 1e-3), cset)
         assert not gap_calls and "walk_rounds" not in trace.notes
-        assert trace.converged and trace.iters_used == 0
+        assert trace.status == "exact" and trace.iters_used == 0
         np.testing.assert_array_equal(S, cset.project(np.zeros((8, 8))))
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-12)
         # just inside that distance the ball binds and the walk runs
@@ -778,6 +783,7 @@ class TestSupportFinisher:
         # spectral_gap's point is farther than eps from the span: no walk
         assert len(gap_calls) == 2 and "walk_rounds" not in trace.notes
         assert not trace.converged and trace.iters_used == 1000
+        assert trace.status == "max_iters"
 
     def test_certificate_checks_bind(self, monkeypatch):
         V = sampled_basis(8, 1)
@@ -785,19 +791,21 @@ class TestSupportFinisher:
         eps = 2.0 * sv.spectral_gap(V)[0]
         S, _, trace = sv.admm_l1_spectral(V, eps, cset)
         assert trace.iters_used == 0
-        assert trace.notes["kkt_residual"] > 1e-16  # rounding
+        assert trace.kkt_residual > 1e-16  # rounding
         capped = sv.SolverConfig(max_iters=500)  # the plain ADMM needs 589
         with pytest.warns(UserWarning, match="cap"):
             _, _, trace = sv.admm_l1_spectral(V, eps, cset,
                                               sv.SolverConfig(tol=1e-16, max_iters=500))
-        assert trace.notes["walk_rounds"] >= 1 and "kkt_residual" not in trace.notes
+        assert trace.notes["walk_rounds"] >= 1 and trace.kkt_residual is None
+        assert trace.status == "max_iters" and not trace.converged
         # the solution lies on the ball, outside a negative slack, and the
         # ball check alone rejects it once the set check passes anything
         monkeypatch.setattr(sv, "_FINISH_ROUNDING", -1e-6)
         monkeypatch.setattr(sv.ShiftConstraintSet, "violation", lambda self, M: -np.inf)
         with pytest.warns(UserWarning, match="cap"):
             _, _, trace = sv.admm_l1_spectral(V, eps, cset, capped)
-        assert trace.notes["walk_rounds"] >= 1 and "kkt_residual" not in trace.notes
+        assert trace.notes["walk_rounds"] >= 1 and trace.kkt_residual is None
+        assert trace.status == "max_iters" and not trace.converged
 
     @given(n=hst.integers(5, 10), seed=hst.integers(0, 10_000),
            p=hst.integers(200, 5000), margin=hst.floats(1.1, 4.0))
@@ -809,7 +817,7 @@ class TestSupportFinisher:
         assume(trace.iters_used == 0 and "walk_rounds" in trace.notes)
         assert cset.violation(S) <= 1e-9
         assert ball_distance(V, S) <= eps * (1 + 1e-9)
-        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert trace.kkt_residual <= sv.SolverConfig().tol
 
 
 def er_sampled_basis(n, seed, p):
@@ -840,11 +848,11 @@ class TestActiveSetWalk:
         np.testing.assert_array_equal(lam, cold_lam)
         assert cold_trace.notes == trace.notes
         assume(trace.iters_used == 0 and "walk_rounds" in trace.notes)
-        assert trace.converged
+        assert trace.status == "certified"
         assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
         assert cset.violation(S) <= 1e-9
         assert ball_distance(V, S) <= eps * (1 + 1e-9)
-        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert trace.kkt_residual <= sv.SolverConfig().tol
 
     @pytest.mark.parametrize("n,seed", [(6, 0), (8, 1), (10, 2)])
     def test_walk_matches_slsqp(self, n, seed, gap_calls):
@@ -865,7 +873,7 @@ class TestActiveSetWalk:
         X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
         S, trace, _ = sid.infer_shift_from_signals(X)
         assert trace.iters_used == 0 and trace.notes["walk_rounds"] <= 60
-        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert trace.kkt_residual <= sv.SolverConfig().tol
 
     @pytest.fixture
     def problem(self):
@@ -883,7 +891,7 @@ class TestActiveSetWalk:
         for got, want in zip(out[:2], plain[:2]):
             np.testing.assert_array_equal(got, want)
         assert out[2].converged and out[2].iters_used == plain[2].iters_used > 0
-        assert out[2].notes["walk_rounds"] == 1 and "kkt_residual" not in out[2].notes
+        assert out[2].notes["walk_rounds"] == 1 and out[2].kkt_residual is None
         # the ADMM reaches the walk's optimum to its own accuracy (its S
         # lies in the set, within the tolerance of the ball)
         assert np.abs(out[0]).sum() == pytest.approx(np.abs(walked).sum(), rel=1e-5)
@@ -898,6 +906,7 @@ class TestActiveSetWalk:
         for got, want in zip(out[:2], plain[:2]):
             np.testing.assert_array_equal(got, want)
         assert out[2].notes["walk_rounds"] >= 1 and not out[2].converged
+        assert out[2].status == plain[2].status == "max_iters"
 
     @pytest.mark.parametrize("objective", ["linf", "frobenius"])
     def test_other_objectives_ignore_the_start(self, objective, gap_calls):
@@ -1147,7 +1156,7 @@ class TestPrimalDualGraph:
         W, trace = sv.primal_dual_graph(D / D.max(),
                                         sv.DegreeTerm("log_barrier", 1.0),
                                         0.5)
-        assert trace.notes["kkt_residual"] <= 1e-6 * trace.notes["kkt_scale"]
+        assert trace.kkt_residual <= 1e-6 * trace.notes["kkt_scale"]
 
     def test_simplex_constraint_holds(self):
         rng = np.random.default_rng(17)
@@ -1300,7 +1309,7 @@ class TestEdgeWeightEngine:
         for beta in (0.5, 1e-6, 0.0):
             _, trace = sv.primal_dual_graph(Z, sv.DegreeTerm("log_barrier"), beta)
             assert trace.converged and trace.iters_used <= 500
-            assert trace.notes["kkt_residual"] <= 1e-6 * trace.notes["kkt_scale"]
+            assert trace.kkt_residual <= 1e-6 * trace.notes["kkt_scale"]
 
 
 def test_signless_laplacian_matches_dense_degree_map():
@@ -1332,3 +1341,38 @@ def test_simplex_projection_properties():
                                      "fun": lambda u: u.sum() - s}],
                        method="SLSQP", options={"ftol": 1e-12})
         assert np.abs(p - res.x).max() <= 1e-5
+
+
+@given(solver=hst.sampled_from(["lasso", "logdet", "engine"]),
+       seed=hst.integers(0, 10_000), n=hst.integers(2, 12),
+       tol=hst.sampled_from([1e-4, 1e-7, 1e-10]))
+@settings(max_examples=90)
+def test_converged_solves_report_their_kkt_bound(solver, seed, n, tol):
+    # each kernel's documented bound on the KKT residual of a converged solve
+    rng = np.random.default_rng(seed)
+    config = sv.SolverConfig(tol=tol)
+    if solver == "lasso":
+        A = rng.standard_normal((3 * n, n))
+        R = rng.standard_normal((2, 3 * n)) @ A
+        G = A.T @ A
+        B, trace = sv.lasso_cd_gram(G, R, 0.3 * np.abs(R).max(), config)
+        off = np.abs(G).sum(axis=1) - np.abs(np.diag(G))
+        bound = tol * max(1.0, np.abs(B).max()) * off.max()
+        slack = 1e-12 * np.abs(R).max()
+    elif solver == "logdet":
+        X = rng.standard_normal((n, 4 * n))
+        _, trace = stn.graphical_lasso(X, 0.1, config=config)
+        bound, slack = tol, 0.0
+    else:  # the quadratic degree term, one round (beta > 0) or many (beta = 0)
+        X = rng.standard_normal((n, 5))
+        Z = _sq_distances(X)
+        weight, beta = rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(0.1, 2.0)])
+        scale_sum = None if rng.random() < 0.5 else n / 2.0
+        W, trace = sv.primal_dual_graph(Z, sv.DegreeTerm("quadratic", weight), beta,
+                                        config, scale_sum=scale_sum)
+        last_round = 2.0 * (2.0 if scale_sum else 1.0) * weight * tol * W.sum(axis=1).max()
+        bound = max(tol * trace.notes["kkt_scale"], last_round)
+        slack = 1e-12 * trace.notes["kkt_scale"]
+    assume(trace.converged)
+    assert trace.status == "converged"
+    assert trace.kkt_residual <= bound + slack

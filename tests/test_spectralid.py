@@ -545,7 +545,7 @@ class TestAutoEps:
         S, trace, meta = sid.infer_shift_from_signals(X)
         assert trace.converged and trace.iters_used == 0
         assert 1 <= trace.notes["walk_rounds"] <= 20
-        assert trace.notes["kkt_residual"] <= sv.SolverConfig().tol
+        assert trace.kkt_residual <= sv.SolverConfig().tol
         assert ShiftConstraintSet().violation(S) <= 1e-9
         basis, _ = sid.estimate_eigenbasis(X)
         cold, _, cold_trace = sv.admm_l1_spectral(basis.vecs, meta["eps"],

@@ -304,8 +304,8 @@ class TestGraphicalLasso:
         iters = []
         for tol in (1e-10, 1e-7):
             theta, trace = st.graphical_lasso(X, lam, config=SolverConfig(tol=tol))
-            assert trace.converged
-            assert trace.notes["kkt_residual"] <= tol
+            assert trace.status == "converged"
+            assert trace.kkt_residual <= tol
             iters.append(trace.iters_used)
         assert iters[1] < iters[0]
 
@@ -397,10 +397,11 @@ class TestLaplacianGmrf:
         with pytest.warns(UserWarning, match="2-iteration cap"):
             _, _, trace = st.laplacian_gmrf(X, 0.1, config)
         assert not trace.converged and trace.iters_used == 2
-        assert trace.notes["kkt_residual"] > config.tol
+        assert trace.status == "max_iters" and trace.kkt_residual > config.tol
         with pytest.warns(UserWarning, match="2-iteration cap"):
             _, trace = st.graphical_lasso(X, 0.1, config=config)
         assert not trace.converged and trace.iters_used == 2
+        assert trace.status == "max_iters"
 
     def test_identity_covariance(self):
         L, gamma, _ = st.laplacian_gmrf(np.eye(4), 0.0)
@@ -443,7 +444,7 @@ class TestLaplacianGmrf:
                       d.sum() + 50 * lam)
         s = x.max()
         kkt = np.abs(x - np.maximum(x - s * s * g, 0.0)).max() / s
-        assert trace.notes["kkt_residual"] <= config.tol
+        assert trace.kkt_residual <= config.tol
         assert kkt <= 2.0 * config.tol
 
     def test_small_variance_solves_to_the_mle(self):
