@@ -6,15 +6,14 @@ truth), ``spectrum`` (GFT utilities). Signals travel as headerless CSV
 (row = vertex), graphs as JSON edge lists; see the package README.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 solver
-infeasibility.
+infeasibility, 5 a solve that stopped at its cap or stalled (outputs
+written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 import numpy as np
@@ -24,21 +23,13 @@ from .errors import BadK, BadParameter, DataError, GlkitError, Infeasible, NoMLE
 from .graphcore import ShiftKind, ShiftOperator
 from .solvers import SolverConfig
 
-log = logging.getLogger("glkit")
-
-
-def _setup_logging():
-    level = os.environ.get("GLK_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _load_config(path) -> SolverConfig:
     if path is None:
         return SolverConfig()
     try:
-        payload = json.loads(open(path).read())
+        with open(path) as fh:
+            payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -76,7 +67,6 @@ def _emit_graph(path, W):
     shift = W if isinstance(W, ShiftOperator) else \
         ShiftOperator(np.asarray(W, float), ShiftKind.ADJACENCY)
     serialize.write_shift_any(path, shift)
-    log.info("wrote %s", path)
 
 
 def _default_graph(args, rng):
@@ -138,10 +128,13 @@ def _csv(args, path, flag: str, header: bool = False) -> np.ndarray:
 
 
 def cmd_learn(args) -> int:
-    """Run one learner; at ``GLK_LOG=info`` log its SolveTrace, if any, on
-    one line: status, iters_used, kkt_residual and the integer notes."""
+    """Run one learner and print its one JSON record on stdout: the
+    method; the status, iters_used, kkt_residual and scalar notes of the
+    returned SolveTrace (null and {} for a learner that returns none);
+    and the method's own fields. A solve that stopped at its cap or
+    stalled exits 5, after its outputs and record are written."""
     config = _load_config(args.config)
-    method, trace = args.method, None
+    method, trace, fields = args.method, None, {}
     if method not in ("psd-filter", "sym-filter"):  # these read covariance lists
         X = _csv(args, args.input, "-i/--input", args.header)
     if method in ("corr", "pcorr"):
@@ -166,7 +159,7 @@ def cmd_learn(args) -> int:
         else:
             L, gamma, trace = statnet.laplacian_gmrf(X, lam, config)
             _emit_graph(args.output, L)
-            print(json.dumps({"gamma": gamma, "iters": trace.iters_used}))
+            fields = {"gamma": gamma}
     elif method == "nlasso":
         lam = X.shape[1] * statnet.auto_lambda(*X.shape) if args.lam == "auto" else \
             float(args.lam)
@@ -195,37 +188,36 @@ def cmd_learn(args) -> int:
             eps = 0.0 if args.eps == "auto" else args.eps
             S, trace = spectralid.network_deconvolve(X, eps=eps, objective=args.objective,
                                                      config=config)
-            meta = {}
         elif method == "spectral-partial":
             basis, flags = spectralid.estimate_eigenbasis(X)
             if not 0 <= args.k <= basis.n:
                 raise BadK(f"--k {args.k} outside 0..{basis.n}")
             keep = basis.vecs[:, -args.k:] if args.k else basis.vecs[:, ~flags]
             S, trace = spectralid.infer_shift_partial(keep)
-            meta = {"kept": keep.shape[1]}
+            fields = {"kept": keep.shape[1]}
         else:
             S, trace, meta = spectralid.infer_shift_from_signals(
                 X, eps=args.eps, objective=args.objective, config=config)
+            fields = {k: v for k, v in meta.items() if k != "eps"}  # eps is a note
         thresh = metrics.DEFAULT_SUPPORT_THRESHOLD * max(np.abs(S).max(), 1e-30)
         W = np.where(np.abs(S) > thresh, S, 0.0)
         _emit_graph(args.output, ShiftOperator(0.5 * (W + W.T), ShiftKind.ADJACENCY))
-        log.info("spectral meta: %s", meta)
     elif method in ("psd-filter", "sym-filter"):
-        Sx = [serialize.read_matrix_csv(p) for p in args.xcov]
-        Sw = [serialize.read_matrix_csv(p) for p in args.wcov]
+        # an absent flag reads as [None], which _csv reports as a usage error
+        Sx = [_csv(args, p, "--xcov") for p in args.xcov or [None]]
+        Sw = [_csv(args, p, "--wcov") for p in args.wcov or [None]]
         if method == "psd-filter":
-            est = spectralid.psd_filter_ls(Sx, Sw, config=config)
-            info = {"psd": est.psd, "provenance": est.provenance}
+            est, trace = spectralid.psd_filter_ls(Sx, Sw, config=config)
+            fields = {"psd": est.psd, "provenance": est.provenance}
         else:
-            est, signs, info = spectralid.sym_filter_select(Sx, Sw)
+            est, _, fields = spectralid.sym_filter_select(Sx, Sw)
         serialize.write_matrix_csv(args.output, est.H)
-        print(json.dumps(info))
     elif method in ("sem", "dsem"):
         data = netdyn.CascadeData(X, _csv(args, args.exo, "--exo"))
         if method == "sem":
             W, omega, trace = netdyn.sem_fit(data, args.alpha, config)
             _emit_graph(args.output, W)
-            print(json.dumps({"omega": list(omega)}))
+            fields = {"omega": list(omega)}
         else:
             traj = netdyn.dynamic_sem_track(data, args.gamma, args.alpha, config,
                                             emit_every=args.emit_every)
@@ -252,12 +244,15 @@ def cmd_learn(args) -> int:
                                   directed=True))
     else:
         raise BadParameter(f"unknown learn method {method!r}")
+    record = {"method": method, "status": None, "iters_used": None,
+              "kkt_residual": None, "notes": {}}
     if trace is not None:
-        fields = [f"status={trace.status}", f"iters_used={trace.iters_used}",
-                  f"kkt_residual={trace.kkt_residual}"]
-        fields += [f"{k}={v}" for k, v in trace.notes.items() if type(v) is int]
-        log.info("%s %s", method, " ".join(fields))
-    return 0
+        record.update(status=trace.status, iters_used=trace.iters_used,
+                      kkt_residual=trace.kkt_residual,
+                      notes={k: v for k, v in trace.notes.items()
+                             if isinstance(v, (int, float))})
+    print(json.dumps({**record, **fields}))
+    return 5 if trace is not None and not trace.converged else 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -168,8 +168,7 @@ def psd_filter_recover(Sigma_x, Sigma_w) -> FilterEstimate:
     return FilterEstimate(0.5 * (H + H.T), psd=True, provenance="psd-closed-form")
 
 
-def psd_filter_ls(Sigma_x_list, Sigma_w_list,
-                  config: SolverConfig | None = None) -> FilterEstimate:
+def psd_filter_ls(Sigma_x_list, Sigma_w_list, config: SolverConfig | None = None):
     """PSD-constrained least-squares filter fit across M processes.
 
     Minimizes the mean of || R_m - Q_m H Q_m ||_F^2 over H >= 0,
@@ -177,7 +176,9 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
     square root of Q_m Sigma_x_m Q_m, by projected gradient descent on
     the PSD cone. With exact covariances and M = 1 this matches the
     closed form. Stops when the objective changes by at most ``tol``
-    relative, or warns when ``max_iters`` runs out first.
+    relative (status "converged"), or warns when ``max_iters`` runs out
+    first (status "max_iters"); ``kkt_residual`` is None. Returns
+    (FilterEstimate, SolveTrace).
     """
     config = config or SolverConfig()
     Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
@@ -195,22 +196,24 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list,
         return sum(w * np.linalg.norm(R[k] - Q[k] @ Hc @ Q[k]) ** 2
                    for k, w in enumerate(wts))
 
+    trace = SolveTrace()
     prev = objective(H)
-    for _ in range(config.max_iters):
+    for it in range(config.max_iters):
+        trace.iters_used = it + 1
         grad = sum(2.0 * w * (Q[k] @ (Q[k] @ H @ Q[k] - R[k]) @ Q[k])
                    for k, w in enumerate(wts))
         vals, vecs = _eigh_psd(H - step * grad)
         H = (vecs * vals) @ vecs.T
         cur = objective(H)
         if abs(prev - cur) <= config.tol * max(1.0, abs(prev)):
+            trace.stop("converged")
             break
         prev = cur
-    else:  # FilterEstimate carries no trace: the warning is the report
-        SolveTrace().stop("max_iters", "psd_filter_ls",
-                          f"its {config.max_iters}-iteration cap")
+    else:
+        trace.stop("max_iters", "psd_filter_ls", f"its {config.max_iters}-iteration cap")
     vals = np.linalg.eigvalsh(H)
     return FilterEstimate(H, psd=bool(vals.min() >= -1e-8),
-                          provenance="psd-least-squares")
+                          provenance="psd-least-squares"), trace
 
 
 def sym_filter_select(Sigma_x_list, Sigma_w_list):

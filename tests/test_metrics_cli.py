@@ -1,5 +1,4 @@
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -310,17 +309,129 @@ class TestSerialize:
             {"flags": {"note": "a%sb"}, "rows": records}, indent=1) + "\n"
 
 
-def solve_line(caplog, method):
-    """The fields of the one solve line that ``glk learn <method>`` logs
-    at info."""
-    [line] = [r.getMessage() for r in caplog.records
-              if r.getMessage().startswith(f"{method} status=")]
-    return dict(f.split("=") for f in line.split()[1:])
+def learn_record(capsys):
+    """The one JSON record that ``glk learn`` printed on stdout."""
+    [line] = capsys.readouterr().out.splitlines()
+    return json.loads(line)
+
+
+RECORD_KEYS = {"method", "status", "iters_used", "kkt_residual", "notes"}
+# each method's own record fields; the learners in NO_TRACE return no
+# SolveTrace, so their status, iters_used and kkt_residual are null
+METHOD_FIELDS = {"lgmrf": {"gamma"}, "sem": {"omega"}, "psd-filter": {"psd", "provenance"},
+                 "sym-filter": {"identifiable", "residual"}, "spectral-partial": {"kept"}}
+NO_TRACE = {"corr", "pcorr", "edge-select", "nlasso", "svarm", "dsem", "sym-filter"}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Small seeded inputs for every command path: GMRF signals (N=6) and
+    their graph as JSON and as a CSV matrix, diffusion signals (N=10) and
+    their exact covariance, SEM signals with their inputs, and two
+    processes' filter covariances, consistent (x, w) and not (xr, wr)."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    rng = np.random.default_rng(9)
+    G = sim.gen_er_graph(6, 0.4, rng=3, require_connected=True)
+    L = G.weights()
+    theta = np.diag(L.sum(axis=1)) - L + 0.5 * np.eye(6)
+    ser.write_matrix_csv(d / "gm.csv", sim.sample_gmrf(theta, 200, rng).data)
+    ser.write_graph_json(d / "gm.json", G)
+    ser.write_matrix_csv(d / "gm_graph.csv", G.data)
+    D = sim.gen_er_graph(10, 0.3, rng=7, require_connected=True)
+    ser.write_matrix_csv(d / "diff.csv", sim.gen_diffusion(D, [1.0, 0.5, 0.2], 500, rng=rng).data)
+    ser.write_matrix_csv(d / "cov.csv", sim.diffusion_covariance(D, [1.0, 0.5, 0.2]))
+    W = sim.gen_er_digraph(6, 0.3, radius=0.5, rng=rng)
+    U = rng.standard_normal((6, 200))
+    ser.write_matrix_csv(d / "x.csv", sim.gen_sem(W, np.eye(6), U, 0.1, rng).data)
+    ser.write_matrix_csv(d / "u.csv", U)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    H = (Q * rng.uniform(0.5, 2.0, 4)) @ Q.T
+    for k, Sw in enumerate([np.eye(4), np.diag(rng.uniform(0.5, 2.0, 4))]):
+        ser.write_matrix_csv(d / f"w{k}.csv", Sw)
+        ser.write_matrix_csv(d / f"x{k}.csv", H @ Sw @ H.T)
+        A, B = rng.standard_normal((2, 4, 4))  # no single filter fits these
+        ser.write_matrix_csv(d / f"wr{k}.csv", B @ B.T + np.eye(4))
+        ser.write_matrix_csv(d / f"xr{k}.csv", A @ A.T + np.eye(4))
+    return d
+
+
+def _covs(x, w):
+    return ["--xcov", f"{{d}}/{x}0.csv", "--xcov", f"{{d}}/{x}1.csv",
+            "--wcov", f"{{d}}/{w}0.csv", "--wcov", f"{{d}}/{w}1.csv"]
+
+
+# one command line per path: the 16 learn methods (plain edge-select,
+# the deconvolution success path), the spectrum ops that print or write
+# a matrix, and simulate's ER and --graph paths. An output named .csv
+# takes the CSV branch of serialize.write_shift_any, and a --graph CSV
+# that of serialize.read_shift_any.
+COMMAND_PATHS = [pytest.param(argv, id=name) for name, argv in [
+    *((f"learn-{m}", ["learn", m, "-i", "{d}/gm.csv", "-o", "OUT.json"])
+      for m in ("pcorr", "glasso", "lgmrf", "nlasso", "dong", "kalofolias")),
+    ("learn-corr", ["learn", "corr", "-i", "{d}/gm.csv", "-o", "OUT.csv"]),
+    ("learn-edge-select", ["learn", "edge-select", "-i", "{d}/gm.csv", "--k", "5",
+                           "-o", "OUT.json"]),
+    ("learn-spectral", ["learn", "spectral", "-i", "{d}/diff.csv", "-o", "OUT.json"]),
+    ("learn-spectral-partial", ["learn", "spectral-partial", "-i", "{d}/diff.csv",
+                                "--k", "4", "-o", "OUT.json"]),
+    ("learn-deconv", ["learn", "deconv", "-i", "{d}/cov.csv", "-o", "OUT.json"]),
+    ("learn-psd-filter", ["learn", "psd-filter", *_covs("x", "w"), "-o", "OUT.csv"]),
+    ("learn-sym-filter", ["learn", "sym-filter", *_covs("x", "w"), "-o", "OUT.csv"]),
+    ("learn-sem", ["learn", "sem", "-i", "{d}/x.csv", "--exo", "{d}/u.csv", "-o", "OUT.json"]),
+    ("learn-dsem", ["learn", "dsem", "-i", "{d}/x.csv", "--exo", "{d}/u.csv",
+                    "-o", "OUT.json"]),
+    ("learn-svarm", ["learn", "svarm", "-i", "{d}/x.csv", "-o", "OUT.json"]),
+    ("spectrum-tv", ["spectrum", "--op", "tv", "--graph", "{d}/gm.json", "-i", "{d}/gm.csv"]),
+    *((f"spectrum-{op}", ["spectrum", "--op", op, "--graph", "{d}/gm_graph.csv",
+                          "-i", "{d}/gm.csv", "-o", "OUT.csv"])
+      for op in ("psd", "gft", "igft")),
+    ("simulate-er", ["simulate", "er", "--n", "8", "--seed", "2", "-o", "OUT.json"]),
+    ("simulate-graph", ["simulate", "smooth", "--graph", "{d}/gm_graph.csv", "--p", "40",
+                        "--seed", "2", "-o", "OUT.csv"]),
+]]
 
 
 class TestCli:
     def run(self, *argv):
         return cli_main(list(argv))
+
+    @pytest.mark.parametrize("argv", COMMAND_PATHS)
+    def test_command_paths(self, cli_inputs, tmp_path, capsys, argv):
+        argv = [a.format(d=cli_inputs).replace("OUT", str(tmp_path / "out")) for a in argv]
+        assert self.run(*argv) == 0
+        if argv[:3] == ["spectrum", "--op", "tv"]:  # prints, writes nothing
+            assert len(json.loads(capsys.readouterr().out)["total_variation"]) == 200
+            return
+        out = Path(argv[argv.index("-o") + 1])
+        assert (ser.read_matrix_csv(out) if out.suffix == ".csv" else
+                ser.read_shift_any(out).data).size > 0
+        if argv[0] != "learn":
+            return
+        method = argv[1]
+        record = learn_record(capsys)
+        assert record["method"] == method
+        assert set(record) == RECORD_KEYS | METHOD_FIELDS.get(method, set())
+        if method in NO_TRACE:
+            assert (record["status"], record["iters_used"], record["kkt_residual"],
+                    record["notes"]) == (None, None, None, {})
+        else:
+            assert record["status"] in ("converged", "exact", "certified")
+            assert all(type(v) in (int, float, bool) for v in record["notes"].values())
+
+    @pytest.mark.parametrize("method,argv", [
+        ("glasso", ["-i", "{d}/gm.csv"]), ("kalofolias", ["-i", "{d}/gm.csv"]),
+        ("psd-filter", _covs("xr", "wr"))])
+    def test_capped_solve_exits_5(self, cli_inputs, tmp_path, capsys, method, argv):
+        # the outputs and the record are written first; the solve warns once
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text('{"max_iters": 1}')
+        argv = [a.format(d=cli_inputs) for a in argv]
+        with pytest.warns(UserWarning, match="stopped at its 1-") as warned:
+            code = self.run("learn", method, *argv, "--config", str(cfg), "-o", str(out))
+        assert code == 5 and len(warned) == 1
+        assert ser.read_matrix_csv(out).shape in ((6, 6), (4, 4))
+        record = learn_record(capsys)
+        assert record["status"] == "max_iters" and record["iters_used"] == 1
 
     def test_pipeline_smoke(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
@@ -328,7 +439,9 @@ class TestCli:
         shat = tmp_path / "shat.json"
         assert self.run("simulate", "diffusion", "--n", "10", "--p", "500",
                         "--seed", "7", "-o", str(sig), "--graph-out", str(g)) == 0
+        capsys.readouterr()
         assert self.run("learn", "spectral", "-i", str(sig), "-o", str(shat)) == 0
+        assert learn_record(capsys)["status"] == "certified"
         assert self.run("eval", "-i", str(shat), "--truth", str(g)) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {"precision", "recall", "f_score",
@@ -400,18 +513,23 @@ class TestCli:
         *([m] for m in ("corr", "pcorr", "glasso", "lgmrf", "nlasso", "dong", "kalofolias",
                         "edge-select", "spectral", "spectral-partial", "deconv", "sem",
                         "svarm", "dsem")),
-        ["sem", "-i", "SIG"], ["dsem", "-i", "SIG"]])
+        ["sem", "-i", "SIG"], ["dsem", "-i", "SIG"],
+        ["psd-filter"], ["sym-filter"], ["psd-filter", "--xcov", "SIG"],
+        ["sym-filter", "--xcov", "SIG"]])
     def test_out_of_range_parameter_is_usage_error(self, tmp_path, capsys, argv):
         # these once ended in a traceback (exit 1), a data error (exit 3)
         # or, for q, a silent exit 0; a missing -i, or a missing --exo for
-        # sem and dsem, raised TypeError (exit 1)
+        # sem and dsem, raised TypeError (exit 1), and a missing --xcov or
+        # --wcov of the filter methods was a data error (exit 3)
         sig = tmp_path / "sig.csv"
         ser.write_matrix_csv(sig, np.random.default_rng(2).standard_normal((5, 50)))
         argv = [str(sig) if a == "SIG" else a for a in argv]
         assert self.run("learn", *argv, "-o", str(tmp_path / "x.json")) == 2
         err = capsys.readouterr().err
         assert "usage error" in err
-        if "-i" not in argv:
+        if argv[0].endswith("-filter"):
+            assert f"learn {argv[0]} needs {'--wcov' if '--xcov' in argv else '--xcov'}" in err
+        elif "-i" not in argv:
             assert f"learn {argv[0]} needs -i/--input" in err
         elif len(argv) == 3:
             assert f"learn {argv[0]} needs --exo" in err
@@ -422,34 +540,31 @@ class TestCli:
         assert self.run("eval", "-i", str(g), "--truth", str(g)) == 0
         assert json.loads(capsys.readouterr().out)["topk_curve"] == []
 
-    def test_spectral_logs_its_solve_at_info(self, tmp_path, caplog, monkeypatch):
-        monkeypatch.setenv("GLK_LOG", "info")
-        caplog.set_level(logging.INFO, logger="glkit")
+    def test_spectral_logs_its_solve_at_info(self, tmp_path, capsys):
+        # the solve is reported by the stdout record (once an info log line)
         sig = tmp_path / "sig.csv"
         assert self.run("simulate", "diffusion", "--n", "10", "--p", "500",
                         "--seed", "7", "-o", str(sig)) == 0
         assert self.run("learn", "spectral", "-i", str(sig),
                         "-o", str(tmp_path / "s.json")) == 0
-        fields = solve_line(caplog, "spectral")
+        record = learn_record(capsys)
+        notes = record["notes"]
         # eps="auto": the active-set walk certifies before any ADMM iteration
-        assert int(fields["iters_used"]) == 0 and int(fields["walk_rounds"]) >= 1
-        assert fields["status"] == "certified" and "lp_rounds" not in fields
-        assert float(fields["kkt_residual"]) <= 1e-7
+        assert record["iters_used"] == 0 and notes["walk_rounds"] >= 1
+        assert record["status"] == "certified" and "lp_rounds" not in notes
+        assert record["kkt_residual"] <= 1e-7 and notes["eps"] > 0
+        assert set(record) == RECORD_KEYS  # eps is a note, not a meta field
 
-    def test_exact_spectral_logs_lp_rounds_at_info(self, tmp_path, caplog,
-                                                   monkeypatch, capsys):
-        monkeypatch.setenv("GLK_LOG", "info")
-        caplog.set_level(logging.INFO, logger="glkit")
+    def test_exact_spectral_logs_lp_rounds_at_info(self, tmp_path, capsys):
         G = sim.gen_er_graph(10, 0.4, rng=3, require_connected=True)
         cov = tmp_path / "cov.csv"
         ser.write_matrix_csv(cov, sim.diffusion_covariance(G, [1.0, 0.5, 0.2]))
         assert self.run("learn", "spectral", "-i", str(cov), "--eps", "0",
                         "-o", str(tmp_path / "s.json")) == 0
-        fields = solve_line(caplog, "spectral")
+        record = learn_record(capsys)
         # the equality rows fix the shift: no LP solve
-        assert fields["lp_rounds"] == "0" and int(fields["iters_used"]) == 0
-        assert fields["status"] == "exact" and fields["kkt_residual"] == "None"
-        assert capsys.readouterr().out == ""
+        assert record["notes"]["lp_rounds"] == 0 and record["iters_used"] == 0
+        assert record["status"] == "exact" and record["kkt_residual"] is None
 
     def test_spectral_on_a_sample_covariance_csv(self, tmp_path, capsys):
         # a sampled basis is infeasible at eps = 0, so --eps auto solves at
@@ -469,26 +584,24 @@ class TestCli:
             ("edge-select", "gmrf", ["--noisy", "--k", "5"], "converged"),
             ("spectral-partial", "diffusion", ["--k", "2"], "exact"),
             ("sem", "sem", ["--exo", "EXO"], "converged")]])
-    def test_learners_log_their_solve_at_info(self, tmp_path, caplog, monkeypatch, capsys,
+    def test_learners_log_their_solve_at_info(self, tmp_path, capsys,
                                               method, generator, extra, status):
-        monkeypatch.setenv("GLK_LOG", "info")
-        caplog.set_level(logging.INFO, logger="glkit")
+        # the solve is reported by the stdout record (once an info log line)
         sig, exo = tmp_path / "sig.csv", tmp_path / "exo.csv"
         assert self.run("simulate", generator, "--n", "6", "--p", "200", "--seed", "3",
                         "-o", str(sig), "--exo-out", str(exo)) == 0
         extra = [str(exo) if a == "EXO" else a for a in extra]
         assert self.run("learn", method, "-i", str(sig), *extra,
                         "-o", str(tmp_path / "g.json")) == 0
-        fields = solve_line(caplog, method)
-        assert int(fields["iters_used"]) >= 1 and fields["status"] == status
+        record = learn_record(capsys)
+        assert record["iters_used"] >= 1 and record["status"] == status
         if method in ("glasso", "lgmrf"):
-            assert float(fields["kkt_residual"]) <= 1e-7
+            assert record["kkt_residual"] <= 1e-7
         if method == "spectral-partial":  # a partial basis leaves free directions
-            assert int(fields["lp_rounds"]) >= 1
-        # stdout keeps the one JSON line of the methods that print one
-        out = capsys.readouterr().out
-        keys = {"lgmrf": {"gamma", "iters"}, "sem": {"omega"}}.get(method)
-        assert set(json.loads(out)) == keys if keys else out == ""
+            assert record["notes"]["lp_rounds"] >= 1
+        # the methods' own fields join the record (lgmrf's former "iters"
+        # key is the record's iters_used)
+        assert set(record) == RECORD_KEYS | METHOD_FIELDS.get(method, set())
 
     def test_glasso_zero_variance_vertex_exits_4(self, tmp_path, capsys):
         X = np.random.default_rng(23).standard_normal((5, 200))

@@ -3,7 +3,8 @@ import pytest
 
 import glkit.graphcore as gc
 import glkit.simulate as sim
-from glkit.errors import CannotConnect, NotPositiveDefinite, UnstableSEM
+from glkit.errors import (BadDimension, BadParameter, CannotConnect, NotPositiveDefinite,
+                          UnstableSEM)
 
 
 class TestErGraph:
@@ -118,6 +119,25 @@ class TestDiffusion:
             err = np.abs(emp - Sigma)
             hits.append(np.mean(err <= 5.0 / np.sqrt(p) * max(1, Sigma.max())))
         assert np.mean(hits) >= 0.99
+
+    def test_colored_input_draws_its_ensemble_covariance(self):
+        # w = C^1/2 z, so the draw's covariance is H C H', not H H'
+        G = sim.gen_er_graph(6, 0.5, rng=10)
+        h = [1.0, 0.5]
+        C = np.diag([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        Sigma = sim.diffusion_covariance(G, h, C)
+        p = 200_000
+        X = sim.gen_diffusion(G, h, p, input_cov=C, rng=3)
+        emp = (X.data @ X.data.T) / p
+        assert np.abs(emp - Sigma).max() <= 5.0 * np.sqrt(2.0 / p) * Sigma.max()
+        assert np.abs(emp - sim.diffusion_covariance(G, h)).max() >= 0.1
+
+    def test_bad_input_covariance_rejected(self):
+        G = sim.gen_er_graph(4, 0.5, rng=1)
+        with pytest.raises(BadDimension):
+            sim.gen_diffusion(G, [1.0], 10, input_cov=np.eye(3), rng=1)
+        with pytest.raises(BadParameter):
+            sim.gen_diffusion(G, [1.0], 10, input_cov="pink", rng=1)
 
 
 class TestSmooth:

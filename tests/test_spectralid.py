@@ -205,13 +205,16 @@ class TestPsdFilterLs:
         M = rng.standard_normal((5, 5))
         Sw = M @ M.T + np.eye(5)
         Sx = H @ Sw @ H.T
-        ls = sid.psd_filter_ls([Sx], [Sw])
+        ls, trace = sid.psd_filter_ls([Sx], [Sw])
         closed = sid.psd_filter_recover(Sx, Sw)
         assert np.abs(ls.H - closed.H).max() <= 1e-6
+        assert trace.status == "converged" and trace.iters_used >= 1
+        assert trace.kkt_residual is None  # it stops on the objective change
 
     def test_identity_everything(self):
-        est = sid.psd_filter_ls([np.eye(3)], [np.eye(3)])
+        est, trace = sid.psd_filter_ls([np.eye(3)], [np.eye(3)])
         np.testing.assert_allclose(est.H, np.eye(3), atol=1e-8)
+        assert trace.converged
 
     def test_capped_fit_warns(self):
         rng = np.random.default_rng(12)
@@ -221,8 +224,10 @@ class TestPsdFilterLs:
             Sx.append(A @ A.T + np.eye(4))
             Sw.append(B @ B.T + np.eye(4))
         with pytest.warns(UserWarning, match="1-iteration cap") as record:
-            est = sid.psd_filter_ls(Sx, Sw, sv.SolverConfig(max_iters=1))
+            est, trace = sid.psd_filter_ls(Sx, Sw, sv.SolverConfig(max_iters=1))
         assert len(record) == 1 and est.psd
+        assert trace.status == "max_iters" and not trace.converged
+        assert trace.iters_used == 1
 
     def test_joint_fit_beats_single_process_plugins(self):
         rng = np.random.default_rng(11)
@@ -235,7 +240,8 @@ class TestPsdFilterLs:
         for k in range(2):
             E = 0.05 * rng.standard_normal((n, n))
             Sx.append(H @ Sw[k] @ H.T + E @ E.T)
-        joint = sid.psd_filter_ls(Sx, Sw)
+        joint, trace = sid.psd_filter_ls(Sx, Sw)
+        assert trace.converged
 
         def objective(Hc):
             tot = 0.0
