@@ -63,7 +63,6 @@ from .solvers import (
     ShiftConstraintSet,
     SolveTrace,
     SolverConfig,
-    admm_l1_spectral,
     lasso_cd,
     primal_dual_graph,
 )
@@ -72,7 +71,6 @@ from .spectralid import (
     estimate_eigenbasis,
     infer_shift,
     infer_shift_from_signals,
-    infer_shift_partial,
     network_deconvolve,
     psd_filter_ls,
     psd_filter_recover,

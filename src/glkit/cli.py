@@ -137,6 +137,8 @@ def cmd_learn(args) -> int:
     method, trace, fields = args.method, None, {}
     if method not in ("psd-filter", "sym-filter"):  # these read covariance lists
         X = _csv(args, args.input, "-i/--input", args.header)
+    if args.k is None and method in ("edge-select", "spectral-partial"):
+        raise BadParameter(f"learn {method} needs --k")
     if method in ("corr", "pcorr"):
         if method == "corr":
             table, W = statnet.correlation_network(X, args.q)
@@ -163,7 +165,7 @@ def cmd_learn(args) -> int:
     elif method == "nlasso":
         lam = X.shape[1] * statnet.auto_lambda(*X.shape) if args.lam == "auto" else \
             float(args.lam)
-        W, _ = statnet.neighborhood_lasso(X, lam, args.rule, config)
+        W, _, trace = statnet.neighborhood_lasso(X, lam, args.rule, config)
         _emit_graph(args.output, W)
     elif method == "dong":
         L, Y, trace = smoothlearn.dong_learn(X, args.alpha, args.beta, config)
@@ -189,12 +191,11 @@ def cmd_learn(args) -> int:
             S, trace = spectralid.network_deconvolve(X, eps=eps, objective=args.objective,
                                                      config=config)
         elif method == "spectral-partial":
-            basis, flags = spectralid.estimate_eigenbasis(X)
-            if not 0 <= args.k <= basis.n:
-                raise BadK(f"--k {args.k} outside 0..{basis.n}")
-            keep = basis.vecs[:, -args.k:] if args.k else basis.vecs[:, ~flags]
-            S, trace = spectralid.infer_shift_partial(keep)
-            fields = {"kept": keep.shape[1]}
+            basis, _ = spectralid.estimate_eigenbasis(X)
+            if not 1 <= args.k <= basis.n:
+                raise BadK(f"--k {args.k} outside 1..{basis.n}")
+            S, _, trace = spectralid.infer_shift(basis.vecs[:, -args.k:])
+            fields = {"kept": args.k}
         else:
             S, trace, meta = spectralid.infer_shift_from_signals(
                 X, eps=args.eps, objective=args.objective, config=config)
@@ -238,7 +239,7 @@ def cmd_learn(args) -> int:
             lam = samples * statnet.auto_lambda(X.shape[0] * args.lags, samples)
         else:
             lam = 0.0
-        edges, Ws = netdyn.svarm_fit(X, args.lags, lam, args.rule, config)
+        edges, _, trace = netdyn.svarm_fit(X, args.lags, lam, args.rule, config)
         _emit_graph(args.output,
                     ShiftOperator(edges.astype(float), ShiftKind.GENERIC,
                                   directed=True))
@@ -359,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     lrn.add_argument("--beta", type=float, default=1.0)
     lrn.add_argument("--gamma", type=float, default=0.9,
                      help="forgetting factor (dsem)")
-    lrn.add_argument("--k", type=int, default=0,
-                     help="edge budget / kept eigenvectors (0: non-degenerate)")
+    lrn.add_argument("--k", type=int,
+                     help="edge budget (edge-select) / kept leading eigenvectors "
+                          "(spectral-partial); required by both")
     lrn.add_argument("--noisy", action="store_true",
                      help="edge-select: alternate with denoising")
     lrn.add_argument("--distances", action="store_true",

@@ -140,7 +140,7 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
     :func:`lasso_cd_gram` call. A directed edge j -> i is declared when
     the lag coefficients w_ij^(l) are nonzero for at least one lag (OR)
     or for every lag (AND). Returns (edge matrix E with E[i, j] = j
-    influences i, list of per-lag weight matrices).
+    influences i, list of per-lag weight matrices, the lasso's trace).
     """
     if rule not in ("or", "and"):
         raise BadParameter(f"unknown combination rule {rule!r}")
@@ -155,8 +155,8 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
         rows.append(X[:, n_lags - lag: t - lag])
     A = np.concatenate(rows, axis=0).T          # (T - L) x (N L)
     Y = X[:, n_lags:]                           # targets
-    B, _ = lasso_cd_gram(A.T @ A, Y @ A, lam, config,
-                         const_term=0.5 * (Y * Y).sum(axis=1))
+    B, trace = lasso_cd_gram(A.T @ A, Y @ A, lam, config,
+                             const_term=0.5 * (Y * Y).sum(axis=1))
     Ws = [B[:, lag * n:(lag + 1) * n] for lag in range(n_lags)]
     nz = [W != 0 for W in Ws]
     edges = nz[0]
@@ -164,7 +164,7 @@ def svarm_fit(X, n_lags: int, lam: float, rule: str = "or",
         edges = (edges | mask) if rule == "or" else (edges & mask)
     edges = edges.copy()
     np.fill_diagonal(edges, False)
-    return edges, Ws
+    return edges, Ws, trace
 
 
 def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,

@@ -4,16 +4,17 @@ Contains the coordinate-descent lasso used by every regression-style
 learner (one Gram matrix shared by many right-hand sides, each with its
 own mask of usable coordinates), the proximal-gradient kernel of the
 penalised Gaussian likelihood shared by the precision estimators, the
-residual-balanced two-block ADMM kernel of robust spectral templates,
-the closed-form projection onto the shift constraint set, the exact
-linear program for noise-free spectral templates (by delayed row
-generation), the certified primal active-set walk that solves robust
-l1 templates, the accelerated feasibility gap that gives the walk its
-feasible start and the automatic eps, and the edge-weight engine for
-problems with degree terms: one proximal-point loop of semismooth
-Newton solves on their N-variable Lagrange dual (a single round when
-the ridge weight is positive), with the weight-to-degree map and the
-Newton matrix built by index arithmetic.
+closed-form projection onto the shift constraint set, the one
+spectral-template solve :func:`infer_shift` over a full or partial
+eigenbasis with its steps (the exact linear program for noise-free
+templates by delayed row generation, the certified primal active-set
+walk that solves robust l1 templates, the accelerated feasibility gap
+that gives the walk its feasible start and the automatic eps, and the
+residual-balanced two-block ADMM kernel that runs last), and the
+edge-weight engine for problems with degree terms: one proximal-point
+loop of semismooth Newton solves on their N-variable Lagrange dual (a
+single round when the ridge weight is positive), with the
+weight-to-degree map and the Newton matrix built by index arithmetic.
 
 Edge vectors follow the order of :func:`graphcore.edge_index`. The
 kernels share its per-N cache, and that of the flat positions of
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadInput, BadParameter, Infeasible, SolverError
-from .graphcore import edge_index, edge_positions, weights_from_edge_vector
+from .graphcore import SpectralBasis, edge_index, edge_positions, weights_from_edge_vector
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
 SPECTRAL_GAP_TOL = 1e-6  # spectral_gap's relative-decrease stop
@@ -45,12 +46,12 @@ class SolverConfig:
     and a stopping tolerance.
 
     Each solver reads ``tol`` against its own residual: relative change
-    for the lasso, the scaled primal and dual residuals for
-    :func:`admm` (and the relative KKT residual of the certificate of
-    the active-set walk for robust l1 spectral templates), a scale-free
-    KKT residual for the precision estimators' :func:`logdet_prox_gradient`
-    and a relative degree residual for the edge-weight engine (whose
-    ``max_iters`` counts Newton steps).
+    for the lasso, the relative KKT residual of the active-set walk's
+    certificate and the scaled primal and dual residuals of :func:`admm`
+    in :func:`infer_shift`, a scale-free KKT residual for the precision
+    estimators' :func:`logdet_prox_gradient`, the gradient-mapping
+    residual of the PSD filter fit and a relative degree residual for
+    the edge-weight engine (whose ``max_iters`` counts Newton steps).
     Exact solves ignore both: the eps = 0 spectral-template LP with the
     l1 or sup-norm objective is solved exactly (closed form or HiGHS).
     """
@@ -563,9 +564,9 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     the full LP has more rows. The final point is projected onto the set
     so that its structural constraints hold exactly.
 
-    Returns (S, lam, trace) with status "exact"; a HiGHS solve that ends
-    short of optimality raises SolverError. ``iters_used`` sums the
-    simplex iterations of all rounds,
+    Returns (S, trace) with status "exact" (the caller reads lam off S);
+    a HiGHS solve that ends short of optimality raises SolverError.
+    ``iters_used`` sums the simplex iterations of all rounds,
     ``notes["lp_rounds"]`` counts the solves (0 for the closed form) and
     ``notes["lp_rows"]`` / ``notes["lp_rows_full"]`` give the inequality
     rows of the final solve and of the full LP.
@@ -612,7 +613,7 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         if (np.abs(a_eq @ x - b_eq) > _LP_FEAS_TOL).any() or (viol > _LP_FEAS_TOL).any():
             raise Infeasible("no member of the constraint set is exactly "
                              "diagonalized by the given basis")
-        lam, rounds, n_rows, nit = x[:k], 0, 0, 0
+        rounds = n_rows = nit = 0
     else:  # free directions remain: HiGHS with row generation
         from scipy.optimize import linprog
 
@@ -661,13 +662,13 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
                 new = new[np.argpartition(viol[new], -4 * n)[-4 * n:]]
             active[new] = True
             blocks.append(pool_rows(new))
-        lam, n_rows = res.x[:k], a_ub.shape[0]
+        n_rows = a_ub.shape[0]
     S = cset.project(S)
     trace = SolveTrace(status="exact", iters_used=nit)
     trace.log(_objective_value(S, objective))
     trace.notes.update(constraint_violation=float(cset.violation(S)),
                        lp_rounds=rounds, lp_rows=n_rows, lp_rows_full=coef.size)
-    return S, lam.copy(), trace
+    return S, trace
 
 
 _WALK_ROUNDS = 200  # solves of the active-set walk before the ADMM takes over
@@ -696,12 +697,13 @@ class _EdgeKKT:
     A solution is certified only when, checked on S itself, it lies in
     the set and within eps of the span up to ``_FINISH_ROUNDING``
     relative, and its KKT residual - the largest |z_e| on the support and
-    -z_e off it, over max|c| = 2 - is at most ``tol``.
+    -z_e off it, over max|c| = 2 - is at most ``tol``. The ball check
+    reads the V'SV that pricing formed.
     """
 
-    def __init__(self, V, eps: float, coupling: SpectralCoupling, tol: float):
+    def __init__(self, V, eps: float, tol: float):
         n = V.shape[0]
-        self.V, self.n, self.eps, self.coupling = V, n, eps, coupling
+        self.V, self.n, self.eps = V, n, eps
         self.iu, self.ju = edge_index(n)
         self.up = edge_positions(n)[0]
         self.a = (self.iu == 0).astype(float)
@@ -762,19 +764,19 @@ class _EdgeKKT:
         return S, Mt, self.c + nu * self.a + 2.0 * mu * (2.0 * w - self.b_op(np.diagonal(Mt)))
 
     def certify(self, S, Mt, z, E):
-        """(S, its coupling projection, its KKT residual) when the
-        certificate holds on S, else None. Overwrites Mt's diagonal."""
+        """(S, its KKT residual) when the certificate holds on S, else
+        None. Overwrites Mt's diagonal."""
         kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / 2.0
         if (kkt <= self.tol
                 and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
                 and ShiftConstraintSet().violation(S) <= _FINISH_ROUNDING):
-            return S, self.coupling.project(S), kkt
+            return S, kkt
         return None
 
     def walk(self, S0):
         """Primal active-set walk (Nocedal & Wright, Numerical
         Optimization, ch. 16) from S0, a member of the set: returns (the
-        certified (S, T, kkt residual) or None, the number of solves).
+        certified (S, kkt residual) or None, the number of solves).
 
         The iterate w is a feasible edge vector with support E, at first
         S0's. Each round solves on E. When some weights of the solution
@@ -837,9 +839,20 @@ def _span_distance(V, M) -> float:
     return float(np.linalg.norm(_offdiag(V.T @ M @ V)))
 
 
-def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
-                     config: SolverConfig | None = None, objective: str = "l1"):
-    """min f(S) s.t. S in the constraint set, ||S - V diag(lam) V'||_F <= eps.
+def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
+                eps: float | str = 0.0, objective: str = "l1",
+                config: SolverConfig | None = None):
+    """The spectral-template solve (Segarra, Marques, Mateos & Ribeiro,
+    "Network topology inference from spectral templates", 2017): min
+    f(S), f the l1, sup or Frobenius norm, s.t. S in the constraint set
+    (default :class:`ShiftConstraintSet`) and ||S - V diag(lam) V'||_F <=
+    eps for the given basis V.
+
+    ``basis`` is a SpectralBasis, an orthonormal N x N matrix or an
+    N x K matrix of orthonormal columns (a partial basis, whose
+    orthogonal complement block of S is unconstrained spectrally; it
+    needs eps = 0 and the l1 or sup-norm objective). Anything that is not
+    a 2-D array raises BadInput.
 
     Exact steps come first. ``eps="auto"`` runs the eps = 0 solve and
     keeps eps = 0 when it finds a member that V diagonalizes; only if it
@@ -851,12 +864,10 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     linear program, solved exactly by :func:`_spectral_lp`: in closed
     form when its equality rows fix the point (``notes["lp_rounds"]``
     0), else by HiGHS with delayed row generation (``iters_used`` sums
-    the simplex iterations of its rounds); that path also takes a
-    partial basis (N x K matrix V), whose orthogonal complement block of
-    S is unconstrained spectrally, and ignores ``config``. With eps = 0
-    and the Frobenius objective the same solve first checks that the set
-    meets the span, and its closed-form point, the only feasible one, is
-    returned as is. These solves have status "exact".
+    the simplex iterations of its rounds); it ignores ``config``. With
+    eps = 0 and the Frobenius objective the same solve first checks that
+    the set meets the span, and its closed-form point, the only feasible
+    one, is returned as is. These solves have status "exact".
 
     The set's point nearest zero minimises all three norms on the set,
     where every member's first row sums to 1: within eps of the span it
@@ -873,19 +884,22 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
     (residual balancing, stopping rule and ``config`` as documented
     there) from the coupling projection of the set's point nearest zero:
     x is the prox of the objective plus the set indicator, and z the
-    projection onto the spectral coupling set in the V coordinates, with
-    the off-diagonal residual shrunk to the eps-ball. The sup-norm takes
-    a third block: x = [S, S] and z = [T, Y], where Y's step is the exact
+    :class:`SpectralCoupling` projection in the V coordinates, with the
+    off-diagonal residual shrunk to the eps-ball. The sup-norm takes a
+    third block: x = [S, S] and z = [T, Y], where Y's step is the exact
     prox Y - P(Y) of ||Y||_inf / rho, P projecting onto the l1 ball of
     radius 1/rho. Its status is the ADMM's, with no ``kkt_residual``, and
     it warns when the ADMM stops at ``max_iters``.
 
-    Returns (S, lam, trace), lam read off the coupling block. Raises
-    Infeasible when no member of the set is exactly diagonalized by V
-    (eps = 0).
+    Returns (S, lam, trace) with lam = diag(V'SV), read off the returned
+    S on every path. Raises Infeasible when no member of the set is
+    exactly diagonalized by V (eps = 0).
     """
     config = config or SolverConfig()
-    V = np.asarray(V, dtype=float)
+    constraint_set = constraint_set or ShiftConstraintSet()
+    V = np.asarray(basis.vecs if isinstance(basis, SpectralBasis) else basis, dtype=float)
+    if V.ndim != 2:
+        raise BadInput(f"the basis must be an N x N or N x K matrix, got {V.ndim}-D")
     if not (eps == "auto" or isinstance(eps, numbers.Real) and 0 <= eps < math.inf):
         raise BadParameter(f"eps must be 'auto' or a finite number >= 0, got {eps!r}")
     if objective not in ("l1", "linf", "frobenius"):
@@ -906,42 +920,42 @@ def admm_l1_spectral(V, eps, constraint_set: ShiftConstraintSet,
             eps = 2.0 * gap
     notes = {"eps": float(eps)}
     if eps == 0:
-        S, lam, trace = lp or _spectral_lp(V, constraint_set, objective)  # or raise Infeasible
-        if objective != "frobenius" or trace.notes["lp_rounds"] == 0:
-            trace.notes.update(notes)
-            return S, lam, trace
-    coupling = SpectralCoupling(V, eps)
-    nearest = constraint_set.project(np.zeros((n, n)))
-    done = None
-    if _span_distance(V, nearest) <= eps:  # optimal for every objective
-        done = nearest, coupling.project(nearest), None
-    elif objective == "l1":
-        if start is None:
-            start = spectral_gap(V)[1]
-        done, rounds = _EdgeKKT(V, eps, coupling, config.tol).walk(start)
-        if rounds:
-            notes["walk_rounds"] = rounds
-    if done is not None:
-        S, T, kkt = done
-        trace = SolveTrace(status="exact" if kkt is None else "certified", kkt_residual=kkt)
-        trace.log(_objective_value(S, objective))
-    else:
-        copies = 2 if objective == "linf" else 1
+        S, trace = lp or _spectral_lp(V, constraint_set, objective)  # or raise Infeasible
+    if eps != 0 or objective == "frobenius" and trace.notes["lp_rounds"]:
+        nearest = constraint_set.project(np.zeros((n, n)))
+        done = None
+        if _span_distance(V, nearest) <= eps:  # optimal for every objective
+            done = nearest, None
+        elif objective == "l1":
+            if start is None:
+                start = spectral_gap(V)[1]
+            done, rounds = _EdgeKKT(V, eps, config.tol).walk(start)
+            if rounds:
+                notes["walk_rounds"] = rounds
+        if done is not None:
+            S, kkt = done
+            trace = SolveTrace(status="exact" if kkt is None else "certified",
+                               kkt_residual=kkt)
+            trace.log(_objective_value(S, objective))
+        else:
+            coupling = SpectralCoupling(V, eps)
+            copies = 2 if objective == "linf" else 1
 
-        def prox_z(M, rho):  # the coupling block, and the sup-norm's by Moreau
-            T = coupling.project(M[:, :n])
-            return T if copies == 1 else np.hstack(
-                [T, M[:, n:] - project_l1_ball(M[:, n:], 1.0 / rho)])
-        S, T, trace = admm(
-            lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
-            prox_z, np.tile(coupling.project(nearest), copies), config,
-            lambda X: _objective_value(X[:, :n], objective))
-        S, T = S[:, :n], T[:, :n]
-        if not trace.converged:
-            trace.stop("max_iters", "admm_l1_spectral",
-                       f"its {config.max_iters}-iteration cap")
-    trace.notes.update(notes, constraint_violation=float(constraint_set.violation(S)))
-    return S, np.diag(V.T @ T @ V).copy(), trace
+            def prox_z(M, rho):  # the coupling block, and the sup-norm's by Moreau
+                T = coupling.project(M[:, :n])
+                return T if copies == 1 else np.hstack(
+                    [T, M[:, n:] - project_l1_ball(M[:, n:], 1.0 / rho)])
+            S, _, trace = admm(
+                lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
+                prox_z, np.tile(coupling.project(nearest), copies), config,
+                lambda X: _objective_value(X[:, :n], objective))
+            S = S[:, :n]
+            if not trace.converged:
+                trace.stop("max_iters", "infer_shift",
+                           f"its {config.max_iters}-iteration cap")
+        notes["constraint_violation"] = float(constraint_set.violation(S))
+    trace.notes.update(notes)
+    return S, np.diag(V.T @ S @ V).copy(), trace
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@
 Step 1 estimates the shift's eigenbasis (from the sample covariance for
 stationary processes, from an identified filter for non-stationary
 ones); Step 2 selects eigenvalues by convex optimization over a shift
-constraint set. The filter of a non-stationary diffusion is identified
-from pairs of output and input covariances: in closed form (PSD filter,
-one process), by projected gradient (PSD, several processes), or by a
-spectral relaxation over eigenvalue signs (symmetric, several
-processes). Also hosts network deconvolution, which feeds the
-eigenvectors of an indirect-relationship matrix through the same
-machinery.
+constraint set (:func:`solvers.infer_shift`, re-exported here). The
+filter of a non-stationary diffusion is identified from pairs of output
+and input covariances: in closed form (PSD filter, one process), by
+projected gradient (PSD, several processes), or by a spectral
+relaxation over eigenvalue signs (symmetric, several processes). Also
+hosts network deconvolution, which feeds the eigenvectors of an
+indirect-relationship matrix through the same machinery.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 from .errors import BadDimension, BadInput, NotSymmetric, SingularInputCovariance
 from .graphcore import (
     DEGENERACY_TOL,
-    SpectralBasis,
     as_matrix,
     eigendecompose,
     fix_eigenvector_signs,
 )
-from .solvers import ShiftConstraintSet, SolveTrace, SolverConfig, admm_l1_spectral
+from .solvers import ShiftConstraintSet, SolveTrace, SolverConfig, infer_shift
 from .statnet import _as_covariance
 
 
@@ -69,64 +68,26 @@ def estimate_eigenbasis(data):
     return basis, flags
 
 
-def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
-                eps: float | str = 0.0, objective: str = "l1",
-                config: SolverConfig | None = None):
-    """Recover a shift with the prescribed eigenbasis (Step 2).
-
-    ``basis`` is a SpectralBasis or an orthonormal matrix of candidate
-    eigenvectors. With eps = 0 the shift is constrained to be exactly
-    diagonalized by the basis; eps > 0 allows a Frobenius-ball mismatch
-    to absorb finite-sample noise in the eigenvectors, and eps="auto"
-    picks 0 or twice the feasibility gap (:func:`solvers.admm_l1_spectral`).
-    """
-    V = basis.vecs if isinstance(basis, SpectralBasis) else np.asarray(basis, float)
-    constraint_set = constraint_set or ShiftConstraintSet()
-    return admm_l1_spectral(V, eps, constraint_set, config, objective)
-
-
-def infer_shift_partial(V_K, constraint_set: ShiftConstraintSet | None = None):
-    """Shift recovery from an incomplete eigenbasis.
-
-    The known columns constrain their spectral block to be diagonal;
-    the orthogonal complement carries a free symmetric block. The
-    l1-minimal such member of the set is one exact linear program, with
-    no iteration cap or tolerance to set: read in closed form when its
-    equality rows fix the point (as for most full bases), else solved by
-    HiGHS. K = N reduces to :func:`infer_shift` with eps = 0, K = 0 to
-    the sparsest member of the constraint set.
-    """
-    V_K = np.asarray(V_K, dtype=float)
-    if V_K.ndim != 2:
-        raise BadInput("partial basis must be an N x K matrix")
-    constraint_set = constraint_set or ShiftConstraintSet()
-    S, lam, trace = admm_l1_spectral(V_K, 0.0, constraint_set)
-    return S, trace
-
-
 def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = None,
                              eps="auto", objective: str = "l1",
                              config: SolverConfig | None = None):
     """End-to-end stationary pipeline: covariance eigenvectors, then
     eigenvalue selection.
 
-    ``eps="auto"`` is chosen by :func:`solvers.admm_l1_spectral` from
-    the estimated basis alone: 0 when the set has a member that the basis
+    ``eps="auto"`` is chosen by :func:`solvers.infer_shift` from the
+    estimated basis alone: 0 when the set has a member that the basis
     diagonalizes exactly, else twice the feasibility gap; a numeric eps
     is used as-is. ``meta["eps"]`` is the eps solved at. Degenerate
-    eigenvalue blocks in the covariance route the unambiguous
-    eigenvectors to the partial-basis variant.
+    eigenvalue blocks in the covariance leave the solve, at eps = 0 and
+    the l1 objective, the unambiguous eigenvectors as a partial basis.
     """
     basis, flags = estimate_eigenbasis(data)
-    constraint_set = constraint_set or ShiftConstraintSet()
     if flags.any() and (eps == "auto" or eps == 0):
-        # keep only the unambiguous eigenvectors; a fully degenerate
-        # spectrum leaves no spectral constraint at all (K = 0) and the
-        # sparsest member of the constraint set comes back
-        keep = basis.vecs[:, ~flags]
-        S, trace = infer_shift_partial(keep, constraint_set)
+        # a fully degenerate spectrum leaves no spectral constraint at all
+        # (K = 0) and the sparsest member of the constraint set comes back
+        S, _, trace = infer_shift(basis.vecs[:, ~flags], constraint_set)
         return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
-    S, lam, trace = infer_shift(basis, constraint_set, eps, objective, config)
+    S, _, trace = infer_shift(basis, constraint_set, eps, objective, config)
     return S, trace, {"eps": trace.notes["eps"]}
 
 
@@ -174,11 +135,15 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list, config: SolverConfig | None = None
     Minimizes the mean of || R_m - Q_m H Q_m ||_F^2 over H >= 0,
     with Q_m the square root of the m-th input covariance and R_m the
     square root of Q_m Sigma_x_m Q_m, by projected gradient descent on
-    the PSD cone. With exact covariances and M = 1 this matches the
-    closed form. Stops when the objective changes by at most ``tol``
-    relative (status "converged"), or warns when ``max_iters`` runs out
-    first (status "max_iters"); ``kkt_residual`` is None. Returns
-    (FilterEstimate, SolveTrace).
+    the PSD cone with the step t = 1/L, L the gradient's Lipschitz
+    constant. With exact covariances and M = 1 this matches the closed
+    form. Each step H+ = P(H - t grad f(H)) gives the gradient-mapping
+    residual r = ||H - H+||_F / t, 0 exactly at the optimum; it stops on
+    the first step with r at most ``tol`` max(1, ||H+||_F) / t (status
+    "converged"), or warns when ``max_iters`` runs out first (status
+    "max_iters"). ``kkt_residual`` is the last step's r, which bounds the
+    returned H's own residual: the step map is nonexpansive for t <= 2/L.
+    Returns (FilterEstimate, SolveTrace).
     """
     config = config or SolverConfig()
     Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
@@ -191,24 +156,17 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list, config: SolverConfig | None = None
     step = 1.0 / max(lip, 1e-12)
     # start from the weighted average of the per-process closed forms
     H = sum(w * psd_filter_recover(sx, sw).H for w, sx, sw in zip(wts, Sx, Sw))
-
-    def objective(Hc):
-        return sum(w * np.linalg.norm(R[k] - Q[k] @ Hc @ Q[k]) ** 2
-                   for k, w in enumerate(wts))
-
     trace = SolveTrace()
-    prev = objective(H)
     for it in range(config.max_iters):
         trace.iters_used = it + 1
         grad = sum(2.0 * w * (Q[k] @ (Q[k] @ H @ Q[k] - R[k]) @ Q[k])
                    for k, w in enumerate(wts))
         vals, vecs = _eigh_psd(H - step * grad)
-        H = (vecs * vals) @ vecs.T
-        cur = objective(H)
-        if abs(prev - cur) <= config.tol * max(1.0, abs(prev)):
+        H_prev, H = H, (vecs * vals) @ vecs.T
+        trace.kkt_residual = float(np.linalg.norm(H_prev - H) / step)
+        if trace.kkt_residual <= config.tol * max(1.0, float(np.linalg.norm(H))) / step:
             trace.stop("converged")
             break
-        prev = cur
     else:
         trace.stop("max_iters", "psd_filter_ls", f"its {config.max_iters}-iteration cap")
     vals = np.linalg.eigvalsh(H)
@@ -297,12 +255,12 @@ def network_deconvolve(T, constraint_set: ShiftConstraintSet | None = None,
 
     Eigendecomposes T and selects eigenvalues over the constraint set -
     the same Step 2 used for stationary covariances (eps as in
-    :func:`infer_shift`, "auto" included), agnostic to the filter that
-    produced T.
+    :func:`solvers.infer_shift`, "auto" included), agnostic to the
+    filter that produced T.
     """
     M = as_matrix(T)
     if np.abs(M - M.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(M).max()):
         raise NotSymmetric("deconvolution needs a symmetric relationship matrix")
     basis = eigendecompose(M)
-    S, lam, trace = infer_shift(basis, constraint_set, eps, objective, config)
+    S, _, trace = infer_shift(basis, constraint_set, eps, objective, config)
     return S, trace

@@ -275,9 +275,9 @@ def neighborhood_lasso(X, lam: float, rule: str = "or",
     coefficient vector proposes i's neighborhood, and the OR (either
     direction) or AND (both directions) rule symmetrizes the proposals.
     The N regressions share the Gram matrix X X' and run as one
-    :func:`lasso_cd_gram` call with the diagonal masked off. Returns an
-    unweighted adjacency plus the full coefficient table
-    B[i, j] = weight of x_j in the regression of x_i.
+    :func:`lasso_cd_gram` call with the diagonal masked off. Returns (an
+    unweighted adjacency, the full coefficient table B[i, j] = weight of
+    x_j in the regression of x_i, the lasso's trace).
     """
     if rule not in ("or", "and"):
         raise BadParameter(f"unknown combination rule {rule!r}")
@@ -286,10 +286,10 @@ def neighborhood_lasso(X, lam: float, rule: str = "or",
     if p < 2:
         raise TooFewSamples("neighborhood regression needs P >= 2")
     G = X @ X.T
-    B, _ = lasso_cd_gram(G, G, lam, config, const_term=0.5 * np.diag(G),
-                         mask=~np.eye(n, dtype=bool))
+    B, trace = lasso_cd_gram(G, G, lam, config, const_term=0.5 * np.diag(G),
+                             mask=~np.eye(n, dtype=bool))
     nz = B != 0
     edges = (nz | nz.T) if rule == "or" else (nz & nz.T)
     W = edges.astype(float)
     np.fill_diagonal(W, 0.0)
-    return ShiftOperator(W, ShiftKind.ADJACENCY), B
+    return ShiftOperator(W, ShiftKind.ADJACENCY), B, trace

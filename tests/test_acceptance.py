@@ -145,7 +145,7 @@ def test_criterion_04_neighborhood_glasso_agreement():
         gl = np.abs(th - np.diag(np.diag(th))) > lam_g / 2
         lam_n = X.shape[1] * lam_g
         for rule in ("or", "and"):
-            W, _ = st.neighborhood_lasso(X, lam_n, rule)
+            W, _, _ = st.neighborhood_lasso(X, lam_n, rule)
             agree = float(np.mean(gl[iu] == (W.data[iu] > 0)))
             worst = min(worst, agree)
     ok = worst >= 0.8

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import glkit.metrics as mt
 import glkit.serialize as ser
 import glkit.simulate as sim
+import glkit.spectralid as sid
 import glkit.statnet as stn
 from glkit.errors import DataError
 from glkit.cli import main as cli_main
@@ -320,7 +321,7 @@ RECORD_KEYS = {"method", "status", "iters_used", "kkt_residual", "notes"}
 # SolveTrace, so their status, iters_used and kkt_residual are null
 METHOD_FIELDS = {"lgmrf": {"gamma"}, "sem": {"omega"}, "psd-filter": {"psd", "provenance"},
                  "sym-filter": {"identifiable", "residual"}, "spectral-partial": {"kept"}}
-NO_TRACE = {"corr", "pcorr", "edge-select", "nlasso", "svarm", "dsem", "sym-filter"}
+NO_TRACE = {"corr", "pcorr", "edge-select", "dsem", "sym-filter"}
 
 
 @pytest.fixture(scope="module")
@@ -420,9 +421,11 @@ class TestCli:
 
     @pytest.mark.parametrize("method,argv", [
         ("glasso", ["-i", "{d}/gm.csv"]), ("kalofolias", ["-i", "{d}/gm.csv"]),
-        ("psd-filter", _covs("xr", "wr"))])
+        ("psd-filter", _covs("xr", "wr")), ("nlasso", ["-i", "{d}/gm.csv"]),
+        ("svarm", ["-i", "{d}/x.csv"])])
     def test_capped_solve_exits_5(self, cli_inputs, tmp_path, capsys, method, argv):
         # the outputs and the record are written first; the solve warns once
+        # (nlasso and svarm once exited 0 with a null status)
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text('{"max_iters": 1}')
         argv = [a.format(d=cli_inputs) for a in argv]
@@ -431,7 +434,9 @@ class TestCli:
         assert code == 5 and len(warned) == 1
         assert ser.read_matrix_csv(out).shape in ((6, 6), (4, 4))
         record = learn_record(capsys)
-        assert record["status"] == "max_iters" and record["iters_used"] == 1
+        # the lasso's iters_used sums one sweep for each of the six nodes
+        sweeps = 6 if method in ("nlasso", "svarm") else 1
+        assert record["status"] == "max_iters" and record["iters_used"] == sweeps
 
     def test_pipeline_smoke(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
@@ -667,16 +672,51 @@ class TestCli:
                         "-o", str(tmp_path / "x.json")) == 2
         assert "--eps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["-3", "20"])
+    @pytest.mark.parametrize("k", ["-3", "20", "0"])
     def test_partial_k_outside_range_is_usage_error(self, tmp_path, capsys, k):
         # -3 once dropped the first three eigenvectors; 20 at N = 8 kept
-        # all eight and then exited 4 as infeasible
+        # all eight and then exited 4 as infeasible; 0 once kept the
+        # non-degenerate modes, which is spectral --eps 0
         sig = tmp_path / "sig.csv"
         assert self.run("simulate", "diffusion", "--n", "8", "--p", "500",
                         "--seed", "4", "-o", str(sig)) == 0
         assert self.run("learn", "spectral-partial", "-i", str(sig), "--k", k,
                         "-o", str(tmp_path / "x.json")) == 2
-        assert "outside 0..8" in capsys.readouterr().err
+        assert f"--k {k} outside 1..8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["edge-select", "spectral-partial"])
+    def test_missing_k_is_usage_error(self, cli_inputs, tmp_path, capsys, method):
+        # --k once defaulted to 0, which edge-select rejected as "K=0
+        # outside 1..15" and spectral-partial read as its non-degenerate modes
+        assert self.run("learn", method, "-i", str(cli_inputs / "diff.csv"),
+                        "-o", str(tmp_path / "x.json")) == 2
+        assert f"learn {method} needs --k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", ["cycle", "er"])
+    def test_spectral_eps_zero_solves_the_non_degenerate_modes(self, cli_inputs, tmp_path,
+                                                               capsys, data):
+        # what spectral-partial --k 0 did: the l1 solve on the modes that
+        # estimate_eigenbasis does not flag. A cycle's covariance repeats
+        # all but two eigenvalues; the ER graph's repeats none, and there
+        # the column copy of the basis rounds differently from the basis
+        cov = tmp_path / "cov.csv"
+        if data == "cycle":
+            C = np.roll(np.eye(6), 1, axis=1)
+            ser.write_matrix_csv(cov, sim.diffusion_covariance(C + C.T, [1.0, 0.5, 0.2]))
+        else:
+            cov = cli_inputs / "cov.csv"
+        out = tmp_path / "s.json"
+        assert self.run("learn", "spectral", "-i", str(cov), "--eps", "0",
+                        "-o", str(out)) == 0
+        record = learn_record(capsys)
+        basis, flags = sid.estimate_eigenbasis(ser.read_matrix_csv(cov))
+        assert flags.sum() == (4 if data == "cycle" else 0)
+        assert record.get("degenerate_modes", 0) == flags.sum()
+        S, _, _ = sid.infer_shift(basis.vecs[:, ~flags])
+        keep = np.abs(S) > mt.DEFAULT_SUPPORT_THRESHOLD * np.abs(S).max()
+        W = np.where(keep, S, 0.0)
+        np.testing.assert_allclose(ser.read_shift_any(out).data, 0.5 * (W + W.T),
+                                   rtol=0, atol=1e-12 * np.abs(S).max())
 
     def test_dsem_emit_every_zero_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

@@ -128,7 +128,7 @@ class TestSvarm:
         fs = []
         for seed in range(10):
             W1, X = self.make_var1(seed)
-            edges, Ws = nd.svarm_fit(X, 2, 40.0)
+            edges, Ws, _ = nd.svarm_fit(X, 2, 40.0)
             assert np.abs(Ws[1]).max() <= 0.05
             true = W1 != 0
             tp = (edges & true).sum()
@@ -142,15 +142,15 @@ class TestSvarm:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             X = rng.standard_normal((6, 500))
-            edges, _ = nd.svarm_fit(X, 2, 60.0)
+            edges, _, _ = nd.svarm_fit(X, 2, 60.0)
             rates.append(edges.mean())
         assert np.mean(rates) <= 0.05
 
     def test_and_subset_of_or(self):
         for seed in range(5):
             _, X = self.make_var1(seed, T=300)
-            e_or, _ = nd.svarm_fit(X, 2, 10.0, "or")
-            e_and, _ = nd.svarm_fit(X, 2, 10.0, "and")
+            e_or, _, _ = nd.svarm_fit(X, 2, 10.0, "or")
+            e_and, _, _ = nd.svarm_fit(X, 2, 10.0, "and")
             assert np.all(~e_and | e_or)
 
     @given(hst.integers(3, 8), hst.integers(20, 80), hst.integers(1, 3),
@@ -158,8 +158,8 @@ class TestSvarm:
     def test_power_of_two_rescaling_is_bitwise(self, n, T, lags, k, lam, seed):
         X = np.random.default_rng(seed).standard_normal((n, T))
         c = 2.0 ** k
-        edges, Ws = nd.svarm_fit(X, lags, lam)
-        edges_c, Ws_c = nd.svarm_fit(c * X, lags, c * c * lam)
+        edges, Ws, _ = nd.svarm_fit(X, lags, lam)
+        edges_c, Ws_c, _ = nd.svarm_fit(c * X, lags, c * c * lam)
         assert np.array_equal(edges_c, edges)
         assert len(Ws_c) == len(Ws) == lags
         for W, Wc in zip(Ws, Ws_c):

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 from scipy.optimize import minimize
 
 import glkit.graphcore as gc
@@ -153,6 +155,28 @@ class TestKalofolias:
     def test_alpha_must_be_positive(self):
         with pytest.raises(BadParameter):
             sl.kalofolias_learn(np.zeros((3, 3)), 0.0, 1.0)
+
+    @given(n=hst.integers(2, 9), p=hst.integers(2, 20), u=hst.floats(-1.5, 0.5),
+           alpha=hst.floats(0.1, 10.0), beta=hst.sampled_from([0.0, 0.1, 1.0, 10.0]),
+           c=hst.floats(0.1, 10.0), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_graph_invariants_and_scale_equivariance(self, n, p, u, alpha, beta, c, seed):
+        X = 10.0 ** u * np.random.default_rng(seed).standard_normal((n, p))
+        Z = sl.distance_matrix(X).Z
+        W, trace = sl.kalofolias_learn(Z, alpha, beta)
+        Wc, trace_c = sl.kalofolias_learn(c * Z, alpha, c * c * beta)
+        for M, tr in ((W, trace), (Wc, trace_c)):
+            assert tr.converged
+            assert np.array_equal(M, M.T) and M.min() >= 0.0
+            assert not np.diag(M).any()
+        # the engine sees Z over max(mean(Z), 1): when both means reach 1
+        # the two solves are one problem up to rounding, and agree to the
+        # engine's tolerance. Below 1 they are different problems whose
+        # solutions agree only to solver accuracy (8e-5 relative measured
+        # at beta = 0), so no bound is asserted there.
+        mean = Z[np.triu_indices(n, 1)].mean()
+        if mean >= 1.0 and c * mean >= 1.0:
+            tol = sl.SolverConfig().tol
+            assert np.abs(c * Wc - W).max() <= tol * np.abs(W).max()
 
 
 class TestDongLearn:

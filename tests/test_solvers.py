@@ -385,10 +385,10 @@ class TestCachedIndexParity:
         W = np.diag(np.ones(7), 1)
         V = gc.eigendecompose(W + W.T).vecs
         cset = SHIFT_SETS[name]
-        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
+        S, _, trace = sv.infer_shift(V, cset, 0.0, objective="frobenius")
         monkeypatch.setattr(sv.ShiftConstraintSet, "project", _reference_project)
         monkeypatch.setattr(sv.SpectralCoupling, "project", _reference_coupling)
-        S_ref, _, trace_ref = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
+        S_ref, _, trace_ref = sv.infer_shift(V, cset, 0.0, objective="frobenius")
         assert trace.converged and trace.iters_used > 0
         assert np.array_equal(S, S_ref)
         assert trace.iters_used == trace_ref.iters_used
@@ -567,14 +567,13 @@ class TestAdmmKernel:
 class TestAdmmSpectral:
     def test_two_cycle_recovery(self):
         basis = gc.eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        S, lam, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
-                                            sv.ShiftConstraintSet())
+        S, lam, trace = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
         np.testing.assert_allclose(S, [[0, 1], [1, 0]], atol=1e-8)
         assert trace.converged
 
     def test_identity_basis_infeasible(self):
         with pytest.raises(Infeasible):
-            sv.admm_l1_spectral(np.eye(3), 0.0, sv.ShiftConstraintSet())
+            sv.infer_shift(np.eye(3), sv.ShiftConstraintSet(), 0.0)
 
     def test_matches_lp_oracle_exact_bases(self):
         rng = np.random.default_rng(12)
@@ -592,8 +591,7 @@ class TestAdmmSpectral:
             _, oracle = dense_lp_oracle(basis.vecs, "l1")
             if oracle is None:
                 continue
-            S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
-                                              sv.ShiftConstraintSet())
+            S, _, trace = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
             assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-6
             assert np.abs(S - oracle).max() <= 1e-5
             hits += 1
@@ -603,7 +601,7 @@ class TestAdmmSpectral:
         rng = np.random.default_rng(13)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         cset = sv.ShiftConstraintSet()
-        S, _, trace = sv.admm_l1_spectral(q, 1e6, cset)
+        S, _, trace = sv.infer_shift(q, cset, 1e6)
         # sparsest member of the first-node set has total l1 mass 2
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-5)
 
@@ -619,16 +617,15 @@ class TestAdmmSpectral:
         W[ju, iu] = w
         H = np.eye(n) + 0.5 * W
         basis = gc.eigendecompose(H @ H)
-        S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
-                                          sv.ShiftConstraintSet())
+        S, _, trace = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
         assert trace.status == "exact"
         # S is exactly diagonalized by the basis
         assert np.linalg.norm(sv._offdiag(basis.vecs.T @ S @ basis.vecs)) <= 1e-6
 
     def test_deterministic(self):
         basis = gc.eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out1 = sv.admm_l1_spectral(basis.vecs, 0.0, sv.ShiftConstraintSet())
-        out2 = sv.admm_l1_spectral(basis.vecs, 0.0, sv.ShiftConstraintSet())
+        out1 = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
+        out2 = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
         np.testing.assert_array_equal(out1[0], out2[0])
 
     def test_frobenius_objective_feasible(self):
@@ -637,9 +634,8 @@ class TestAdmmSpectral:
         W[0, 1] = W[1, 0] = 1.0
         W[1, 2] = W[2, 1] = 1.0
         basis = gc.eigendecompose(W)
-        S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
-                                          sv.ShiftConstraintSet(),
-                                          objective="frobenius")
+        S, _, trace = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0,
+                                     objective="frobenius")
         cset = sv.ShiftConstraintSet()
         assert cset.violation(S) <= 1e-6
 
@@ -649,8 +645,8 @@ class TestAdmmSpectral:
         W = np.diag(np.ones(3), 1)
         V = gc.eigendecompose(W + W.T).vecs
         cset = sv.ShiftConstraintSet()
-        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="frobenius")
-        S_l1, _, _ = sv.admm_l1_spectral(V, 0.0, cset)
+        S, _, trace = sv.infer_shift(V, cset, 0.0, objective="frobenius")
+        S_l1, _, _ = sv.infer_shift(V, cset, 0.0)
         assert len(lp_calls) >= 1 and trace.converged and trace.iters_used >= 1
         assert cset.violation(S) <= 1e-6 and ball_distance(V, S) <= 1e-6
         assert np.linalg.norm(S) <= np.linalg.norm(S_l1) + 1e-6
@@ -659,8 +655,8 @@ class TestAdmmSpectral:
         # an exact basis leaves one feasible point, optimal for every objective
         cset = sv.ShiftConstraintSet()
         _, basis = diffusion_basis(20, 4)
-        S_l1, lam_l1, _ = sv.admm_l1_spectral(basis.vecs, 0.0, cset)
-        S, lam, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset, objective="frobenius")
+        S_l1, lam_l1, _ = sv.infer_shift(basis.vecs, cset, 0.0)
+        S, lam, trace = sv.infer_shift(basis.vecs, cset, 0.0, objective="frobenius")
         assert trace.converged and trace.iters_used == 0
         assert trace.notes["lp_rounds"] == 0 and trace.notes["eps"] == 0.0
         assert np.abs(S - S_l1).max() <= 1e-9 and np.abs(lam - lam_l1).max() <= 1e-9
@@ -727,11 +723,11 @@ def gap_calls(monkeypatch):
     return calls
 
 
-def plain_admm(monkeypatch, *args):
-    """admm_l1_spectral with the active-set walk given no solves."""
+def plain_admm(monkeypatch, *args, **kwargs):
+    """infer_shift with the active-set walk given no solves."""
     with monkeypatch.context() as m:
         m.setattr(sv, "_WALK_ROUNDS", 0)
-        return sv.admm_l1_spectral(*args)
+        return sv.infer_shift(*args, **kwargs)
 
 
 class TestSupportFinisher:
@@ -744,7 +740,7 @@ class TestSupportFinisher:
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet()
         eps = 3.0 * sv.spectral_gap(V)[0]
-        S, lam, trace = sv.admm_l1_spectral(V, eps, cset)
+        S, lam, trace = sv.infer_shift(V, cset, eps)
         assert trace.status == "certified" and trace.iters_used == 0
         assert 1 <= trace.notes["walk_rounds"] <= sv._WALK_ROUNDS
         assert trace.kkt_residual <= sv.SolverConfig().tol
@@ -763,13 +759,13 @@ class TestSupportFinisher:
         V = sampled_basis(8, 2)
         cset = sv.ShiftConstraintSet()
         nearest = ball_distance(V, cset.project(np.zeros((8, 8))))
-        S, _, trace = sv.admm_l1_spectral(V, nearest * (1 + 1e-3), cset)
+        S, _, trace = sv.infer_shift(V, cset, nearest * (1 + 1e-3))
         assert not gap_calls and "walk_rounds" not in trace.notes
         assert trace.status == "exact" and trace.iters_used == 0
         np.testing.assert_array_equal(S, cset.project(np.zeros((8, 8))))
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-12)
         # just inside that distance the ball binds and the walk runs
-        S, _, trace = sv.admm_l1_spectral(V, nearest * (1 - 1e-3), cset)
+        S, _, trace = sv.infer_shift(V, cset, nearest * (1 - 1e-3))
         assert len(gap_calls) == 1 and trace.notes["walk_rounds"] >= 1
         assert trace.converged and cset.violation(S) <= 1e-9
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-9)
@@ -779,7 +775,7 @@ class TestSupportFinisher:
         cset = sv.ShiftConstraintSet()
         eps = 0.5 * sv.spectral_gap(V)[0]
         with pytest.warns(UserWarning, match="cap"):
-            S, _, trace = sv.admm_l1_spectral(V, eps, cset, sv.SolverConfig(max_iters=1000))
+            S, _, trace = sv.infer_shift(V, cset, eps, config=sv.SolverConfig(max_iters=1000))
         # spectral_gap's point is farther than eps from the span: no walk
         assert len(gap_calls) == 2 and "walk_rounds" not in trace.notes
         assert not trace.converged and trace.iters_used == 1000
@@ -789,13 +785,13 @@ class TestSupportFinisher:
         V = sampled_basis(8, 1)
         cset = sv.ShiftConstraintSet()
         eps = 2.0 * sv.spectral_gap(V)[0]
-        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
+        S, _, trace = sv.infer_shift(V, cset, eps)
         assert trace.iters_used == 0
         assert trace.kkt_residual > 1e-16  # rounding
         capped = sv.SolverConfig(max_iters=500)  # the plain ADMM needs 589
         with pytest.warns(UserWarning, match="cap"):
-            _, _, trace = sv.admm_l1_spectral(V, eps, cset,
-                                              sv.SolverConfig(tol=1e-16, max_iters=500))
+            _, _, trace = sv.infer_shift(V, cset, eps,
+                                         config=sv.SolverConfig(tol=1e-16, max_iters=500))
         assert trace.notes["walk_rounds"] >= 1 and trace.kkt_residual is None
         assert trace.status == "max_iters" and not trace.converged
         # the solution lies on the ball, outside a negative slack, and the
@@ -803,7 +799,7 @@ class TestSupportFinisher:
         monkeypatch.setattr(sv, "_FINISH_ROUNDING", -1e-6)
         monkeypatch.setattr(sv.ShiftConstraintSet, "violation", lambda self, M: -np.inf)
         with pytest.warns(UserWarning, match="cap"):
-            _, _, trace = sv.admm_l1_spectral(V, eps, cset, capped)
+            _, _, trace = sv.infer_shift(V, cset, eps, config=capped)
         assert trace.notes["walk_rounds"] >= 1 and trace.kkt_residual is None
         assert trace.status == "max_iters" and not trace.converged
 
@@ -813,7 +809,7 @@ class TestSupportFinisher:
         V = sampled_basis(n, seed, p)
         cset = sv.ShiftConstraintSet()
         eps = margin * sv.spectral_gap(V)[0]
-        S, _, trace = sv.admm_l1_spectral(V, eps, cset)
+        S, _, trace = sv.infer_shift(V, cset, eps)
         assume(trace.iters_used == 0 and "walk_rounds" in trace.notes)
         assert cset.violation(S) <= 1e-9
         assert ball_distance(V, S) <= eps * (1 + 1e-9)
@@ -839,11 +835,11 @@ class TestActiveSetWalk:
     def test_walk_certifies_the_cold_solve(self, n, seed, p):
         V = er_sampled_basis(n, seed, p)
         cset = sv.ShiftConstraintSet()
-        S, lam, trace = sv.admm_l1_spectral(V, "auto", cset)
+        S, lam, trace = sv.infer_shift(V, cset, "auto")
         eps = trace.notes["eps"]
         assert eps == 2.0 * sv.spectral_gap(V)[0]
         # a numeric eps equal to auto's walks from the same point
-        cold, cold_lam, cold_trace = sv.admm_l1_spectral(V, eps, cset)
+        cold, cold_lam, cold_trace = sv.infer_shift(V, cset, eps)
         np.testing.assert_array_equal(S, cold)
         np.testing.assert_array_equal(lam, cold_lam)
         assert cold_trace.notes == trace.notes
@@ -858,7 +854,7 @@ class TestActiveSetWalk:
     def test_walk_matches_slsqp(self, n, seed, gap_calls):
         V = sampled_basis(n, seed)
         cset = sv.ShiftConstraintSet()
-        S, _, trace = sv.admm_l1_spectral(V, "auto", cset)
+        S, _, trace = sv.infer_shift(V, cset, "auto")
         assert len(gap_calls) == 1 and trace.iters_used == 0
         oracle = slsqp_oracle(V, trace.notes["eps"])
         assert np.abs(S).sum() <= np.abs(oracle).sum() + 1e-9
@@ -879,15 +875,15 @@ class TestActiveSetWalk:
     def problem(self):
         V = sampled_basis(10, 2)
         cset = sv.ShiftConstraintSet()
-        S, _, trace = sv.admm_l1_spectral(V, "auto", cset)
+        S, _, trace = sv.infer_shift(V, cset, "auto")
         assert trace.iters_used == 0
         return V, cset, trace.notes["eps"], S
 
     def test_capped_walk_falls_back_to_the_admm(self, problem, monkeypatch):
         V, cset, eps, walked = problem
-        plain = plain_admm(monkeypatch, V, eps, cset)
+        plain = plain_admm(monkeypatch, V, cset, eps)
         monkeypatch.setattr(sv, "_WALK_ROUNDS", 1)
-        out = sv.admm_l1_spectral(V, eps, cset)
+        out = sv.infer_shift(V, cset, eps)
         for got, want in zip(out[:2], plain[:2]):
             np.testing.assert_array_equal(got, want)
         assert out[2].converged and out[2].iters_used == plain[2].iters_used > 0
@@ -900,9 +896,9 @@ class TestActiveSetWalk:
         V, cset, eps, _ = problem
         config = sv.SolverConfig(tol=1e-16, max_iters=500)
         with pytest.warns(UserWarning, match="500-iteration cap"):
-            out = sv.admm_l1_spectral(V, eps, cset, config)
+            out = sv.infer_shift(V, cset, eps, config=config)
         with pytest.warns(UserWarning, match="cap"):
-            plain = plain_admm(monkeypatch, V, eps, cset, config)
+            plain = plain_admm(monkeypatch, V, cset, eps, config=config)
         for got, want in zip(out[:2], plain[:2]):
             np.testing.assert_array_equal(got, want)
         assert out[2].notes["walk_rounds"] >= 1 and not out[2].converged
@@ -913,11 +909,11 @@ class TestActiveSetWalk:
         V = sampled_basis(6, 1)
         cset = sv.ShiftConstraintSet()
         eps = 2.0 * sv.spectral_gap(V)[0]
-        out = sv.admm_l1_spectral(V, eps, cset, None, objective)
+        out = sv.infer_shift(V, cset, eps, objective=objective)
         # no feasible start is computed for them: eps="auto" calls
         # spectral_gap once, for eps alone, and solves as the numeric eps
         assert len(gap_calls) == 1
-        auto = sv.admm_l1_spectral(V, "auto", cset, None, objective)
+        auto = sv.infer_shift(V, cset, "auto", objective=objective)
         assert len(gap_calls) == 2
         np.testing.assert_array_equal(out[0], auto[0])
         assert out[2].notes == auto[2].notes and "walk_rounds" not in out[2].notes
@@ -925,7 +921,7 @@ class TestActiveSetWalk:
 
 
 class TestExactSteps:
-    """The steps admm_l1_spectral takes before or in place of iterating:
+    """The steps infer_shift takes before or in place of iterating:
     the set's point nearest zero, and the sup-norm's exact prox block."""
 
     @pytest.mark.parametrize("name", ["first_node"])  # eps > 0 takes no other set
@@ -942,7 +938,7 @@ class TestExactSteps:
             assert norm(nearest) <= norm(feasible_point(8, rng)) * (1 + 1e-12)
         dist = ball_distance(V, nearest)
         for eps in (dist, 2.0 * dist):
-            S, lam, trace = sv.admm_l1_spectral(V, eps, cset, objective=objective)
+            S, lam, trace = sv.infer_shift(V, cset, eps, objective=objective)
             np.testing.assert_array_equal(S, nearest)
             assert trace.converged and trace.iters_used == 0
             assert trace.notes["eps"] == eps and "walk_rounds" not in trace.notes
@@ -967,7 +963,7 @@ class TestExactSteps:
         # the ball (n=12, seed=3); a tighter tol reaches the oracle's optimum
         for config, rel in ((sv.SolverConfig(), 1e-4), (sv.SolverConfig(tol=1e-9), 1e-6)):
             calls.clear()
-            S, _, trace = sv.admm_l1_spectral(V, eps, cset, config, "linf")
+            S, _, trace = sv.infer_shift(V, cset, eps, objective="linf", config=config)
             # one exact prox of the sup-norm per ADMM iteration
             assert trace.converged and len(calls) == trace.iters_used > 0
             assert cset.violation(S) <= 1e-9
@@ -983,8 +979,7 @@ class TestSpectralLP:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exact_recovery_n50_default_config(self, seed):
         G, basis = diffusion_basis(50, seed)
-        S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0,
-                                          sv.ShiftConstraintSet())
+        S, _, trace = sv.infer_shift(basis.vecs, sv.ShiftConstraintSet(), 0.0)
         assert trace.converged
         assert scale_aligned_error(S, G.data) <= 1e-8
 
@@ -994,9 +989,8 @@ class TestSpectralLP:
         cset = sv.ShiftConstraintSet()
         for seed in range(10):
             _, basis = diffusion_basis(10, seed)
-            S, _, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset)
-            S_admm, _, trace_admm = sv.admm_l1_spectral(basis.vecs, 1e-12,
-                                                        cset, tight)
+            S, _, trace = sv.infer_shift(basis.vecs, cset, 0.0)
+            S_admm, _, trace_admm = sv.infer_shift(basis.vecs, cset, 1e-12, config=tight)
             assert trace.converged and trace_admm.converged
             assert np.abs(S - S_admm).max() <= 1e-8
 
@@ -1006,8 +1000,8 @@ class TestSpectralLP:
             G, _ = diffusion_basis(10, 40 + seed)
             basis = gc.eigendecompose(sim.diffusion_covariance(G.data, [1.0, 0.5]))
             V = basis.vecs
-            S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective="linf")
-            S_l1, _, _ = sv.admm_l1_spectral(V, 0.0, cset)
+            S, _, trace = sv.infer_shift(V, cset, 0.0, objective="linf")
+            S_l1, _, _ = sv.infer_shift(V, cset, 0.0)
             assert trace.converged
             assert cset.violation(S) <= 1e-9
             off = V.T @ S @ V
@@ -1032,9 +1026,9 @@ class TestRowGeneration:
         assert res.status in (0, 2)
         if res.status == 2:
             with pytest.raises(Infeasible):
-                sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
+                sv.infer_shift(V, cset, 0.0, objective=objective)
             return
-        S, _, trace = sv.admm_l1_spectral(V, 0.0, cset, objective=objective)
+        S, _, trace = sv.infer_shift(V, cset, 0.0, objective=objective)
         assert trace.converged
         assert cset.violation(S) <= 1e-9
         assert abs(trace.objective[-1] - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
@@ -1072,8 +1066,7 @@ class TestRowGeneration:
             return out
 
         monkeypatch.setattr("scipy.optimize.linprog", recorded)
-        S, _, trace = sv.admm_l1_spectral(np.zeros((n, 0)), 0.0,
-                                          sv.ShiftConstraintSet())
+        S, _, trace = sv.infer_shift(np.zeros((n, 0)), sv.ShiftConstraintSet(), 0.0)
         assert trace.converged and trace.notes["lp_rounds"] == len(solves) > 1
         assert trace.iters_used == sum(nit for _, nit in solves)
         assert trace.notes["lp_rows"] == solves[-1][0]
@@ -1088,8 +1081,7 @@ class TestRowGeneration:
         cset = SHIFT_SETS[name]
         for seed in range(3):
             _, basis = diffusion_basis(12, 60 + seed)
-            S, lam, trace = sv.admm_l1_spectral(basis.vecs, 0.0, cset,
-                                                objective=objective)
+            S, lam, trace = sv.infer_shift(basis.vecs, cset, 0.0, objective=objective)
             assert lp_calls == []
             assert trace.converged and trace.iters_used == 0
             assert trace.notes["lp_rounds"] == trace.notes["lp_rows"] == 0
@@ -1105,16 +1097,14 @@ class TestRowGeneration:
             V = np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 10)))[0]
             for objective in ("l1", "linf", "frobenius"):
                 with pytest.raises(Infeasible):
-                    sv.admm_l1_spectral(V, 0.0, sv.ShiftConstraintSet(),
-                                        objective=objective)
+                    sv.infer_shift(V, sv.ShiftConstraintSet(), 0.0, objective=objective)
         assert lp_calls == []
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_partial_basis_calls_highs(self, lp_calls, k):
         # K = 0 and K = N / 2 leave free directions for the sign rows
         _, basis = diffusion_basis(10, 62)
-        S, _, trace = sv.admm_l1_spectral(basis.vecs[:, 10 - k:], 0.0,
-                                          sv.ShiftConstraintSet())
+        S, _, trace = sv.infer_shift(basis.vecs[:, 10 - k:], sv.ShiftConstraintSet(), 0.0)
         assert trace.converged and trace.notes["lp_rounds"] == len(lp_calls) >= 1
         assert sv.ShiftConstraintSet().violation(S) <= 1e-9
 
@@ -1122,7 +1112,7 @@ class TestRowGeneration:
         # without its 6 smallest-eigenvalue eigenvectors the exact basis
         # leaves free directions: HiGHS runs, on a fraction of the rows
         G, basis = diffusion_basis(40, 1)
-        S, _, trace = sv.admm_l1_spectral(basis.vecs[:, 6:], 0.0, sv.ShiftConstraintSet())
+        S, _, trace = sv.infer_shift(basis.vecs[:, 6:], sv.ShiftConstraintSet(), 0.0)
         assert trace.converged and trace.notes["lp_rounds"] >= 2
         assert trace.notes["lp_rows"] < 40 * 39 // 2
         assert scale_aligned_error(S, G.data) <= 1e-8

@@ -110,6 +110,12 @@ class TestInferShift:
         with pytest.raises(Infeasible):
             sid.infer_shift(np.eye(3))
 
+    @pytest.mark.parametrize("basis", [np.ones(5), np.ones((5, 5, 5))])
+    def test_basis_not_2d_rejected(self, basis):
+        # these once raised a raw IndexError and a numpy ValueError
+        with pytest.raises(BadInput, match="N x N or N x K"):
+            sid.infer_shift(basis)
+
     def test_exact_recovery_er_graph(self):
         G = sim.gen_er_graph(10, 0.3, rng=5, require_connected=True)
         basis = diffused_basis(G)
@@ -138,11 +144,11 @@ class TestInferShiftPartial:
         G = sim.gen_er_graph(8, 0.4, rng=7, require_connected=True)
         basis = diffused_basis(G)
         S_full, _, _ = sid.infer_shift(basis)
-        S_part, _ = sid.infer_shift_partial(basis.vecs)
+        S_part, _, _ = sid.infer_shift(basis.vecs)
         assert np.abs(S_full - S_part).max() <= 1e-6
 
     def test_empty_basis_gives_sparsest_member(self):
-        S, _ = sid.infer_shift_partial(np.zeros((5, 0)))
+        S, _, _ = sid.infer_shift(np.zeros((5, 0)))
         assert np.abs(S).sum() == pytest.approx(2.0, abs=1e-6)
 
     def test_more_eigenvectors_help(self):
@@ -155,7 +161,7 @@ class TestInferShiftPartial:
             for k in (2, 4):
                 keep = basis.vecs[:, order[:k]]
                 try:
-                    S, _ = sid.infer_shift_partial(keep)
+                    S, _, _ = sid.infer_shift(keep)
                 except Infeasible:
                     errs[k].append(1.0)
                     continue
@@ -209,7 +215,8 @@ class TestPsdFilterLs:
         closed = sid.psd_filter_recover(Sx, Sw)
         assert np.abs(ls.H - closed.H).max() <= 1e-6
         assert trace.status == "converged" and trace.iters_used >= 1
-        assert trace.kkt_residual is None  # it stops on the objective change
+        # the start is the closed form: its one step moves H by rounding
+        assert trace.kkt_residual <= 1e-9
 
     def test_identity_everything(self):
         est, trace = sid.psd_filter_ls([np.eye(3)], [np.eye(3)])
@@ -228,6 +235,29 @@ class TestPsdFilterLs:
         assert len(record) == 1 and est.psd
         assert trace.status == "max_iters" and not trace.converged
         assert trace.iters_used == 1
+
+    def test_converged_residual_within_its_bound(self):
+        rng = np.random.default_rng(13)
+        Sx, Sw = [], []
+        for _ in range(2):  # two processes no single filter fits exactly
+            A, B = rng.standard_normal((2, 4, 4))
+            Sx.append(A @ A.T + np.eye(4))
+            Sw.append(B @ B.T + np.eye(4))
+        est, trace = sid.psd_filter_ls(Sx, Sw)
+        assert trace.status == "converged" and trace.iters_used > 1
+        # the gradient-mapping residual of the returned H, from the inputs:
+        # f is the mean of two squared misfits, L = sum of lam_max(Sw)^2
+        Q = [sid.sqrt_psd(S) for S in Sw]
+        R = [sid.sqrt_psd(q @ s @ q) for q, s in zip(Q, Sx)]
+        t = 1.0 / sum(np.linalg.eigvalsh(S)[-1] ** 2 for S in Sw)
+        H = est.H
+        grad = sum(q @ (q @ H @ q - r) @ q for q, r in zip(Q, R))
+        vals, vecs = np.linalg.eigh(H - t * grad)
+        residual = np.linalg.norm(H - (vecs * np.maximum(vals, 0.0)) @ vecs.T) / t
+        bound = sv.SolverConfig().tol * max(1.0, np.linalg.norm(H)) / t
+        assert trace.kkt_residual <= bound
+        # the reported residual, of the last step, bounds the returned H's
+        assert residual <= trace.kkt_residual + 1e-6 * bound
 
     def test_joint_fit_beats_single_process_plugins(self):
         rng = np.random.default_rng(11)
@@ -481,8 +511,8 @@ class TestAutoEps:
         monkeypatch.setattr(sv, "spectral_gap", lambda *a: calls.append(1) or gap(*a))
         G = sim.gen_er_graph(20, 0.3, rng=1, require_connected=True)
         V = diffused_basis(G).vecs
-        S, lam, trace = sv.admm_l1_spectral(V, "auto", ShiftConstraintSet())
-        S0, lam0, trace0 = sv.admm_l1_spectral(V, 0.0, ShiftConstraintSet())
+        S, lam, trace = sv.infer_shift(V, ShiftConstraintSet(), "auto")
+        S0, lam0, trace0 = sv.infer_shift(V, ShiftConstraintSet(), 0.0)
         A = G.data * (0.5 / sim.spectral_radius(G.data))
         T = A @ np.linalg.inv(np.eye(20) - A)
         S_dec, trace_dec = sid.network_deconvolve(0.5 * (T + T.T), eps="auto")
@@ -538,7 +568,7 @@ class TestAutoEps:
             with pytest.raises(BadParameter, match="eps"):
                 sid.infer_shift_from_signals(X, eps=eps)
         with pytest.raises(BadParameter, match="partial basis"):
-            sv.admm_l1_spectral(V[:, :4], "auto", ShiftConstraintSet())
+            sv.infer_shift(V[:, :4], ShiftConstraintSet(), "auto")
 
     def test_signals_n100_certified_at_default_config(self):
         # the plain ADMM stops at its 5000 cap here, with a warning. The
@@ -554,8 +584,7 @@ class TestAutoEps:
         assert trace.kkt_residual <= sv.SolverConfig().tol
         assert ShiftConstraintSet().violation(S) <= 1e-9
         basis, _ = sid.estimate_eigenbasis(X)
-        cold, _, cold_trace = sv.admm_l1_spectral(basis.vecs, meta["eps"],
-                                                  ShiftConstraintSet())
+        cold, _, cold_trace = sv.infer_shift(basis.vecs, ShiftConstraintSet(), meta["eps"])
         assert cold_trace.notes == trace.notes
         np.testing.assert_array_equal(S, cold)
 

@@ -539,23 +539,42 @@ class TestNeighborhoodLasso:
         for seed in range(10):
             X = sim.sample_gmrf(np.eye(8), 500, rng=20 + seed).data
             lam = X.shape[1] * st.auto_lambda(8, 500)
-            W, _ = st.neighborhood_lasso(X, lam, "or")
+            W, _, _ = st.neighborhood_lasso(X, lam, "or")
             iu, ju = np.triu_indices(8, 1)
             false_rates.append(np.mean(W.data[iu, ju] > 0))
         assert np.mean(false_rates) <= 0.05
 
     def test_unpenalized_is_complete(self):
         X = sim.sample_gmrf(np.eye(5), 200, rng=30).data
-        W, _ = st.neighborhood_lasso(X, 0.0, "or")
+        W, _, _ = st.neighborhood_lasso(X, 0.0, "or")
         iu, ju = np.triu_indices(5, 1)
         assert np.all(W.data[iu, ju] == 1.0)
 
     def test_and_subset_of_or(self):
         X = sim.sample_gmrf(chain_precision(7), 400, rng=31).data
         lam = 0.5 * X.shape[1] * st.auto_lambda(7, 400)
-        W_or, _ = st.neighborhood_lasso(X, lam, "or")
-        W_and, _ = st.neighborhood_lasso(X, lam, "and")
+        W_or, _, _ = st.neighborhood_lasso(X, lam, "or")
+        W_and, _, _ = st.neighborhood_lasso(X, lam, "and")
         assert np.all((W_and.data > 0) <= (W_or.data > 0))
+
+    def test_lasso_learners_return_their_trace(self):
+        # both once dropped the lasso's trace: a capped solve only warned
+        X = sim.sample_gmrf(chain_precision(6), 300, rng=32).data
+        G = X @ X.T
+        _, ref = sv.lasso_cd_gram(G, G, 30.0, const_term=0.5 * np.diag(G),
+                                  mask=~np.eye(6, dtype=bool))
+        _, _, trace = st.neighborhood_lasso(X, 30.0)
+        assert trace.status == "converged" and trace.iters_used == ref.iters_used
+        assert trace.kkt_residual == ref.kkt_residual
+        one = SolverConfig(max_iters=1)
+        with pytest.warns(UserWarning, match="1-sweep cap on 6 of 6"):
+            _, _, trace = st.neighborhood_lasso(X, 30.0, "or", one)
+        assert trace.status == "max_iters" and trace.iters_used == 6
+        _, _, trace = nd.svarm_fit(X, 2, 40.0)
+        assert trace.status == "converged" and trace.iters_used >= 6
+        with pytest.warns(UserWarning, match="1-sweep cap on 6 of 6"):
+            _, _, trace = nd.svarm_fit(X, 2, 40.0, "or", one)
+        assert trace.status == "max_iters" and trace.iters_used == 6
 
     def test_parallel_matches_serial(self):
         # the shared-Gram learners against per-node lasso_cd solves on the
@@ -566,7 +585,7 @@ class TestNeighborhoodLasso:
 
         cfg = SolverConfig()
         X = sim.sample_gmrf(chain_precision(6), 300, rng=32).data
-        _, B = st.neighborhood_lasso(X, 30.0, "or", cfg)
+        _, B, _ = st.neighborhood_lasso(X, 30.0, "or", cfg)
         ref = np.zeros((6, 6))
         for i in range(6):
             others = np.delete(np.arange(6), i)
@@ -589,7 +608,7 @@ class TestNeighborhoodLasso:
         check(np.column_stack([W.data, omega]), ref)
 
         lags, lam = 2, 40.0
-        _, Ws = nd.svarm_fit(Xs, lags, lam, "or", cfg)
+        _, Ws, _ = nd.svarm_fit(Xs, lags, lam, "or", cfg)
         A = np.vstack([Xs[:, lags - lag: T - lag] for lag in range(1, lags + 1)]).T
         ref = np.array([sv.lasso_cd(A, Xs[i, lags:], lam, cfg)[0] for i in range(n)])
         check(np.hstack(Ws), ref)
@@ -622,6 +641,6 @@ class TestNeighborhoodLasso:
         lam_n = X.shape[1] * lam_g
         iu = np.triu_indices(10, 1)
         for rule in ("or", "and"):
-            W, _ = st.neighborhood_lasso(X, lam_n, rule)
+            W, _, _ = st.neighborhood_lasso(X, lam_n, rule)
             agree = np.mean(gl[iu] == (W.data[iu] > 0))
             assert agree >= 0.8
