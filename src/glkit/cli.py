@@ -222,6 +222,7 @@ def cmd_learn(args) -> int:
         else:
             traj = netdyn.dynamic_sem_track(data, args.gamma, args.alpha, config,
                                             emit_every=args.emit_every)
+            trace = traj.trace
             _emit_graph(args.output,
                         ShiftOperator(traj.weights[-1], ShiftKind.GENERIC,
                                       directed=True))

@@ -9,6 +9,7 @@ shared-Gram :func:`glkit.solvers.lasso_cd_gram` call.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +70,14 @@ class CascadeData:
 
 @dataclass
 class GraphTrajectory:
-    """Per-epoch estimates of a time-varying directed graph."""
+    """Per-epoch estimates of a time-varying directed graph; ``trace`` is the
+    worst epoch's (capped, then largest KKT residual), sweeps summed."""
 
     times: list = field(default_factory=list)
     weights: list = field(default_factory=list)
     edge_counts: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
+    trace: SolveTrace | None = None
 
     def append(self, t: int, W: np.ndarray, objective: float):
         if np.abs(np.diag(W)).max(initial=0.0) != 0.0:
@@ -173,25 +176,34 @@ def dynamic_sem_track(data: CascadeData, gamma: float, alpha: float,
     """Online tracking of a time-varying SEM by exponentially-weighted LS.
 
     At every epoch the weighted Gram and cross moments are updated
-    recursively (old information discounted by ``gamma``) and the N
-    row regressions restart from the previous estimate, one
-    :func:`lasso_cd_gram` call per epoch. With gamma = 1 the final epoch
-    reproduces the batch fit on all the data.
-    """
+    recursively (old information discounted by ``gamma``) and the N row
+    regressions restart from the previous estimate, one
+    :func:`lasso_cd_gram` call per epoch; epochs stopped at the sweep cap
+    warn once per run. With gamma = 1 the final epoch reproduces the batch
+    fit on all the data."""
     if not (0.0 < gamma <= 1.0):
         raise BadParameter("forgetting factor must lie in (0, 1]")
     if not 0 <= alpha < np.inf:
         raise BadParameter(f"alpha must be a finite number >= 0, got {alpha!r}")
     if emit_every < 1:
         raise BadParameter("emit_every must be at least 1")
+    if data.t < 1:
+        raise TooFewSamples("tracking needs at least one epoch")
     n = data.n
     G = np.zeros((2 * n, 2 * n))
     traj = GraphTrajectory()
-    B = None
-    for t in range(data.t):
-        At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
-        G = gamma * G + At @ At.T
-        W, _, B, trace = _sem_solve_nodes(G, n, alpha / 2.0, config, beta0=B)
-        if (t + 1) % emit_every == 0 or t == data.t - 1:
-            traj.append(t, W, 2.0 * sum(trace.notes["objectives"]))
+    B, worst, sweeps, capped = None, None, 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the capped epochs warn once, below
+        for t in range(data.t):
+            At = np.concatenate([data.X[:, t, :], data.U[:, t, :]], axis=0)
+            G = gamma * G + At @ At.T
+            W, _, B, trace = _sem_solve_nodes(G, n, alpha / 2.0, config, beta0=B)
+            sweeps, capped = sweeps + trace.iters_used, capped + (not trace.converged)
+            worst = min(worst or trace, trace, key=lambda tr: (tr.converged, -tr.kkt_residual))
+            if (t + 1) % emit_every == 0 or t == data.t - 1:
+                traj.append(t, W, 2.0 * sum(trace.notes["objectives"]))
+    worst.iters_used, traj.trace = sweeps, worst
+    worst.stop(worst.status, "dynamic_sem_track", f"its {(config or SolverConfig()).max_iters}"
+               f"-sweep cap in {capped} of {data.t} epochs")
     return traj

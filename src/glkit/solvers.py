@@ -5,22 +5,15 @@ learner (one Gram matrix shared by many right-hand sides, each with its
 own mask of usable coordinates), the proximal-gradient kernel of the
 penalised Gaussian likelihood shared by the precision estimators, the
 closed-form projection onto the shift constraint set, the one
-spectral-template solve :func:`infer_shift` over a full or partial
-eigenbasis with its steps (the exact linear program for noise-free
-templates by delayed row generation, the certified primal active-set
-walk that solves robust l1 templates, the accelerated feasibility gap
-that gives the walk its feasible start and the automatic eps, and the
-residual-balanced two-block ADMM kernel that runs last), and the
-edge-weight engine for problems with degree terms: one proximal-point
-loop of semismooth Newton solves on their N-variable Lagrange dual (a
-single round when the ridge weight is positive), with the
-weight-to-degree map and the Newton matrix built by index arithmetic.
-
-Edge vectors follow the order of :func:`graphcore.edge_index`. The
-kernels share its per-N cache, and that of the flat positions of
-:func:`graphcore.edge_positions`, instead of rebuilding an index on each
-call: a robust spectral-template solve calls the two shift projections
-thousands of times.
+spectral-template solve :func:`infer_shift` (exact at eps = 0 by closed
+form, row-generation LP or NNLS, and at eps > 0 by one certified primal
+active-set engine on the edge vector), and the edge-weight engine for
+problems with degree terms: one proximal-point loop of semismooth Newton
+solves on their N-variable Lagrange dual (a single round when the ridge
+weight is positive), with the weight-to-degree map and the Newton matrix
+built by index arithmetic. Edge vectors follow the order of
+:func:`graphcore.edge_index`; the kernels share its per-N cache and that
+of :func:`graphcore.edge_positions`.
 """
 
 from __future__ import annotations
@@ -43,18 +36,14 @@ SPECTRAL_GAP_MAX_ITERS = 3000
 @dataclass(frozen=True)
 class SolverConfig:
     """The two knobs shared by the iterative solvers: an iteration cap
-    and a stopping tolerance.
-
-    Each solver reads ``tol`` against its own residual: relative change
-    for the lasso, the relative KKT residual of the active-set walk's
-    certificate and the scaled primal and dual residuals of :func:`admm`
-    in :func:`infer_shift`, a scale-free KKT residual for the precision
-    estimators' :func:`logdet_prox_gradient`, the gradient-mapping
-    residual of the PSD filter fit and a relative degree residual for
-    the edge-weight engine (whose ``max_iters`` counts Newton steps).
-    Exact solves ignore both: the eps = 0 spectral-template LP with the
-    l1 or sup-norm objective is solved exactly (closed form or HiGHS).
-    """
+    and a tolerance on each solver's KKT (optimality) residual: the
+    lasso's relative change and projected-subgradient residual, the
+    spectral active-set engine's relative reduced-cost and duality-gap
+    residual (``max_iters`` counting support solves), the scale-free KKT
+    residual of :func:`logdet_prox_gradient`, the PSD filter fit's
+    gradient-mapping residual and the edge-weight engine's relative
+    degree residual (``max_iters`` counting Newton steps). The exact
+    eps = 0 spectral-template solves ignore both."""
 
     max_iters: int = 5000
     tol: float = 1e-7
@@ -73,7 +62,7 @@ class SolverConfig:
 class SolveTrace:
     """One solve's report. ``status`` is "converged" (a stopping rule
     held), "exact" (a closed form or an optimal LP), "certified" (the
-    active-set walk's KKT certificate held), "max_iters" (the cap ran out
+    spectral engine's KKT certificate held), "max_iters" (the cap ran out
     first) or "stalled" (no further progress). ``kkt_residual`` is the
     optimality residual, None where the solver has none; ``notes`` holds
     its other work counts."""
@@ -116,15 +105,6 @@ def project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     idx = np.nonzero(u * k > (css - s))[0][-1]
     theta = (css[idx] - s) / (idx + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of a flat array onto the l1 ball."""
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    w = project_simplex(a.ravel(), radius).reshape(v.shape)
-    return np.sign(v) * w
 
 
 # ---------------------------------------------------------------------------
@@ -316,53 +296,6 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
 
 
 # ---------------------------------------------------------------------------
-# two-block ADMM
-
-
-def admm(prox_x, prox_z, z0, config: SolverConfig, objective):
-    """Scaled two-block ADMM for min f(x) + g(z) s.t. x = z over N x M
-    matrices (the robust spectral templates' solver). z may stack copies
-    of an N x N matrix side by side under separate terms of g, f holding
-    the copies equal: the consensus form of Boyd et al., "Distributed
-    optimization and statistical learning via ADMM", 2011, 7.1.
-
-    From z = z0, u = 0 and rho = 1 it iterates x = prox_x(z - u, rho),
-    z = prox_z(x + u, rho), u += x - z, where prox_x(m, rho) minimises
-    f(x) + rho/2 ||x - m||_F^2 (likewise prox_z for g). Every 50
-    iterations the residuals are balanced (ibid., 3.4.1): rho doubles
-    and u halves when the primal residual r = ||x - z||_F exceeds ten
-    times the dual residual s = rho ||z - z_prev||_F, and the reverse
-    when s exceeds ten times r. Stops when r and s are both at most
-    ``tol * N * max(1, ||x||_F)`` (status "converged") or after
-    ``max_iters`` iterations (status "max_iters", with no warning: the
-    caller gives it). Logs objective(x) every iteration. Returns
-    (x, z, trace).
-    """
-    z = z0
-    u = np.zeros_like(z0)
-    rho = 1.0
-    trace = SolveTrace()
-    for it in range(config.max_iters):
-        x = prox_x(z - u, rho)
-        z_prev = z
-        z = prox_z(x + u, rho)
-        u = u + x - z
-        r = float(np.linalg.norm(x - z))
-        s = rho * float(np.linalg.norm(z - z_prev))
-        trace.log(objective(x))
-        trace.iters_used = it + 1
-        if max(r, s) <= config.tol * x.shape[0] * max(1.0, float(np.linalg.norm(x))):
-            trace.stop("converged")
-            break
-        if (it + 1) % 50 == 0:
-            if r > 10.0 * s:
-                rho, u = 2.0 * rho, u / 2.0
-            elif s > 10.0 * r:
-                rho, u = rho / 2.0, 2.0 * u
-    return x, z, trace
-
-
-# ---------------------------------------------------------------------------
 # shift constraint sets
 
 
@@ -420,70 +353,40 @@ class ShiftConstraintSet:
 
 
 class SpectralCoupling:
-    """Projection onto {V diag(lam) V' + E : ||E||_F <= eps} for a full
-    orthonormal basis V; with eps = 0 this is the subspace of matrices
-    diagonalized by V."""
+    """Projection onto the span of a full orthonormal basis V's rank-one
+    eigen-matrices, {V diag(lam) V'}: the matrices V diagonalizes."""
 
-    def __init__(self, V: np.ndarray, eps: float = 0.0):
+    def __init__(self, V: np.ndarray):
         self.V = np.asarray(V, float)
-        self.eps = float(eps)
 
     def project(self, M):
         Mt = self.V.T @ _sym(M) @ self.V
-        lam = np.diagonal(Mt).copy()
-        np.fill_diagonal(Mt, 0.0)  # Mt holds the off-diagonal residual
-        dist = float(np.linalg.norm(Mt))
-        shrink = 0.0 if self.eps <= 0 or dist == 0 else min(1.0, self.eps / dist)
-        Mt *= shrink
-        np.fill_diagonal(Mt, lam)
-        return _sym(self.V @ Mt @ self.V.T)
+        return _sym(self.V @ np.diag(np.diagonal(Mt)) @ self.V.T)
 
 
-def _prox_objective(cset: ShiftConstraintSet, M, inv_rho: float, objective: str):
-    """prox of (objective + indicator of cset) evaluated at M. The
-    sup-norm's own prox is a third ADMM block, so for it M holds two
-    copies side by side, and both become the projection of their mean."""
-    if objective == "l1":
-        # ||S||_1 is the sum of the off-diagonal entries on the set, so the
-        # composite prox is one projection of M - 1/rho (it reads only the pairs)
-        return cset.project(M - inv_rho)
-    if objective == "frobenius":
-        return cset.project(M / (1.0 + inv_rho))
-    n = M.shape[0]
-    return np.tile(cset.project(0.5 * (M[:, :n] + M[:, n:])), 2)
-
-
-def _objective_value(S, objective: str) -> float:
-    if objective == "l1":
-        return float(np.abs(S).sum())
-    if objective == "frobenius":
-        return float(np.linalg.norm(S))
-    return float(np.abs(S).max())
+_NORMS = {"l1": lambda S: float(np.abs(S).sum()), "linf": lambda S: float(np.abs(S).max()),
+          "frobenius": lambda S: float(np.linalg.norm(S))}
 
 
 def spectral_gap(V):
     """Distance between the shift constraint set and the span of the
-    basis's rank-one eigen-matrices.
+    basis's rank-one eigen-matrices, by alternating projections (projected
+    gradient steps on half the squared distance to the span) with Nesterov
+    momentum and a function-value restart (O'Donoghue & Candes, "Adaptive
+    restart for accelerated gradient schemes", 2015): the momentum resets
+    whenever an iteration's distance exceeds the previous one. Each
+    iteration projects the extrapolated point onto the span (T) and T onto
+    the set (S), so every pair is feasible. Stops once an iteration that
+    does not restart lowers the distance by at most ``SPECTRAL_GAP_TOL``
+    relative; warns when ``SPECTRAL_GAP_MAX_ITERS`` runs out first.
 
-    Alternating projections are projected gradient steps on half the
-    squared distance to the span; they run here with Nesterov momentum
-    and a function-value restart (O'Donoghue & Candes, "Adaptive restart
-    for accelerated gradient schemes", 2015): whenever the distance of
-    an iteration's pair exceeds the previous one, the momentum resets.
-    Each iteration projects the extrapolated point onto the span (T) and
-    T onto the set (S), so every pair (S, T) is feasible. Stops once an
-    iteration that does not restart lowers the distance by at most
-    ``SPECTRAL_GAP_TOL`` relative; warns when ``SPECTRAL_GAP_MAX_ITERS``
-    runs out first.
-
-    Returns (gap, S, trace). ``gap`` is the smallest ||S - T||_F seen:
-    an upper bound on the true gap, hence every eps at or above it is
-    feasible. ``S`` is the member of the set that reached it, within
-    ``gap`` of the span. The trace logs each iteration's distance; its
-    status is "max_iters" when the cap stopped the loop.
+    Returns (gap, S, trace): the smallest ||S - T||_F seen, an upper bound
+    on the true gap (every eps at or above it is feasible), the member S
+    that reached it, within gap of the span, and a trace logging each
+    iteration's distance, with status "max_iters" when capped.
     """
     V = np.asarray(V, dtype=float)
-    coupling = SpectralCoupling(V, 0.0)
+    coupling = SpectralCoupling(V)
     cset = ShiftConstraintSet()
     S = S_prev = best_S = cset.project(np.ones((V.shape[0], V.shape[0])))
     t = 1.0
@@ -520,11 +423,10 @@ _LP_RANK_FLOOR = 1e-8
 
 
 def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
-    """Exact eps = 0 solve: min ||S||_1 (or ||S||_inf) over the members
-    S of the set that equal V diag(lam) V' + Vc Z Vc', with Z a free
-    symmetric block on an orthonormal complement Vc of a partial N x K
-    basis (empty for a full one). The Frobenius objective solves the l1
-    problem.
+    """Exact eps = 0 solve: min ||S||_1 (or ||S||_inf, ||S||_F) over the
+    members S of the set that equal V diag(lam) V' + Vc Z Vc', with Z a
+    free symmetric block on an orthonormal complement Vc of a partial
+    N x K basis (empty for a full one).
 
     With U = [V Vc], LP variable m scales (u_p u_q' + u_q u_p') / 2 for
     the column pair (p_m, q_m): (k, k) for each eigenvalue, (a, b) with
@@ -536,38 +438,36 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
     epigraph variable t >= 0 with a row S_ij <= t per pair (the diagonal
     is zero, so t >= 0 covers it).
 
-    When the equality rows (the zero diagonal and the first column's
-    sum) have full column rank - the smallest singular value above
-    ``_LP_RANK_FLOOR`` of the largest, as for most full bases - they
-    admit at most one point, read by least squares. It raises Infeasible
-    when an equality row, a sign row or an epigraph row (t at its least
-    value) misses by more than ``_LP_FEAS_TOL``; otherwise it is the
-    optimum of every objective, found with no LP solve (Segarra, Marques,
-    Mateos & Ribeiro, "Network topology inference from spectral
-    templates", 2017). scipy is imported only past this point.
+    Equality rows (the zero diagonal and the first column's sum) of full
+    column rank (least singular value above ``_LP_RANK_FLOOR`` of the
+    largest, as for most full bases) admit at most one point, read by
+    least squares: Infeasible when an equality, sign or epigraph row (t
+    least) misses by more than ``_LP_FEAS_TOL``, else the optimum of every
+    objective, with no LP solve (Segarra, Marques, Mateos & Ribeiro,
+    2017). scipy is imported only past this point.
 
-    Otherwise free directions remain, and delayed row generation
-    (Bertsimas & Tsitsiklis, Introduction to Linear Optimization, 6.1)
-    runs HiGHS: every equality row is in every solve, while the
-    inequality rows - one sign row per pair, plus the sup-norm's
-    epigraph row per pair - start as those of the first vertex's N - 1
-    pairs. Each round reads every row's value off the
-    assembled S and stops when no row left out is violated by more than
-    ``_LP_FEAS_TOL``, HiGHS's own feasibility tolerance for the rows it
-    holds: a relaxation whose solution every row accepts is optimal for
-    the full LP, so the result is exact. Otherwise it adds the 4N
-    left-out rows of largest value, the most violated first; nearly
-    binding rows fill the rest, since a restricted vertex often violates
-    only a few rows at a time. The implied row ||S||_1 >= 0 joins every
-    l1 solve and keeps each restricted LP bounded (the sup-norm is
-    bounded by t >= 0). An infeasible restricted LP raises Infeasible:
-    the full LP has more rows. The final point is projected onto the set
-    so that its structural constraints hold exactly.
+    Otherwise free directions remain. The Frobenius objective is ||x o
+    r|| (r = 1 at (k, k), sqrt(1/2) elsewhere): with y = x o r = y0 + Z v,
+    y0 least-norm on the equality rows and Z their null space, min ||v||
+    s.t. (G Z) v >= -G y0 on the sign rows G is one NNLS (Lawson &
+    Hanson, Solving Least Squares Problems, 1974, ch. 23). The LPs run
+    HiGHS with delayed row generation (Bertsimas & Tsitsiklis,
+    Introduction to Linear Optimization, 6.1): every equality row is in
+    every solve, while the inequality rows - one sign row per pair, plus
+    the sup-norm's epigraph row per pair - start as those of the first
+    vertex's N - 1 pairs. Each round stops when no row left out is
+    violated by more than ``_LP_FEAS_TOL``, HiGHS's own feasibility
+    tolerance: a relaxation whose solution every row accepts is optimal
+    for the full LP. Otherwise it adds the 4N left-out rows of largest
+    value, violated or nearly binding. The implied row ||S||_1 >= 0 keeps
+    each restricted l1 LP bounded; an infeasible one raises Infeasible.
+    The final point is projected onto the set, so that its structural
+    constraints hold exactly.
 
     Returns (S, trace) with status "exact" (the caller reads lam off S);
     a HiGHS solve that ends short of optimality raises SolverError.
-    ``iters_used`` sums the simplex iterations of all rounds,
-    ``notes["lp_rounds"]`` counts the solves (0 for the closed form) and
+    ``iters_used`` sums the simplex iterations, ``notes["lp_rounds"]``
+    counts the solves (0 for the closed form, 1 for the NNLS) and
     ``notes["lp_rows"]`` / ``notes["lp_rows_full"]`` give the inequality
     rows of the final solve and of the full LP.
     """
@@ -614,6 +514,28 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
             raise Infeasible("no member of the constraint set is exactly "
                              "diagonalized by the given basis")
         rounds = n_rows = nit = 0
+    elif objective == "frobenius":  # least distance by NNLS
+        from scipy.optimize import nnls
+        # ||S||_F = ||x * r||: the pair (a, b), a < b, appears twice in sym(C)
+        r = np.where(p == q, 1.0, math.sqrt(0.5))
+        left, sv, right = np.linalg.svd(a_eq / r)
+        rank = int((sv > _LP_RANK_FLOOR * sv[0]).sum())
+        y0 = right[:rank].T @ ((left[:, :rank].T @ b_eq) / sv[:rank])
+        free = right[rank:].T  # orthonormal free directions
+        G = entry_rows(iu, ju) / r  # G y >= 0: the sign rows
+        # min ||v|| s.t. (G free) v >= -G y0 - tol by one NNLS on [(G free)';
+        # (-G y0 - tol)']: the slack keeps rows that force an entry to 0 in
+        # opposite senses from meeting in an empty slab by rounding
+        E = np.vstack([(G @ free).T, -(G @ y0) - _LP_FEAS_TOL])
+        f = np.append(np.zeros(E.shape[0] - 1), 1.0)
+        res = E @ nnls(E, f)[0] - f
+        x = (y0 - free @ res[:-1] / res[-1]) / r if res[-1] < 0 else y0 / r
+        S = assemble(x)
+        if (res[-1] >= 0 or np.abs(a_eq @ x - b_eq).max() > _LP_FEAS_TOL
+                or -S[iu, ju].min() > _LP_FEAS_TOL):
+            raise Infeasible("no member of the constraint set is exactly "
+                             "diagonalized by the given basis")
+        rounds, n_rows, nit = 1, iu.size, 0
     else:  # free directions remain: HiGHS with row generation
         from scipy.optimize import linprog
 
@@ -665,54 +587,33 @@ def _spectral_lp(V, cset: ShiftConstraintSet, objective: str):
         n_rows = a_ub.shape[0]
     S = cset.project(S)
     trace = SolveTrace(status="exact", iters_used=nit)
-    trace.log(_objective_value(S, objective))
+    trace.log(_NORMS[objective](S))
     trace.notes.update(constraint_violation=float(cset.violation(S)),
                        lp_rounds=rounds, lp_rows=n_rows, lp_rows_full=coef.size)
     return S, trace
 
 
-_WALK_ROUNDS = 200  # solves of the active-set walk before the ADMM takes over
-_FINISH_ROUNDING = 1e-9  # relative slack of the certificate's ball and set checks
+_FINISH_ROUNDING = 1e-9  # relative slack of the certificates' ball and set checks
 
 
 class _EdgeKKT:
-    """The eps > 0 l1 problem on the shift constraint set: its closed-form
-    KKT solve on a support and the certificate of a solution.
+    """The eps > 0 problem on the edge vector w of S (:func:`edge_index`
+    order): w >= 0, a'w = 1 (a marks the first vertex's pairs) and w'Aw <=
+    eps^2, A = 2I - BB', B[e, k] = 2 V[i, k] V[j, k], w'Aw the squared
+    distance to the span; ||S||_1 = c'w (c = 2), ||S||_F^2 = 2 w'w. A
+    support E is solved through the N x N M = 2I - B_E'B_E (2D'D + B_F'B_F
+    over the fewer pairs F left out, D = V o V), B and B' applied as N x N
+    products; ``solves`` counts those of :meth:`walk` and :meth:`qp`
+    against ``config.max_iters``."""
 
-    In the edge vector w of S (:func:`edge_index` order) the problem is
-    min c'w s.t. w >= 0, a'w = 1, w'Aw <= eps^2, with c = 2 (||S||_1
-    counts each pair twice), a the indicator of the first vertex's pairs
-    (the scale equality), A = 2I - BB' and B[e, k] =
-    2 V[i, k] V[j, k]: w'Aw = ||S||_F^2 - ||diag(V'SV)||^2 is the squared
-    distance from S to the matrices V diagonalizes. On a support E with
-    the ball active, stationarity gives w_E = -A_EE^-1 (c + nu a) / (2 mu).
-    A_EE^-1 applies by Woodbury with one Cholesky factor of the N x N
-    matrix M = 2I - B_E'B_E (summed as 2D'D + B_F'B_F over the pairs F
-    left out when they are fewer, D = V o V), and B and B' apply as
-    N x N products; the scale equality and the ball make nu a root
-    of a scalar quadratic, and mu = sqrt(f(nu)) / (2 eps), with f(nu) the
-    quadratic form of A_EE^-1 (c + nu a). The reduced costs of a solution
-    are z = c + nu a + 2 mu Aw.
-
-    A solution is certified only when, checked on S itself, it lies in
-    the set and within eps of the span up to ``_FINISH_ROUNDING``
-    relative, and its KKT residual - the largest |z_e| on the support and
-    -z_e off it, over max|c| = 2 - is at most ``tol``. The ball check
-    reads the V'SV that pricing formed.
-    """
-
-    def __init__(self, V, eps: float, tol: float):
-        n = V.shape[0]
-        self.V, self.n, self.eps = V, n, eps
-        self.iu, self.ju = edge_index(n)
-        self.up = edge_positions(n)[0]
+    def __init__(self, V, eps: float, config: SolverConfig):
+        self.V, self.n, self.eps = V, V.shape[0], eps
+        self.iu, self.ju = edge_index(self.n)
+        self.up = edge_positions(self.n)[0]
         self.a = (self.iu == 0).astype(float)
         self.c = np.full(self.iu.size, 2.0)
-        self.floor = -tol * 2.0  # reduced costs below it price an edge in
-        self.tol = tol
-        self.k = 1.0 / (eps * eps)
-        D = V * V
-        self.DD = 2.0 * D.T @ D
+        self.tol, self.budget, self.solves = config.tol, config.max_iters, 0
+        self.DD = 2.0 * (V * V).T @ (V * V)
 
     def b_t(self, x):  # B'x = diag(V' W(x) V) for an edge vector x
         return np.einsum("ik,ik->k", self.V, weights_from_edge_vector(x, self.n) @ self.V)
@@ -720,21 +621,36 @@ class _EdgeKKT:
     def b_op(self, y):  # By over every pair: 2 (V diag(y) V')_ij
         return 2.0 * ((self.V * y) @ self.V.T).ravel()[self.up]
 
-    def solve(self, E):
-        """(w, nu, mu) of the ball-active KKT point on support E, or None."""
-        V, n, iu, ju, a, k = self.V, self.n, self.iu, self.ju, self.a, self.k
+    def dist2(self, w):  # w'Aw = ||offdiag(V'W(w)V)||_F^2, the squared distance to the span
+        return float(np.linalg.norm(_offdiag(self.V.T @ weights_from_edge_vector(w, self.n)
+                                             @ self.V))) ** 2
+
+    def a_op(self, w):  # Aw = 2 (V offdiag(V'W(w)V) V')_ij, free of cancellation near the span
+        R = _offdiag(self.V.T @ weights_from_edge_vector(w, self.n) @ self.V)
+        return 2.0 * (self.V @ R @ self.V.T).ravel()[self.up]
+
+    def schur(self, E):  # M of support E
+        V, iu, ju = self.V, self.iu, self.ju
         if 2 * np.count_nonzero(E) <= E.size:
             BE = 2.0 * V[iu[E]] * V[ju[E]]
-            M = 2.0 * np.eye(n) - BE.T @ BE
-        else:  # B'B = 2I - 2 D'D over all pairs: sum over the fewer left out
-            Bc = 2.0 * V[iu[~E]] * V[ju[~E]]
-            M = self.DD + Bc.T @ Bc
+            return 2.0 * np.eye(self.n) - BE.T @ BE
+        Bc = 2.0 * V[iu[~E]] * V[ju[~E]]  # B'B = 2I - 2D'D over all pairs
+        return self.DD + Bc.T @ Bc
+
+    def solve(self, E):
+        """(w, nu, mu) of the l1 problem's ball-active KKT point on E, or
+        None: w_E = -A_EE^-1 (c + nu a) / (2 mu), A_EE^-1 = (I + B_E M^-1
+        B_E') / 2 (Woodbury, one Cholesky factor of M), nu a root of the
+        scale and ball's quadratic, mu = sqrt(f(nu)) / (2 eps) with f the
+        quadratic form of A_EE^-1 (c + nu a)."""
+        self.solves += 1
+        V, n, a, k = self.V, self.n, self.a, 1.0 / (self.eps * self.eps)
         try:  # numpy's factor: scipy.linalg alone takes 0.27 s to import
-            L = np.linalg.cholesky(M)
+            L = np.linalg.cholesky(self.schur(E))
         except np.linalg.LinAlgError:
             return None
 
-        def a_inv(r):  # A_EE^-1 r = (r + B_E M^-1 B_E'r) / 2 by Woodbury, r on E
+        def a_inv(r):  # A_EE^-1 r, r on E
             return np.where(E, 0.5 * (r + self.b_op(np.linalg.solve(L.T, np.linalg.solve(
                 L, self.b_t(r))))), 0.0)
 
@@ -757,60 +673,28 @@ class _EdgeKKT:
         mu = math.sqrt(f) / (2.0 * self.eps)
         return -(p + nu * q) / (2.0 * mu), nu, mu
 
-    def price(self, w, nu: float, mu: float):
-        """(S, V'SV, reduced costs z) of a solve's point w."""
-        S = weights_from_edge_vector(w, self.n)
-        Mt = self.V.T @ S @ self.V
-        return S, Mt, self.c + nu * self.a + 2.0 * mu * (2.0 * w - self.b_op(np.diagonal(Mt)))
-
-    def certify(self, S, Mt, z, E):
-        """(S, its KKT residual) when the certificate holds on S, else
-        None. Overwrites Mt's diagonal."""
-        kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / 2.0
-        if (kkt <= self.tol
-                and float(np.linalg.norm(_offdiag(Mt))) <= self.eps * (1.0 + _FINISH_ROUNDING)
-                and ShiftConstraintSet().violation(S) <= _FINISH_ROUNDING):
-            return S, kkt
-        return None
-
-    def walk(self, S0):
-        """Primal active-set walk (Nocedal & Wright, Numerical
-        Optimization, ch. 16) from S0, a member of the set: returns (the
-        certified (S, kkt residual) or None, the number of solves).
-
-        The iterate w is a feasible edge vector with support E, at first
-        S0's. Each round solves on E. When some weights of the solution
-        are <= 0, they are dropped, and so are those of each further
-        solve, until a solve has every weight positive; that solution is
-        kept when it does not raise c'w. Otherwise w steps toward E's
-        solution up to the first weight that reaches 0 (a ratio test: the
-        segment stays in the ball and on the scale hyperplane, both
-        convex, and c'w does not rise along it), and that edge leaves E.
-        With every weight positive, the edges whose reduced cost is below
-        -tol max|c| join E; when there are none, the solution is
-        certified. Returns None on a failed solve (a singular or
-        ball-inactive support) or certificate, or once ``_WALK_ROUNDS``
-        solves are spent. Runs no solve (0 rounds) when S0 is farther than
-        eps from the span: eps is below the gap found there.
-        """
-        if _span_distance(self.V, S0) > self.eps:
-            return None, 0
-        w = S0.ravel()[self.up]
+    def walk(self, w):
+        """Primal active-set walk on the l1 problem (Nocedal & Wright,
+        Numerical Optimization, ch. 16) from the feasible w: a solution of
+        :meth:`solve` with weights <= 0 drops them (and those of further
+        solves) if c'w does not rise, else w steps toward it to the first
+        zero weight, whose edge leaves; edges with reduced cost z = c + nu a
+        + 2 mu Aw below -tol max|c| join. With none: (S, KKT residual) if S
+        lies in the set and within eps (up to ``_FINISH_ROUNDING``) and the
+        residual, max |z_e| on the support and -z_e off it over max|c| = 2,
+        is at most ``tol``; else None, as on a failed solve or budget."""
         E = w > 0
-        rounds = 0
-        while rounds < _WALK_ROUNDS:
+        while self.solves < self.budget:
             sol = self.solve(E)
-            rounds += 1
             if sol is None:
-                return None, rounds
+                return None
             neg = E & (sol[0] <= 0)
             if neg.any():
                 kept, bulk = E, sol
                 while (bulk is not None and (bulk[0][kept] <= 0).any()
-                       and rounds < _WALK_ROUNDS):
+                       and self.solves < self.budget):
                     kept = kept & (bulk[0] > 0)
                     bulk = self.solve(kept)
-                    rounds += 1
                 if (bulk is None or (bulk[0][kept] <= 0).any()
                         or self.c @ bulk[0] > self.c @ w):
                     ratio = w[neg] / np.maximum(w[neg] - sol[0][neg], np.finfo(float).tiny)
@@ -819,24 +703,163 @@ class _EdgeKKT:
                     w[j], E[j] = 0.0, False
                     continue
                 sol, E = bulk, kept
-            w = sol[0]
-            S, Mt, z = self.price(*sol)
-            add = ~E & (z < self.floor)
+            w, nu, mu = sol
+            S = weights_from_edge_vector(w, self.n)
+            Mt = self.V.T @ S @ self.V
+            z = self.c + nu * self.a + 2.0 * mu * (2.0 * w - self.b_op(np.diagonal(Mt)))
+            add = ~E & (z < -2.0 * self.tol)
             if not add.any():
-                return self.certify(S, Mt, z, E), rounds
+                kkt = max(float(np.abs(z[E]).max()), float(-z[~E].min(initial=0.0))) / 2.0
+                return (S, kkt) if (kkt <= self.tol and float(np.linalg.norm(_offdiag(Mt)))
+                                    <= self.eps * (1.0 + _FINISH_ROUNDING)
+                                    and ShiftConstraintSet().violation(S)
+                                    <= _FINISH_ROUNDING) else None
             E = E | add
-        return None, rounds
+        return None
+
+    def eqp(self, F, fixed, sigma, tau, c):
+        """(x, nu): the minimiser of q(x) = x'Hx / 2 + c'x, H = sigma I +
+        tau A, on the edges F (the others at ``fixed``) s.t. a'x = 1, and
+        that row's multiplier: x = (tau B_F y - g - nu a_F) / alpha, alpha =
+        sigma + 2 tau and g = c + H fixed, where (y = B_F'x, nu) solves a
+        bordered N + 1 system in sigma I + tau M, the Woodbury form. A
+        singular one gives (d, None): d on F, a'd = 0, q linear along d."""
+        self.solves += 1
+        n, aF = self.n, self.a * F
+        alpha, na = sigma + 2.0 * tau, max(math.sqrt(aF.sum()), 1.0)
+        g = np.where(F, c + tau * self.a_op(fixed), 0.0) / alpha  # fixed is 0 on F
+        ba = self.b_t(aF)[:, None] / na  # 0 with no first-vertex pair on F
+        K = np.block([[(sigma * np.eye(n) + tau * self.schur(F)) / alpha, ba],
+                      [tau / alpha * ba.T, -np.ones((1, 1))]])
+        rhs = np.append(-self.b_t(g), (1.0 - self.a @ fixed + aF @ g) / na)
+        left, sv, right = np.linalg.svd(K)
+        singular = sv[-1] <= 1e-11 * sv[0]  # the least over the largest singular value
+        y = right[-1] if singular else right.T @ ((left.T @ rhs) / sv)
+        x = tau / alpha * self.b_op(y[:n]) - y[n] / na * aF
+        if singular:
+            return np.where(F, x, 0.0), None
+        return np.where(F, x - g, fixed), alpha * y[n] / na
+
+    def qp(self, sigma, tau, c, w, t=math.inf, stop=-1.0):
+        """Primal active set (Goldfarb & Idnani, Math. Programming 1983;
+        Nocedal & Wright, ch. 16) for min q(w) s.t. w >= 0, a'w = 1, w <= t
+        from the feasible w (its largest weights start bound when below t).
+        An :meth:`eqp` solution on the free edges F out of bounds has them
+        all bound, if that reaches a feasible point below q(w); else w steps
+        toward it, or along a singular direction, the sense not raising q,
+        to the first bound, whose edge leaves F. At one within bounds the 4N
+        edges (or fewer) whose reduced cost z = grad q + nu a errs most in
+        sign, by over ``tol`` max|grad q|, join. Returns (w, the rows w <=
+        t's multiplier sum, the largest error) at the optimum, else (w, 0,
+        inf) once w'Aw <= ``stop``, the budget is spent, a direction meets
+        no bound or pricing stops descending."""
+        def grad(x):
+            return sigma * x + tau * self.a_op(x) + c
+
+        def value(x):
+            return 0.5 * (sigma * (x @ x) + tau * self.dist2(x)) + float(np.sum(c * x))
+
+        def ratio(p, cap):  # the longest step s <= cap along p within bounds, and its edge
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(F & (p < 0), -w / p, np.where(F & (p > 0), (t - w) / p, np.inf))
+            j = int(np.argmin(r))
+            return min(r[j], cap), j
+
+        U = (w >= min(t, w.max())) & (t < math.inf)
+        F, last = (w > 0) & ~U, math.inf  # q at the last pricing
+        while (stop < 0 or self.dist2(w) > stop) and self.solves < self.budget:
+            x, nu = self.eqp(F, np.where(U, t, 0.0), sigma, tau, c)
+            Fb, Ub, xb, nub = F, U, x, nu
+            while nub is not None and self.solves < self.budget and (
+                    bad := Fb & ((xb <= 0) | (xb >= t))).any():
+                Fb, Ub = Fb & ~bad, Ub | (bad & (xb >= t))
+                xb, nub = self.eqp(Fb, np.where(Ub, t, 0.0), sigma, tau, c)
+            if (xb is not x and nub is not None and not (Fb & ((xb <= 0) | (xb >= t))).any()
+                    and abs(self.a @ xb - 1.0) <= _FINISH_ROUNDING and value(xb) < value(w)):
+                x, nu, F, U = xb, nub, Fb, Ub
+            if nu is None or (F & ((x <= 0) | (x >= t))).any():
+                p = x - w
+                if nu is None:  # the sense that meets a bound, the descent one if both do
+                    p = max((x, -x), key=lambda d: (ratio(d, math.inf)[0] < math.inf,
+                                                    -(grad(w) @ d)))
+                s, j = ratio(p, 1.0 if nu is not None else math.inf)
+                if s == math.inf:
+                    break
+                w = np.clip(w + s * p, 0.0, t)
+                w[j] = 0.0 if p[j] < 0 else t
+                F, U = F.copy(), U.copy()
+                F[j], U[j] = False, p[j] > 0
+                continue
+            w, q = x, value(x)
+            if q >= last:
+                break
+            gq, last = grad(w), q
+            z = gq + nu * self.a
+            viol = np.where(F, np.abs(z), np.where(U, z, -z)) / max(
+                float(np.abs(gq).max()), np.finfo(float).tiny)
+            add = ~F & (viol > self.tol)
+            if not add.any():
+                return w, float(-z[U].sum()), float(viol.max())
+            if add.sum() > 4 * self.n:  # the 4N largest, as in _spectral_lp's row generation
+                add &= viol >= np.partition(viol[add], -4 * self.n)[-4 * self.n]
+            F, U = F | add, U & ~add
+        return w, 0.0, math.inf
+
+    def root(self, objective, w):
+        """(S, KKT residual) of ``objective`` from w, a member within eps, by
+        one monotone root on a bracket (regula falsi with the Illinois step,
+        Dowell & Jarratt, BIT 1971). For the sup-norm it is the least bound
+        t in [1 / (N - 1), max(w)] with h(t) <= eps^2, h(t) = min w'Aw s.t.
+        w <= t by :meth:`qp`: convex and falling, so the bracket takes Newton
+        steps on it (slope -1 / mu, mu the ball multiplier), bisecting where
+        it is flat. For l1 and Frobenius (f = w'w) it is theta in (0, 1): qp
+        minimises the Lagrangian theta w'Aw + (1 - theta) f(w), mu = theta /
+        (1 - theta). A point within eps lies at most min(mu (eps^2 - w'Aw),
+        f - f_min) above the optimum (f_min the least f on the set):
+        certified when that over f, and :meth:`qp`'s residual, are at most
+        ``tol``. Else (the last point within eps, None)."""
+        eps2, least, nearest = self.eps ** 2, 1.0 / (self.n - 1), self.a / (self.n - 1)
+        linf, frob = objective == "linf", objective == "frobenius"
+        lo, hi = (least, w.max()) if linf else (0.0, 1.0)
+        f_lo, f_hi = math.sqrt(self.dist2(nearest)) - self.eps, math.sqrt(self.dist2(w)) - self.eps
+        side, x, s = 0, w, hi
+        while self.solves < self.budget:
+            if not lo < s < hi:  # regula falsi, else bisection
+                s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+                s = s if lo < s < hi else 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break
+            if linf:  # from x, blended toward nearest until its max is s
+                f = min(1.0, (s - least) / (x.max() - least))  # its largest weights end at s
+                x = np.where((x >= x.max()) & (f < 1.0), s, nearest + f * (x - nearest))
+                x, pi, res = self.qp(0.0, 2.0, 0.0, x, t=s)
+                mu, f, f_min = 1.0 / pi if pi > 0 else math.inf, s, least
+            else:
+                x, _, res = self.qp(2.0 * (1.0 - s) * frob, 2.0 * s,
+                                    0.0 if frob else 2.0 * (1.0 - s), x)
+                mu = s / (1.0 - s)
+                f, f_min = (x @ x, least) if frob else (2.0 * x.sum(), 2.0)
+            x = x / (self.a @ x)
+            g = self.dist2(x)
+            if res == math.inf and not (linf and g <= eps2):  # a point within eps bounds t
+                break
+            kkt = max(res, min(mu * (eps2 - g) if g < eps2 else 0.0, f - f_min) / f)
+            if g <= eps2 * (1.0 + _FINISH_ROUNDING) ** 2 and kkt <= self.tol:
+                return weights_from_edge_vector(x, self.n), kkt
+            if g > eps2:
+                lo, f_lo, f_hi = s, math.sqrt(g) - self.eps, f_hi * (0.5 if side < 0 else 1.0)
+                side = -1
+            else:
+                hi, f_hi, w = s, math.sqrt(g) - self.eps, x
+                f_lo *= 0.5 if side > 0 else 1.0
+                side = 1
+            s = (s + (g - eps2) * mu if mu < math.inf else 0.5 * (lo + hi)) if linf else hi
+        return weights_from_edge_vector(w, self.n), None
 
 
 def _offdiag(M):
     np.fill_diagonal(M, 0.0)
     return M
-
-
-def _span_distance(V, M) -> float:
-    """||offdiag(V'MV)||_F: the distance from symmetric M to the span of
-    the basis's rank-one eigen-matrices."""
-    return float(np.linalg.norm(_offdiag(V.T @ M @ V)))
 
 
 def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
@@ -846,54 +869,29 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     "Network topology inference from spectral templates", 2017): min
     f(S), f the l1, sup or Frobenius norm, s.t. S in the constraint set
     (default :class:`ShiftConstraintSet`) and ||S - V diag(lam) V'||_F <=
-    eps for the given basis V.
+    eps for the basis V: a SpectralBasis, an orthonormal N x N matrix or
+    an N x K matrix of orthonormal columns (a partial basis, leaving S's
+    block on the complement free; it needs eps = 0 and the l1 or
+    sup-norm objective). Anything not 2-D raises BadInput.
 
-    ``basis`` is a SpectralBasis, an orthonormal N x N matrix or an
-    N x K matrix of orthonormal columns (a partial basis, whose
-    orthogonal complement block of S is unconstrained spectrally; it
-    needs eps = 0 and the l1 or sup-norm objective). Anything that is not
-    a 2-D array raises BadInput.
+    ``eps="auto"`` keeps eps = 0 when the eps = 0 solve finds a member
+    that V diagonalizes, else takes twice :func:`spectral_gap`;
+    ``trace.notes["eps"]`` is the eps solved at. At eps = 0
+    :func:`_spectral_lp` solves exactly (status "exact", ``config``
+    ignored). At eps > 0 the set's point nearest zero, optimal for all
+    three norms on the set, is returned when within eps ("exact"); else
+    :class:`_EdgeKKT` runs, ``iters_used`` counting its support solves
+    against ``max_iters``. Phase 1, its active set on the squared
+    distance to the span from that point (for l1 with eps="auto", from
+    spectral_gap's member), stops at the first member within eps and
+    raises Infeasible when the exact gap exceeds eps; the walk solves l1,
+    and one monotone root the sup-norm, the Frobenius norm and an l1
+    walk that does not certify. A "certified" result has ``kkt_residual``
+    at most ``tol``; one that spends ``max_iters`` ("max_iters") or stalls
+    at rounding ("stalled") gives its last point and warns.
 
-    Exact steps come first. ``eps="auto"`` runs the eps = 0 solve and
-    keeps eps = 0 when it finds a member that V diagonalizes; only if it
-    raises Infeasible is eps twice the feasibility gap of the basis
-    (:func:`spectral_gap`, an upper bound on the smallest feasible eps).
-    ``trace.notes["eps"]`` records the eps solved at, on every path.
-
-    With eps = 0 and the l1 or sup-norm objective the problem is a
-    linear program, solved exactly by :func:`_spectral_lp`: in closed
-    form when its equality rows fix the point (``notes["lp_rounds"]``
-    0), else by HiGHS with delayed row generation (``iters_used`` sums
-    the simplex iterations of its rounds); it ignores ``config``. With
-    eps = 0 and the Frobenius objective the same solve first checks that
-    the set meets the span, and its closed-form point, the only feasible
-    one, is returned as is. These solves have status "exact".
-
-    The set's point nearest zero minimises all three norms on the set,
-    where every member's first row sums to 1: within eps of the span it
-    is returned with no iteration (status "exact"), and spectral_gap is
-    not called for a numeric eps. Otherwise, with the l1 objective (so
-    eps > 0), the primal active-set walk of :meth:`_EdgeKKT.walk` runs
-    from the member that :func:`spectral_gap` returns (for eps="auto",
-    the call that set eps). A certified result has status "certified",
-    ``iters_used`` 0, ``kkt_residual`` at most ``tol`` and
-    ``notes["walk_rounds"]`` the walk's solves.
-
-    Every other case (the sup-norm and Frobenius objectives, and a walk
-    that fails or cannot start) needs a full basis and runs :func:`admm`
-    (residual balancing, stopping rule and ``config`` as documented
-    there) from the coupling projection of the set's point nearest zero:
-    x is the prox of the objective plus the set indicator, and z the
-    :class:`SpectralCoupling` projection in the V coordinates, with the
-    off-diagonal residual shrunk to the eps-ball. The sup-norm takes a
-    third block: x = [S, S] and z = [T, Y], where Y's step is the exact
-    prox Y - P(Y) of ||Y||_inf / rho, P projecting onto the l1 ball of
-    radius 1/rho. Its status is the ADMM's, with no ``kkt_residual``, and
-    it warns when the ADMM stops at ``max_iters``.
-
-    Returns (S, lam, trace) with lam = diag(V'SV), read off the returned
-    S on every path. Raises Infeasible when no member of the set is
-    exactly diagonalized by V (eps = 0).
+    Returns (S, lam, trace), lam = diag(V'SV) of the returned S. Raises
+    Infeasible when no member of the set lies within eps of the span.
     """
     config = config or SolverConfig()
     constraint_set = constraint_set or ShiftConstraintSet()
@@ -902,15 +900,13 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
         raise BadInput(f"the basis must be an N x N or N x K matrix, got {V.ndim}-D")
     if not (eps == "auto" or isinstance(eps, numbers.Real) and 0 <= eps < math.inf):
         raise BadParameter(f"eps must be 'auto' or a finite number >= 0, got {eps!r}")
-    if objective not in ("l1", "linf", "frobenius"):
+    if objective not in _NORMS:
         raise BadParameter(f"unknown objective {objective!r}")
     n = V.shape[0]
-    gram = V.T @ V
-    if np.abs(gram - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
+    if np.abs(V.T @ V - np.eye(V.shape[1])).max(initial=0.0) > 1e-8:
         raise BadInput("basis columns must be orthonormal")
     if V.shape[1] != n and (eps != 0 or objective == "frobenius"):
-        raise BadParameter("a partial basis needs eps = 0 and the l1 or linf "
-                           "objective")
+        raise BadParameter("a partial basis needs eps = 0 and the l1 or linf objective")
     lp = start = None
     if eps == "auto":
         try:
@@ -921,38 +917,24 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     notes = {"eps": float(eps)}
     if eps == 0:
         S, trace = lp or _spectral_lp(V, constraint_set, objective)  # or raise Infeasible
-    if eps != 0 or objective == "frobenius" and trace.notes["lp_rounds"]:
-        nearest = constraint_set.project(np.zeros((n, n)))
-        done = None
-        if _span_distance(V, nearest) <= eps:  # optimal for every objective
-            done = nearest, None
-        elif objective == "l1":
-            if start is None:
-                start = spectral_gap(V)[1]
-            done, rounds = _EdgeKKT(V, eps, config.tol).walk(start)
-            if rounds:
-                notes["walk_rounds"] = rounds
-        if done is not None:
-            S, kkt = done
-            trace = SolveTrace(status="exact" if kkt is None else "certified",
-                               kkt_residual=kkt)
-            trace.log(_objective_value(S, objective))
-        else:
-            coupling = SpectralCoupling(V, eps)
-            copies = 2 if objective == "linf" else 1
-
-            def prox_z(M, rho):  # the coupling block, and the sup-norm's by Moreau
-                T = coupling.project(M[:, :n])
-                return T if copies == 1 else np.hstack(
-                    [T, M[:, n:] - project_l1_ball(M[:, n:], 1.0 / rho)])
-            S, _, trace = admm(
-                lambda M, rho: _prox_objective(constraint_set, M, 1.0 / rho, objective),
-                prox_z, np.tile(coupling.project(nearest), copies), config,
-                lambda X: _objective_value(X[:, :n], objective))
-            S = S[:, :n]
-            if not trace.converged:
-                trace.stop("max_iters", "infer_shift",
-                           f"its {config.max_iters}-iteration cap")
+    else:
+        S, kkt, solves = constraint_set.project(np.zeros((n, n))), None, 0
+        if np.linalg.norm(_offdiag(V.T @ S @ V)) > eps:  # else the nearest member, optimal
+            edge = _EdgeKKT(V, eps, config)
+            w = (S if start is None or objective != "l1" else start).ravel()[edge.up]
+            w, _, res = edge.qp(0.0, 2.0, 0.0, w, stop=eps * eps)  # phase 1
+            gap = math.sqrt(edge.dist2(w))
+            if gap > eps and res < math.inf:
+                raise Infeasible(f"eps {eps:.6g} is below the basis's feasibility gap {gap:.6g}")
+            S, kkt = (((objective == "l1" and edge.walk(w)) or edge.root(objective, w))
+                      if gap <= eps else (weights_from_edge_vector(w, n), None))
+            solves = edge.solves
+        trace = SolveTrace(iters_used=solves, kkt_residual=kkt)
+        trace.log(_NORMS[objective](S))
+        capped = solves >= config.max_iters
+        trace.stop("exact" if not solves else "certified" if kkt is not None else
+                   "max_iters" if capped else "stalled", "infer_shift",
+                   f"its {config.max_iters}-solve cap" if capped else "rounding")
         notes["constraint_violation"] = float(constraint_set.violation(S))
     trace.notes.update(notes)
     return S, np.diag(V.T @ S @ V).copy(), trace

@@ -78,15 +78,20 @@ def infer_shift_from_signals(data, constraint_set: ShiftConstraintSet | None = N
     estimated basis alone: 0 when the set has a member that the basis
     diagonalizes exactly, else twice the feasibility gap; a numeric eps
     is used as-is. ``meta["eps"]`` is the eps solved at. Degenerate
-    eigenvalue blocks in the covariance leave the solve, at eps = 0 and
-    the l1 objective, the unambiguous eigenvectors as a partial basis.
+    eigenvalue blocks in the covariance leave the solve, at eps = 0, the
+    unambiguous eigenvectors as a partial basis, which takes the l1 and
+    sup-norm objectives only: the Frobenius objective falls back to l1
+    there, and ``meta["objective"]`` says so.
     """
     basis, flags = estimate_eigenbasis(data)
     if flags.any() and (eps == "auto" or eps == 0):
         # a fully degenerate spectrum leaves no spectral constraint at all
-        # (K = 0) and the sparsest member of the constraint set comes back
-        S, _, trace = infer_shift(basis.vecs[:, ~flags], constraint_set)
-        return S, trace, {"partial": True, "degenerate_modes": int(flags.sum())}
+        # (K = 0) and the member of the constraint set least in the norm comes back
+        meta = {"partial": True, "degenerate_modes": int(flags.sum())}
+        if objective == "frobenius":
+            objective = meta["objective"] = "l1"
+        S, _, trace = infer_shift(basis.vecs[:, ~flags], constraint_set, 0.0, objective, config)
+        return S, trace, meta
     S, _, trace = infer_shift(basis, constraint_set, eps, objective, config)
     return S, trace, {"eps": trace.notes["eps"]}
 

@@ -321,7 +321,7 @@ RECORD_KEYS = {"method", "status", "iters_used", "kkt_residual", "notes"}
 # SolveTrace, so their status, iters_used and kkt_residual are null
 METHOD_FIELDS = {"lgmrf": {"gamma"}, "sem": {"omega"}, "psd-filter": {"psd", "provenance"},
                  "sym-filter": {"identifiable", "residual"}, "spectral-partial": {"kept"}}
-NO_TRACE = {"corr", "pcorr", "edge-select", "dsem", "sym-filter"}
+NO_TRACE = {"corr", "pcorr", "edge-select", "sym-filter"}
 
 
 @pytest.fixture(scope="module")
@@ -422,10 +422,11 @@ class TestCli:
     @pytest.mark.parametrize("method,argv", [
         ("glasso", ["-i", "{d}/gm.csv"]), ("kalofolias", ["-i", "{d}/gm.csv"]),
         ("psd-filter", _covs("xr", "wr")), ("nlasso", ["-i", "{d}/gm.csv"]),
-        ("svarm", ["-i", "{d}/x.csv"])])
+        ("svarm", ["-i", "{d}/x.csv"]), ("dsem", ["-i", "{d}/x.csv", "--exo", "{d}/u.csv"])])
     def test_capped_solve_exits_5(self, cli_inputs, tmp_path, capsys, method, argv):
         # the outputs and the record are written first; the solve warns once
-        # (nlasso and svarm once exited 0 with a null status)
+        # (nlasso, svarm and dsem once exited 0 with a null status, and
+        # dsem warned once per epoch)
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text('{"max_iters": 1}')
         argv = [a.format(d=cli_inputs) for a in argv]
@@ -434,8 +435,9 @@ class TestCli:
         assert code == 5 and len(warned) == 1
         assert ser.read_matrix_csv(out).shape in ((6, 6), (4, 4))
         record = learn_record(capsys)
-        # the lasso's iters_used sums one sweep for each of the six nodes
-        sweeps = 6 if method in ("nlasso", "svarm") else 1
+        # the lasso's iters_used sums one sweep for each of the six nodes,
+        # and dsem's over its 200 epochs
+        sweeps = {"nlasso": 6, "svarm": 6, "dsem": 1200}.get(method, 1)
         assert record["status"] == "max_iters" and record["iters_used"] == sweeps
 
     def test_pipeline_smoke(self, tmp_path, capsys):
@@ -554,8 +556,8 @@ class TestCli:
                         "-o", str(tmp_path / "s.json")) == 0
         record = learn_record(capsys)
         notes = record["notes"]
-        # eps="auto": the active-set walk certifies before any ADMM iteration
-        assert record["iters_used"] == 0 and notes["walk_rounds"] >= 1
+        # eps="auto": the active-set walk certifies; iters_used counts its solves
+        assert record["iters_used"] >= 1 and "walk_rounds" not in notes
         assert record["status"] == "certified" and "lp_rounds" not in notes
         assert record["kkt_residual"] <= 1e-7 and notes["eps"] > 0
         assert set(record) == RECORD_KEYS  # eps is a note, not a meta field

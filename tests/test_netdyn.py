@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as hst
 import glkit.netdyn as nd
 import glkit.simulate as sim
 from glkit.errors import BadDimension, BadParameter, TooFewSamples
+from glkit.solvers import SolverConfig
 
 
 def sem_dataset(W, T, rng, noise=0.0, C=1):
@@ -216,6 +219,36 @@ class TestDynamicSem:
         assert np.median(fs) >= 0.7
         for W in traj.weights:
             assert np.all(np.diag(W) == 0.0)
+
+    def test_trace_reports_the_worst_epoch_and_warns_once(self, monkeypatch):
+        # with one sweep per node every epoch stops at the cap: one
+        # warning for the run, the sweeps summed over the epochs
+        rng = np.random.default_rng(4)
+        W = sim.gen_er_digraph(5, 0.3, radius=0.4, rng=rng)
+        data = sem_dataset(W.data, 40, rng, noise=0.05, C=3)
+        with pytest.warns(UserWarning, match="1-sweep cap in 40 of 40 epochs") as warned:
+            traj = nd.dynamic_sem_track(data, 0.9, 1.0, SolverConfig(max_iters=1))
+        assert len(warned) == 1
+        assert traj.trace.status == "max_iters" and traj.trace.iters_used == 40 * 5
+        # converged: the largest KKT residual of the epochs, their sweeps summed
+        solve, epochs = nd._sem_solve_nodes, []
+
+        def recorded(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            epochs.append((out[3].kkt_residual, out[3].iters_used))
+            return out
+        monkeypatch.setattr(nd, "_sem_solve_nodes", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = nd.dynamic_sem_track(data, 0.9, 1.0)
+        assert len(epochs) == 40 and traj.trace.status == "converged"
+        assert traj.trace.kkt_residual == max(kkt for kkt, _ in epochs)
+        assert traj.trace.iters_used == sum(sweeps for _, sweeps in epochs)
+
+    def test_no_epochs_is_too_few_samples(self):
+        # no epoch leaves no trace to report, and no graph to write
+        with pytest.raises(TooFewSamples, match="at least one epoch"):
+            nd.dynamic_sem_track(nd.CascadeData(np.ones((3, 0)), np.ones((3, 0))), 0.9, 1.0)
 
     def test_bad_gamma(self):
         with pytest.raises(BadParameter):
