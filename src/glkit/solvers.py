@@ -7,13 +7,14 @@ penalised Gaussian likelihood shared by the precision estimators, the
 closed-form projection onto the shift constraint set, the one
 spectral-template solve :func:`infer_shift` (exact at eps = 0 by closed
 form, row-generation LP or NNLS, and at eps > 0 by one certified primal
-active-set engine on the edge vector), and the edge-weight engine for
-problems with degree terms: one proximal-point loop of semismooth Newton
-solves on their N-variable Lagrange dual (a single round when the ridge
-weight is positive), with the weight-to-degree map and the Newton matrix
-built by index arithmetic. Edge vectors follow the order of
-:func:`graphcore.edge_index`; the kernels share its per-N cache and that
-of :func:`graphcore.edge_positions`.
+active-set engine on the edge vector, whose phase 1 run to its optimum
+is also the exact feasibility gap :func:`spectral_gap`), and the
+edge-weight engine for problems with degree terms: one proximal-point
+loop of semismooth Newton solves on their N-variable Lagrange dual (a
+single round when the ridge weight is positive), with the
+weight-to-degree map and the Newton matrix built by index arithmetic.
+Edge vectors follow the order of :func:`graphcore.edge_index`; the
+kernels share its per-N cache and that of :func:`graphcore.edge_positions`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .errors import BadInput, BadParameter, Infeasible, SolverError
 from .graphcore import SpectralBasis, edge_index, edge_positions, weights_from_edge_vector
 
 WEIGHT_CAP = 1e6  # hard upper bound on learned edge weights
-SPECTRAL_GAP_TOL = 1e-6  # spectral_gap's relative-decrease stop
-SPECTRAL_GAP_MAX_ITERS = 3000
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,12 @@ class SolverConfig:
     and a tolerance on each solver's KKT (optimality) residual: the
     lasso's relative change and projected-subgradient residual, the
     spectral active-set engine's relative reduced-cost and duality-gap
-    residual (``max_iters`` counting support solves), the scale-free KKT
-    residual of :func:`logdet_prox_gradient`, the PSD filter fit's
-    gradient-mapping residual and the edge-weight engine's relative
-    degree residual (``max_iters`` counting Newton steps). The exact
-    eps = 0 spectral-template solves ignore both."""
+    residual (``max_iters`` counting support solves, :func:`spectral_gap`
+    included), the scale-free KKT residual of
+    :func:`logdet_prox_gradient`, the PSD filter fit's gradient-mapping
+    residual and the edge-weight engine's relative degree residual
+    (``max_iters`` counting Newton steps). The exact eps = 0
+    spectral-template solves ignore both."""
 
     max_iters: int = 5000
     tol: float = 1e-7
@@ -352,66 +352,8 @@ class ShiftConstraintSet:
 # spectral templates: l1-minimal shifts with a prescribed (partial) eigenbasis
 
 
-class SpectralCoupling:
-    """Projection onto the span of a full orthonormal basis V's rank-one
-    eigen-matrices, {V diag(lam) V'}: the matrices V diagonalizes."""
-
-    def __init__(self, V: np.ndarray):
-        self.V = np.asarray(V, float)
-
-    def project(self, M):
-        Mt = self.V.T @ _sym(M) @ self.V
-        return _sym(self.V @ np.diag(np.diagonal(Mt)) @ self.V.T)
-
-
 _NORMS = {"l1": lambda S: float(np.abs(S).sum()), "linf": lambda S: float(np.abs(S).max()),
           "frobenius": lambda S: float(np.linalg.norm(S))}
-
-
-def spectral_gap(V):
-    """Distance between the shift constraint set and the span of the
-    basis's rank-one eigen-matrices, by alternating projections (projected
-    gradient steps on half the squared distance to the span) with Nesterov
-    momentum and a function-value restart (O'Donoghue & Candes, "Adaptive
-    restart for accelerated gradient schemes", 2015): the momentum resets
-    whenever an iteration's distance exceeds the previous one. Each
-    iteration projects the extrapolated point onto the span (T) and T onto
-    the set (S), so every pair is feasible. Stops once an iteration that
-    does not restart lowers the distance by at most ``SPECTRAL_GAP_TOL``
-    relative; warns when ``SPECTRAL_GAP_MAX_ITERS`` runs out first.
-
-    Returns (gap, S, trace): the smallest ||S - T||_F seen, an upper bound
-    on the true gap (every eps at or above it is feasible), the member S
-    that reached it, within gap of the span, and a trace logging each
-    iteration's distance, with status "max_iters" when capped.
-    """
-    V = np.asarray(V, dtype=float)
-    coupling = SpectralCoupling(V)
-    cset = ShiftConstraintSet()
-    S = S_prev = best_S = cset.project(np.ones((V.shape[0], V.shape[0])))
-    t = 1.0
-    prev = best = np.inf
-    trace = SolveTrace()
-    for it in range(SPECTRAL_GAP_MAX_ITERS):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        T = coupling.project(S + ((t - 1.0) / t_next) * (S - S_prev))
-        S_prev, S = S, cset.project(T)
-        dist = float(np.linalg.norm(S - T))
-        trace.log(dist)
-        trace.iters_used = it + 1
-        if dist < best:
-            best, best_S = dist, S
-        if dist > prev:
-            t = 1.0  # restart: the next step is a plain projection pair
-        elif prev - dist <= SPECTRAL_GAP_TOL * max(dist, 1e-12):
-            trace.stop("converged")
-            break
-        else:
-            t = t_next
-        prev = dist
-    else:
-        trace.stop("max_iters", "spectral_gap", f"its {SPECTRAL_GAP_MAX_ITERS}-iteration cap")
-    return best, best_S, trace
 
 
 # HiGHS's primal feasibility tolerance, passed to every solve: row
@@ -749,10 +691,12 @@ class _EdgeKKT:
         toward it, or along a singular direction, the sense not raising q,
         to the first bound, whose edge leaves F. At one within bounds the 4N
         edges (or fewer) whose reduced cost z = grad q + nu a errs most in
-        sign, by over ``tol`` max|grad q|, join. Returns (w, the rows w <=
-        t's multiplier sum, the largest error) at the optimum, else (w, 0,
-        inf) once w'Aw <= ``stop``, the budget is spent, a direction meets
-        no bound or pricing stops descending."""
+        sign, by over ``tol`` max|grad q|, join. With no first-vertex pair
+        free and a'w = 1 (at t = 1 / (N - 1) all are bound) nu is not fixed
+        by the solve, and pricing takes it where their signs err least. Returns
+        (w, the rows w <= t's multiplier sum, the largest error) at the
+        optimum, else (w, 0, inf) once w'Aw <= ``stop``, the budget is
+        spent, a direction meets no bound or pricing stops descending."""
         def grad(x):
             return sigma * x + tau * self.a_op(x) + c
 
@@ -794,6 +738,12 @@ class _EdgeKKT:
             if q >= last:
                 break
             gq, last = grad(w), q
+            if not (F & (self.a > 0)).any() and abs(self.a @ w - 1.0) <= _FINISH_ROUNDING:
+                # nu: the middle of [lo, hi], where z <= 0 on the first vertex's
+                # pairs at t and z >= 0 on those at 0
+                hi = float((-gq[U & (self.a > 0)]).min(initial=math.inf))
+                lo = float((-gq[~U & (self.a > 0)]).max(initial=-math.inf))
+                nu = lo if hi == math.inf else hi if lo == -math.inf else 0.5 * (lo + hi)
             z = gq + nu * self.a
             viol = np.where(F, np.abs(z), np.where(U, z, -z)) / max(
                 float(np.abs(gq).max()), np.finfo(float).tiny)
@@ -812,7 +762,9 @@ class _EdgeKKT:
         t in [1 / (N - 1), max(w)] with h(t) <= eps^2, h(t) = min w'Aw s.t.
         w <= t by :meth:`qp`: convex and falling, so the bracket takes Newton
         steps on it (slope -1 / mu, mu the ball multiplier), bisecting where
-        it is flat. For l1 and Frobenius (f = w'w) it is theta in (0, 1): qp
+        it is flat, after one qp bounded at 1 / (N - 1): a point within eps
+        there is optimal (f = f_min below), else it seeds the bracket's low
+        end with h. For l1 and Frobenius (f = w'w) it is theta in (0, 1): qp
         minimises the Lagrangian theta w'Aw + (1 - theta) f(w), mu = theta /
         (1 - theta). A point within eps lies at most min(mu (eps^2 - w'Aw),
         f - f_min) above the optimum (f_min the least f on the set):
@@ -822,6 +774,13 @@ class _EdgeKKT:
         linf, frob = objective == "linf", objective == "frobenius"
         lo, hi = (least, w.max()) if linf else (0.0, 1.0)
         f_lo, f_hi = math.sqrt(self.dist2(nearest)) - self.eps, math.sqrt(self.dist2(w)) - self.eps
+        if linf:  # h(1 / (N - 1)) first: a point within eps there is optimal
+            x = self.qp(0.0, 2.0, 0.0, nearest, t=least, stop=eps2)[0]
+            x = x / (self.a @ x)
+            g, kkt = self.dist2(x), max(x.max() - least, 0.0) / x.max()
+            if g <= eps2 * (1.0 + _FINISH_ROUNDING) ** 2 and kkt <= self.tol:
+                return weights_from_edge_vector(x, self.n), kkt
+            f_lo = math.sqrt(g) - self.eps
         side, x, s = 0, w, hi
         while self.solves < self.budget:
             if not lo < s < hi:  # regula falsi, else bisection
@@ -862,6 +821,43 @@ def _offdiag(M):
     return M
 
 
+def spectral_gap(V, config: SolverConfig | None = None):
+    """Distance between the shift constraint set and the span of the full
+    basis V's rank-one eigen-matrices, exactly: gap^2 = min w'Aw over the
+    set's edge vectors (:class:`_EdgeKKT`), by the engine's phase 1 run
+    to its optimum from the set's point nearest zero. ``iters_used``
+    counts its support solves against ``config.max_iters``. The status is
+    "converged" once the pricing residual, ``kkt_residual``, is at most
+    ``tol``, or once the gap is at most ``tol`` times the least norm of a
+    member, sqrt(2 / (N - 1)): w'Aw >= 0, so ``kkt_residual`` is then the
+    gap over that norm, and the relative pricing residual, 0 / 0 at a
+    zero gap, is not used. Else it is "max_iters" or "stalled", with one
+    warning, the gap an upper bound (every eps at or above it is
+    feasible) and ``kkt_residual`` None short of pricing's end. Raises
+    Infeasible for N < 2.
+
+    Returns (gap, S, trace): the member S at distance gap from the span.
+    """
+    config = config or SolverConfig()
+    V = np.asarray(V, dtype=float)
+    n = V.shape[0]
+    nearest = ShiftConstraintSet().project(np.zeros((n, n)))
+    norm = math.sqrt(2.0 / (n - 1))  # ||nearest||_F, the least over the set
+    edge = _EdgeKKT(V, 0.0, config)
+    w, _, res = edge.qp(0.0, 2.0, 0.0, nearest.ravel()[edge.up],
+                        stop=(config.tol * norm) ** 2)
+    w = w / (edge.a @ w)
+    gap = math.sqrt(edge.dist2(w))
+    if gap <= config.tol * norm:
+        res = gap / norm
+    trace = SolveTrace(iters_used=edge.solves, kkt_residual=res if res < math.inf else None)
+    trace.log(gap)
+    capped = edge.solves >= config.max_iters
+    trace.stop("converged" if res <= config.tol else "max_iters" if capped else "stalled",
+               "spectral_gap", f"its {config.max_iters}-solve cap" if capped else "rounding")
+    return gap, weights_from_edge_vector(w, n), trace
+
+
 def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
                 eps: float | str = 0.0, objective: str = "l1",
                 config: SolverConfig | None = None):
@@ -875,20 +871,22 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     sup-norm objective). Anything not 2-D raises BadInput.
 
     ``eps="auto"`` keeps eps = 0 when the eps = 0 solve finds a member
-    that V diagonalizes, else takes twice :func:`spectral_gap`;
-    ``trace.notes["eps"]`` is the eps solved at. At eps = 0
-    :func:`_spectral_lp` solves exactly (status "exact", ``config``
-    ignored). At eps > 0 the set's point nearest zero, optimal for all
-    three norms on the set, is returned when within eps ("exact"); else
-    :class:`_EdgeKKT` runs, ``iters_used`` counting its support solves
-    against ``max_iters``. Phase 1, its active set on the squared
-    distance to the span from that point (for l1 with eps="auto", from
-    spectral_gap's member), stops at the first member within eps and
-    raises Infeasible when the exact gap exceeds eps; the walk solves l1,
-    and one monotone root the sup-norm, the Frobenius norm and an l1
-    walk that does not certify. A "certified" result has ``kkt_residual``
-    at most ``tol``; one that spends ``max_iters`` ("max_iters") or stalls
-    at rounding ("stalled") gives its last point and warns.
+    that V diagonalizes, else takes twice the exact gap of
+    :func:`spectral_gap`, run with ``config``; ``trace.notes["eps"]`` is
+    the eps solved at. At eps = 0 :func:`_spectral_lp` solves exactly
+    (status "exact", ``config`` ignored). At eps > 0 the set's point
+    nearest zero, optimal for all three norms on the set, is returned
+    when within eps ("exact"); else :class:`_EdgeKKT` runs, its support
+    solves counted against ``max_iters``. Phase 1, its active set on the
+    squared distance to the span from that point (for l1 with
+    eps="auto", from spectral_gap's member at the gap), stops at the
+    first member within eps and raises Infeasible when the exact gap
+    exceeds eps; the walk solves l1, and one monotone root the sup-norm,
+    the Frobenius norm and an l1 walk that does not certify. A
+    "certified" result has ``kkt_residual`` at most ``tol``; one that
+    spends ``max_iters`` ("max_iters") or stalls at rounding ("stalled")
+    gives its last point and warns. ``iters_used`` counts the engine's
+    support solves, plus the gap's with eps="auto".
 
     Returns (S, lam, trace), lam = diag(V'SV) of the returned S. Raises
     Infeasible when no member of the set lies within eps of the span.
@@ -908,12 +906,13 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     if V.shape[1] != n and (eps != 0 or objective == "frobenius"):
         raise BadParameter("a partial basis needs eps = 0 and the l1 or linf objective")
     lp = start = None
+    gap_solves = 0
     if eps == "auto":
         try:
             lp, eps = _spectral_lp(V, constraint_set, objective), 0.0
         except Infeasible:
-            gap, start, _ = spectral_gap(V)
-            eps = 2.0 * gap
+            gap, start, gap_trace = spectral_gap(V, config)
+            eps, gap_solves = 2.0 * gap, gap_trace.iters_used
     notes = {"eps": float(eps)}
     if eps == 0:
         S, trace = lp or _spectral_lp(V, constraint_set, objective)  # or raise Infeasible
@@ -929,7 +928,7 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
             S, kkt = (((objective == "l1" and edge.walk(w)) or edge.root(objective, w))
                       if gap <= eps else (weights_from_edge_vector(w, n), None))
             solves = edge.solves
-        trace = SolveTrace(iters_used=solves, kkt_residual=kkt)
+        trace = SolveTrace(iters_used=gap_solves + solves, kkt_residual=kkt)
         trace.log(_NORMS[objective](S))
         capped = solves >= config.max_iters
         trace.stop("exact" if not solves else "certified" if kkt is not None else

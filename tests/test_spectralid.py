@@ -572,16 +572,18 @@ class TestAutoEps:
 
     def test_signals_n100_certified_at_default_config(self):
         # the active-set walk from spectral_gap's point is certified (7
-        # solves when measured), and a numeric eps equal to auto's walks
-        # from phase 1's point to the same support
+        # solves when measured, after the gap's 43), and a numeric eps
+        # equal to auto's walks from phase 1's point to the same support
         rng = np.random.default_rng([1, 2])
         G = sim.gen_er_graph(100, 0.3, rng=rng, require_connected=True)
         X = sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng)
         S, trace, meta = sid.infer_shift_from_signals(X)
-        assert trace.status == "certified" and 1 <= trace.iters_used <= 20
+        basis, _ = sid.estimate_eigenbasis(X)
+        gap_trace = spectral_gap(basis.vecs)[2]
+        assert gap_trace.converged and gap_trace.iters_used <= 60
+        assert trace.status == "certified" and 1 <= trace.iters_used - gap_trace.iters_used <= 20
         assert trace.kkt_residual <= sv.SolverConfig().tol
         assert ShiftConstraintSet().violation(S) <= 1e-9
-        basis, _ = sid.estimate_eigenbasis(X)
         cold, _, cold_trace = sv.infer_shift(basis.vecs, ShiftConstraintSet(), meta["eps"])
         assert cold_trace.notes == trace.notes and cold_trace.status == "certified"
         np.testing.assert_array_equal(S, cold)
