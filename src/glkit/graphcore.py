@@ -303,6 +303,13 @@ def eigendecompose(S) -> SpectralBasis:
     return SpectralBasis(fix_eigenvector_signs(vecs), vals)
 
 
+def sqrt_psd(M) -> np.ndarray:
+    """Principal square root of a symmetric PSD matrix by spectral
+    factorization, eigenvalues clipped at zero against numerical drift."""
+    basis = eigendecompose(M)
+    return (basis.vecs * np.sqrt(np.maximum(basis.vals, 0.0))) @ basis.vecs.T
+
+
 # ---------------------------------------------------------------------------
 # transforms and functionals
 

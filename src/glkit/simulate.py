@@ -27,6 +27,7 @@ from .graphcore import (
     as_matrix,
     eigendecompose,
     filter_matrix,
+    sqrt_psd,
     weights_from_edge_vector,
 )
 
@@ -93,14 +94,6 @@ def gen_er_digraph(n: int, p_edge: float, radius: float = 0.5,
     return ShiftOperator(W, ShiftKind.GENERIC, directed=True)
 
 
-def covariance_factor(Sigma) -> np.ndarray:
-    """Symmetric square root by spectral factorization (clips tiny
-    negative eigenvalues so near-singular covariances sample cleanly)."""
-    basis = eigendecompose(as_matrix(Sigma))
-    root = np.sqrt(np.maximum(basis.vals, 0.0))
-    return (basis.vecs * root) @ basis.vecs.T
-
-
 def sample_gmrf(Theta, p: int, rng=None) -> SignalSet:
     """i.i.d. zero-mean Gaussian columns with precision matrix Theta."""
     Theta = as_matrix(Theta)
@@ -134,7 +127,7 @@ def gen_diffusion(S, h, p: int, input_cov="white", rng=None) -> SignalSet:
         C = as_matrix(input_cov)
         if C.shape[0] != n:
             raise BadDimension("input covariance size mismatch")
-        w = covariance_factor(C) @ rng.standard_normal((n, p))
+        w = sqrt_psd(C) @ rng.standard_normal((n, p))
     return SignalSet(apply_filter(M, h, w))
 
 

@@ -2,8 +2,8 @@
 
 Contains the coordinate-descent lasso used by every regression-style
 learner (one Gram matrix shared by many right-hand sides, each with its
-own mask of usable coordinates), the proximal-gradient kernel of the
-penalised Gaussian likelihood shared by the precision estimators, the
+own mask of usable coordinates), the one proximal-gradient kernel
+:func:`prox_gradient` of the precision estimators and the PSD filter, the
 closed-form projection onto the shift constraint set, the one
 spectral-template solve :func:`infer_shift` (exact at eps = 0 by closed
 form, row-generation LP or NNLS, and at eps > 0 by one certified primal
@@ -38,11 +38,11 @@ class SolverConfig:
     and a tolerance on each solver's KKT (optimality) residual: the
     lasso's relative change and projected-subgradient residual, the
     spectral active-set engine's relative reduced-cost and duality-gap
-    residual (``max_iters`` counting support solves, :func:`spectral_gap`
-    included), the scale-free KKT residual of
-    :func:`logdet_prox_gradient`, the PSD filter fit's gradient-mapping
-    residual and the edge-weight engine's relative degree residual
-    (``max_iters`` counting Newton steps). The exact eps = 0
+    residual (``max_iters`` counting support solves, one budget for
+    :func:`spectral_gap` and the solve with eps="auto"), the KKT residual
+    of the one proximal-gradient kernel :func:`prox_gradient` and the
+    edge-weight engine's relative degree residual (``max_iters`` counting
+    Newton steps). The exact eps = 0
     spectral-template solves ignore both."""
 
     max_iters: int = 5000
@@ -226,42 +226,26 @@ def lasso_cd(A, b, lam, config: SolverConfig | None = None, penalty_weights=None
 
 
 # ---------------------------------------------------------------------------
-# penalised Gaussian likelihood
+# proximal gradient
 
 
-def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
-                         config: SolverConfig):
-    """min F(x) = -logdet theta(x) + lin'x + h(x), theta affine in x, by
-    proximal gradient (G-ISTA: Rolfs, Rajaratnam, Guillot & Wong, NIPS
-    2012) from x, where theta(x) is positive definite: Barzilai-Borwein
-    steps (``step`` the first) and Armijo backtracking on F, one Cholesky
-    factor per trial point. ``adjoint`` is the transpose of theta's linear
-    part, ``prox(v, t)`` h's prox and ``penalty`` h (0 for an indicator).
-    Stops when the scale-free KKT residual ||x - prox(x - s^2 g, s^2)||_inf
-    / s, s = max|x|, is at most ``tol`` (status "converged"), or warns when
-    ``max_iters`` ("max_iters") or 60 step halvings ("stalled") run out.
-    Returns (x, trace), the residual as ``trace.kkt_residual``.
+def prox_gradient(smooth, prox, penalty, x, step: float, config: SolverConfig):
+    """min F(x) = f(x) + h(x) by proximal gradient from x (G-ISTA: Rolfs,
+    Rajaratnam, Guillot & Wong, NIPS 2012): Barzilai-Borwein steps
+    (``step`` the first) and Armijo backtracking on F. ``smooth(x)`` gives
+    (f(x), a thunk for f's gradient at x), or (inf, None) off f's domain;
+    ``prox(v, t)`` is h's prox and ``penalty`` h (0 for an indicator).
+    Stops when the KKT residual ||x - prox(x - s^2 g, s^2)||_inf / s, s =
+    max|x| (1 at x = 0), is at most ``tol`` (status "converged"), or warns
+    when ``max_iters`` ("max_iters") or 60 step halvings ("stalled") run
+    out. Returns (x, trace), the residual as ``trace.kkt_residual``.
     """
-
-    def value(x):
-        """(F(x), Cholesky factor of theta(x)), or (inf, None) off the domain."""
-        try:
-            factor = np.linalg.cholesky(theta(x))
-        except np.linalg.LinAlgError:
-            return np.inf, None
-        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor)).sum()) + \
-            penalty(x), factor
-
-    def gradient(factor):
-        inv_factor = np.linalg.inv(factor)
-        return lin - adjoint(inv_factor.T @ inv_factor)  # Theta^-1
-
-    F, factor = value(x)
-    g = gradient(factor)
+    f, gradient = smooth(x)
+    F, g = f + penalty(x), gradient()
     trace = SolveTrace()
     trace.log(F)
     while True:
-        s = float(np.abs(x).max())
+        s = float(np.abs(x).max()) or 1.0
         residual = float(np.abs(x - prox(x - s * s * g, s * s)).max()) / s
         if residual <= config.tol or trace.iters_used == config.max_iters:
             break
@@ -270,14 +254,15 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
         slack = 1e-12 * max(1.0, abs(F))
         for _ in range(60):
             x_new = prox(x - step * g, step)
-            F_new, factor = value(x_new)
+            f, gradient = smooth(x_new)
+            F_new = f + penalty(x_new)
             decrease = float(g @ (x_new - x)) + penalty(x_new) - penalty(x)
             if F_new <= F + 1e-4 * decrease + slack:
                 break
             step *= 0.5
         else:
             break
-        g_new = gradient(factor)
+        g_new = gradient()
         dx, dg = x_new - x, g_new - g
         if dx @ dg > 0:
             step = float(dx @ dx) / float(dx @ dg)
@@ -288,10 +273,9 @@ def logdet_prox_gradient(theta, adjoint, lin, prox, penalty, x, step: float,
     if residual <= config.tol:
         trace.stop("converged")
     elif trace.iters_used == config.max_iters:
-        trace.stop("max_iters", "logdet_prox_gradient",
-                   f"its {config.max_iters}-iteration cap")
+        trace.stop("max_iters", "prox_gradient", f"its {config.max_iters}-iteration cap")
     else:
-        trace.stop("stalled", "logdet_prox_gradient", "60 step halvings")
+        trace.stop("stalled", "prox_gradient", "60 step halvings")
     return x, trace
 
 
@@ -886,7 +870,9 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
     "certified" result has ``kkt_residual`` at most ``tol``; one that
     spends ``max_iters`` ("max_iters") or stalls at rounding ("stalled")
     gives its last point and warns. ``iters_used`` counts the engine's
-    support solves, plus the gap's with eps="auto".
+    support solves, plus the gap's with eps="auto", under one budget:
+    once the gap spends it, even the nearest member ends "max_iters",
+    and the gap's own warning is dropped for this solve's one.
 
     Returns (S, lam, trace), lam = diag(V'SV) of the returned S. Raises
     Infeasible when no member of the set lies within eps of the span.
@@ -911,7 +897,9 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
         try:
             lp, eps = _spectral_lp(V, constraint_set, objective), 0.0
         except Infeasible:
-            gap, start, gap_trace = spectral_gap(V, config)
+            with warnings.catch_warnings():  # a spent budget warns once, as this solve's
+                warnings.simplefilter("ignore", UserWarning)
+                gap, start, gap_trace = spectral_gap(V, config)
             eps, gap_solves = 2.0 * gap, gap_trace.iters_used
     notes = {"eps": float(eps)}
     if eps == 0:
@@ -920,6 +908,7 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
         S, kkt, solves = constraint_set.project(np.zeros((n, n))), None, 0
         if np.linalg.norm(_offdiag(V.T @ S @ V)) > eps:  # else the nearest member, optimal
             edge = _EdgeKKT(V, eps, config)
+            edge.budget -= gap_solves  # one budget with the gap's
             w = (S if start is None or objective != "l1" else start).ravel()[edge.up]
             w, _, res = edge.qp(0.0, 2.0, 0.0, w, stop=eps * eps)  # phase 1
             gap = math.sqrt(edge.dist2(w))
@@ -930,9 +919,9 @@ def infer_shift(basis, constraint_set: ShiftConstraintSet | None = None,
             solves = edge.solves
         trace = SolveTrace(iters_used=gap_solves + solves, kkt_residual=kkt)
         trace.log(_NORMS[objective](S))
-        capped = solves >= config.max_iters
-        trace.stop("exact" if not solves else "certified" if kkt is not None else
-                   "max_iters" if capped else "stalled", "infer_shift",
+        capped = trace.iters_used >= config.max_iters
+        trace.stop("certified" if kkt is not None else "max_iters" if capped else
+                   "exact" if not solves else "stalled", "infer_shift",
                    f"its {config.max_iters}-solve cap" if capped else "rounding")
         notes["constraint_violation"] = float(constraint_set.violation(S))
     trace.notes.update(notes)

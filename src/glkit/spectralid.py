@@ -6,7 +6,7 @@ ones); Step 2 selects eigenvalues by convex optimization over a shift
 constraint set (:func:`solvers.infer_shift`, re-exported here). The
 filter of a non-stationary diffusion is identified from pairs of output
 and input covariances: in closed form (PSD filter, one process), by
-projected gradient (PSD, several processes), or by a spectral
+proximal gradient on the PSD cone (several processes), or by a spectral
 relaxation over eigenvalue signs (symmetric, several processes). Also
 hosts network deconvolution, which feeds the eigenvectors of an
 indirect-relationship matrix through the same machinery.
@@ -21,11 +21,13 @@ import numpy as np
 from .errors import BadDimension, BadInput, NotSymmetric, SingularInputCovariance
 from .graphcore import (
     DEGENERACY_TOL,
+    SYM_TOL,
     as_matrix,
     eigendecompose,
     fix_eigenvector_signs,
+    sqrt_psd,
 )
-from .solvers import ShiftConstraintSet, SolveTrace, SolverConfig, infer_shift
+from .solvers import ShiftConstraintSet, SolverConfig, infer_shift, prox_gradient
 from .statnet import _as_covariance
 
 
@@ -105,13 +107,6 @@ def _eigh_psd(M):
     return np.maximum(vals, 0.0), vecs
 
 
-def sqrt_psd(M) -> np.ndarray:
-    """Principal square root by spectral factorization, eigenvalues
-    clipped at zero against numerical PSD drift."""
-    vals, vecs = _eigh_psd(as_matrix(M))
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 def inv_sqrt_pd(M) -> np.ndarray:
     vals, vecs = _eigh_psd(as_matrix(M))
     if vals.min() <= 1e-12 * max(1.0, vals.max()):
@@ -125,12 +120,9 @@ def psd_filter_recover(Sigma_x, Sigma_w) -> FilterEstimate:
     H = Sigma_w^-1/2 (Sigma_w^1/2 Sigma_x Sigma_w^1/2)^1/2 Sigma_w^-1/2,
     unique under the positive-semidefiniteness assumption.
     """
-    Sx = as_matrix(Sigma_x)
-    Sw = as_matrix(Sigma_w)
-    w_isqrt = inv_sqrt_pd(Sw)
-    w_sqrt = sqrt_psd(Sw)
-    mid = sqrt_psd(w_sqrt @ Sx @ w_sqrt)
-    H = w_isqrt @ mid @ w_isqrt
+    (Sx,), (Sw,) = _covariance_lists([Sigma_x], [Sigma_w])
+    W, W_inv = sqrt_psd(Sw), inv_sqrt_pd(Sw)
+    H = W_inv @ sqrt_psd(W @ Sx @ W) @ W_inv
     return FilterEstimate(0.5 * (H + H.T), psd=True, provenance="psd-closed-form")
 
 
@@ -139,43 +131,37 @@ def psd_filter_ls(Sigma_x_list, Sigma_w_list, config: SolverConfig | None = None
 
     Minimizes the mean of || R_m - Q_m H Q_m ||_F^2 over H >= 0,
     with Q_m the square root of the m-th input covariance and R_m the
-    square root of Q_m Sigma_x_m Q_m, by projected gradient descent on
-    the PSD cone with the step t = 1/L, L the gradient's Lipschitz
-    constant. With exact covariances and M = 1 this matches the closed
-    form. Each step H+ = P(H - t grad f(H)) gives the gradient-mapping
-    residual r = ||H - H+||_F / t, 0 exactly at the optimum; it stops on
-    the first step with r at most ``tol`` max(1, ||H+||_F) / t (status
-    "converged"), or warns when ``max_iters`` runs out first (status
-    "max_iters"). ``kkt_residual`` is the last step's r, which bounds the
-    returned H's own residual: the step map is nonexpansive for t <= 2/L.
-    Returns (FilterEstimate, SolveTrace).
+    square root of Q_m Sigma_x_m Q_m, by one
+    :func:`solvers.prox_gradient` call with the projection onto the PSD
+    cone as prox, from the mean H0 of the per-process closed forms. The
+    misfit is divided by L max|H0|^2, L its gradient's Lipschitz
+    constant, and the first step is max|H0|^2 (1/L unscaled): the
+    kernel's residual reads about max|dH| / max|H| at any scale of the
+    covariances. With exact covariances and M = 1 the start is optimal
+    and no step is taken. Status, ``kkt_residual`` and warnings are the
+    kernel's. Returns (FilterEstimate, SolveTrace).
     """
     config = config or SolverConfig()
     Sx, Sw = _covariance_lists(Sigma_x_list, Sigma_w_list)
-    m = len(Sx)
-    wts = np.full(m, 1.0 / m)
-    wts = wts / wts.sum()  # m copies of fl(1/m) need not sum to exactly 1
+    m, n = len(Sx), Sx[0].shape[0]
     Q = [sqrt_psd(S) for S in Sw]
-    R = [sqrt_psd(Q[k] @ Sx[k] @ Q[k]) for k in range(m)]
-    lip = 2.0 * sum(w * np.linalg.eigvalsh(S)[-1] ** 2 for w, S in zip(wts, Sw))
-    step = 1.0 / max(lip, 1e-12)
-    # start from the weighted average of the per-process closed forms
-    H = sum(w * psd_filter_recover(sx, sw).H for w, sx, sw in zip(wts, Sx, Sw))
-    trace = SolveTrace()
-    for it in range(config.max_iters):
-        trace.iters_used = it + 1
-        grad = sum(2.0 * w * (Q[k] @ (Q[k] @ H @ Q[k] - R[k]) @ Q[k])
-                   for k, w in enumerate(wts))
-        vals, vecs = _eigh_psd(H - step * grad)
-        H_prev, H = H, (vecs * vals) @ vecs.T
-        trace.kkt_residual = float(np.linalg.norm(H_prev - H) / step)
-        if trace.kkt_residual <= config.tol * max(1.0, float(np.linalg.norm(H))) / step:
-            trace.stop("converged")
-            break
-    else:
-        trace.stop("max_iters", "psd_filter_ls", f"its {config.max_iters}-iteration cap")
-    vals = np.linalg.eigvalsh(H)
-    return FilterEstimate(H, psd=bool(vals.min() >= -1e-8),
+    R = [sqrt_psd(q @ s @ q) for q, s in zip(Q, Sx)]
+    H = sum(psd_filter_recover(sx, sw).H for sx, sw in zip(Sx, Sw)) / m
+    h2 = float(np.abs(H).max()) ** 2 or 1.0
+    k = 2.0 * h2 * sum(np.linalg.eigvalsh(S)[-1] ** 2 for S in Sw)  # M L max|H0|^2
+
+    def misfit(x):
+        E = [q @ x.reshape(n, n) @ q - r for q, r in zip(Q, R)]
+        return (sum(float(np.sum(e * e)) for e in E) / k,
+                lambda: (2.0 / k * sum(q @ e @ q for q, e in zip(Q, E))).ravel())
+
+    def project(v, t):
+        vals, vecs = _eigh_psd(v.reshape(n, n))
+        return ((vecs * vals) @ vecs.T).ravel()
+
+    x, trace = prox_gradient(misfit, project, lambda x: 0.0, H.ravel(), h2, config)
+    H = x.reshape(n, n)
+    return FilterEstimate(H, psd=bool(np.linalg.eigvalsh(H).min() >= -1e-8),
                           provenance="psd-least-squares"), trace
 
 
@@ -241,7 +227,8 @@ def sym_filter_select(Sigma_x_list, Sigma_w_list):
 
 def _covariance_lists(Sigma_x_list, Sigma_w_list):
     """The output and input covariance lists of the filter fits as square
-    arrays: nonempty, of equal length, all N x N for one N."""
+    arrays: nonempty, of equal length, all N x N for one N, each
+    symmetric to graphcore's relative SYM_TOL."""
     Sx = [as_matrix(S) for S in Sigma_x_list]
     Sw = [as_matrix(S) for S in Sigma_w_list]
     if not Sx or len(Sw) != len(Sx):
@@ -249,6 +236,8 @@ def _covariance_lists(Sigma_x_list, Sigma_w_list):
     sizes = {S.shape[0] for S in Sx + Sw}
     if len(sizes) > 1:
         raise BadDimension(f"covariances of different sizes {sorted(sizes)}")
+    if any(np.abs(S - S.T).max() > SYM_TOL * max(1.0, np.abs(S).max()) for S in Sx + Sw):
+        raise NotSymmetric("covariances must be symmetric")
     return Sx, Sw
 
 

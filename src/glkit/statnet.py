@@ -3,8 +3,8 @@
 Correlation and partial-correlation networks with Fisher tests and
 Benjamini-Hochberg FDR control, the graphical lasso and the Laplacian-
 constrained GMRF (Egilmez, Pavez & Ortega, IEEE JSTSP 2017; both on
-:func:`glkit.solvers.logdet_prox_gradient`), and neighborhood lasso selection
-(the N node regressions as one shared-Gram
+:func:`glkit.solvers.prox_gradient` with :func:`_neg_logdet`), and
+neighborhood lasso selection (the N node regressions as one shared-Gram
 :func:`glkit.solvers.lasso_cd_gram` call).
 """
 
@@ -32,7 +32,7 @@ from .graphcore import (
 from .solvers import (
     SolverConfig,
     lasso_cd_gram,
-    logdet_prox_gradient,
+    prox_gradient,
     soft_threshold,
 )
 
@@ -192,13 +192,33 @@ def _as_covariance(data) -> np.ndarray:
     return sample_covariance(M)
 
 
+def _neg_logdet(theta, adjoint, lin):
+    """lin'x - logdet theta(x) as :func:`glkit.solvers.prox_gradient`'s smooth
+    part, theta affine in x and ``adjoint`` the transpose of its linear
+    part: one Cholesky factor per point, off the domain where it fails."""
+
+    def smooth(x):
+        try:
+            factor = np.linalg.cholesky(theta(x))
+        except np.linalg.LinAlgError:
+            return np.inf, None
+
+        def gradient():
+            inv_factor = np.linalg.inv(factor)
+            return lin - adjoint(inv_factor.T @ inv_factor)  # Theta^-1
+
+        return float(lin @ x) - 2.0 * float(np.log(np.diag(factor)).sum()), gradient
+
+    return smooth
+
+
 def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
                     config: SolverConfig | None = None):
     """l1-penalized Gaussian maximum-likelihood precision estimation.
 
     Minimizes -logdet(T) + trace(S T) + lam ||T||_1 (diagonal
     unpenalized unless ``penalize_diagonal``) by one
-    :func:`glkit.solvers.logdet_prox_gradient` call over T's entries,
+    :func:`glkit.solvers.prox_gradient` call over T's entries,
     soft thresholding as the prox, from T = diag(1 / (S_ii + w_ii)): every
     iterate is symmetric, positive definite and exactly 0 where
     thresholded. ``data`` is a SignalSet (covariance with divisor P) or a
@@ -221,9 +241,9 @@ def graphical_lasso(data, lam: float, penalize_diagonal: bool = False,
     # tr(S T) = tr(sym(S) T) for symmetric T; a symmetric gradient keeps
     # every iterate symmetric to the bit. The first step is the smallest
     # inverse curvature T_ii^2 of the start's diagonal.
-    x, trace = logdet_prox_gradient(
-        lambda x: x.reshape(n, n), lambda C: (0.5 * (C + C.T)).ravel(),
-        (0.5 * (S + S.T)).ravel(), lambda v, t: soft_threshold(v, t * w),
+    x, trace = prox_gradient(
+        _neg_logdet(lambda x: x.reshape(n, n), lambda C: (0.5 * (C + C.T)).ravel(),
+                    (0.5 * (S + S.T)).ravel()), lambda v, t: soft_threshold(v, t * w),
         lambda x: float(w @ np.abs(x)), np.diag(1.0 / start).ravel(),
         float(np.min(1.0 / start)) ** 2, config)
     return x.reshape(n, n), trace
@@ -235,7 +255,7 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
     Minimizes -logdet(Theta) + trace(S Theta) + lam ||Theta||_1 over the
     edge weights w >= 0 of the Laplacian L(w) and the load gamma >= 0,
     where ||Theta||_1 = 4 sum(w) + N gamma is linear: one
-    :func:`glkit.solvers.logdet_prox_gradient` call over x = (w, gamma),
+    :func:`glkit.solvers.prox_gradient` call over x = (w, gamma),
     the prox a projection onto x >= 0, from w = 0, gamma = N / (trace(S)
     + N lam). Returns (L as a Laplacian shift, gamma, trace).
     """
@@ -262,8 +282,9 @@ def laplacian_gmrf(data, lam: float, config: SolverConfig | None = None):
     x = np.zeros(iu.size + 1)
     x[-1] = n / lin[-1]
     # the first step is the inverse curvature in gamma at the start
-    x, trace = logdet_prox_gradient(theta, adjoint, lin, lambda v, t: np.maximum(v, 0.0),
-                                    lambda x: 0.0, x, x[-1] ** 2 / n, config)
+    x, trace = prox_gradient(_neg_logdet(theta, adjoint, lin),
+                             lambda v, t: np.maximum(v, 0.0), lambda x: 0.0, x,
+                             x[-1] ** 2 / n, config)
     return laplacian_from_weights(weights_from_edge_vector(x[:-1], n)), float(x[-1]), trace
 
 

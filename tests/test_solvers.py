@@ -511,31 +511,48 @@ def dense_frobenius_oracle(V):
     return assemble_entries(res.x, ti, tj, V.shape[0])
 
 
-class TestLogdetProxGradient:
-    # min -log x + 2x over x > 0: x = 1/2
-    scalar = (lambda x: x.reshape(1, 1), lambda C: C.ravel(), np.array([2.0]))
+class TestProxGradient:
+    # min -log x + 2x over x > 0: x = 1/2, on the log-det smooth part that
+    # the precision learners pass in
+    smooth = staticmethod(stn._neg_logdet(lambda x: x.reshape(1, 1), lambda C: C.ravel(),
+                                          np.array([2.0])))
 
     def test_scalar_likelihood(self):
-        x, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v, lambda x: 0.0,
-                                           np.array([3.0]), 9.0, make_config())
+        x, trace = sv.prox_gradient(self.smooth, lambda v, t: v, lambda x: 0.0,
+                                    np.array([3.0]), 9.0, make_config())
         assert trace.status == "converged" and trace.kkt_residual <= 1e-7
         assert x[0] == pytest.approx(0.5, rel=1e-7)
 
     def test_capped_and_stalled_solves_warn(self):
-        with pytest.warns(UserWarning, match="3-iteration cap"):
-            _, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v, lambda x: 0.0,
-                                               np.array([3.0]), 9.0,
-                                               make_config(max_iters=3))
+        with pytest.warns(UserWarning, match="prox_gradient .*3-iteration cap"):
+            _, trace = sv.prox_gradient(self.smooth, lambda v, t: v, lambda x: 0.0,
+                                        np.array([3.0]), 9.0, make_config(max_iters=3))
         assert not trace.converged and trace.iters_used == 3
         assert trace.status == "max_iters"
         # from the optimum a "prox" that adds 1 only moves uphill: no step
         # passes the Armijo test
         with pytest.warns(UserWarning, match="60 step halvings"):
-            _, trace = sv.logdet_prox_gradient(*self.scalar, lambda v, t: v + 1.0,
-                                               lambda x: 0.0,
-                                               np.array([0.5]), 1.0, make_config())
+            _, trace = sv.prox_gradient(self.smooth, lambda v, t: v + 1.0, lambda x: 0.0,
+                                        np.array([0.5]), 1.0, make_config())
         assert not trace.converged and trace.iters_used == 0
         assert trace.status == "stalled"
+
+    def test_zero_start_measures_at_unit_scale(self):
+        # s = max|x| is 0 at x = 0, where the residual takes s = 1: the
+        # optimum there converges at once, and a start off it still moves
+        def smooth(x, target):
+            return 0.5 * float((x - target) @ (x - target)), lambda: x - target
+
+        def nonnegative(v, t):
+            return np.maximum(v, 0.0)
+
+        for target, solution, moves in (([-1.0, -2.0], [0.0, 0.0], False),
+                                        ([1.0, -2.0], [1.0, 0.0], True)):
+            x, trace = sv.prox_gradient(lambda x: smooth(x, np.array(target)), nonnegative,
+                                        lambda x: 0.0, np.zeros(2), 0.5, make_config())
+            assert trace.status == "converged" and trace.kkt_residual <= 1e-7
+            assert (trace.iters_used > 0) == moves
+            np.testing.assert_allclose(x, solution, atol=1e-7)
 
 
 NORMS = {"l1": lambda S: np.abs(S).sum(), "linf": lambda S: np.abs(S).max(),
@@ -994,6 +1011,27 @@ class TestActiveSetWalk:
         gap_solves = sv.spectral_gap(sid.estimate_eigenbasis(X)[0].vecs)[2].iters_used
         assert trace.status == "certified" and 1 <= trace.iters_used - gap_solves <= 60
         assert trace.kkt_residual <= sv.SolverConfig().tol
+
+    @pytest.mark.parametrize("cap,objective,status", [
+        (3, "l1", "max_iters"), (3, "linf", "max_iters"), (17, "l1", "max_iters"),
+        (30, "l1", "max_iters"), (30, "linf", "certified")])
+    def test_gap_and_solve_share_one_budget(self, cap, objective, status):
+        # the same draw: the gap takes 17 solves, then the l1 walk 45 and the
+        # sup-norm root 6. A cap the gap spends leaves the solve none, so its
+        # nearest member, within twice the capped gap's bound, is not "exact"
+        rng = np.random.default_rng([1, 14])
+        G = sim.gen_er_graph(30, 0.3, rng=rng, require_connected=True)
+        V = sid.estimate_eigenbasis(sim.gen_diffusion(G, [1.0, 0.5, 0.2], 5000, rng=rng))[0]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            _, _, trace = sv.infer_shift(V, None, "auto", objective,
+                                         make_config(max_iters=cap))
+        assert trace.status == status and trace.iters_used <= cap
+        # one warning for the one call, the solve's: the gap's own is dropped
+        assert [str(w.message).split()[0] for w in record] == \
+            ["infer_shift"] * (status == "max_iters")
+        if status == "max_iters":
+            assert trace.iters_used == cap and trace.kkt_residual is None
 
     @pytest.fixture
     def problem(self):
